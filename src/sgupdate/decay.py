@@ -152,8 +152,7 @@ def stale_targets(graph: SceneGraph, now: float, threshold: float) -> StaleRepor
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold}")
     entries = []
-    for oid in sorted(graph.objects):
-        node = graph.objects[oid]
+    for oid, node in graph.objects.items():
         if not node.attached or node.decay_rate <= 0.0:
             continue
         p = persistence_probability(node.decay_rate, now, node.last_seen)

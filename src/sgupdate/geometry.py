@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 QUAT_NORM_TOL = 1e-9
 
@@ -160,7 +160,3 @@ def poses_close(a: Pose, b: Pose, tol: float) -> bool:
     return all(abs(x - y) <= tol for x, y in zip(a.q, b.q)) and all(
         abs(x - y) <= tol for x, y in zip(a.t, b.t)
     )
-
-
-def vec_norm(v: Iterable[float]) -> float:
-    return math.sqrt(sum(float(x) * float(x) for x in v))

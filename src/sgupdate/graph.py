@@ -13,7 +13,7 @@ is not safe for concurrent mutation; hand a copy to other workers instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .geometry import BBox3, InvalidGeometry, Pose, point_in_aabb, poses_close
@@ -91,6 +91,15 @@ class RoomNode:
     def __post_init__(self) -> None:
         self.label = _norm_label(self.label)
 
+    def _clone(self) -> "RoomNode":
+        # Fields were normalized when this node was built; skip __post_init__.
+        dup = object.__new__(RoomNode)
+        dup.id = self.id
+        dup.label = self.label
+        dup.pose = self.pose
+        dup.bbox = self.bbox
+        return dup
+
 
 @dataclass
 class ObjectNode:
@@ -109,6 +118,19 @@ class ObjectNode:
         self.last_seen = float(self.last_seen)
         if self.decay_rate < 0.0:
             raise InvalidGeometry(f"decay_rate must be >= 0, got {self.decay_rate}")
+
+    def _clone(self) -> "ObjectNode":
+        # Fields were validated when this node was built; skip __post_init__.
+        dup = object.__new__(ObjectNode)
+        dup.id = self.id
+        dup.label = self.label
+        dup.pose = self.pose
+        dup.bbox = self.bbox
+        dup.decay_rate = self.decay_rate
+        dup.last_seen = self.last_seen
+        dup.attached = self.attached
+        dup.pose_provisional = self.pose_provisional
+        return dup
 
 
 class SceneGraph:
@@ -291,9 +313,10 @@ class SceneGraph:
     # ------------------------------------------------------------------
 
     def copy(self) -> "SceneGraph":
+        """Independent graph: nodes are cloned, their immutable poses and boxes shared."""
         dup = SceneGraph(epoch=self.epoch)
-        dup.rooms = {rid: replace(room) for rid, room in self.rooms.items()}
-        dup.objects = {oid: replace(node) for oid, node in self.objects.items()}
+        dup.rooms = {rid: room._clone() for rid, room in self.rooms.items()}
+        dup.objects = {oid: node._clone() for oid, node in self.objects.items()}
         dup.belongs_to = dict(self.belongs_to)
         dup.access = set(self.access)
         return dup

@@ -324,7 +324,7 @@ def derive_ground_truth(scenario: Scenario) -> list[GroundTruthChange]:
         return False
 
     changes = []
-    graph = scenario.house.copy()  # evolve a copy to resolve move targets
+    house = scenario.house  # read only: resolves move targets to rooms
     for action in scenario.virtual_actions:
         if action.kind is ActionKind.REMOVE:
             module = "Text" if stated(rec.UpdateAction.REMOVED, action.label, action.room) else "RGB-D"
@@ -332,7 +332,7 @@ def derive_ground_truth(scenario: Scenario) -> list[GroundTruthChange]:
                 GroundTruthChange(rec.UpdateAction.REMOVED, action.label, action.room, None, module)
             )
         elif action.kind is ActionKind.MOVE:
-            target = graph.rooms[graph.assign_room(action.pose)].label
+            target = house.rooms[house.assign_room(action.pose)].label
             module = "Text" if stated(rec.UpdateAction.MOVED, action.label, action.room) else "RGB-D"
             changes.append(
                 GroundTruthChange(rec.UpdateAction.MOVED, action.label, action.room, target, module)

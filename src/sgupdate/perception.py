@@ -98,14 +98,27 @@ def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> l
     Immovable objects (decay rate 0) are excluded on purpose: they never
     generate change evidence, so dropping them keeps association small.
     Detached (held) objects are excluded as well. Output is sorted by id.
+
+    This is the one visibility rule: the simulator's detector renders the
+    truth through it too. Objects at or beyond ``max_range`` (with a 1e-6
+    relative margin) are dropped on the unrotated offset before the exact
+    frustum test. A pose quaternion's norm is within ``QUAT_NORM_TOL`` of 1
+    and rotating by it scales lengths by ``|q|**2``, so the margin never
+    drops an object :func:`point_in_frustum` accepts.
     """
+    tx, ty, tz = robot_pose.t
+    cull_sq = (cam.max_range * (1.0 + 1e-6)) ** 2
     out = []
-    for oid in sorted(graph.objects):
-        node = graph.objects[oid]
+    for oid, node in graph.objects.items():
         if not node.attached or node.decay_rate <= 0.0:
+            continue
+        px, py, pz = node.pose.t
+        dx, dy, dz = px - tx, py - ty, pz - tz
+        if dx * dx + dy * dy + dz * dz >= cull_sq:
             continue
         if point_in_frustum(robot_pose, cam, node.pose.t):
             out.append(oid)
+    out.sort()
     return out
 
 

@@ -2,10 +2,10 @@
 
 The world owns the true scene graph, a clock, and a queue of scripted
 changes (objects vanishing, moving, appearing). A synthetic detector renders
-the truth into observations using the same visibility rule the perception
-module applies to the estimated graph, with configurable failure injection
-(small objects below a detectable size, label corruption, per-object
-dropout) so detector pathologies are reproducible.
+the truth into observations through ``perception.expected_visible``, the
+visibility rule perception applies to the estimated graph, with configurable
+failure injection (small objects below a detectable size, label corruption,
+per-object dropout) so detector pathologies are reproducible.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .decay import DecayTable, lambda_for
 from .geometry import BBox3, Pose
 from .graph import SceneGraph, SceneGraphError, deserialize
-from .perception import CameraModel, Observation, point_in_frustum
+from .perception import CameraModel, Observation, expected_visible
 from .records import AmbiguousTarget, TargetNotFound, UpdateRecord, UpdateAction, resolve_target
 
 __all__ = [
@@ -185,19 +185,15 @@ class World:
     ) -> list[Observation]:
         """Observations of the true world from a robot pose.
 
-        Applies the same visibility rule as the perception module (attached,
-        movable, centroid strictly inside frustum and range) and then the
-        failure knobs: size suppression, dropout, label corruption. Detached
-        and removed objects are never reported. Output order follows sorted
-        ground-truth ids, so frames are deterministic.
+        The visible set is ``expected_visible`` on the true graph (attached,
+        movable, centroid strictly inside frustum and range); the failure
+        knobs then apply: size suppression, dropout, label corruption.
+        Detached and removed objects are never reported. Output order
+        follows sorted ground-truth ids, so frames are deterministic.
         """
         out = []
-        for oid in sorted(self.graph.objects):
+        for oid in expected_visible(self.graph, robot_pose, cam):
             node = self.graph.objects[oid]
-            if not node.attached or node.decay_rate <= 0.0:
-                continue
-            if not point_in_frustum(robot_pose, cam, node.pose.t):
-                continue
             if node.bbox.max_extent < failures.min_detectable_extent:
                 continue
             if oid in failures.dropout_ids:

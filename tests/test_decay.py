@@ -123,6 +123,18 @@ def test_stale_targets_orders_by_probability_and_skips_immovables():
     assert all(p < 0.6 for p in probs)
 
 
+def test_stale_targets_breaks_probability_ties_by_id_not_insertion_order():
+    g = two_room_graph()
+    tied = [put(g, "kitchen", label, (1, 1, 1), rate=1.0) for label in ("plate", "cup", "bowl")]
+    tied += [put(g, "living room", "cup", (7, 1, 1), rate=1.0) for _ in range(10)]  # cup-2 .. cup-11
+    fork = put(g, "kitchen", "fork", (2, 1, 1), rate=2.0)  # inserted last, least persistent
+
+    entries = stale_targets(g, now=10.0, threshold=0.6).entries
+    assert [e.object_id for e in entries] == [fork] + sorted(tied)
+    assert [e.object_id for e in entries][1:5] == ["bowl-1", "cup-1", "cup-10", "cup-11"]
+    assert len({e.probability for e in entries[1:]}) == 1
+
+
 def test_stale_targets_threshold_must_be_in_open_interval(house2):
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError):

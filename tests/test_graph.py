@@ -10,7 +10,9 @@ from sgupdate.graph import (
     AlreadyDetached,
     DuplicateRoomLabel,
     NoContainingRoom,
+    ObjectNode,
     ParseError,
+    RoomNode,
     SceneGraph,
     SceneGraphError,
     UnknownObject,
@@ -164,6 +166,34 @@ def test_copy_is_deep(house2):
     clone.remove_object("kitchen", oid)
     assert oid in house2.objects
     assert graphs_equal(house2, house2.copy())
+
+
+def test_mutating_a_copy_leaves_the_original_bytes_unchanged(house2):
+    cup = put(house2, "kitchen", "cup", (1, 1, 1))
+    vase = put(house2, "living room", "vase", (7, 3, 1), pose_provisional=True)
+    before = serialize(house2)
+    clone = house2.copy()
+    clone.touch(cup, 50.0)
+    clone.move_object("kitchen", "living room", cup, Pose.identity((8, 1, 1)), 60.0)
+    clone.detach(vase)
+    assert serialize(clone) != before
+    assert serialize(house2) == before
+
+
+def test_copy_clones_every_node_field_for_field(house2):
+    put(house2, "kitchen", "cup", (1, 1, 1))
+    put(house2, "living room", "vase", (7, 3, 1), rate=0.0, pose_provisional=True)
+    house2.detach(put(house2, "kitchen", "plate", (2, 2, 1)))
+    clone = house2.copy()
+    for originals, copies, cls in (
+        (house2.rooms, clone.rooms, RoomNode),
+        (house2.objects, clone.objects, ObjectNode),
+    ):
+        assert list(copies) == list(originals)
+        for key, node in originals.items():
+            dup = copies[key]
+            assert type(dup) is cls and dup is not node
+            assert dup == node and vars(dup) == vars(node)
 
 
 # -- serialization -----------------------------------------------------------

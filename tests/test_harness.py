@@ -99,6 +99,13 @@ def test_ground_truth_expected_modules():
     assert by_label[("moved", "tv remote")].target_room == "living room"
 
 
+def test_derive_ground_truth_leaves_the_house_unchanged():
+    sc = load_scenario(SCENARIO)
+    before = serialize(sc.house)
+    derive_ground_truth(sc)
+    assert serialize(sc.house) == before
+
+
 # -- the ideal episode ---------------------------------------------------------
 
 

@@ -4,8 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from sgupdate.geometry import BBox3, Pose, pose_distance
+from sgupdate.geometry import BBox3, Pose, pose_distance, quat_rotate
 from sgupdate.graph import SceneGraph
 from sgupdate.perception import (
     AssociationResult,
@@ -82,6 +83,70 @@ def test_expected_visible_filters_and_sorts(house2):
     put(house2, "kitchen", "apple", (0.6, 2.0, 1.0))  # inside min range: skipped
     put(house2, "living room", "vase", (9.0, 2.0, 1.0))  # out of range
     assert expected_visible(house2, robot, CAM) == ["cup-1"]
+
+
+# Multiples of a range boundary: on it, a few ulps and a few QUAT_NORM_TOL to
+# either side, and on and beyond the cull's 1e-6 margin.
+BOUNDARY_SCALES = (1.0, 1.0 - 1e-15, 1.0 + 1e-15, 1.0 - 2e-9, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 1e-6, 1.0 + 2e-6)
+
+
+@st.composite
+def unit_vector(draw, n):
+    v = draw(st.tuples(*[st.floats(-1.0, 1.0)] * n))
+    norm = math.sqrt(sum(x * x for x in v))
+    assume(norm > 1e-3)
+    return tuple(x / norm for x in v)
+
+
+@st.composite
+def visibility_case(draw):
+    """A camera whose quaternion norm is off by up to 1e-9, and a graph of
+    points placed at random distances or at the range boundaries."""
+    min_range = draw(st.floats(0.05, 2.0))
+    cam = CameraModel(
+        fov_h=draw(st.floats(0.1, 3.0)),
+        fov_v=draw(st.floats(0.1, 3.0)),
+        min_range=min_range,
+        max_range=min_range + draw(st.floats(0.01, 10.0)),
+    )
+    q = draw(unit_vector(4))
+    norm_scale = 1.0 + draw(st.floats(-0.999e-9, 0.999e-9))
+    origin = draw(st.tuples(*[st.floats(-50.0, 50.0)] * 3))
+    robot = Pose(tuple(c * norm_scale for c in q), origin)
+
+    g = SceneGraph()
+    g.add_room(make_room("hall", (0.0, 0.0, 0.0), (200.0, 200.0, 200.0)))
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):  # somewhere ahead of the camera, likely in view
+            a, b = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+            norm = math.sqrt(1.0 + a * a + b * b)
+            direction = quat_rotate(q, (1.0 / norm, a / norm, b / norm))
+        else:
+            direction = draw(unit_vector(3))
+        boundary = draw(st.sampled_from(("min", "max", None)))
+        if boundary is None:
+            dist = draw(st.floats(0.0, 1.5)) * cam.max_range
+        else:
+            dist = (cam.min_range if boundary == "min" else cam.max_range) * draw(
+                st.sampled_from(BOUNDARY_SCALES)
+            )
+        t = tuple(o + dist * d for o, d in zip(origin, direction))
+        oid = put(g, "hall", "cup", t, rate=draw(st.sampled_from((0.0, 0.05))))
+        if draw(st.integers(0, 4)) == 0:
+            g.detach(oid)
+    return g, robot, cam
+
+
+@settings(max_examples=300, deadline=None)
+@given(visibility_case())
+def test_expected_visible_cull_matches_brute_force_frustum(case):
+    g, robot, cam = case
+    brute = sorted(
+        oid
+        for oid, node in g.objects.items()
+        if node.attached and node.decay_rate > 0.0 and point_in_frustum(robot, cam, node.pose.t)
+    )
+    assert expected_visible(g, robot, cam) == brute
 
 
 # -- label matching ----------------------------------------------------------

@@ -1,11 +1,13 @@
 """Ground-truth world: scripted changes, robot manipulation, synthetic detector."""
 import math
+from importlib import resources
 
 import pytest
 
 from sgupdate.geometry import BBox3, Pose
 from sgupdate.graph import graphs_equal, serialize
-from sgupdate.perception import CameraModel
+from sgupdate.harness import load_scenario
+from sgupdate.perception import CameraModel, expected_visible
 from sgupdate.simworld import (
     DetectorFailureConfig,
     InconsistentAction,
@@ -143,6 +145,19 @@ def test_detector_output_is_sorted_by_ground_truth_id():
     robot = Pose.identity((0.5, 2.0, 1.0))
     out = w.synthetic_detect(robot, CAM)
     assert [o.label for o in out] == ["banana", "cup"]  # banana-1 < cup-1
+
+
+def test_ideal_detector_reports_exactly_the_expected_visible_truth():
+    sc = load_scenario(resources.files("sgupdate.data").joinpath("scenario_house.json"))
+    w = World(sc.house.copy(), sc.virtual_actions)
+    reported = 0
+    for at, pose in sc.trajectory:
+        w.step(at)
+        truth = [w.graph.objects[oid] for oid in expected_visible(w.graph, pose, sc.camera)]
+        out = w.synthetic_detect(pose, sc.camera, DetectorFailureConfig())
+        assert [(o.label, o.pose, o.bbox) for o in out] == [(n.label, n.pose, n.bbox) for n in truth]
+        reported += len(out)
+    assert reported > 0
 
 
 def test_detector_failure_knobs():
