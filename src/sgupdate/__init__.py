@@ -45,6 +45,7 @@ from .records import (
     ApplyStatus,
     PrimitiveCall,
     Provenance,
+    ReplayMismatch,
     ResolutionError,
     TargetNotFound,
     UpdateAction,

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .decay import stale_targets
-from .graph import ParseError, deserialize, serialize
+from .graph import ParseError, UnknownRoom, deserialize, serialize
 from .harness import (
     ScenarioError,
     aggregate_metrics,
@@ -136,10 +136,10 @@ def _cmd_query(args) -> int:
     if args.room is not None:
         try:
             room = graph.room_by_label(args.room)
-        except Exception as exc:
+        except UnknownRoom as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        ids = [oid for oid in ids if graph.belongs_to.get(oid) == room.id]
+        ids = graph.objects_in_room(room.id)
     if args.label is not None:
         wanted = " ".join(args.label.lower().split())
         ids = [oid for oid in ids if graph.objects[oid].label == wanted]

@@ -23,10 +23,10 @@ class InvalidGeometry(ValueError):
 
 
 def _float3(values: Sequence[float], what: str) -> tuple[float, float, float]:
-    vals = tuple(float(v) for v in values)
+    vals = tuple(map(float, values))
     if len(vals) != 3:
         raise InvalidGeometry(f"{what} must have exactly 3 components, got {len(vals)}")
-    if not all(math.isfinite(v) for v in vals):
+    if not all(map(math.isfinite, vals)):
         raise InvalidGeometry(f"{what} must be finite, got {vals}")
     return vals  # type: ignore[return-value]
 
@@ -39,10 +39,12 @@ class Pose:
     t: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        q = tuple(float(v) for v in self.q)
-        if len(q) != 4 or not all(math.isfinite(v) for v in q):
+        q = tuple(map(float, self.q))
+        if len(q) != 4 or not all(map(math.isfinite, q)):
             raise InvalidGeometry(f"quaternion must be 4 finite components, got {self.q!r}")
-        norm = math.sqrt(sum(v * v for v in q))
+        w, x, y, z = q
+        # Keep sum(): Python >= 3.12 adds floats with compensation, chained + would not.
+        norm = math.sqrt(sum((w * w, x * x, y * y, z * z)))
         if abs(norm - 1.0) > QUAT_NORM_TOL:
             raise InvalidGeometry(f"quaternion norm {norm!r} deviates from 1 beyond {QUAT_NORM_TOL}")
         object.__setattr__(self, "q", q)
@@ -68,7 +70,8 @@ class BBox3:
 
     def __post_init__(self) -> None:
         ext = _float3(self.extents, "extents")
-        if not all(v > 0.0 for v in ext):
+        w, h, d = ext
+        if not (w > 0.0 and h > 0.0 and d > 0.0):
             raise InvalidGeometry(f"extents must be strictly positive, got {ext}")
         object.__setattr__(self, "extents", ext)
 

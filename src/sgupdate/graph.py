@@ -9,12 +9,22 @@ Mutations go through the primitive operations defined here (``find``,
 ``touch``). Each primitive validates its inputs before touching any state, so
 a raised error leaves the graph unchanged. The structure is plain Python and
 is not safe for concurrent mutation; hand a copy to other workers instead.
+
+The room layer doubles as a spatial index. The graph keeps a room-label map,
+each room's set of attached objects and, per room, a box around its members'
+translations that only grows until the graph is next loaded. Scoped ``find``,
+``objects_in_room`` and ``objects_near`` read them instead of scanning every
+object. Only ``add_room``, the primitives and the loader may write ``rooms``,
+``objects`` or ``belongs_to`` (or an object's pose or attachment), since
+anything else would leave the indexes stale; :func:`check_invariants`
+verifies them.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional, Sequence
 
 from .geometry import BBox3, InvalidGeometry, Pose, point_in_aabb, poses_close
 
@@ -116,6 +126,10 @@ class ObjectNode:
         self.label = _norm_label(self.label)
         self.decay_rate = float(self.decay_rate)
         self.last_seen = float(self.last_seen)
+        if not math.isfinite(self.decay_rate) or not math.isfinite(self.last_seen):
+            raise InvalidGeometry(
+                f"decay_rate and last_seen must be finite, got {self.decay_rate}, {self.last_seen}"
+            )
         if self.decay_rate < 0.0:
             raise InvalidGeometry(f"decay_rate must be >= 0, got {self.decay_rate}")
 
@@ -142,6 +156,12 @@ class SceneGraph:
         self.objects: dict[str, ObjectNode] = {}
         self.belongs_to: dict[str, str] = {}  # object id -> room id
         self.access: set[tuple[str, str]] = set()  # canonical (min, max) room-id pairs
+        # Indexes over the fields above (see the module docstring).
+        self._room_ids: dict[str, str] = {}  # room label -> room id
+        self._members: dict[str, set[str]] = {}  # room id -> attached object ids
+        # room id -> (min x, min y, min z, max x, max y, max z) over the members'
+        # translations, or a larger box: it does not shrink when members leave.
+        self._boxes: dict[str, tuple[float, ...]] = {}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -149,9 +169,11 @@ class SceneGraph:
     def add_room(self, room: RoomNode) -> str:
         if room.id in self.rooms:
             raise DuplicateRoomLabel(f"room id {room.id!r} already present")
-        if any(r.label == room.label for r in self.rooms.values()):
+        if room.label in self._room_ids:
             raise DuplicateRoomLabel(f"room label {room.label!r} already present")
         self.rooms[room.id] = room
+        self._room_ids[room.label] = room.id
+        self._members[room.id] = set()
         return room.id
 
     def add_access(self, room_a: str, room_b: str) -> None:
@@ -162,11 +184,10 @@ class SceneGraph:
         self.access.add((min(room_a, room_b), max(room_a, room_b)))
 
     def room_by_label(self, label: str) -> RoomNode:
-        wanted = _norm_label(label)
-        for room in self.rooms.values():
-            if room.label == wanted:
-                return room
-        raise UnknownRoom(f"no room labeled {label!r}")
+        rid = self._room_ids.get(_norm_label(label))
+        if rid is None:
+            raise UnknownRoom(f"no room labeled {label!r}")
+        return self.rooms[rid]
 
     def _next_id(self, label: str) -> str:
         slug = _norm_label(label).replace(" ", "-")
@@ -186,18 +207,42 @@ class SceneGraph:
         never returned.
         """
         wanted = _norm_label(label)
-        room_id = self.room_by_label(room_scope).id if room_scope is not None else None
-        out = []
-        for oid, node in self.objects.items():
-            if not node.attached or node.label != wanted:
-                continue
-            if room_id is not None and self.belongs_to.get(oid) != room_id:
-                continue
-            out.append(oid)
-        return sorted(out)
+        objects = self.objects
+        if room_scope is None:
+            return sorted(
+                oid for oid, node in objects.items() if node.attached and node.label == wanted
+            )
+        members = self._members[self.room_by_label(room_scope).id]
+        return sorted(oid for oid in members if objects[oid].label == wanted)
 
     def objects_in_room(self, room_id: str) -> list[str]:
-        return sorted(oid for oid, rid in self.belongs_to.items() if rid == room_id)
+        """Ids of the objects attached in the room with this id, sorted."""
+        return sorted(self._members.get(room_id, ()))
+
+    def objects_near(self, point: Sequence[float], radius: float) -> list[str]:
+        """Attached objects of every room whose member box comes closer than ``radius``.
+
+        Every attached object whose translation lies closer than ``radius`` to
+        ``point`` is included, even one whose pose lies outside its room's
+        ``bbox``: member boxes are built from the members' translations, not
+        from the room geometry. Objects farther away may be included too. The
+        order is unspecified.
+
+        The squared box distance is computed term by term like a member's
+        squared distance ``dx * dx + dy * dy + dz * dz`` with ``dx = x - px``,
+        and each term is no larger, so a member with squared distance below
+        ``radius * radius`` is never dropped by rounding.
+        """
+        px, py, pz = point
+        r2 = radius * radius
+        out: list[str] = []
+        for rid, (x0, y0, z0, x1, y1, z1) in self._boxes.items():
+            dx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
+            dy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
+            dz = z0 - pz if pz < z0 else (pz - z1 if pz > z1 else 0.0)
+            if dx * dx + dy * dy + dz * dz < r2:
+                out.extend(self._members[rid])
+        return out
 
     def assign_room(self, pose: Pose) -> str:
         """Room id whose axis-aligned box contains the pose translation.
@@ -213,6 +258,21 @@ class SceneGraph:
             raise NoContainingRoom(f"pose translation {pose.t} is outside every room")
         hits.sort()
         return hits[0][1]
+
+    # ------------------------------------------------------------------
+    # index upkeep
+
+    def _link(self, oid: str, room_id: str, t: Sequence[float]) -> None:
+        """Set the belongs-to edge and file the object under its room."""
+        self.belongs_to[oid] = room_id
+        self._members[room_id].add(oid)
+        x, y, z = t
+        x0, y0, z0, x1, y1, z1 = self._boxes.get(room_id, (x, y, z, x, y, z))
+        self._boxes[room_id] = (min(x0, x), min(y0, y), min(z0, z), max(x1, x), max(y1, y), max(z1, z))
+
+    def _unlink(self, oid: str) -> None:
+        """Drop the belongs-to edge; the room's box keeps its size."""
+        self._members[self.belongs_to.pop(oid)].discard(oid)
 
     # ------------------------------------------------------------------
     # primitives
@@ -243,7 +303,7 @@ class SceneGraph:
             pose_provisional=bool(pose_provisional),
         )
         self.objects[oid] = node
-        self.belongs_to[oid] = room.id
+        self._link(oid, room.id, pose.t)
         return oid
 
     def _attached_in_room(self, source_room: str, target: str) -> tuple[ObjectNode, RoomNode]:
@@ -259,7 +319,7 @@ class SceneGraph:
         """Delete the object (it must be attached in ``source_room``)."""
         node, _ = self._attached_in_room(source_room, target)
         del self.objects[target]
-        del self.belongs_to[target]
+        self._unlink(target)
         return node
 
     def move_object(
@@ -277,7 +337,8 @@ class SceneGraph:
         node.pose = new_pose
         node.last_seen = float(now)
         node.pose_provisional = bool(pose_provisional)
-        self.belongs_to[target] = new_room.id
+        self._unlink(target)
+        self._link(target, new_room.id, new_pose.t)
 
     def detach(self, target: str) -> None:
         """Drop the belongs-to edge but keep the node (object picked up)."""
@@ -287,7 +348,7 @@ class SceneGraph:
         if not node.attached:
             raise AlreadyDetached(f"object {target!r} is already detached")
         node.attached = False
-        del self.belongs_to[target]
+        self._unlink(target)
 
     def reattach(self, target: str, room_label: str, pose: Pose, now: float) -> None:
         """Put a detached object back into a room at a concrete pose."""
@@ -301,7 +362,7 @@ class SceneGraph:
         node.pose = pose
         node.last_seen = float(now)
         node.pose_provisional = False
-        self.belongs_to[target] = room.id
+        self._link(target, room.id, pose.t)
 
     def touch(self, target: str, now: float) -> None:
         """Record a fresh observation of an object (resets its decay clock)."""
@@ -319,6 +380,9 @@ class SceneGraph:
         dup.objects = {oid: node._clone() for oid, node in self.objects.items()}
         dup.belongs_to = dict(self.belongs_to)
         dup.access = set(self.access)
+        dup._room_ids = dict(self._room_ids)
+        dup._members = {rid: set(ids) for rid, ids in self._members.items()}
+        dup._boxes = dict(self._boxes)
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -333,7 +397,11 @@ class SceneGraph:
 
 
 def check_invariants(graph: SceneGraph) -> list[str]:
-    """Structural invariant violations, empty when the graph is healthy."""
+    """Structural and index invariant violations, empty when the graph is healthy."""
+    return _structure_problems(graph) + _index_problems(graph)
+
+
+def _structure_problems(graph: SceneGraph) -> list[str]:
     problems: list[str] = []
     labels = [r.label for r in graph.rooms.values()]
     if len(labels) != len(set(labels)):
@@ -354,6 +422,28 @@ def check_invariants(graph: SceneGraph) -> list[str]:
     for oid, node in graph.objects.items():
         if node.decay_rate < 0.0:
             problems.append(f"object {oid!r} has negative decay_rate")
+    return problems
+
+
+def _index_problems(graph: SceneGraph) -> list[str]:
+    problems: list[str] = []
+    if graph._room_ids != {room.label: rid for rid, room in graph.rooms.items()}:
+        problems.append("room label index does not match the rooms")
+    members, boxes = graph._members, graph._boxes
+    # Sets hold no duplicates, so equal totals plus every edge being filed
+    # (checked below) means the member sets are belongs_to grouped by room.
+    total = sum(map(len, members.values()))
+    if members.keys() != graph.rooms.keys() or total != len(graph.belongs_to):
+        problems.append("room member index does not match belongs_to")
+    for oid, rid in graph.belongs_to.items():
+        if oid not in members.get(rid, ()):
+            problems.append(f"room member index does not file {oid!r} under {rid!r}")
+        node, box = graph.objects.get(oid), boxes.get(rid)
+        if node is None:
+            continue  # a belongs_to/attached mismatch, reported by _structure_problems
+        x, y, z = node.pose.t
+        if box is None or not (box[0] <= x <= box[3] and box[1] <= y <= box[4] and box[2] <= z <= box[5]):
+            problems.append(f"member box of room {rid!r} does not contain object {oid!r}")
     return problems
 
 
@@ -441,14 +531,15 @@ def graphs_equivalent(a: SceneGraph, b: SceneGraph, tol: float = 1e-9) -> bool:
 
 
 def graph_to_payload(graph: SceneGraph) -> dict:
+    """JSON-ready document; poses and boxes appear as tuples (JSON arrays)."""
     return {
         "epoch": graph.epoch,
         "rooms": [
             {
                 "id": room.id,
                 "label": room.label,
-                "pose": room.pose.to_dict(),
-                "bbox": list(room.bbox.extents),
+                "pose": {"q": room.pose.q, "t": room.pose.t},
+                "bbox": room.bbox.extents,
             }
             for _, room in sorted(graph.rooms.items())
         ],
@@ -456,8 +547,8 @@ def graph_to_payload(graph: SceneGraph) -> dict:
             {
                 "id": node.id,
                 "label": node.label,
-                "pose": node.pose.to_dict(),
-                "bbox": list(node.bbox.extents),
+                "pose": {"q": node.pose.q, "t": node.pose.t},
+                "bbox": node.bbox.extents,
                 "decay_rate": node.decay_rate,
                 "last_seen": node.last_seen,
                 "attached": node.attached,
@@ -485,7 +576,10 @@ def _require(data: dict, key: str, where: str):
 def graph_from_payload(data: dict) -> SceneGraph:
     if not isinstance(data, dict):
         raise ParseError("document root: expected a JSON object")
-    graph = SceneGraph(epoch=float(data.get("epoch", 0.0)))
+    try:
+        graph = SceneGraph(epoch=float(data.get("epoch", 0.0)))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"epoch: {exc}") from exc
     for i, entry in enumerate(_require(data, "rooms", "document root")):
         where = f"rooms[{i}]"
         try:
@@ -496,7 +590,7 @@ def graph_from_payload(data: dict) -> SceneGraph:
                 bbox=BBox3(tuple(_require(entry, "bbox", where))),
             )
             graph.add_room(room)
-        except (InvalidGeometry, DuplicateRoomLabel, TypeError, KeyError) as exc:
+        except (ValueError, DuplicateRoomLabel, TypeError, KeyError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
     for i, entry in enumerate(_require(data, "objects", "document root")):
         where = f"objects[{i}]"
@@ -511,7 +605,7 @@ def graph_from_payload(data: dict) -> SceneGraph:
                 attached=bool(entry.get("attached", True)),
                 pose_provisional=bool(entry.get("pose_provisional", False)),
             )
-        except (InvalidGeometry, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
         if node.id in graph.objects:
             raise ParseError(f"{where}: duplicate object id {node.id!r}")
@@ -519,12 +613,18 @@ def graph_from_payload(data: dict) -> SceneGraph:
     belongs = _require(data, "belongs_to", "document root")
     if not isinstance(belongs, dict):
         raise ParseError("belongs_to: expected an object-id to room-id mapping")
+    points: dict[str, list[tuple[float, float, float]]] = {}
     for oid, rid in belongs.items():
         if oid not in graph.objects:
             raise ParseError(f"belongs_to[{oid!r}]: unknown object id")
-        if rid not in graph.rooms:
+        if not isinstance(rid, str) or rid not in graph.rooms:
             raise ParseError(f"belongs_to[{oid!r}]: unknown room id {rid!r}")
-        graph.belongs_to[str(oid)] = str(rid)
+        graph.belongs_to[oid] = rid
+        graph._members[rid].add(oid)
+        points.setdefault(rid, []).append(graph.objects[oid].pose.t)
+    for rid, ts in points.items():
+        xs, ys, zs = zip(*ts)
+        graph._boxes[rid] = (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
     for i, pair in enumerate(_require(data, "access", "document root")):
         where = f"access[{i}]"
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -533,7 +633,9 @@ def graph_from_payload(data: dict) -> SceneGraph:
             graph.add_access(str(pair[0]), str(pair[1]))
         except SceneGraphError as exc:
             raise ParseError(f"{where}: {exc}") from exc
-    problems = check_invariants(graph)
+    # The indexes were built from the document just read, so only its
+    # structure can be wrong.
+    problems = _structure_problems(graph)
     if problems:
         raise ParseError(f"document violates graph invariants: {problems[0]}")
     return graph

@@ -100,17 +100,22 @@ def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> l
     Detached (held) objects are excluded as well. Output is sorted by id.
 
     This is the one visibility rule: the simulator's detector renders the
-    truth through it too. Objects at or beyond ``max_range`` (with a 1e-6
-    relative margin) are dropped on the unrotated offset before the exact
-    frustum test. A pose quaternion's norm is within ``QUAT_NORM_TOL`` of 1
-    and rotating by it scales lengths by ``|q|**2``, so the margin never
-    drops an object :func:`point_in_frustum` accepts.
+    truth through it too. Only the members of rooms whose member box comes
+    within range are visited (:meth:`SceneGraph.objects_near`), and of
+    those, objects at or beyond ``max_range`` (with a 1e-6 relative margin)
+    are dropped on the unrotated offset before the exact frustum test. A
+    pose quaternion's norm is within ``QUAT_NORM_TOL`` of 1 and rotating by
+    it scales lengths by ``|q|**2``, so the margin never drops an object
+    :func:`point_in_frustum` accepts.
     """
     tx, ty, tz = robot_pose.t
-    cull_sq = (cam.max_range * (1.0 + 1e-6)) ** 2
+    cull = cam.max_range * (1.0 + 1e-6)
+    cull_sq = cull * cull
+    objects = graph.objects
     out = []
-    for oid, node in graph.objects.items():
-        if not node.attached or node.decay_rate <= 0.0:
+    for oid in graph.objects_near(robot_pose.t, cull):
+        node = objects[oid]
+        if node.decay_rate <= 0.0:
             continue
         px, py, pz = node.pose.t
         dx, dy, dz = px - tx, py - ty, pz - tz

@@ -27,6 +27,7 @@ __all__ = [
     "ResolutionError",
     "TargetNotFound",
     "AmbiguousTarget",
+    "ReplayMismatch",
     "validate",
     "resolve_target",
     "apply",
@@ -58,6 +59,10 @@ class TargetNotFound(ResolutionError):
 
 class AmbiguousTarget(ResolutionError):
     pass
+
+
+class ReplayMismatch(SceneGraphError):
+    """A logged ``find`` resolved an id that the replayed graph does not return."""
 
 
 # Placeholder box for objects whose geometry nobody has sensed yet.
@@ -322,12 +327,19 @@ def replay(graph: SceneGraph, calls: list[PrimitiveCall]) -> None:
     """Re-execute logged primitive calls against a graph.
 
     Replaying every executed call from an audit log, in order, against the
-    initial graph reproduces the final graph exactly.
+    initial graph reproduces the final graph exactly. Each logged ``find``
+    is checked: its ``resolved`` id must be among the ids ``find`` returns
+    on the replayed graph, else :class:`ReplayMismatch` is raised.
     """
     for call in calls:
         args = call.args
         if call.op == "find":
-            graph.find(args["label"], room_scope=args.get("room_scope"))
+            found = graph.find(args["label"], room_scope=args.get("room_scope"))
+            if args.get("resolved") not in found:
+                raise ReplayMismatch(
+                    f"find({args['label']!r}, room_scope={args.get('room_scope')!r}) "
+                    f"returned {found}, but the log resolved {args.get('resolved')!r}"
+                )
         elif call.op == "add_object":
             graph.add_object(
                 args["target_room"],

@@ -88,6 +88,17 @@ def test_missing_graph_file_exits_2(tmp_path):
     assert err.value.code == 2
 
 
+def test_non_numeric_graph_field_exits_2(tmp_path, capsys):
+    payload = json.loads(serialize(load_house()))
+    payload["objects"][0]["bbox"] = [0.2, "wide", 0.2]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), "utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["query", str(bad)])
+    assert err.value.code == 2
+    assert "objects[0]" in capsys.readouterr().err
+
+
 def test_repl_applies_statement_and_saves(house_file, tmp_path, capsys, monkeypatch):
     lines = iter(["I removed the towel from the bathroom", ""])
     monkeypatch.setattr("builtins.input", lambda *a: next(lines))

@@ -1,5 +1,6 @@
 """Scene-graph container: topology rules, primitives, serialization."""
 import json
+import math
 import random
 
 import pytest
@@ -25,7 +26,9 @@ from sgupdate.graph import (
     serialize,
 )
 
-from conftest import make_room, put, two_room_graph
+from sgupdate.perception import CameraModel, expected_visible, point_in_frustum
+
+from conftest import make_room, put, two_room_graph, yaw_pose
 
 
 def test_room_labels_are_normalized_and_unique():
@@ -178,6 +181,7 @@ def test_mutating_a_copy_leaves_the_original_bytes_unchanged(house2):
     clone.detach(vase)
     assert serialize(clone) != before
     assert serialize(house2) == before
+    assert check_invariants(house2) == [] and house2.find("cup", room_scope="kitchen") == [cup]
 
 
 def test_copy_clones_every_node_field_for_field(house2):
@@ -216,6 +220,34 @@ def test_deserialize_reports_location_of_bad_object():
     del payload["objects"][0]["pose"]
     with pytest.raises(ParseError, match=r"objects\[0\]"):
         deserialize(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        pytest.param(("objects", 0, "pose", "q", 1), "tilted", r"objects\[0\]", id="object-q"),
+        pytest.param(("objects", 0, "pose", "t", 2), "high", r"objects\[0\]", id="object-t"),
+        pytest.param(("objects", 0, "bbox", 1), "wide", r"objects\[0\]", id="object-bbox"),
+        pytest.param(("objects", 0, "decay_rate"), "fast", r"objects\[0\]", id="decay-text"),
+        pytest.param(("objects", 0, "last_seen"), "noon", r"objects\[0\]", id="seen-text"),
+        pytest.param(("objects", 0, "decay_rate"), float("nan"), r"objects\[0\]", id="decay-nan"),
+        pytest.param(("objects", 0, "last_seen"), float("inf"), r"objects\[0\]", id="seen-inf"),
+        pytest.param(("rooms", 1, "pose", "t", 0), "east", r"rooms\[1\]", id="room-t"),
+        pytest.param(("rooms", 0, "bbox", 2), "deep", r"rooms\[0\]", id="room-bbox"),
+        pytest.param(("epoch",), "dawn", r"epoch", id="epoch"),
+    ],
+)
+def test_deserialize_reports_location_of_bad_number(path, value, where):
+    g = two_room_graph()
+    put(g, "kitchen", "cup", (1, 1, 1))
+    payload = json.loads(serialize(g))
+    *parents, last = path
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ParseError, match=where):
+        deserialize(json.dumps(payload))  # NaN and Infinity pass as JSON literals
 
 
 def test_deserialize_rejects_malformed_json():
@@ -267,32 +299,51 @@ def test_graphs_equivalent_ignores_ids_but_not_content(house2):
 
 
 def test_long_random_primitive_sequence_keeps_invariants():
+    """Invariants plus the room indexes checked against brute-force scans.
+
+    A quarter of adds, moves and reattaches put the object at a random spot
+    (either room or outside the house) whatever room they name, so member
+    boxes and room boxes disagree. Every 300 steps the graph is reloaded,
+    which refits the member boxes tightly.
+    """
     rng = random.Random(20260813)
     g = two_room_graph()
     rooms = ["kitchen", "living room"]
     labels = ["cup", "plate", "vase", "book"]
     spots = {"kitchen": (2.0, 2.0, 1.0), "living room": (7.0, 2.0, 1.0)}
+    cam = CameraModel(fov_h=1.2, fov_v=1.0, min_range=0.2, max_range=3.0)
+    cameras = [
+        yaw_pose((0.5, 2.0, 1.0), 0.0),
+        yaw_pose((9.5, 2.0, 1.0), math.pi),
+        yaw_pose((4.0, 0.2, 1.0), math.pi / 2),
+        yaw_pose((-2.5, 2.0, 1.0), 0.0),
+    ]
     detached: list[str] = []
+
+    def spot_for(room):
+        if rng.random() < 0.25:  # anywhere, whatever room is named
+            x, y, z = rng.choice([spots["kitchen"], spots["living room"], (12.0, 2.0, 1.0)])
+        else:
+            x, y, z = spots[room]
+        return (x + rng.uniform(-1, 1), y + rng.uniform(-1, 1), z + rng.uniform(-0.5, 0.5))
 
     for step in range(1200):
         op = rng.choice(["add", "remove", "move", "touch", "detach", "reattach"])
         attached = [oid for oid in sorted(g.objects) if g.objects[oid].attached]
         if op == "add" or not attached and op in ("remove", "move", "touch", "detach"):
             room = rng.choice(rooms)
-            x, y, z = spots[room]
-            put(g, room, rng.choice(labels), (x + rng.uniform(-1, 1), y + rng.uniform(-1, 1), z))
+            put(g, room, rng.choice(labels), spot_for(room), rate=rng.choice([0.0, 0.05, 0.05]))
         elif op == "remove":
             oid = rng.choice(attached)
             g.remove_object(g.rooms[g.belongs_to[oid]].label, oid)
         elif op == "move":
             oid = rng.choice(attached)
             room = rng.choice(rooms)
-            x, y, z = spots[room]
             g.move_object(
                 g.rooms[g.belongs_to[oid]].label,
                 room,
                 oid,
-                Pose.identity((x + rng.uniform(-1, 1), y + rng.uniform(-1, 1), z)),
+                Pose.identity(spot_for(room)),
                 now=float(step),
             )
         elif op == "touch":
@@ -304,9 +355,25 @@ def test_long_random_primitive_sequence_keeps_invariants():
         elif op == "reattach" and detached:
             oid = detached.pop()
             room = rng.choice(rooms)
-            x, y, z = spots[room]
-            g.reattach(oid, room, Pose.identity((x, y, z)), now=float(step))
+            g.reattach(oid, room, Pose.identity(spot_for(room)), now=float(step))
+        if step % 300 == 299:
+            g = deserialize(serialize(g))
         assert check_invariants(g) == [], f"invariants broke at step {step}"
+
+        for room in rooms:
+            rid = g.room_by_label(room).id
+            in_room = sorted(oid for oid, r in g.belongs_to.items() if r == rid)
+            assert g.objects_in_room(rid) == in_room, f"objects_in_room at step {step}"
+            for label in labels:
+                want = [oid for oid in in_room if g.objects[oid].label == label]
+                assert g.find(label, room_scope=room) == want, f"find at step {step}"
+        for pose in cameras:
+            want = sorted(
+                oid
+                for oid, node in g.objects.items()
+                if node.attached and node.decay_rate > 0.0 and point_in_frustum(pose, cam, node.pose.t)
+            )
+            assert expected_visible(g, pose, cam) == want, f"expected_visible at step {step}"
 
     # the survivors still serialize deterministically
     assert serialize(deserialize(serialize(g))) == serialize(g)

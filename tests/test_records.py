@@ -15,6 +15,7 @@ from sgupdate.records import (
     resolve_target,
     validate,
     AmbiguousTarget,
+    ReplayMismatch,
     TargetNotFound,
 )
 
@@ -194,6 +195,18 @@ def test_replay_reproduces_apply_effects_exactly(house2):
         replay(pristine, r.executed)
     assert serialize(pristine) == serialize(house2)
     assert graphs_equal(pristine, house2)
+
+
+def test_replay_checks_each_logged_find(house2):
+    put(house2, "kitchen", "cup", (1, 1, 1))
+    put(house2, "kitchen", "plate", (2, 1, 1))
+    pristine = house2.copy()
+    report = apply(house2, record(UpdateAction.REMOVED, source_room="kitchen"), TABLE)
+    find = report.executed[0]
+    assert (find.op, find.args["resolved"]) == ("find", "cup-1")
+    find.args["resolved"] = "plate-1"
+    with pytest.raises(ReplayMismatch, match="plate-1"):
+        replay(pristine, report.executed)
 
 
 def test_replay_rejects_unknown_ops(house2):
