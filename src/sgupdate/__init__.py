@@ -82,7 +82,6 @@ from .perception import (
     associate,
     confirm,
     expected_visible,
-    geometric_match,
     point_in_frustum,
     semantic_match,
 )
@@ -102,7 +101,6 @@ from .harness import (
     Scenario,
     ScenarioError,
     ScenarioResult,
-    aggregate_metrics,
     format_metrics_table,
     load_scenario,
     replay_runlog,

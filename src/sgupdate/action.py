@@ -9,7 +9,7 @@ audit trail shows why the graph changed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -97,9 +97,8 @@ class PickPlaceTask:
     spec: TaskSpec
     phase: Phase = Phase.PENDING
     held_id: Optional[str] = None
-    history: list[tuple[str, float]] = field(default_factory=list)
 
-    def pick(self, graph: SceneGraph, now: float) -> tuple[str, list[PrimitiveCall]]:
+    def pick(self, graph: SceneGraph) -> tuple[str, list[PrimitiveCall]]:
         """Detach the mission object from its source room.
 
         Returns the held node id plus the executed primitive calls for the
@@ -131,7 +130,6 @@ class PickPlaceTask:
         graph.detach(oid)
         self.phase = Phase.HOLDING
         self.held_id = oid
-        self.history.append((Phase.HOLDING.value, float(now)))
         return oid, calls
 
     def place(
@@ -172,5 +170,4 @@ class PickPlaceTask:
             issued_at=float(now),
         )
         self.phase = Phase.DONE
-        self.history.append((Phase.DONE.value, float(now)))
         return record, calls

@@ -21,11 +21,9 @@ from .decay import stale_targets
 from .graph import ParseError, UnknownRoom, deserialize, serialize
 from .harness import (
     ScenarioError,
-    aggregate_metrics,
     format_metrics_table,
     load_scenario,
     run_scenario,
-    validate_scenario,
 )
 from .human import Confidence, parse_statement, to_record
 from .records import apply as apply_record
@@ -52,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("scenario", help="path to scenario JSON")
-    p_run.add_argument("--runs", type=int, default=1, help="repeat count for averaging")
-    p_run.add_argument("--seed", type=int, default=None, help="override scenario seed")
     p_run.add_argument("--out", default=None, help="directory for run artifacts")
     p_run.add_argument(
         "--set",
@@ -99,31 +95,23 @@ def _load_graph(path: str):
 
 
 def _cmd_run(args) -> int:
-    overrides = dict(args.overrides)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     try:
-        scenario = load_scenario(args.scenario, overrides or None)
+        scenario = load_scenario(args.scenario, dict(args.overrides) or None)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.runs < 1:
-        print("error: --runs must be at least 1", file=sys.stderr)
-        return 2
 
-    results = [run_scenario(scenario) for _ in range(args.runs)]
-    metrics = aggregate_metrics([r.metrics for r in results])
-    table = format_metrics_table(metrics)
+    result = run_scenario(scenario)
+    table = format_metrics_table(result.metrics)
     print(table)
 
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        last = results[-1]
-        (out / "runlog.jsonl").write_text(last.log.to_jsonl(), "utf-8")
-        (out / "final_graph.json").write_bytes(serialize(last.graph))
+        (out / "runlog.jsonl").write_text(result.log.to_jsonl(), "utf-8")
+        (out / "final_graph.json").write_bytes(serialize(result.graph))
         (out / "metrics.json").write_text(
-            json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n", "utf-8"
+            json.dumps(result.metrics.to_dict(), indent=2, sort_keys=True) + "\n", "utf-8"
         )
         (out / "metrics.txt").write_text(table + "\n", "utf-8")
         print(f"artifacts written to {out}")
@@ -198,14 +186,9 @@ def _cmd_repl(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        scenario = load_scenario(args.scenario)
+        load_scenario(args.scenario)
     except ScenarioError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
-        return 2
-    problems = validate_scenario(scenario)
-    if problems:
-        for problem in problems:
-            print(f"invalid: {problem}", file=sys.stderr)
         return 2
     print(f"{args.scenario}: ok")
     return 0

@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Optional
 
 from .geometry import pose_distance  # re-exported: distance feeds the model's radius
 from .graph import SceneGraph
@@ -99,23 +98,9 @@ class DecayTable:
         return cls.from_dict(json.loads(text))
 
 
-def lambda_for(
-    label: str,
-    table: DecayTable,
-    estimator: Optional[Callable[[str], Optional[float]]] = None,
-) -> float:
-    """Decay rate for a label: estimator override, anchor, else default.
-
-    An ``estimator`` may return ``None`` to fall through to the table; the
-    default grammar-free lookup is deterministic.
-    """
+def lambda_for(label: str, table: DecayTable) -> float:
+    """Decay rate for a label: its anchor, else the table's default."""
     key = " ".join(str(label).strip().lower().split())
-    if estimator is not None:
-        rate = estimator(key)
-        if rate is not None:
-            if rate < 0.0:
-                raise ValueError(f"estimated decay rate must be >= 0, got {rate}")
-            return float(rate)
     return table.anchors.get(key, table.default_rate)
 
 

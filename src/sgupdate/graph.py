@@ -573,6 +573,13 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _require_list(data: dict, key: str) -> list:
+    value = _require(data, key, "document root")
+    if not isinstance(value, list):
+        raise ParseError(f"{key}: expected a list")
+    return value
+
+
 def graph_from_payload(data: dict) -> SceneGraph:
     if not isinstance(data, dict):
         raise ParseError("document root: expected a JSON object")
@@ -580,8 +587,10 @@ def graph_from_payload(data: dict) -> SceneGraph:
         graph = SceneGraph(epoch=float(data.get("epoch", 0.0)))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"epoch: {exc}") from exc
-    for i, entry in enumerate(_require(data, "rooms", "document root")):
+    for i, entry in enumerate(_require_list(data, "rooms")):
         where = f"rooms[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: expected a JSON object")
         try:
             room = RoomNode(
                 id=str(_require(entry, "id", where)),
@@ -592,8 +601,10 @@ def graph_from_payload(data: dict) -> SceneGraph:
             graph.add_room(room)
         except (ValueError, DuplicateRoomLabel, TypeError, KeyError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
-    for i, entry in enumerate(_require(data, "objects", "document root")):
+    for i, entry in enumerate(_require_list(data, "objects")):
         where = f"objects[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: expected a JSON object")
         try:
             node = ObjectNode(
                 id=str(_require(entry, "id", where)),
@@ -625,7 +636,7 @@ def graph_from_payload(data: dict) -> SceneGraph:
     for rid, ts in points.items():
         xs, ys, zs = zip(*ts)
         graph._boxes[rid] = (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
-    for i, pair in enumerate(_require(data, "access", "document root")):
+    for i, pair in enumerate(_require_list(data, "access")):
         where = f"access[{i}]"
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError(f"{where}: expected a two-element room-id pair")

@@ -12,8 +12,8 @@ Per update type, the denominator counts every true change of that type plus
 any spurious applied record of that type (an operation the robot performed
 that no true change explains). Failures are attributed to the module that
 produced the wrong record, or — for silent misses — the module that was
-expected to catch the change. Time-provenance records and pure geometry
-refinements are excluded: they do not assert world changes.
+expected to catch the change. Pure geometry refinements are excluded:
+they do not assert world changes.
 """
 from __future__ import annotations
 
@@ -23,13 +23,17 @@ from pathlib import Path
 from typing import Optional
 
 from . import records as rec
-from .action import PickPlaceTask, parse_task
+from .action import PickPlaceTask, UnparsableTask, parse_task
 from .decay import DecayTable, stale_targets
-from .geometry import BBox3, Pose
-from .graph import SceneGraph, deserialize, graphs_equal, serialize
-from .human import GrammarExtractor, Lexicon, StatementParse, to_record, Confidence
+from .geometry import Pose
+from .graph import (
+    NoContainingRoom,
+    SceneGraph,
+    SceneGraphError,
+    deserialize,
+)
+from .human import GrammarExtractor, Lexicon, to_record, Confidence
 from .perception import (
-    AssociationResult,
     CameraModel,
     ConfirmationStore,
     associate,
@@ -50,19 +54,17 @@ __all__ = [
     "score",
     "Metrics",
     "MetricsRow",
-    "aggregate_metrics",
     "replay_runlog",
     "format_metrics_table",
     "MODULE_COLUMNS",
 ]
 
-MODULE_COLUMNS = ("Text", "RGB-D", "Action", "Time")
+MODULE_COLUMNS = ("Text", "RGB-D", "Action")
 
 _PROVENANCE_COLUMN = {
     rec.Provenance.HUMAN: "Text",
     rec.Provenance.PERCEPTION: "RGB-D",
     rec.Provenance.ACTION: "Action",
-    rec.Provenance.TIME: "Time",
 }
 
 _ACTION_ROW = {
@@ -91,7 +93,6 @@ class Scenario:
     initial: SceneGraph
     decay_table: DecayTable
     lexicon: Lexicon
-    seed: int
     virtual_actions: list[VirtualAction]
     human_statements: list[tuple[float, str]]
     mission: Optional[Mission]
@@ -175,7 +176,6 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             initial=initial,
             decay_table=decay_table,
             lexicon=lexicon,
-            seed=int(data.get("seed", 0)),
             virtual_actions=actions,
             human_statements=statements,
             mission=mission,
@@ -208,18 +208,37 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     times = [t for t, _ in scenario.trajectory]
     if times != sorted(times):
         problems.append("trajectory timestamps must be non-decreasing")
-    room_labels = {r.label for r in scenario.house.rooms.values()}
+    house = scenario.house
+    room_labels = {r.label for r in house.rooms.values()}
     for action in scenario.virtual_actions:
         if action.room not in room_labels:
             problems.append(f"virtual action at t={action.at} names unknown room {action.room!r}")
+        if action.kind is ActionKind.MOVE:
+            try:
+                house.assign_room(action.pose)
+            except NoContainingRoom:
+                problems.append(
+                    f"virtual move at t={action.at}: to_pose {action.pose.t} is outside every room"
+                )
     if scenario.mission:
         try:
             spec = parse_task(scenario.mission.text)
-        except Exception as exc:  # noqa: BLE001 - reported, not raised
+        except UnparsableTask as exc:
             problems.append(f"mission text unparsable: {exc}")
         else:
             if spec.source_room not in room_labels or spec.target_room not in room_labels:
                 problems.append("mission names a room absent from the house")
+            else:
+                place = scenario.mission.place_pose
+                try:
+                    landed = house.rooms[house.assign_room(place)].label
+                except NoContainingRoom:
+                    landed = None
+                if landed != spec.target_room:
+                    problems.append(
+                        f"mission.place_pose {place.t} does not land in the target room"
+                        f" {spec.target_room!r}"
+                    )
         if scenario.mission.pick_time >= scenario.mission.place_time:
             problems.append("mission pick_time must precede place_time")
     return problems
@@ -361,7 +380,7 @@ class MetricsRow:
     gt_total: int = 0
     spurious: int = 0
     success: int = 0
-    failures: dict[str, int] = field(default_factory=lambda: {c: 0 for c in MODULE_COLUMNS[:3]})
+    failures: dict[str, int] = field(default_factory=lambda: {c: 0 for c in MODULE_COLUMNS})
 
     @property
     def denominator(self) -> int:
@@ -380,7 +399,6 @@ class Metrics:
     rows: dict[str, MetricsRow] = field(
         default_factory=lambda: {"Add": MetricsRow(), "Remove": MetricsRow(), "Move": MetricsRow()}
     )
-    runs: int = 1
 
     def check_invariant(self) -> None:
         for name, row in self.rows.items():
@@ -391,16 +409,14 @@ class Metrics:
                 )
 
     def to_dict(self) -> dict:
-        out = {"runs": self.runs, "rows": {}}
+        out = {"rows": {}}
         for name, row in self.rows.items():
             out["rows"][name] = {
                 "ground_truth": row.gt_total,
                 "spurious": row.spurious,
                 "success": row.success,
                 "success_rate": row.success_rate,
-                "failure_rates": {
-                    c: row.failure_rate(c) for c in MODULE_COLUMNS[:3]
-                },
+                "failure_rates": {c: row.failure_rate(c) for c in MODULE_COLUMNS},
                 "failures": dict(row.failures),
             }
         return out
@@ -409,17 +425,14 @@ class Metrics:
 def score(log: RunLog, ground_truth: list[GroundTruthChange]) -> Metrics:
     """Match applied records against scripted changes and tally the table.
 
-    Records enter scoring when they were applied, carry world-change content
-    (not a geometry refinement) and do not come from the time module. Each
-    ground-truth change consumes at most one matching record; leftovers on
-    either side are failures.
+    Records enter scoring when they were applied and carry world-change
+    content (not a geometry refinement). Each ground-truth change consumes
+    at most one matching record; leftovers on either side are failures.
     """
     considered = []
     for entry in log.applied_entries():
         record = entry.report.record
         if record is None or record.refines_geometry:
-            continue
-        if record.provenance is rec.Provenance.TIME:
             continue
         considered.append(record)
 
@@ -455,34 +468,6 @@ def score(log: RunLog, ground_truth: list[GroundTruthChange]) -> Metrics:
     return metrics
 
 
-def aggregate_metrics(per_run: list[Metrics]) -> Metrics:
-    """Average metrics across runs (counts are averaged per row).
-
-    Deterministic scenarios yield identical runs, so averaging preserves the
-    exact single-run fractions while still reporting the run count.
-    """
-    if not per_run:
-        raise ValueError("need at least one run to aggregate")
-    first = per_run[0]
-    for other in per_run[1:]:
-        if other.to_dict()["rows"] != first.to_dict()["rows"]:
-            # Heterogeneous runs: fall back to averaging rates via counts.
-            break
-    agg = Metrics(runs=len(per_run))
-    for name in agg.rows:
-        rows = [m.rows[name] for m in per_run]
-        agg.rows[name] = MetricsRow(
-            gt_total=round(sum(r.gt_total for r in rows) / len(rows)),
-            spurious=round(sum(r.spurious for r in rows) / len(rows)),
-            success=round(sum(r.success for r in rows) / len(rows)),
-            failures={
-                c: round(sum(r.failures.get(c, 0) for r in rows) / len(rows))
-                for c in MODULE_COLUMNS[:3]
-            },
-        )
-    return agg
-
-
 def format_metrics_table(metrics: Metrics) -> str:
     """Text table: success rate per update type, failure share per module."""
 
@@ -493,12 +478,8 @@ def format_metrics_table(metrics: Metrics) -> str:
     lines = ["  ".join(f"{h:<12}" for h in headers)]
     for name in ("Add", "Remove", "Move"):
         row = metrics.rows[name]
-        cells = [name, pct(row.success_rate)]
-        for column in MODULE_COLUMNS[:3]:
-            cells.append(pct(row.failure_rate(column)))
-        cells.append("-")  # time module is logged, never scored
+        cells = [name, pct(row.success_rate), *(pct(row.failure_rate(c)) for c in MODULE_COLUMNS)]
         lines.append("  ".join(f"{c:<12}" for c in cells))
-    lines.append(f"(averaged over {metrics.runs} run{'s' if metrics.runs != 1 else ''})")
     return "\n".join(lines)
 
 
@@ -519,7 +500,6 @@ class ScenarioResult:
 def run_scenario(
     scenario_or_path,
     overrides: Optional[dict] = None,
-    extractor=None,
 ) -> ScenarioResult:
     """Execute one deterministic pass over a scenario.
 
@@ -542,7 +522,7 @@ def run_scenario(
     graph = scenario.initial.copy()
     log = RunLog()
     store = ConfirmationStore()
-    extract = extractor if extractor is not None else GrammarExtractor(scenario.lexicon)
+    extract = GrammarExtractor(scenario.lexicon)
 
     task: Optional[PickPlaceTask] = None
     held_world_id: Optional[str] = None
@@ -574,8 +554,8 @@ def run_scenario(
 
         elif kind == "pick":
             try:
-                oid, calls = task.pick(graph, at)
-            except Exception as exc:  # mission aborts, run continues
+                oid, calls = task.pick(graph)
+            except SceneGraphError as exc:  # mission aborts, run continues
                 log.append(
                     RunLogEntry(
                         at=at,

@@ -3,8 +3,7 @@
 Parsing is a deterministic pattern grammar over a closed lexicon: no network
 calls, no learned models, identical output for identical input. Anything the
 grammar cannot account for is returned as a failed parse rather than a
-guess. The extraction step is pluggable — any callable mapping text to a
-:class:`StatementParse` can stand in for the default grammar.
+guess.
 """
 from __future__ import annotations
 
@@ -13,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Callable, Optional
+from typing import Optional
 
 from .records import Provenance, UpdateAction, UpdateRecord
 
@@ -21,7 +20,6 @@ __all__ = [
     "Lexicon",
     "Confidence",
     "StatementParse",
-    "Extractor",
     "parse_statement",
     "to_record",
     "ParseWasFailed",
@@ -95,8 +93,6 @@ class StatementParse:
         return cls(confidence=Confidence.FAILED, text=text)
 
 
-Extractor = Callable[[str], StatementParse]
-
 _ARTICLES = ("the ", "a ", "an ", "my ", "our ", "that ", "this ")
 # Trailing subordinate clauses carry rationale, not content; cut them off.
 _SUBORDINATE = re.compile(r"\s+(?:because|since|so that|so|as)\s+.*$")
@@ -123,7 +119,7 @@ def _alts(verbs: list[str]) -> str:
 
 
 class GrammarExtractor:
-    """Default extractor: sentence templates first, keyword scan fallback."""
+    """Sentence templates first, keyword scan fallback."""
 
     def __init__(self, lexicon: Optional[Lexicon] = None) -> None:
         self.lexicon = lexicon if lexicon is not None else Lexicon.default()

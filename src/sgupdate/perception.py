@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import BBox3, Pose, pose_distance, quat_rotate
 from .graph import NoContainingRoom, SceneGraph
@@ -27,11 +27,9 @@ __all__ = [
     "AssociationResult",
     "ConfirmationStore",
     "ConfirmOutcome",
-    "SemanticMatcher",
     "expected_visible",
     "point_in_frustum",
     "semantic_match",
-    "geometric_match",
     "associate",
     "confirm",
     "default_synonyms",
@@ -131,9 +129,6 @@ def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> l
 # matching
 
 
-SemanticMatcher = Callable[[str, str], bool]
-
-
 def default_synonyms() -> list[frozenset[str]]:
     text = resources.files("sgupdate.data").joinpath("synonyms.json").read_text("utf-8")
     return [frozenset(" ".join(w.lower().split()) for w in group) for group in json.loads(text)]
@@ -142,15 +137,12 @@ def default_synonyms() -> list[frozenset[str]]:
 _DEFAULT_GROUPS: Optional[list[frozenset[str]]] = None
 
 
-def semantic_match(label_a: str, label_b: str, matcher: Optional[SemanticMatcher] = None) -> bool:
+def semantic_match(label_a: str, label_b: str) -> bool:
     """True when two labels name the same kind of object.
 
-    The default matcher normalizes whitespace/case and consults a small
-    synonym table (e.g. a 'tv remote' is a 'remote control'). Symmetric by
-    construction. Pass ``matcher`` to plug in something richer.
+    Normalizes whitespace/case and consults a small synonym table (e.g. a
+    'tv remote' is a 'remote control'). Symmetric by construction.
     """
-    if matcher is not None:
-        return bool(matcher(label_a, label_b))
     global _DEFAULT_GROUPS
     a = " ".join(label_a.strip().lower().split())
     b = " ".join(label_b.strip().lower().split())
@@ -159,13 +151,6 @@ def semantic_match(label_a: str, label_b: str, matcher: Optional[SemanticMatcher
     if _DEFAULT_GROUPS is None:
         _DEFAULT_GROUPS = default_synonyms()
     return any(a in group and b in group for group in _DEFAULT_GROUPS)
-
-
-def geometric_match(node_pose: Pose, obs_pose: Pose, epsilon: float, rot_weight: float = 0.0) -> bool:
-    """Strictly-less-than test of pose displacement against ``epsilon``."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    return pose_distance(node_pose, obs_pose, rot_weight) < epsilon
 
 
 @dataclass
@@ -184,8 +169,6 @@ def associate(
     observed: Sequence[Observation],
     graph: SceneGraph,
     epsilon: float,
-    matcher: Optional[SemanticMatcher] = None,
-    rot_weight: float = 0.0,
 ) -> AssociationResult:
     """Greedy nearest-first association between expectation and detection.
 
@@ -201,8 +184,8 @@ def associate(
     for oid in expected_ids:
         node = graph.objects[oid]
         for j, obs in enumerate(observed):
-            if semantic_match(node.label, obs.label, matcher):
-                d = pose_distance(node.pose, obs.pose, rot_weight)
+            if semantic_match(node.label, obs.label):
+                d = pose_distance(node.pose, obs.pose)
                 pairs.append((d, oid, j))
     pairs.sort(key=lambda p: (p[0], p[1], p[2]))
 

@@ -46,7 +46,6 @@ class Provenance(str, Enum):
     HUMAN = "human"
     ACTION = "action"
     PERCEPTION = "perception"
-    TIME = "time"
 
 
 class ResolutionError(SceneGraphError):

@@ -56,7 +56,7 @@ def test_parse_task_rejects_other_shapes():
 def test_pick_detaches_and_reports_calls(house2):
     put(house2, "kitchen", "mug", (1, 1, 1))
     task = task_for()
-    oid, calls = task.pick(house2, now=5.0)
+    oid, calls = task.pick(house2)
     assert oid == "mug-1"
     assert [c.op for c in calls] == ["find", "detach"]
     assert task.phase is Phase.HOLDING and task.held_id == oid
@@ -67,22 +67,22 @@ def test_pick_detaches_and_reports_calls(house2):
 def test_pick_missing_object_raises_without_mutation(house2):
     task = task_for()
     with pytest.raises(ObjectNotFound):
-        task.pick(house2, now=0.0)
+        task.pick(house2)
     assert task.phase is Phase.PENDING
 
 
 def test_pick_twice_is_illegal(house2):
     put(house2, "kitchen", "mug", (1, 1, 1))
     task = task_for()
-    task.pick(house2, now=0.0)
+    task.pick(house2)
     with pytest.raises(IllegalPhase):
-        task.pick(house2, now=1.0)
+        task.pick(house2)
 
 
 def test_place_reattaches_and_emits_action_record(house2):
     put(house2, "kitchen", "mug", (1, 1, 1))
     task = task_for()
-    oid, _ = task.pick(house2, now=5.0)
+    oid, _ = task.pick(house2)
     pose = Pose.identity((8.0, 2.0, 1.0))
     record, calls = task.place(house2, pose, now=9.0)
     assert [c.op for c in calls] == ["reattach"]
@@ -99,7 +99,7 @@ def test_place_reattaches_and_emits_action_record(house2):
 def test_place_in_wrong_room_is_refused(house2):
     put(house2, "kitchen", "mug", (1, 1, 1))
     task = task_for()
-    task.pick(house2, now=0.0)
+    task.pick(house2)
     before_phase = task.phase
     with pytest.raises(RoomMismatch):
         task.place(house2, Pose.identity((1.0, 1.0, 1.0)), now=1.0)  # still in the kitchen
@@ -111,11 +111,3 @@ def test_place_before_pick_is_illegal(house2):
     task = task_for()
     with pytest.raises(IllegalPhase):
         task.place(house2, Pose.identity((8.0, 2.0, 1.0)), now=0.0)
-
-
-def test_history_tracks_phases(house2):
-    put(house2, "kitchen", "mug", (1, 1, 1))
-    task = task_for()
-    task.pick(house2, now=2.0)
-    task.place(house2, Pose.identity((8.0, 2.0, 1.0)), now=7.0)
-    assert task.history == [("holding", 2.0), ("done", 7.0)]

@@ -22,13 +22,14 @@ def house_file(tmp_path):
 
 def test_run_writes_all_artifacts(tmp_path, capsys):
     out = tmp_path / "artifacts"
-    code = main(["run", SCENARIO, "--runs", "2", "--out", str(out)])
+    code = main(["run", SCENARIO, "--out", str(out)])
     assert code == 0
     stdout = capsys.readouterr().out
-    assert "100.00%" in stdout and "averaged over 2 runs" in stdout
+    assert "100.00%" in stdout
     assert (out / "runlog.jsonl").exists()
+    assert (out / "metrics.txt").read_text("utf-8") in stdout
     metrics = json.loads((out / "metrics.json").read_text("utf-8"))
-    assert metrics["runs"] == 2
+    assert list(metrics) == ["rows"]
     assert metrics["rows"]["Move"]["success_rate"] == 1.0
     deserialize((out / "final_graph.json").read_bytes())  # parses back
 
@@ -48,7 +49,25 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
 
 
 def test_run_rejects_zero_runs(capsys):
-    assert main(["run", SCENARIO, "--runs", "0"]) == 2
+    # A run is deterministic: there is no repeat count and no seed to set.
+    for flags in (["--runs", "0"], ["--runs", "2"], ["--seed", "1"]):
+        with pytest.raises(SystemExit) as err:
+            main(["run", SCENARIO, *flags])
+        assert err.value.code == 2
+
+
+def test_unreachable_place_pose_exits_2(tmp_path, capsys):
+    data = resources.files("sgupdate.data")
+    scenario = json.loads(data.joinpath("scenario_house.json").read_text("utf-8"))
+    for key in ("house", "decay_table", "lexicon"):
+        scenario[key] = str(data.joinpath(scenario[key]))
+    scenario["mission"]["place_pose"]["t"] = [2.0, 2.0, 0.9]  # the kitchen, not the bedroom
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(scenario), "utf-8")
+    assert main(["validate", str(bad)]) == 2
+    assert "mission.place_pose" in capsys.readouterr().err
+    assert main(["run", str(bad)]) == 2
+    assert "mission.place_pose" in capsys.readouterr().err
 
 
 def test_validate_good_and_bad(tmp_path, capsys):
@@ -97,6 +116,15 @@ def test_non_numeric_graph_field_exits_2(tmp_path, capsys):
         main(["query", str(bad)])
     assert err.value.code == 2
     assert "objects[0]" in capsys.readouterr().err
+
+
+def test_graph_file_of_wrong_shape_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rooms": 5, "objects": [], "belongs_to": {}, "access": []}), "utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["query", str(bad)])
+    assert err.value.code == 2
+    assert "rooms: expected a list" in capsys.readouterr().err
 
 
 def test_repl_applies_statement_and_saves(house_file, tmp_path, capsys, monkeypatch):

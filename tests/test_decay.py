@@ -93,14 +93,10 @@ def test_packaged_default_table_has_useful_anchors():
     assert table.default_rate > 0.0
 
 
-def test_lambda_for_lookup_and_estimator_override():
+def test_lambda_for_looks_up_anchor_else_default():
     table = DecayTable(default_rate=0.1, anchors={"cup": 0.4})
     assert lambda_for("  CUP ", table) == 0.4
     assert lambda_for("unheard-of", table) == 0.1
-    assert lambda_for("cup", table, estimator=lambda label: 9.0) == 9.0
-    assert lambda_for("cup", table, estimator=lambda label: None) == 0.4  # fall through
-    with pytest.raises(ValueError):
-        lambda_for("cup", table, estimator=lambda label: -1.0)
 
 
 # -- stale scan --------------------------------------------------------------

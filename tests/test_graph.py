@@ -238,6 +238,27 @@ def test_deserialize_reports_location_of_bad_object():
     ],
 )
 def test_deserialize_reports_location_of_bad_number(path, value, where):
+    with pytest.raises(ParseError, match=where):
+        deserialize(payload_with(path, value))  # NaN and Infinity pass as JSON literals
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        pytest.param(("rooms",), 5, r"^rooms: expected a list", id="rooms"),
+        pytest.param(("objects",), {"cup-1": {}}, r"^objects: expected a list", id="objects"),
+        pytest.param(("access",), "kitchen", r"^access: expected a list", id="access"),
+        pytest.param(("rooms", 0), 5, r"^rooms\[0\]: expected a JSON object", id="room-entry"),
+        pytest.param(("objects", 0), "x", r"^objects\[0\]: expected a JSON object", id="object-entry"),
+    ],
+)
+def test_deserialize_reports_location_of_wrong_shape(path, value, where):
+    with pytest.raises(ParseError, match=where):
+        deserialize(payload_with(path, value))
+
+
+def payload_with(path, value) -> str:
+    """A two-room graph with one cup, as JSON, with ``value`` put at ``path``."""
     g = two_room_graph()
     put(g, "kitchen", "cup", (1, 1, 1))
     payload = json.loads(serialize(g))
@@ -246,8 +267,7 @@ def test_deserialize_reports_location_of_bad_number(path, value, where):
     for key in parents:
         target = target[key]
     target[last] = value
-    with pytest.raises(ParseError, match=where):
-        deserialize(json.dumps(payload))  # NaN and Infinity pass as JSON literals
+    return json.dumps(payload)
 
 
 def test_deserialize_rejects_malformed_json():

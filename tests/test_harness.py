@@ -10,7 +10,6 @@ from sgupdate.harness import (
     RunLog,
     RunLogEntry,
     ScenarioError,
-    aggregate_metrics,
     derive_ground_truth,
     format_metrics_table,
     load_scenario,
@@ -78,8 +77,41 @@ def test_load_scenario_rejects_unknown_action_room():
 
 
 def test_overrides_reach_nested_fields():
-    sc = load_scenario(SCENARIO, overrides={"perception.k": 3, "seed": 99})
-    assert sc.k == 3 and sc.seed == 99
+    sc = load_scenario(SCENARIO, overrides={"perception.k": 3})
+    assert sc.k == 3
+
+
+def test_load_scenario_ignores_a_seed_key():
+    # Generated scenarios still carry the seed they were generated from.
+    load_scenario(SCENARIO, overrides={"seed": 99})
+
+
+def moved_remote_to(t):
+    actions = json.loads(SCENARIO.read_text("utf-8"))["virtual_actions"]
+    assert actions[1]["label"] == "tv remote"
+    actions[1]["to_pose"]["t"] = t
+    return {"virtual_actions": actions}
+
+
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        pytest.param(moved_remote_to([50.0, 50.0, 1.0]), r"virtual move at t=5\.0", id="move-nowhere"),
+        pytest.param(
+            {"mission.place_pose": {"q": [1, 0, 0, 0], "t": [2.0, 2.0, 0.9]}},
+            r"mission\.place_pose",
+            id="place-in-kitchen",
+        ),
+        pytest.param(
+            {"mission.place_pose": {"q": [1, 0, 0, 0], "t": [50.0, 50.0, 1.0]}},
+            r"mission\.place_pose",
+            id="place-nowhere",
+        ),
+    ],
+)
+def test_load_scenario_rejects_unreachable_poses(overrides, where):
+    with pytest.raises(ScenarioError, match=where):
+        load_scenario(SCENARIO, overrides=overrides)
 
 
 # -- ground truth annotation ---------------------------------------------------
@@ -201,6 +233,14 @@ def test_degraded_replay_still_exact(degraded):
     assert serialize(replayed) == serialize(degraded.graph)
 
 
+def test_failed_pick_logs_one_rejection_and_skips_the_place():
+    absent = "Pick the sofa in the kitchen and take it to the bedroom."
+    result = run_scenario(SCENARIO, overrides={"mission.mission": absent})
+    actions = [e for e in result.log.entries if e.provenance is Provenance.ACTION]
+    assert [(e.note, e.report.status) for e in actions] == [("pick failed", ApplyStatus.REJECTED)]
+    assert actions[0].report.executed == []
+
+
 # -- scoring rules in isolation --------------------------------------------------
 
 
@@ -277,19 +317,11 @@ def test_score_ignores_refinements_time_provenance_and_non_applied():
         provenance=Provenance.PERCEPTION,
         refines_geometry=True,
     )
-    time_rec = UpdateRecord(
-        action=UpdateAction.MOVED,
-        target_object="cup",
-        source_room="a",
-        target_room="a",
-        provenance=Provenance.TIME,
-    )
     rejected = UpdateRecord(
         action=UpdateAction.MOVED, target_object="cup", source_room="a", target_room="a"
     )
     log = RunLog()
     log.append(entry(refine))
-    log.append(entry(time_rec))
     log.append(entry(rejected, status=ApplyStatus.REJECTED))
     m = score(log, gt)
     # none of those records count as answers, so the change was missed
@@ -308,15 +340,6 @@ def test_metrics_table_rendering(degraded):
     assert "Add" in text and "100.00%" in text
     assert text.count("66.67%") == 2
     assert text.count("33.33%") == 2
-    lines = [l for l in text.splitlines() if l and not l.startswith("(")]
-    assert all(line.rstrip().endswith("-") for line in lines[1:])  # Time column never scored
-
-
-def test_aggregate_metrics_over_identical_runs():
-    runs = [run_scenario(SCENARIO, overrides=dict(DEGRADED)).metrics for _ in range(3)]
-    agg = aggregate_metrics(runs)
-    assert agg.runs == 3
-    assert agg.rows["Remove"].success_rate == pytest.approx(2 / 3)
-    assert agg.rows["Move"].failures["RGB-D"] == 1
-    with pytest.raises(ValueError):
-        aggregate_metrics([])
+    lines = text.splitlines()
+    assert lines[0].split() == ["Update", "Type", "Success", "Rate", "Text", "RGB-D", "Action"]
+    assert [line.split()[0] for line in lines[1:]] == ["Add", "Remove", "Move"]

@@ -16,7 +16,6 @@ from sgupdate.perception import (
     associate,
     confirm,
     expected_visible,
-    geometric_match,
     point_in_frustum,
     semantic_match,
 )
@@ -160,19 +159,6 @@ def test_semantic_match_normalizes_and_uses_synonyms():
     assert not semantic_match("cup", "mug")
 
 
-def test_semantic_match_custom_matcher_wins():
-    assert semantic_match("cup", "mug", matcher=lambda a, b: True)
-    assert not semantic_match("cup", "cup", matcher=lambda a, b: False)
-
-
-def test_geometric_match_is_strict():
-    a = Pose.identity((0.0, 0.0, 0.0))
-    assert geometric_match(a, Pose.identity((0.2499, 0.0, 0.0)), epsilon=0.25)
-    assert not geometric_match(a, Pose.identity((0.25, 0.0, 0.0)), epsilon=0.25)
-    with pytest.raises(ValueError):
-        geometric_match(a, a, epsilon=0.0)
-
-
 # -- association -------------------------------------------------------------
 
 
@@ -237,6 +223,15 @@ def test_associate_greedy_takes_nearest_first_even_when_suboptimal(house2):
     res = associate([a, b], [o1, o2], house2, epsilon=0.25)
     assert res.static_pairs == [(b, o1)]
     assert res.moved_pairs == [(a, o2)]
+
+
+def test_associate_static_test_is_strictly_less_than_epsilon(house2):
+    near = put(house2, "kitchen", "cup", (1.0, 1.0, 1.0))
+    far = put(house2, "kitchen", "banana", (1.0, 3.0, 1.0))
+    observed = [obs("cup", (1.2499, 1.0, 1.0)), obs("banana", (1.25, 3.0, 1.0))]
+    res = associate([near, far], observed, house2, epsilon=0.25)
+    assert res.static_pairs == [(near, observed[0])]
+    assert res.moved_pairs == [(far, observed[1])]  # displacement exactly epsilon
 
 
 def test_associate_requires_positive_epsilon(house2):
