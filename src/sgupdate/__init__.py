@@ -51,6 +51,7 @@ from .records import (
     UpdateAction,
     UpdateRecord,
     apply,
+    execute,
     replay,
     resolve_target,
 )
@@ -65,7 +66,6 @@ from .human import (
 )
 from .action import (
     IllegalPhase,
-    ObjectNotFound,
     Phase,
     PickPlaceTask,
     RoomMismatch,

@@ -4,7 +4,10 @@ A mission is parsed from a fixed instruction form into a :class:`TaskSpec`
 and executed as a tiny state machine: picking detaches the object (it keeps
 existing but is invisible to queries and to perception's expectations),
 placing reattaches it at the commanded pose and emits a moved record so the
-audit trail shows why the graph changed.
+audit trail shows why the graph changed. Each step returns an
+:class:`~sgupdate.records.ApplyReport`, like ``records.apply``, and edits
+the graph only through ``records.execute``. The same steps run on the
+estimated graph and on the simulator's ground truth.
 """
 from __future__ import annotations
 
@@ -16,18 +19,20 @@ from typing import Optional
 from .geometry import Pose
 from .graph import SceneGraph, SceneGraphError
 from .records import (
-    AmbiguousTarget,
+    ApplyReport,
+    ApplyStatus,
     PrimitiveCall,
     Provenance,
-    TargetNotFound,
+    ResolutionError,
     UpdateAction,
     UpdateRecord,
+    execute,
+    find_call,
     resolve_target,
 )
 
 __all__ = [
     "UnparsableTask",
-    "ObjectNotFound",
     "IllegalPhase",
     "RoomMismatch",
     "TaskSpec",
@@ -38,10 +43,6 @@ __all__ = [
 
 
 class UnparsableTask(ValueError):
-    pass
-
-
-class ObjectNotFound(SceneGraphError):
     pass
 
 
@@ -98,11 +99,12 @@ class PickPlaceTask:
     phase: Phase = Phase.PENDING
     held_id: Optional[str] = None
 
-    def pick(self, graph: SceneGraph) -> tuple[str, list[PrimitiveCall]]:
+    def pick(self, graph: SceneGraph) -> ApplyReport:
         """Detach the mission object from its source room.
 
-        Returns the held node id plus the executed primitive calls for the
-        audit log. Resolution failures abort before any mutation.
+        The report lists the executed primitive calls for the audit log. An
+        object that is missing or ambiguous gives a ``rejected`` report and
+        leaves the graph and the phase unchanged.
         """
         if self.phase is not Phase.PENDING:
             raise IllegalPhase(f"pick is only legal from pending, not {self.phase.value}")
@@ -114,52 +116,39 @@ class PickPlaceTask:
         )
         try:
             oid = resolve_target(graph, probe)
-        except TargetNotFound as exc:
-            raise ObjectNotFound(str(exc)) from exc
-        calls = [
-            PrimitiveCall(
-                op="find",
-                args={
-                    "label": self.spec.object_label,
-                    "room_scope": self.spec.source_room,
-                    "resolved": oid,
-                },
-            ),
-            PrimitiveCall(op="detach", args={"target": oid}),
-        ]
-        graph.detach(oid)
+        except ResolutionError as exc:
+            return ApplyReport(status=ApplyStatus.REJECTED, reason=str(exc))
+        call = PrimitiveCall(op="detach", args={"target": oid})
+        execute(graph, call)
         self.phase = Phase.HOLDING
         self.held_id = oid
-        return oid, calls
+        return ApplyReport(
+            status=ApplyStatus.APPLIED, executed=[find_call(probe, oid), call], resolved_id=oid
+        )
 
-    def place(
-        self, graph: SceneGraph, place_pose: Pose, now: float
-    ) -> tuple[UpdateRecord, list[PrimitiveCall]]:
+    def place(self, graph: SceneGraph, place_pose: Pose, now: float) -> ApplyReport:
         """Reattach the held object at ``place_pose`` in the target room.
 
-        The pose must actually fall inside the target room's box; emits the
-        moved record that documents the completed mission.
+        The pose must actually fall inside the target room's box; the report
+        carries the moved record that documents the completed mission.
         """
         if self.phase is not Phase.HOLDING or self.held_id is None:
             raise IllegalPhase(f"place is only legal while holding, not {self.phase.value}")
-        room_id = graph.assign_room(place_pose)
-        room = graph.rooms[room_id]
+        room = graph.rooms[graph.assign_room(place_pose)]
         if room.label != self.spec.target_room:
             raise RoomMismatch(
                 f"place pose lands in {room.label!r}, mission targets {self.spec.target_room!r}"
             )
-        calls = [
-            PrimitiveCall(
-                op="reattach",
-                args={
-                    "target": self.held_id,
-                    "room_label": room.label,
-                    "pose": place_pose.to_dict(),
-                    "now": float(now),
-                },
-            )
-        ]
-        graph.reattach(self.held_id, room.label, place_pose, now)
+        call = PrimitiveCall(
+            op="reattach",
+            args={
+                "target": self.held_id,
+                "room_label": room.label,
+                "pose": place_pose.to_dict(),
+                "now": float(now),
+            },
+        )
+        execute(graph, call)
         record = UpdateRecord(
             action=UpdateAction.MOVED,
             target_object=self.spec.object_label,
@@ -170,4 +159,6 @@ class PickPlaceTask:
             issued_at=float(now),
         )
         self.phase = Phase.DONE
-        return record, calls
+        return ApplyReport(
+            status=ApplyStatus.APPLIED, executed=[call], resolved_id=self.held_id, record=record
+        )

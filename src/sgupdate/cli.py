@@ -27,6 +27,7 @@ from .harness import (
 )
 from .human import Confidence, parse_statement, to_record
 from .records import apply as apply_record
+from .simworld import InconsistentAction
 
 __all__ = ["main", "build_parser"]
 
@@ -101,7 +102,11 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    result = run_scenario(scenario)
+    try:
+        result = run_scenario(scenario)
+    except InconsistentAction as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     table = format_metrics_table(result.metrics)
     print(table)
 

@@ -26,12 +26,7 @@ from . import records as rec
 from .action import PickPlaceTask, UnparsableTask, parse_task
 from .decay import DecayTable, stale_targets
 from .geometry import Pose
-from .graph import (
-    NoContainingRoom,
-    SceneGraph,
-    SceneGraphError,
-    deserialize,
-)
+from .graph import NoContainingRoom, SceneGraph, deserialize
 from .human import GrammarExtractor, Lexicon, to_record, Confidence
 from .perception import (
     CameraModel,
@@ -40,7 +35,7 @@ from .perception import (
     confirm,
     expected_visible,
 )
-from .simworld import DetectorFailureConfig, VirtualAction, World, ActionKind
+from .simworld import DetectorFailureConfig, InconsistentAction, VirtualAction, World, ActionKind
 
 __all__ = [
     "ScenarioError",
@@ -196,6 +191,14 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
     return scenario
 
 
+def _landing_room(house: SceneGraph, pose: Pose) -> Optional[str]:
+    """Label of the room whose box holds ``pose``, None outside every room."""
+    try:
+        return house.rooms[house.assign_room(pose)].label
+    except NoContainingRoom:
+        return None
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Static consistency checks, empty when the scenario is runnable."""
     problems = []
@@ -213,13 +216,15 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     for action in scenario.virtual_actions:
         if action.room not in room_labels:
             problems.append(f"virtual action at t={action.at} names unknown room {action.room!r}")
-        if action.kind is ActionKind.MOVE:
-            try:
-                house.assign_room(action.pose)
-            except NoContainingRoom:
-                problems.append(
-                    f"virtual move at t={action.at}: to_pose {action.pose.t} is outside every room"
-                )
+        if action.kind is ActionKind.MOVE and _landing_room(house, action.pose) is None:
+            problems.append(
+                f"virtual move at t={action.at}: to_pose {action.pose.t} is outside every room"
+            )
+        if action.kind is ActionKind.ADD and _landing_room(house, action.pose) != action.room:
+            problems.append(
+                f"virtual add at t={action.at}: pose {action.pose.t} does not land in room"
+                f" {action.room!r}"
+            )
     if scenario.mission:
         try:
             spec = parse_task(scenario.mission.text)
@@ -230,11 +235,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 problems.append("mission names a room absent from the house")
             else:
                 place = scenario.mission.place_pose
-                try:
-                    landed = house.rooms[house.assign_room(place)].label
-                except NoContainingRoom:
-                    landed = None
-                if landed != spec.target_room:
+                if _landing_room(house, place) != spec.target_room:
                     problems.append(
                         f"mission.place_pose {place.t} does not land in the target room"
                         f" {spec.target_room!r}"
@@ -524,10 +525,12 @@ def run_scenario(
     store = ConfirmationStore()
     extract = GrammarExtractor(scenario.lexicon)
 
+    # The mission runs on the estimate and, as the robot's real manipulation, on the truth.
     task: Optional[PickPlaceTask] = None
-    held_world_id: Optional[str] = None
+    truth_task: Optional[PickPlaceTask] = None
     if scenario.mission:
-        task = PickPlaceTask(spec=parse_task(scenario.mission.text))
+        spec = parse_task(scenario.mission.text)
+        task, truth_task = PickPlaceTask(spec=spec), PickPlaceTask(spec=spec)
 
     events: list[tuple[float, int, int, str, object]] = []
     for i, (at, text) in enumerate(scenario.human_statements):
@@ -553,51 +556,22 @@ def run_scenario(
             log.append(RunLogEntry(at=at, provenance=rec.Provenance.HUMAN, report=report))
 
         elif kind == "pick":
-            try:
-                oid, calls = task.pick(graph)
-            except SceneGraphError as exc:  # mission aborts, run continues
-                log.append(
-                    RunLogEntry(
-                        at=at,
-                        provenance=rec.Provenance.ACTION,
-                        report=rec.ApplyReport(
-                            status=rec.ApplyStatus.REJECTED, reason=str(exc)
-                        ),
-                        note="pick failed",
-                    )
-                )
+            report = task.pick(graph)
+            if report.status is not rec.ApplyStatus.APPLIED:  # mission aborts, run continues
+                log.append(RunLogEntry(at, rec.Provenance.ACTION, report, note="pick failed"))
                 task = None
                 continue
-            held_world_id = world.pick(task.spec.object_label, task.spec.source_room, at)
-            log.append(
-                RunLogEntry(
-                    at=at,
-                    provenance=rec.Provenance.ACTION,
-                    report=rec.ApplyReport(
-                        status=rec.ApplyStatus.APPLIED, executed=calls, resolved_id=oid
-                    ),
-                    note="pick",
-                )
-            )
+            truth = truth_task.pick(world.graph)
+            if truth.status is not rec.ApplyStatus.APPLIED:
+                raise InconsistentAction(f"t={at}: {truth.reason}")
+            log.append(RunLogEntry(at, rec.Provenance.ACTION, report, note="pick"))
 
         elif kind == "place":
-            if task is None or held_world_id is None:
+            if task is None:
                 continue
-            record, calls = task.place(graph, scenario.mission.place_pose, at)
-            world.place(held_world_id, task.spec.target_room, scenario.mission.place_pose, at)
-            log.append(
-                RunLogEntry(
-                    at=at,
-                    provenance=rec.Provenance.ACTION,
-                    report=rec.ApplyReport(
-                        status=rec.ApplyStatus.APPLIED,
-                        executed=calls,
-                        resolved_id=task.held_id,
-                        record=record,
-                    ),
-                    note="place",
-                )
-            )
+            report = task.place(graph, scenario.mission.place_pose, at)
+            truth_task.place(world.graph, scenario.mission.place_pose, at)
+            log.append(RunLogEntry(at, rec.Provenance.ACTION, report, note="place"))
 
         elif kind == "frame":
             pose: Pose = payload
@@ -608,6 +582,8 @@ def run_scenario(
                 store, graph, result, frame_idx, at, k=scenario.k, epsilon=scenario.epsilon
             )
             if outcome.touched:
+                for call in outcome.touched:
+                    rec.execute(graph, call)
                 log.append(
                     RunLogEntry(
                         at=at,

@@ -238,7 +238,7 @@ class ConfirmationStore:
 @dataclass
 class ConfirmOutcome:
     records: list[UpdateRecord]
-    touched: list[PrimitiveCall]  # last-seen refreshes already applied
+    touched: list[PrimitiveCall]  # last-seen refreshes, for the caller to execute
     skipped: list[str] = field(default_factory=list)  # audit notes
 
 
@@ -253,7 +253,11 @@ def confirm(
 ) -> ConfirmOutcome:
     """Gate one frame's association result into update records.
 
-    * static pairs refresh ``last_seen`` and clear removal counters,
+    Only ``store`` changes; the graph is read, never edited. The outcome
+    carries the records to apply and the ``touch`` calls to execute.
+
+    * static pairs yield a ``touch`` (a ``last_seen`` refresh) and clear
+      removal counters,
     * moved pairs emit a moved record immediately (flagged as geometry
       refinement when the stored pose was provisional and the room did not
       change),
@@ -292,7 +296,6 @@ def confirm(
         store.removal.pop(oid, None)
 
     for oid, _obs in sorted(result.static_pairs, key=lambda p: p[0]):
-        graph.touch(oid, now)
         touched.append(PrimitiveCall(op="touch", args={"target": oid, "now": float(now)}))
         store.removal.pop(oid, None)
 

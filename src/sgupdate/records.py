@@ -5,7 +5,8 @@ gets normalized into an :class:`UpdateRecord` naming the action, the object
 label and the rooms involved. :func:`apply` turns a record into graph
 primitives atomically: on any outcome other than ``applied`` the graph is
 left untouched, and the executed primitive calls are returned so an audit
-log can replay them later.
+log can replay them later. Every graph edit, whoever makes it, is one such
+:class:`PrimitiveCall` run by :func:`execute`.
 """
 from __future__ import annotations
 
@@ -30,6 +31,8 @@ __all__ = [
     "ReplayMismatch",
     "validate",
     "resolve_target",
+    "find_call",
+    "execute",
     "apply",
     "replay",
     "PROVISIONAL_BBOX",
@@ -200,7 +203,8 @@ class ApplyReport:
         }
 
 
-def _find_call(record: UpdateRecord, resolved: str) -> PrimitiveCall:
+def find_call(record: UpdateRecord, resolved: str) -> PrimitiveCall:
+    """The logged ``find`` that resolved ``record``'s label to ``resolved``."""
     return PrimitiveCall(
         op="find",
         args={
@@ -211,6 +215,46 @@ def _find_call(record: UpdateRecord, resolved: str) -> PrimitiveCall:
     )
 
 
+def execute(graph: SceneGraph, call: PrimitiveCall):
+    """Run one mutating primitive call and return the primitive's result.
+
+    This is the one way into the graph's primitives: records, perception's
+    refreshes, the mission's pick and place and log replay all edit the
+    graph by executing the same calls they log.
+    """
+    args = call.args
+    if call.op == "add_object":
+        return graph.add_object(
+            args["target_room"],
+            args["label"],
+            Pose.from_dict(args["pose"]),
+            BBox3(tuple(args["bbox"])),
+            args["decay_rate"],
+            args["now"],
+            pose_provisional=args.get("pose_provisional", False),
+        )
+    if call.op == "remove_object":
+        return graph.remove_object(args["source_room"], args["target"])
+    if call.op == "move_object":
+        return graph.move_object(
+            args["source_room"],
+            args["target_room"],
+            args["target"],
+            Pose.from_dict(args["new_pose"]),
+            args["now"],
+            pose_provisional=args.get("pose_provisional", False),
+        )
+    if call.op == "detach":
+        return graph.detach(args["target"])
+    if call.op == "reattach":
+        return graph.reattach(
+            args["target"], args["room_label"], Pose.from_dict(args["pose"]), args["now"]
+        )
+    if call.op == "touch":
+        return graph.touch(args["target"], args["now"])
+    raise ValueError(f"unknown primitive op {call.op!r}")
+
+
 def apply(
     graph: SceneGraph,
     record: UpdateRecord,
@@ -218,12 +262,12 @@ def apply(
 ) -> ApplyReport:
     """Execute one record against the graph, atomically.
 
-    Validation, target resolution and room lookups all happen before any
-    mutation, so a ``rejected`` or ``deferred`` report guarantees the graph
-    bytes are unchanged. New objects take their decay rate from
-    ``decay_table`` (the packaged default when omitted); a record without a
-    pose places the object at its room's centroid and marks the pose
-    provisional until perception refines it.
+    Validation, target resolution and room lookups all happen before the
+    one primitive call is executed, so a ``rejected`` or ``deferred`` report
+    guarantees the graph bytes are unchanged. New objects take their decay
+    rate from ``decay_table`` (the packaged default when omitted); a record
+    without a pose places the object at its room's centroid and marks the
+    pose provisional until perception refines it.
     """
     problems = validate(record)
     if problems:
@@ -233,90 +277,66 @@ def apply(
             record=record,
         )
 
-    if record.action is UpdateAction.ADDED:
+    oid = None
+    if record.action is not UpdateAction.ADDED:
+        # Removed / Moved need a concrete node first.
         try:
-            room = graph.room_by_label(record.target_room)
-        except SceneGraphError as exc:
+            oid = resolve_target(graph, record)
+        except AmbiguousTarget as exc:
+            return ApplyReport(status=ApplyStatus.DEFERRED, reason=str(exc), record=record)
+        except TargetNotFound as exc:
             return ApplyReport(status=ApplyStatus.REJECTED, reason=str(exc), record=record)
-        table = decay_table if decay_table is not None else _decay.DecayTable.default()
-        provisional = record.pose is None
-        pose = record.pose if record.pose is not None else Pose.identity(room.pose.t)
-        bbox = record.bbox if record.bbox is not None else PROVISIONAL_BBOX
-        rate = _decay.lambda_for(record.target_object, table)
-        call = PrimitiveCall(
-            op="add_object",
-            args={
-                "target_room": room.label,
-                "label": record.target_object,
-                "pose": pose.to_dict(),
-                "bbox": list(bbox.extents),
-                "decay_rate": rate,
-                "now": record.issued_at,
-                "pose_provisional": provisional,
-            },
-        )
-        try:
-            oid = graph.add_object(
-                room.label, record.target_object, pose, bbox, rate, record.issued_at,
-                pose_provisional=provisional,
-            )
-        except (SceneGraphError, InvalidGeometry) as exc:
-            return ApplyReport(status=ApplyStatus.REJECTED, reason=str(exc), record=record)
-        return ApplyReport(
-            status=ApplyStatus.APPLIED, executed=[call], resolved_id=oid, record=record
-        )
-
-    # Removed / Moved need a concrete node first.
-    try:
-        oid = resolve_target(graph, record)
-    except AmbiguousTarget as exc:
-        return ApplyReport(status=ApplyStatus.DEFERRED, reason=str(exc), record=record)
-    except TargetNotFound as exc:
-        return ApplyReport(status=ApplyStatus.REJECTED, reason=str(exc), record=record)
 
     if record.action is UpdateAction.REMOVED:
         call = PrimitiveCall(
             op="remove_object", args={"source_room": record.source_room, "target": oid}
         )
+    else:
         try:
-            graph.remove_object(record.source_room, oid)
+            room = graph.room_by_label(record.target_room)
         except SceneGraphError as exc:
             return ApplyReport(status=ApplyStatus.REJECTED, reason=str(exc), record=record)
-        return ApplyReport(
-            status=ApplyStatus.APPLIED,
-            executed=[_find_call(record, oid), call],
-            resolved_id=oid,
-            record=record,
-        )
+        provisional = record.pose is None
+        pose = record.pose if record.pose is not None else Pose.identity(room.pose.t)
+        if record.action is UpdateAction.ADDED:
+            bbox = record.bbox if record.bbox is not None else PROVISIONAL_BBOX
+            table = decay_table if decay_table is not None else _decay.DecayTable.default()
+            call = PrimitiveCall(
+                op="add_object",
+                args={
+                    "target_room": room.label,
+                    "label": record.target_object,
+                    "pose": pose.to_dict(),
+                    "bbox": list(bbox.extents),
+                    "decay_rate": _decay.lambda_for(record.target_object, table),
+                    "now": record.issued_at,
+                    "pose_provisional": provisional,
+                },
+            )
+        else:
+            call = PrimitiveCall(
+                op="move_object",
+                args={
+                    "source_room": record.source_room,
+                    "target_room": room.label,
+                    "target": oid,
+                    "new_pose": pose.to_dict(),
+                    "now": record.issued_at,
+                    "pose_provisional": provisional,
+                },
+            )
 
-    # Moved
     try:
-        room = graph.room_by_label(record.target_room)
-    except SceneGraphError as exc:
+        result = execute(graph, call)
+    except (SceneGraphError, InvalidGeometry) as exc:
         return ApplyReport(status=ApplyStatus.REJECTED, reason=str(exc), record=record)
-    provisional = record.pose is None
-    pose = record.pose if record.pose is not None else Pose.identity(room.pose.t)
-    call = PrimitiveCall(
-        op="move_object",
-        args={
-            "source_room": record.source_room,
-            "target_room": room.label,
-            "target": oid,
-            "new_pose": pose.to_dict(),
-            "now": record.issued_at,
-            "pose_provisional": provisional,
-        },
-    )
-    try:
-        graph.move_object(
-            record.source_room, room.label, oid, pose, record.issued_at,
-            pose_provisional=provisional,
+    if record.action is UpdateAction.ADDED:
+        return ApplyReport(
+            status=ApplyStatus.APPLIED, executed=[call], resolved_id=result, record=record
         )
-    except SceneGraphError as exc:
-        return ApplyReport(status=ApplyStatus.REJECTED, reason=str(exc), record=record)
     return ApplyReport(
         status=ApplyStatus.APPLIED,
-        executed=[_find_call(record, oid), call],
+        executed=[find_call(record, oid), call],
         resolved_id=oid,
         record=record,
     )
@@ -331,42 +351,13 @@ def replay(graph: SceneGraph, calls: list[PrimitiveCall]) -> None:
     on the replayed graph, else :class:`ReplayMismatch` is raised.
     """
     for call in calls:
+        if call.op != "find":
+            execute(graph, call)
+            continue
         args = call.args
-        if call.op == "find":
-            found = graph.find(args["label"], room_scope=args.get("room_scope"))
-            if args.get("resolved") not in found:
-                raise ReplayMismatch(
-                    f"find({args['label']!r}, room_scope={args.get('room_scope')!r}) "
-                    f"returned {found}, but the log resolved {args.get('resolved')!r}"
-                )
-        elif call.op == "add_object":
-            graph.add_object(
-                args["target_room"],
-                args["label"],
-                Pose.from_dict(args["pose"]),
-                BBox3(tuple(args["bbox"])),
-                args["decay_rate"],
-                args["now"],
-                pose_provisional=args.get("pose_provisional", False),
+        found = graph.find(args["label"], room_scope=args.get("room_scope"))
+        if args.get("resolved") not in found:
+            raise ReplayMismatch(
+                f"find({args['label']!r}, room_scope={args.get('room_scope')!r}) "
+                f"returned {found}, but the log resolved {args.get('resolved')!r}"
             )
-        elif call.op == "remove_object":
-            graph.remove_object(args["source_room"], args["target"])
-        elif call.op == "move_object":
-            graph.move_object(
-                args["source_room"],
-                args["target_room"],
-                args["target"],
-                Pose.from_dict(args["new_pose"]),
-                args["now"],
-                pose_provisional=args.get("pose_provisional", False),
-            )
-        elif call.op == "detach":
-            graph.detach(args["target"])
-        elif call.op == "reattach":
-            graph.reattach(
-                args["target"], args["room_label"], Pose.from_dict(args["pose"]), args["now"]
-            )
-        elif call.op == "touch":
-            graph.touch(args["target"], args["now"])
-        else:
-            raise ValueError(f"unknown primitive op {call.op!r}")

@@ -1,7 +1,11 @@
 """Ground-truth world simulation for driving and scoring the pipeline.
 
 The world owns the true scene graph, a clock, and a queue of scripted
-changes (objects vanishing, moving, appearing). A synthetic detector renders
+changes (objects vanishing, moving, appearing). Each change is an update
+record applied with ``records.apply``, and the harness runs the robot's
+mission on the truth with the same ``PickPlaceTask`` steps it runs on the
+estimate, so the truth changes through the same code as the estimate. A
+synthetic detector renders
 the truth into observations through ``perception.expected_visible``, the
 visibility rule perception applies to the estimated graph, with configurable
 failure injection (small objects below a detectable size, label corruption,
@@ -9,17 +13,17 @@ per-object dropout) so detector pathologies are reproducible.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from typing import Optional, Sequence
 
-from .decay import DecayTable, lambda_for
+from . import records
+from .decay import DecayTable
 from .geometry import BBox3, Pose
 from .graph import SceneGraph, SceneGraphError, deserialize
 from .perception import CameraModel, Observation, expected_visible
-from .records import AmbiguousTarget, TargetNotFound, UpdateRecord, UpdateAction, resolve_target
+from .records import UpdateAction, UpdateRecord
 
 __all__ = [
     "InconsistentAction",
@@ -32,7 +36,7 @@ __all__ = [
 
 
 class InconsistentAction(SceneGraphError):
-    """A scripted action cannot be applied to the current ground truth."""
+    """A scripted change or mission step cannot be applied to the current ground truth."""
 
 
 class ActionKind(str, Enum):
@@ -115,33 +119,40 @@ class World:
         )
         self._cursor = 0
         self.decay_table = decay_table if decay_table is not None else DecayTable.default()
-        self._held: dict[str, str] = {}  # held object id -> source room label
 
     # ------------------------------------------------------------------
 
-    def _resolve_single(self, label: str, room: str, at: float) -> str:
-        probe = UpdateRecord(action=UpdateAction.REMOVED, target_object=label, source_room=room)
-        try:
-            return resolve_target(self.graph, probe)
-        except (TargetNotFound, AmbiguousTarget) as exc:
-            raise InconsistentAction(f"t={at}: {exc}") from exc
+    def _record(self, action: VirtualAction) -> UpdateRecord:
+        if action.kind is ActionKind.REMOVE:
+            return UpdateRecord(
+                UpdateAction.REMOVED, action.label, source_room=action.room, issued_at=action.at
+            )
+        if action.kind is ActionKind.MOVE:
+            target_room = self.graph.rooms[self.graph.assign_room(action.pose)].label
+            return UpdateRecord(
+                UpdateAction.MOVED,
+                action.label,
+                source_room=action.room,
+                target_room=target_room,
+                pose=action.pose,
+                issued_at=action.at,
+            )
+        return UpdateRecord(
+            UpdateAction.ADDED,
+            action.label,
+            target_room=action.room,
+            pose=action.pose,
+            bbox=action.bbox,
+            issued_at=action.at,
+        )
 
     def _apply(self, action: VirtualAction) -> None:
         try:
-            if action.kind is ActionKind.REMOVE:
-                oid = self._resolve_single(action.label, action.room, action.at)
-                self.graph.remove_object(action.room, oid)
-            elif action.kind is ActionKind.MOVE:
-                oid = self._resolve_single(action.label, action.room, action.at)
-                target_room = self.graph.rooms[self.graph.assign_room(action.pose)].label
-                self.graph.move_object(action.room, target_room, oid, action.pose, action.at)
-            else:
-                rate = lambda_for(action.label, self.decay_table)
-                self.graph.add_object(
-                    action.room, action.label, action.pose, action.bbox, rate, action.at
-                )
+            report = records.apply(self.graph, self._record(action), self.decay_table)
         except SceneGraphError as exc:
             raise InconsistentAction(f"t={action.at}: {exc}") from exc
+        if report.status is not records.ApplyStatus.APPLIED:
+            raise InconsistentAction(f"t={action.at}: {report.reason}")
 
     def step(self, until: float) -> list[VirtualAction]:
         """Advance the clock, applying every queued action with ``at <= until``.
@@ -159,21 +170,6 @@ class World:
             applied.append(action)
         self.clock = max(self.clock, until)
         return applied
-
-    # ------------------------------------------------------------------
-    # the robot physically manipulating the world
-
-    def pick(self, label: str, room: str, at: float) -> str:
-        oid = self._resolve_single(label, room, at)
-        self.graph.detach(oid)
-        self._held[oid] = room
-        return oid
-
-    def place(self, oid: str, room_label: str, pose: Pose, at: float) -> None:
-        if oid not in self._held:
-            raise InconsistentAction(f"t={at}: object {oid!r} is not being held")
-        self.graph.reattach(oid, room_label, pose, at)
-        del self._held[oid]
 
     # ------------------------------------------------------------------
 

@@ -1,11 +1,14 @@
 """Command-line interface, both in-process and as an installed entry point."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from importlib import resources
 
+import sgupdate
 from sgupdate.cli import main
 from sgupdate.graph import deserialize, serialize
 from sgupdate.simworld import load_house
@@ -68,6 +71,31 @@ def test_unreachable_place_pose_exits_2(tmp_path, capsys):
     assert "mission.place_pose" in capsys.readouterr().err
     assert main(["run", str(bad)]) == 2
     assert "mission.place_pose" in capsys.readouterr().err
+
+
+def test_add_pose_in_another_room_exits_2(tmp_path, capsys):
+    data = resources.files("sgupdate.data")
+    scenario = json.loads(data.joinpath("scenario_house.json").read_text("utf-8"))
+    for key in ("house", "decay_table", "lexicon"):
+        scenario[key] = str(data.joinpath(scenario[key]))
+    book = scenario["virtual_actions"][2]
+    assert (book["label"], book["room"]) == ("book", "bedroom")
+    book["pose"]["t"] = [2.0, 2.0, 0.9]  # the kitchen, not the bedroom
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(scenario), "utf-8")
+    assert main(["validate", str(bad)]) == 2
+    assert "virtual add at t=6.0" in capsys.readouterr().err
+    assert main(["run", str(bad)]) == 2
+    assert "virtual add at t=6.0" in capsys.readouterr().err
+
+
+def test_run_on_an_inconsistent_script_exits_2(tmp_path, capsys):
+    piano = [{"at": 4, "action": "remove", "label": "piano", "room": "kitchen"}]
+    override = f"virtual_actions={json.dumps(piano)}"
+    code = main(["run", SCENARIO, "--set", override, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: t=4.0: no attached 'piano' in room 'kitchen'\n"
+    assert list(tmp_path.iterdir()) == []  # no artifacts of a run that did not happen
 
 
 def test_validate_good_and_bad(tmp_path, capsys):
@@ -137,10 +165,14 @@ def test_repl_applies_statement_and_saves(house_file, tmp_path, capsys, monkeypa
 
 
 def test_installed_entry_point_matches_main():
+    # The child imports the same sgupdate as this process, installed or not.
+    package_root = str(Path(sgupdate.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sgupdate.cli", "validate", SCENARIO],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout

@@ -93,10 +93,18 @@ def moved_remote_to(t):
     return {"virtual_actions": actions}
 
 
+def added_book_at(t):
+    actions = json.loads(SCENARIO.read_text("utf-8"))["virtual_actions"]
+    assert (actions[2]["label"], actions[2]["room"]) == ("book", "bedroom")
+    actions[2]["pose"]["t"] = t
+    return {"virtual_actions": actions}
+
+
 @pytest.mark.parametrize(
     "overrides, where",
     [
         pytest.param(moved_remote_to([50.0, 50.0, 1.0]), r"virtual move at t=5\.0", id="move-nowhere"),
+        pytest.param(added_book_at([2.0, 2.0, 0.9]), r"virtual add at t=6\.0", id="add-in-kitchen"),
         pytest.param(
             {"mission.place_pose": {"q": [1, 0, 0, 0], "t": [2.0, 2.0, 0.9]}},
             r"mission\.place_pose",

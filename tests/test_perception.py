@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sgupdate.geometry import BBox3, Pose, pose_distance, quat_rotate
-from sgupdate.graph import SceneGraph
+from sgupdate.graph import SceneGraph, serialize
 from sgupdate.perception import (
     AssociationResult,
     CameraModel,
@@ -19,7 +19,7 @@ from sgupdate.perception import (
     point_in_frustum,
     semantic_match,
 )
-from sgupdate.records import UpdateAction
+from sgupdate.records import PrimitiveCall, UpdateAction
 
 from conftest import make_room, put, two_room_graph, yaw_pose
 
@@ -390,10 +390,30 @@ def test_contrary_evidence_clears_removal_counter(house2):
     confirm(store, house2, removal_result(oid), frame=0, now=0.0, k=2)
     seen = AssociationResult(static_pairs=[(oid, obs("cup", (1.02, 1.0, 1.0)))])
     out = confirm(store, house2, seen, frame=1, now=1.0, k=2)
-    assert out.records == [] and len(out.touched) == 1
-    assert house2.objects[oid].last_seen == 1.0
+    assert out.records == []
+    assert out.touched == [PrimitiveCall(op="touch", args={"target": oid, "now": 1.0})]
+    assert house2.objects[oid].last_seen == 0.0  # the caller executes the touch
     out = confirm(store, house2, removal_result(oid), frame=2, now=2.0, k=2)
     assert out.records == []  # count restarted at 1
+
+
+def test_confirm_leaves_the_graph_unchanged(house2):
+    still = put(house2, "kitchen", "cup", (1.0, 1.0, 1.0))
+    moved = put(house2, "kitchen", "plate", (2.0, 1.0, 1.0))
+    gone = put(house2, "kitchen", "bowl", (3.0, 1.0, 1.0))
+    before = serialize(house2)
+    result = AssociationResult(
+        static_pairs=[(still, obs("cup", (1.0, 1.0, 1.0)))],
+        moved_pairs=[(moved, obs("plate", (8.0, 2.0, 1.0)))],
+        remove_candidates=[gone],
+        add_candidates=[obs("book", (2.0, 3.0, 1.0))],
+    )
+    out = confirm(ConfirmationStore(), house2, result, frame=0, now=5.0, k=1)
+    assert [r.action for r in out.records] == [
+        UpdateAction.MOVED, UpdateAction.REMOVED, UpdateAction.ADDED,
+    ]
+    assert [c.args["target"] for c in out.touched] == [still]
+    assert serialize(house2) == before
 
 
 def test_k_equals_one_confirms_immediately(house2):

@@ -6,7 +6,7 @@ import pytest
 
 from sgupdate.geometry import BBox3, Pose
 from sgupdate.graph import graphs_equal, serialize
-from sgupdate.harness import load_scenario
+from sgupdate.harness import load_scenario, run_scenario
 from sgupdate.perception import CameraModel, expected_visible
 from sgupdate.simworld import (
     DetectorFailureConfig,
@@ -18,6 +18,7 @@ from sgupdate.simworld import (
 
 from conftest import put, two_room_graph, yaw_pose
 
+SCENARIO = resources.files("sgupdate.data").joinpath("scenario_house.json")
 CAM = CameraModel(fov_h=math.pi / 2, fov_v=math.pi / 2, min_range=0.3, max_range=6.0)
 
 
@@ -110,18 +111,67 @@ def test_inconsistent_script_raises():
         w.step(2.0)
 
 
-def test_pick_and_place_mirror_manipulation():
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        (
+            {"at": 1, "action": "remove", "label": "ghost", "room": "kitchen"},
+            "t=1.0: no attached 'ghost' in room 'kitchen'",
+        ),
+        (
+            {
+                "at": 2,
+                "action": "move",
+                "label": "ghost",
+                "from_room": "kitchen",
+                "to_pose": {"q": [1, 0, 0, 0], "t": [8.0, 2.0, 1.0]},
+            },
+            "t=2.0: no attached 'ghost' in room 'kitchen'",
+        ),
+        (
+            {
+                "at": 3,
+                "action": "add",
+                "label": "book",
+                "room": "garage",
+                "pose": {"q": [1, 0, 0, 0], "t": [7.0, 1.0, 1.0]},
+                "bbox": [0.2, 0.05, 0.15],
+            },
+            "t=3.0: no room labeled 'garage'",
+        ),
+    ],
+    ids=["remove", "move", "add"],
+)
+def test_inconsistent_action_names_its_time_once(action, message):
     g = two_room_graph()
-    put(g, "kitchen", "mug", (2.0, 2.0, 1.0))
-    w = World(g, [])
-    oid = w.pick("mug", "kitchen", at=3.0)
-    assert not w.graph.objects[oid].attached
-    with pytest.raises(InconsistentAction):
-        w.place("mug-99", "living room", Pose.identity((8, 2, 1)), at=4.0)
-    w.place(oid, "living room", Pose.identity((8.0, 2.0, 1.0)), at=5.0)
-    node = w.graph.objects[oid]
-    assert node.attached and w.graph.belongs_to[oid] == "living room"
-    assert node.last_seen == 5.0
+    put(g, "kitchen", "cup", (2.0, 2.0, 1.0))
+    w = World(g, actions_from([action]))
+    before = serialize(w.graph)
+    with pytest.raises(InconsistentAction) as err:
+        w.step(5.0)
+    assert str(err.value) == message
+    assert serialize(w.graph) == before
+
+
+def test_pick_and_place_mirror_manipulation():
+    # The mission's pick and place run on the truth as well as on the estimate.
+    result = run_scenario(SCENARIO)
+    mission = result.scenario.mission
+    truth = result.world.graph
+    assert truth.find("mug", room_scope="kitchen") == []
+    (oid,) = truth.find("mug", room_scope="bedroom")
+    node = truth.objects[oid]
+    assert node.attached and node.pose == mission.place_pose
+    assert node.last_seen == mission.place_time and not node.pose_provisional
+    assert result.graph.objects[oid].pose == node.pose
+
+
+def test_mission_on_a_truth_without_its_object_is_inconsistent():
+    # The mug leaves the truth unseen, so only the estimate still holds it at the pick.
+    gone = {"at": 19, "action": "remove", "label": "mug", "room": "kitchen"}
+    with pytest.raises(InconsistentAction) as err:
+        run_scenario(SCENARIO, overrides={"virtual_actions": [gone]})
+    assert str(err.value) == "t=20.0: no attached 'mug' in room 'kitchen'"
 
 
 def test_detector_sees_only_visible_movables():
@@ -148,7 +198,7 @@ def test_detector_output_is_sorted_by_ground_truth_id():
 
 
 def test_ideal_detector_reports_exactly_the_expected_visible_truth():
-    sc = load_scenario(resources.files("sgupdate.data").joinpath("scenario_house.json"))
+    sc = load_scenario(SCENARIO)
     w = World(sc.house.copy(), sc.virtual_actions)
     reported = 0
     for at, pose in sc.trajectory:
