@@ -7,7 +7,7 @@ through one shared update-record vocabulary with a replayable audit trail.
 """
 from __future__ import annotations
 
-from .geometry import BBox3, InvalidGeometry, Pose, pose_distance, quat_angle
+from .geometry import BBox3, InvalidGeometry, Pose, pose_distance
 from .graph import (
     AlreadyAttached,
     AlreadyDetached,
@@ -86,10 +86,8 @@ from .perception import (
     semantic_match,
 )
 from .simworld import (
-    ActionKind,
     DetectorFailureConfig,
     InconsistentAction,
-    VirtualAction,
     World,
     load_house,
 )

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .geometry import pose_distance  # re-exported: distance feeds the model's radius
 from .graph import SceneGraph
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "stale_targets",
     "StaleEntry",
     "StaleReport",
-    "pose_distance",
     "half_probability_time",
 ]
 

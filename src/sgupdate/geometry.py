@@ -120,37 +120,15 @@ def quat_rotate(q: Sequence[float], v: Sequence[float]) -> tuple[float, float, f
     return (x, y, z)
 
 
-def quat_angle(qa: Sequence[float], qb: Sequence[float]) -> float:
-    """Geodesic rotation angle between two unit quaternions, in [0, pi].
+def pose_distance(a: Pose, b: Pose) -> float:
+    """Euclidean distance between two poses' translations; rotation is ignored.
 
-    Uses atan2 on the relative quaternion, which stays accurate for tiny
-    angles and folds the q/-q double cover.
+    Translation-only is how the change-detection pipeline is tuned.
     """
-    w, x, y, z = quat_mul(quat_conj(qa), qb)
-    return 2.0 * math.atan2(math.sqrt(x * x + y * y + z * z), abs(w))
-
-
-def pose_distance(a: Pose, b: Pose, rot_weight: float = 0.0) -> float:
-    """Displacement between two poses.
-
-    Euclidean distance between the translations, combined with the geodesic
-    rotation angle scaled by ``rot_weight``:
-
-        sqrt(|t_a - t_b|^2 + (rot_weight * angle)^2)
-
-    The default weight of 0 makes the comparison translation-only, which is
-    how the change-detection pipeline is tuned.
-    """
-    if rot_weight < 0.0:
-        raise ValueError("rot_weight must be >= 0")
     dx = a.t[0] - b.t[0]
     dy = a.t[1] - b.t[1]
     dz = a.t[2] - b.t[2]
-    trans_sq = dx * dx + dy * dy + dz * dz
-    if rot_weight == 0.0:
-        return math.sqrt(trans_sq)
-    ang = rot_weight * quat_angle(a.q, b.q)
-    return math.sqrt(trans_sq + ang * ang)
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def point_in_aabb(point: Sequence[float], center: Sequence[float], half_sizes: Sequence[float]) -> bool:

@@ -25,7 +25,7 @@ from typing import Optional
 from . import records as rec
 from .action import PickPlaceTask, UnparsableTask, parse_task
 from .decay import DecayTable, stale_targets
-from .geometry import Pose
+from .geometry import BBox3, Pose
 from .graph import NoContainingRoom, SceneGraph, deserialize
 from .human import GrammarExtractor, Lexicon, to_record, Confidence
 from .perception import (
@@ -35,7 +35,7 @@ from .perception import (
     confirm,
     expected_visible,
 )
-from .simworld import DetectorFailureConfig, InconsistentAction, VirtualAction, World, ActionKind
+from .simworld import DetectorFailureConfig, InconsistentAction, World
 
 __all__ = [
     "ScenarioError",
@@ -83,12 +83,19 @@ class Mission:
 
 @dataclass
 class Scenario:
+    """A loaded, validated scenario.
+
+    ``house`` (the truth's starting graph) and ``initial`` (the robot's
+    starting estimate, the very same object when the file says
+    ``from_house``) are read-only: a run copies both before editing.
+    """
+
     path: Optional[Path]
     house: SceneGraph
     initial: SceneGraph
     decay_table: DecayTable
     lexicon: Lexicon
-    virtual_actions: list[VirtualAction]
+    virtual_actions: list[rec.UpdateRecord]  # the script, in file order
     human_statements: list[tuple[float, str]]
     mission: Optional[Mission]
     trajectory: list[tuple[float, Pose]]
@@ -101,15 +108,57 @@ class Scenario:
 
 def _apply_overrides(data: dict, overrides: Optional[dict]) -> dict:
     """Apply dotted-key overrides ('failures.min_detectable_extent') to raw JSON."""
-    if not overrides:
-        return data
-    for key, value in overrides.items():
-        parts = key.split(".")
+    for key, value in (overrides or {}).items():
+        *parents, leaf = key.split(".")
         cursor = data
-        for part in parts[:-1]:
+        for part in parents:
             cursor = cursor.setdefault(part, {})
-        cursor[parts[-1]] = value
+            if not isinstance(cursor, dict):
+                raise ValueError(f"override {key!r}: {part!r} is not an object")
+        cursor[leaf] = value
     return data
+
+
+def _section(data: dict, key: str) -> dict:
+    """The object stored under ``key`` (empty when absent)."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, got {value!r}")
+    return value
+
+
+def _scripted_record(house: SceneGraph, entry: dict) -> rec.UpdateRecord:
+    """One ``virtual_actions`` entry as the update record the world applies.
+
+    A move's target room is the room holding its ``to_pose``, None outside
+    every room; rooms never change after load, so this is the room the
+    move lands in when applied.
+    """
+    at, kind, label = float(entry["at"]), entry["action"], entry["label"]
+    if kind == "remove":
+        return rec.UpdateRecord(
+            rec.UpdateAction.REMOVED, label, source_room=entry["room"], issued_at=at
+        )
+    if kind == "move":
+        pose = Pose.from_dict(entry["to_pose"])
+        return rec.UpdateRecord(
+            rec.UpdateAction.MOVED,
+            label,
+            source_room=entry["from_room"],
+            target_room=_landing_room(house, pose),
+            pose=pose,
+            issued_at=at,
+        )
+    if kind == "add":
+        return rec.UpdateRecord(
+            rec.UpdateAction.ADDED,
+            label,
+            target_room=entry["room"],
+            pose=Pose.from_dict(entry["pose"]),
+            bbox=BBox3(tuple(entry["bbox"])),
+            issued_at=at,
+        )
+    raise ValueError(f"virtual action at t={at}: unknown action {kind!r}")
 
 
 def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
@@ -121,7 +170,8 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         raise ScenarioError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from exc
-    data = _apply_overrides(data, overrides)
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{path}: a scenario must be a JSON object")
     base = path.parent
 
     def sibling(name: str) -> Path:
@@ -129,16 +179,17 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         return p if p.is_absolute() else base / p
 
     try:
+        data = _apply_overrides(data, overrides)
         house = deserialize(sibling(data["house"]).read_text("utf-8"))
         initial_ref = data.get("initial_graph", "from_house")
-        initial = house.copy() if initial_ref == "from_house" else deserialize(
+        initial = house if initial_ref == "from_house" else deserialize(
             sibling(initial_ref).read_text("utf-8")
         )
         table_ref = data.get("decay_table")
         decay_table = DecayTable.load(sibling(table_ref)) if table_ref else DecayTable.default()
         lex_ref = data.get("lexicon")
         lexicon = Lexicon.load(sibling(lex_ref)) if lex_ref else Lexicon.default()
-        actions = [VirtualAction.from_dict(a) for a in data.get("virtual_actions", [])]
+        script = [_scripted_record(house, entry) for entry in data.get("virtual_actions", [])]
         statements = [
             (float(s["at"]), str(s["text"])) for s in data.get("human_statements", [])
         ]
@@ -154,8 +205,10 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         trajectory = [
             (float(w["at"]), Pose.from_dict(w["pose"])) for w in data.get("trajectory", [])
         ]
-        pcfg = data.get("perception", {})
+        pcfg = _section(data, "perception")
         rng = pcfg.get("range", [0.2, 4.0])
+        if not isinstance(rng, (list, tuple)) or len(rng) != 2:
+            raise ValueError(f"perception.range must be [min, max], got {rng!r}")
         camera = CameraModel(
             fov_h=float(pcfg.get("fov_h", 2.2)),
             fov_v=float(pcfg.get("fov_v", 1.7)),
@@ -164,14 +217,14 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         )
         epsilon = float(pcfg.get("epsilon", 0.25))
         k = int(pcfg.get("k", 2))
-        failures = DetectorFailureConfig.from_dict(data.get("failures", {}))
+        failures = DetectorFailureConfig.from_dict(_section(data, "failures"))
         scenario = Scenario(
             path=path,
             house=house,
             initial=initial,
             decay_table=decay_table,
             lexicon=lexicon,
-            virtual_actions=actions,
+            virtual_actions=script,
             human_statements=statements,
             mission=mission,
             trajectory=trajectory,
@@ -181,8 +234,6 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             failures=failures,
             stale_threshold=float(data.get("stale_threshold", 0.5)),
         )
-    except ScenarioError:
-        raise
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     problems = validate_scenario(scenario)
@@ -213,17 +264,18 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         problems.append("trajectory timestamps must be non-decreasing")
     house = scenario.house
     room_labels = {r.label for r in house.rooms.values()}
-    for action in scenario.virtual_actions:
-        if action.room not in room_labels:
-            problems.append(f"virtual action at t={action.at} names unknown room {action.room!r}")
-        if action.kind is ActionKind.MOVE and _landing_room(house, action.pose) is None:
+    for record in scenario.virtual_actions:
+        at, added = record.issued_at, record.action is rec.UpdateAction.ADDED
+        room = record.target_room if added else record.source_room  # the room the file names
+        if room not in room_labels:
+            problems.append(f"virtual action at t={at} names unknown room {room!r}")
+        if record.action is rec.UpdateAction.MOVED and record.target_room is None:
             problems.append(
-                f"virtual move at t={action.at}: to_pose {action.pose.t} is outside every room"
+                f"virtual move at t={at}: to_pose {record.pose.t} is outside every room"
             )
-        if action.kind is ActionKind.ADD and _landing_room(house, action.pose) != action.room:
+        if added and _landing_room(house, record.pose) != room:
             problems.append(
-                f"virtual add at t={action.at}: pose {action.pose.t} does not land in room"
-                f" {action.room!r}"
+                f"virtual add at t={at}: pose {record.pose.t} does not land in room {room!r}"
             )
     if scenario.mission:
         try:
@@ -343,25 +395,16 @@ def derive_ground_truth(scenario: Scenario) -> list[GroundTruthChange]:
                     return True
         return False
 
-    changes = []
-    house = scenario.house  # read only: resolves move targets to rooms
-    for action in scenario.virtual_actions:
-        if action.kind is ActionKind.REMOVE:
-            module = "Text" if stated(rec.UpdateAction.REMOVED, action.label, action.room) else "RGB-D"
-            changes.append(
-                GroundTruthChange(rec.UpdateAction.REMOVED, action.label, action.room, None, module)
-            )
-        elif action.kind is ActionKind.MOVE:
-            target = house.rooms[house.assign_room(action.pose)].label
-            module = "Text" if stated(rec.UpdateAction.MOVED, action.label, action.room) else "RGB-D"
-            changes.append(
-                GroundTruthChange(rec.UpdateAction.MOVED, action.label, action.room, target, module)
-            )
-        else:
-            module = "Text" if stated(rec.UpdateAction.ADDED, action.label, action.room) else "RGB-D"
-            changes.append(
-                GroundTruthChange(rec.UpdateAction.ADDED, action.label, None, action.room, module)
-            )
+    changes = [
+        GroundTruthChange(
+            r.action,
+            r.target_object,
+            r.source_room,
+            r.target_room,
+            "Text" if stated(r.action, r.target_object, r.source_room) else "RGB-D",
+        )
+        for r in scenario.virtual_actions
+    ]
     if scenario.mission:
         spec = parse_task(scenario.mission.text)
         changes.append(

@@ -14,21 +14,17 @@ per-object dropout) so detector pathologies are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from importlib import resources
 from typing import Optional, Sequence
 
-from . import records
+from . import records as rec
 from .decay import DecayTable
-from .geometry import BBox3, Pose
+from .geometry import Pose
 from .graph import SceneGraph, SceneGraphError, deserialize
 from .perception import CameraModel, Observation, expected_visible
-from .records import UpdateAction, UpdateRecord
 
 __all__ = [
     "InconsistentAction",
-    "ActionKind",
-    "VirtualAction",
     "DetectorFailureConfig",
     "World",
     "load_house",
@@ -37,46 +33,6 @@ __all__ = [
 
 class InconsistentAction(SceneGraphError):
     """A scripted change or mission step cannot be applied to the current ground truth."""
-
-
-class ActionKind(str, Enum):
-    REMOVE = "remove"
-    MOVE = "move"
-    ADD = "add"
-
-
-@dataclass(frozen=True)
-class VirtualAction:
-    """One scripted ground-truth change at time ``at``."""
-
-    at: float
-    kind: ActionKind
-    label: str
-    room: Optional[str] = None  # remove/add: the room acted on; move: source room
-    pose: Optional[Pose] = None  # move: destination pose; add: spawn pose
-    bbox: Optional[BBox3] = None  # add only
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VirtualAction":
-        kind = ActionKind(data["action"])
-        if kind is ActionKind.REMOVE:
-            return cls(at=float(data["at"]), kind=kind, label=data["label"], room=data["room"])
-        if kind is ActionKind.MOVE:
-            return cls(
-                at=float(data["at"]),
-                kind=kind,
-                label=data["label"],
-                room=data["from_room"],
-                pose=Pose.from_dict(data["to_pose"]),
-            )
-        return cls(
-            at=float(data["at"]),
-            kind=kind,
-            label=data["label"],
-            room=data["room"],
-            pose=Pose.from_dict(data["pose"]),
-            bbox=BBox3(tuple(data["bbox"])),
-        )
 
 
 @dataclass(frozen=True)
@@ -103,71 +59,40 @@ def load_house() -> SceneGraph:
 
 
 class World:
-    """Ground-truth graph plus a clock and a scripted action queue."""
+    """Ground-truth graph plus a clock and a queue of scripted update records."""
 
     def __init__(
         self,
         graph: SceneGraph,
-        actions: Sequence[VirtualAction] = (),
+        records: Sequence[rec.UpdateRecord] = (),
         decay_table: Optional[DecayTable] = None,
     ) -> None:
         self.graph = graph
         self.clock = graph.epoch
-        # Stable order: time first, file order breaks ties.
-        self._queue = sorted(
-            ((a.at, i, a) for i, a in enumerate(actions)), key=lambda t: (t[0], t[1])
-        )
+        # Time order; sorted() is stable, so file order breaks ties.
+        self._queue = sorted(records, key=lambda r: r.issued_at)
         self._cursor = 0
         self.decay_table = decay_table if decay_table is not None else DecayTable.default()
 
-    # ------------------------------------------------------------------
+    def step(self, until: float) -> list[rec.UpdateRecord]:
+        """Advance the clock, applying every queued record with ``issued_at <= until``.
 
-    def _record(self, action: VirtualAction) -> UpdateRecord:
-        if action.kind is ActionKind.REMOVE:
-            return UpdateRecord(
-                UpdateAction.REMOVED, action.label, source_room=action.room, issued_at=action.at
-            )
-        if action.kind is ActionKind.MOVE:
-            target_room = self.graph.rooms[self.graph.assign_room(action.pose)].label
-            return UpdateRecord(
-                UpdateAction.MOVED,
-                action.label,
-                source_room=action.room,
-                target_room=target_room,
-                pose=action.pose,
-                issued_at=action.at,
-            )
-        return UpdateRecord(
-            UpdateAction.ADDED,
-            action.label,
-            target_room=action.room,
-            pose=action.pose,
-            bbox=action.bbox,
-            issued_at=action.at,
-        )
-
-    def _apply(self, action: VirtualAction) -> None:
-        try:
-            report = records.apply(self.graph, self._record(action), self.decay_table)
-        except SceneGraphError as exc:
-            raise InconsistentAction(f"t={action.at}: {exc}") from exc
-        if report.status is not records.ApplyStatus.APPLIED:
-            raise InconsistentAction(f"t={action.at}: {report.reason}")
-
-    def step(self, until: float) -> list[VirtualAction]:
-        """Advance the clock, applying every queued action with ``at <= until``.
-
-        Actions apply in time order (file order on equal stamps); an
-        inconsistent action aborts the step with the truth left at the state
+        Records apply in time order (file order on equal stamps); an
+        inconsistent record aborts the step with the truth left at the state
         just before it.
         """
         applied = []
-        while self._cursor < len(self._queue) and self._queue[self._cursor][0] <= until:
-            action = self._queue[self._cursor][2]
-            self._apply(action)
+        while self._cursor < len(self._queue) and self._queue[self._cursor].issued_at <= until:
+            record = self._queue[self._cursor]
+            try:
+                report = rec.apply(self.graph, record, self.decay_table)
+            except SceneGraphError as exc:
+                raise InconsistentAction(f"t={record.issued_at}: {exc}") from exc
+            if report.status is not rec.ApplyStatus.APPLIED:
+                raise InconsistentAction(f"t={record.issued_at}: {report.reason}")
             self._cursor += 1
-            self.clock = max(self.clock, action.at)
-            applied.append(action)
+            self.clock = max(self.clock, record.issued_at)
+            applied.append(record)
         self.clock = max(self.clock, until)
         return applied
 

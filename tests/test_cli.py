@@ -98,6 +98,25 @@ def test_run_on_an_inconsistent_script_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no artifacts of a run that did not happen
 
 
+@pytest.mark.parametrize(
+    "override, names",
+    [
+        ("house.x=1", "'house.x'"),
+        ("perception=[1]", "perception must be an object"),
+        ("failures=[1]", "failures must be an object"),
+        ("perception.range=[1]", "perception.range"),
+        ('virtual_actions=[{"at": 1, "action": "jump", "label": "mug", "room": "kitchen"}]',
+         "unknown action 'jump'"),
+    ],
+    ids=["into-a-string", "perception-list", "failures-list", "short-range", "unknown-action"],
+)
+def test_run_on_bad_scenario_input_exits_2(override, names, tmp_path, capsys):
+    assert main(["run", SCENARIO, "--set", override, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_good_and_bad(tmp_path, capsys):
     assert main(["validate", SCENARIO]) == 0
     bad = tmp_path / "bad.json"

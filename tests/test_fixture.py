@@ -7,11 +7,13 @@ used by the degraded run must suppress exactly the one object it is aimed
 at. These tests pin all of that down so fixture edits fail loudly here
 instead of surfacing as mysterious scoring changes.
 """
+import importlib.util
 import json
 from importlib import resources
+from pathlib import Path
 
 from sgupdate.geometry import Pose
-from sgupdate.graph import check_invariants
+from sgupdate.graph import check_invariants, serialize
 from sgupdate.harness import load_scenario
 from sgupdate.perception import point_in_frustum
 from sgupdate.simworld import load_house
@@ -28,6 +30,15 @@ def waypoints_by_room(scenario):
         room = scenario.house.rooms[scenario.house.assign_room(pose)].label
         out[room] = pose
     return out
+
+
+def test_house_fixture_is_what_its_generator_writes():
+    tool = Path(__file__).resolve().parent.parent / "tools" / "build_house_fixture.py"
+    spec = importlib.util.spec_from_file_location("build_house_fixture", tool)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    packaged = resources.files("sgupdate.data").joinpath("house.json").read_bytes()
+    assert serialize(generator.build()) == packaged
 
 
 def test_house_fixture_is_valid():
@@ -83,12 +94,12 @@ def test_scripted_destinations_are_visible_too():
     sc = load_scenario(scenario_path())
     cams = waypoints_by_room(sc)
     g = sc.house
-    for action in sc.virtual_actions:
-        if action.pose is None:
+    for record in sc.virtual_actions:
+        if record.pose is None:
             continue
-        room = g.rooms[g.assign_room(action.pose)].label
-        assert point_in_frustum(cams[room], sc.camera, action.pose.t), (
-            f"{action.label} destination must be visible from the {room} waypoint"
+        room = g.rooms[g.assign_room(record.pose)].label
+        assert point_in_frustum(cams[room], sc.camera, record.pose.t), (
+            f"{record.target_object} destination must be visible from the {room} waypoint"
         )
 
 
@@ -111,7 +122,7 @@ def test_size_failure_knob_hits_exactly_the_remote():
     )
     assert small == ["tv remote"]
     # the object added mid-episode must stay above the cutoff
-    book = next(a for a in sc.virtual_actions if a.label == "book")
+    book = next(r for r in sc.virtual_actions if r.target_object == "book")
     assert book.bbox.max_extent >= cutoff
 
 
@@ -121,7 +132,7 @@ def test_statement_targets_precede_first_visit():
     sc = load_scenario(scenario_path())
     first_frame_at = sc.trajectory[0][0]
     assert all(at < first_frame_at for at, _ in sc.human_statements)
-    assert all(a.at < first_frame_at for a in sc.virtual_actions)
+    assert all(r.issued_at < first_frame_at for r in sc.virtual_actions)
 
 
 def test_packaged_scenario_json_stays_in_sync_with_house():

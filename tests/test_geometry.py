@@ -11,7 +11,6 @@ from sgupdate.geometry import (
     point_in_aabb,
     pose_distance,
     poses_close,
-    quat_angle,
     quat_conj,
     quat_mul,
     quat_rotate,
@@ -75,36 +74,6 @@ def test_quat_rotate_known_values():
     assert quat_rotate(y90, (1.0, 0.0, 0.0)) == pytest.approx((0.0, 0.0, -1.0))
 
 
-def test_quat_angle_known_values():
-    ident = (1.0, 0.0, 0.0, 0.0)
-    z90 = (SQ2, 0.0, 0.0, SQ2)
-    z180 = (0.0, 0.0, 0.0, 1.0)
-    assert quat_angle(ident, ident) == pytest.approx(0.0, abs=1e-12)
-    assert quat_angle(ident, z90) == pytest.approx(math.pi / 2)
-    assert quat_angle(ident, z180) == pytest.approx(math.pi)
-    assert quat_angle(z90, z180) == pytest.approx(math.pi / 2)
-
-
-def test_quat_angle_tiny_rotation_is_accurate():
-    # atan2 keeps precision where arccos(w) would collapse to 0
-    eps = 1e-8
-    q = normalize_quat((math.cos(eps / 2), 0.0, 0.0, math.sin(eps / 2)))
-    assert quat_angle((1.0, 0.0, 0.0, 0.0), q) == pytest.approx(eps, rel=1e-6)
-
-
-@given(unit_quats())
-def test_quat_angle_double_cover(q):
-    negated = tuple(-v for v in q)
-    assert quat_angle(q, negated) == pytest.approx(0.0, abs=1e-7)
-
-
-@given(unit_quats(), unit_quats())
-def test_quat_angle_symmetric_and_bounded(qa, qb):
-    ab = quat_angle(qa, qb)
-    assert ab == pytest.approx(quat_angle(qb, qa), abs=1e-9)
-    assert 0.0 <= ab <= math.pi + 1e-12
-
-
 @given(unit_quats(), st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5)))
 def test_quat_rotate_preserves_length(q, v):
     rotated = quat_rotate(q, v)
@@ -128,25 +97,19 @@ def test_pose_distance_translation_only_by_default():
     assert pose_distance(a, b) == pytest.approx(5.0)
 
 
-def test_pose_distance_with_rotation_weight():
-    a = Pose.identity((0.0, 0.0, 0.0))
-    b = Pose((0.0, 0.0, 0.0, 1.0), (3.0, 4.0, 0.0))
-    expected = math.sqrt(25.0 + (0.5 * math.pi) ** 2)
-    assert pose_distance(a, b, rot_weight=0.5) == pytest.approx(expected)
+def translations():
+    coord = st.floats(-5, 5)
+    return st.tuples(coord, coord, coord)
 
 
-def test_pose_distance_rejects_negative_weight():
-    with pytest.raises(ValueError):
-        pose_distance(Pose.identity(), Pose.identity(), rot_weight=-0.1)
-
-
-@given(unit_quats(), unit_quats())
-def test_pose_distance_is_a_metric_on_samples(qa, qb):
-    a = Pose(qa, (0.0, 0.0, 0.0))
-    b = Pose(qb, (1.0, 0.0, 0.0))
-    d = pose_distance(a, b, rot_weight=0.3)
-    assert d >= 1.0 - 1e-12  # rotation can only add
-    assert pose_distance(a, a, rot_weight=0.3) == pytest.approx(0.0, abs=1e-7)
+@given(unit_quats(), unit_quats(), unit_quats(), translations(), translations(), translations())
+def test_pose_distance_is_a_metric_on_samples(qa, qb, qc, ta, tb, tc):
+    a, b, c = Pose(qa, ta), Pose(qb, tb), Pose(qc, tc)
+    d = pose_distance(a, b)
+    assert d == pytest.approx(math.dist(ta, tb), abs=1e-9)  # rotation never counts
+    assert pose_distance(a, Pose(qc, ta)) == 0.0
+    assert d == pose_distance(b, a)
+    assert pose_distance(a, c) <= d + pose_distance(b, c) + 1e-9
 
 
 # -- small helpers -----------------------------------------------------------

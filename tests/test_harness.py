@@ -1,5 +1,6 @@
 """Scenario runner end-to-end, scoring rules, artifact determinism."""
 import json
+import re
 
 import pytest
 from importlib import resources
@@ -55,12 +56,21 @@ def test_load_scenario_bad_json(tmp_path):
 
 
 def test_load_scenario_rejects_bad_parameters():
-    for key, value in [
-        ("perception.k", 0),
-        ("perception.epsilon", -1.0),
-        ("stale_threshold", 1.5),
+    for key, value, names in [
+        ("perception.k", 0, "perception.k"),
+        ("perception.epsilon", -1.0, "perception.epsilon"),
+        ("stale_threshold", 1.5, "stale_threshold"),
+        ("house.x", 1, "'house.x'"),
+        ("perception", [1], "perception must be an object"),
+        ("failures", [1], "failures must be an object"),
+        ("perception.range", [1], "perception.range"),
+        (
+            "virtual_actions",
+            [{"at": 1, "action": "jump", "label": "mug", "room": "kitchen"}],
+            "unknown action 'jump'",
+        ),
     ]:
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=re.escape(names)):
             load_scenario(SCENARIO, overrides={key: value})
 
 

@@ -4,14 +4,14 @@ from importlib import resources
 
 import pytest
 
-from sgupdate.geometry import BBox3, Pose
+from sgupdate.geometry import BBox3, Pose, point_in_aabb
 from sgupdate.graph import graphs_equal, serialize
-from sgupdate.harness import load_scenario, run_scenario
+from sgupdate.harness import derive_ground_truth, load_scenario, run_scenario
 from sgupdate.perception import CameraModel, expected_visible
+from sgupdate.records import UpdateAction, UpdateRecord
 from sgupdate.simworld import (
     DetectorFailureConfig,
     InconsistentAction,
-    VirtualAction,
     World,
     load_house,
 )
@@ -22,41 +22,39 @@ SCENARIO = resources.files("sgupdate.data").joinpath("scenario_house.json")
 CAM = CameraModel(fov_h=math.pi / 2, fov_v=math.pi / 2, min_range=0.3, max_range=6.0)
 
 
-def actions_from(raw):
-    return [VirtualAction.from_dict(d) for d in raw]
+REMOVED, MOVED, ADDED = UpdateAction.REMOVED, UpdateAction.MOVED, UpdateAction.ADDED
 
 
 def scripted_world():
     g = two_room_graph()
     put(g, "kitchen", "banana", (1.0, 1.0, 1.0))
     put(g, "kitchen", "cup", (2.0, 2.0, 1.0))
-    actions = actions_from(
-        [
-            {"at": 4, "action": "remove", "label": "banana", "room": "kitchen"},
-            {
-                "at": 8,
-                "action": "move",
-                "label": "cup",
-                "from_room": "kitchen",
-                "to_pose": {"q": [1, 0, 0, 0], "t": [8.0, 2.0, 1.0]},
-            },
-            {
-                "at": 12,
-                "action": "add",
-                "label": "book",
-                "room": "living room",
-                "pose": {"q": [1, 0, 0, 0], "t": [7.0, 1.0, 1.0]},
-                "bbox": [0.2, 0.05, 0.15],
-            },
-        ]
-    )
-    return World(g, actions)
+    script = [
+        UpdateRecord(REMOVED, "banana", source_room="kitchen", issued_at=4.0),
+        UpdateRecord(
+            MOVED,
+            "cup",
+            source_room="kitchen",
+            target_room="living room",
+            pose=Pose.identity((8.0, 2.0, 1.0)),
+            issued_at=8.0,
+        ),
+        UpdateRecord(
+            ADDED,
+            "book",
+            target_room="living room",
+            pose=Pose.identity((7.0, 1.0, 1.0)),
+            bbox=BBox3((0.2, 0.05, 0.15)),
+            issued_at=12.0,
+        ),
+    ]
+    return World(g, script)
 
 
 def test_step_applies_actions_in_time_order():
     w = scripted_world()
     applied = w.step(until=8.0)
-    assert [a.kind.value for a in applied] == ["remove", "move"]
+    assert [r.action for r in applied] == [REMOVED, MOVED]
     assert w.clock == 8.0
     assert w.graph.find("banana") == []
     assert w.graph.belongs_to[w.graph.find("cup")[0]] == "living room"
@@ -84,68 +82,66 @@ def test_same_script_same_world():
 def test_equal_timestamps_apply_in_file_order():
     g = two_room_graph()
     put(g, "kitchen", "cup", (2.0, 2.0, 1.0))
-    # second action only works if the first one (same timestamp) ran already
-    actions = actions_from(
-        [
-            {
-                "at": 5,
-                "action": "add",
-                "label": "plate",
-                "room": "kitchen",
-                "pose": {"q": [1, 0, 0, 0], "t": [1.0, 1.0, 1.0]},
-                "bbox": [0.3, 0.05, 0.3],
-            },
-            {"at": 5, "action": "remove", "label": "plate", "room": "kitchen"},
-        ]
-    )
-    w = World(g, actions)
+    # second record only works if the first one (same timestamp) ran already
+    script = [
+        UpdateRecord(
+            ADDED,
+            "plate",
+            target_room="kitchen",
+            pose=Pose.identity((1.0, 1.0, 1.0)),
+            bbox=BBox3((0.3, 0.05, 0.3)),
+            issued_at=5.0,
+        ),
+        UpdateRecord(REMOVED, "plate", source_room="kitchen", issued_at=5.0),
+    ]
+    w = World(g, script)
     w.step(5.0)
     assert w.graph.find("plate") == []
 
 
 def test_inconsistent_script_raises():
     g = two_room_graph()
-    actions = actions_from([{"at": 1, "action": "remove", "label": "ghost", "room": "kitchen"}])
-    w = World(g, actions)
+    w = World(g, [UpdateRecord(REMOVED, "ghost", source_room="kitchen", issued_at=1.0)])
     with pytest.raises(InconsistentAction):
         w.step(2.0)
 
 
 @pytest.mark.parametrize(
-    "action, message",
+    "record, message",
     [
         (
-            {"at": 1, "action": "remove", "label": "ghost", "room": "kitchen"},
+            UpdateRecord(REMOVED, "ghost", source_room="kitchen", issued_at=1.0),
             "t=1.0: no attached 'ghost' in room 'kitchen'",
         ),
         (
-            {
-                "at": 2,
-                "action": "move",
-                "label": "ghost",
-                "from_room": "kitchen",
-                "to_pose": {"q": [1, 0, 0, 0], "t": [8.0, 2.0, 1.0]},
-            },
+            UpdateRecord(
+                MOVED,
+                "ghost",
+                source_room="kitchen",
+                target_room="living room",
+                pose=Pose.identity((8.0, 2.0, 1.0)),
+                issued_at=2.0,
+            ),
             "t=2.0: no attached 'ghost' in room 'kitchen'",
         ),
         (
-            {
-                "at": 3,
-                "action": "add",
-                "label": "book",
-                "room": "garage",
-                "pose": {"q": [1, 0, 0, 0], "t": [7.0, 1.0, 1.0]},
-                "bbox": [0.2, 0.05, 0.15],
-            },
+            UpdateRecord(
+                ADDED,
+                "book",
+                target_room="garage",
+                pose=Pose.identity((7.0, 1.0, 1.0)),
+                bbox=BBox3((0.2, 0.05, 0.15)),
+                issued_at=3.0,
+            ),
             "t=3.0: no room labeled 'garage'",
         ),
     ],
     ids=["remove", "move", "add"],
 )
-def test_inconsistent_action_names_its_time_once(action, message):
+def test_inconsistent_action_names_its_time_once(record, message):
     g = two_room_graph()
     put(g, "kitchen", "cup", (2.0, 2.0, 1.0))
-    w = World(g, actions_from([action]))
+    w = World(g, [record])
     before = serialize(w.graph)
     with pytest.raises(InconsistentAction) as err:
         w.step(5.0)
@@ -172,6 +168,31 @@ def test_mission_on_a_truth_without_its_object_is_inconsistent():
     with pytest.raises(InconsistentAction) as err:
         run_scenario(SCENARIO, overrides={"virtual_actions": [gone]})
     assert str(err.value) == "t=20.0: no attached 'mug' in room 'kitchen'"
+
+
+def test_the_script_is_the_records_the_world_applies():
+    sc = load_scenario(SCENARIO)
+    script = sc.virtual_actions
+    assert script and all(isinstance(r, UpdateRecord) for r in script)
+    in_time_order = sorted(script, key=lambda r: r.issued_at)
+    applied = World(sc.house.copy(), script).step(math.inf)
+    assert len(applied) == len(script)
+    assert all(a is r for a, r in zip(applied, in_time_order))
+
+    scripted = derive_ground_truth(sc)[: len(script)]
+    assert [(g.action, g.label, g.source_room, g.target_room) for g in scripted] == [
+        (r.action, r.target_object, r.source_room, r.target_room) for r in script
+    ]
+
+    moves = [r for r in script if r.action is MOVED]
+    assert moves
+    for record in moves:
+        (holder,) = [
+            room.label
+            for room in sc.house.rooms.values()
+            if point_in_aabb(record.pose.t, room.pose.t, room.bbox.half_sizes_xyz())
+        ]
+        assert record.target_room == holder
 
 
 def test_detector_sees_only_visible_movables():
