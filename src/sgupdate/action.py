@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Optional
 
 from .geometry import Pose
-from .graph import SceneGraph, SceneGraphError
+from .graph import SceneGraph, SceneGraphError, _norm_label
 from .records import (
     ApplyReport,
     ApplyStatus,
@@ -74,7 +74,7 @@ _TASK = re.compile(
 
 def parse_task(text: str) -> TaskSpec:
     """Parse a 'Pick the X in the A and take it to the B.' instruction."""
-    cleaned = " ".join(text.strip().lower().split()).rstrip(".!")
+    cleaned = _norm_label(text).rstrip(".!")
     m = _TASK.match(cleaned)
     if not m:
         raise UnparsableTask(f"instruction does not match the pick/place form: {text!r}")
@@ -144,7 +144,7 @@ class PickPlaceTask:
             args={
                 "target": self.held_id,
                 "room_label": room.label,
-                "pose": place_pose.to_dict(),
+                "pose": place_pose,
                 "now": float(now),
             },
         )

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .decay import stale_targets
-from .graph import ParseError, UnknownRoom, deserialize, serialize
+from .graph import ParseError, UnknownRoom, _norm_label, deserialize, serialize
 from .harness import (
     ScenarioError,
     format_metrics_table,
@@ -134,7 +134,7 @@ def _cmd_query(args) -> int:
             return 2
         ids = graph.objects_in_room(room.id)
     if args.label is not None:
-        wanted = " ".join(args.label.lower().split())
+        wanted = _norm_label(args.label)
         ids = [oid for oid in ids if graph.objects[oid].label == wanted]
     for oid in ids:
         node = graph.objects[oid]

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .graph import SceneGraph
+from .graph import SceneGraph, _norm_label
 
 __all__ = [
     "ClockSkew",
@@ -67,7 +67,7 @@ class DecayTable:
     anchors: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.anchors = {" ".join(k.strip().lower().split()): float(v) for k, v in self.anchors.items()}
+        self.anchors = {_norm_label(k): float(v) for k, v in self.anchors.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecayTable":
@@ -98,8 +98,7 @@ class DecayTable:
 
 def lambda_for(label: str, table: DecayTable) -> float:
     """Decay rate for a label: its anchor, else the table's default."""
-    key = " ".join(str(label).strip().lower().split())
-    return table.anchors.get(key, table.default_rate)
+    return table.anchors.get(_norm_label(label), table.default_rate)
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ def _norm_label(label: str) -> str:
     return " ".join(str(label).strip().lower().split())
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoomNode:
     id: str
     label: str
@@ -99,16 +99,7 @@ class RoomNode:
     bbox: BBox3
 
     def __post_init__(self) -> None:
-        self.label = _norm_label(self.label)
-
-    def _clone(self) -> "RoomNode":
-        # Fields were normalized when this node was built; skip __post_init__.
-        dup = object.__new__(RoomNode)
-        dup.id = self.id
-        dup.label = self.label
-        dup.pose = self.pose
-        dup.bbox = self.bbox
-        return dup
+        object.__setattr__(self, "label", _norm_label(self.label))
 
 
 @dataclass
@@ -374,9 +365,9 @@ class SceneGraph:
     # ------------------------------------------------------------------
 
     def copy(self) -> "SceneGraph":
-        """Independent graph: nodes are cloned, their immutable poses and boxes shared."""
+        """Independent graph: objects are cloned; rooms, poses and boxes are immutable and shared."""
         dup = SceneGraph(epoch=self.epoch)
-        dup.rooms = {rid: room._clone() for rid, room in self.rooms.items()}
+        dup.rooms = dict(self.rooms)
         dup.objects = {oid: node._clone() for oid, node in self.objects.items()}
         dup.belongs_to = dict(self.belongs_to)
         dup.access = set(self.access)

@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import records as rec
-from .action import PickPlaceTask, UnparsableTask, parse_task
-from .decay import DecayTable, stale_targets
+from .action import PickPlaceTask, TaskSpec, UnparsableTask, parse_task
+from .decay import DecayTable, StaleReport, stale_targets
 from .geometry import BBox3, Pose
 from .graph import NoContainingRoom, SceneGraph, deserialize
 from .human import GrammarExtractor, Lexicon, to_record, Confidence
@@ -75,7 +75,7 @@ class ScenarioError(Exception):
 
 @dataclass
 class Mission:
-    text: str
+    spec: TaskSpec
     pick_time: float
     place_time: float
     place_pose: Pose
@@ -127,6 +127,23 @@ def _section(data: dict, key: str) -> dict:
     return value
 
 
+def _entries(data: dict, key: str, read) -> list:
+    """``read`` applied to each object in the list under ``key``; errors name the entry."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    out = []
+    for i, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{key}[{i}] must be an object, got {entry!r}")
+        try:
+            out.append(read(entry))
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{key}[{i}]: {what}") from exc
+    return out
+
+
 def _scripted_record(house: SceneGraph, entry: dict) -> rec.UpdateRecord:
     """One ``virtual_actions`` entry as the update record the world applies.
 
@@ -158,7 +175,7 @@ def _scripted_record(house: SceneGraph, entry: dict) -> rec.UpdateRecord:
             bbox=BBox3(tuple(entry["bbox"])),
             issued_at=at,
         )
-    raise ValueError(f"virtual action at t={at}: unknown action {kind!r}")
+    raise ValueError(f"unknown action {kind!r}")
 
 
 def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
@@ -189,22 +206,22 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         decay_table = DecayTable.load(sibling(table_ref)) if table_ref else DecayTable.default()
         lex_ref = data.get("lexicon")
         lexicon = Lexicon.load(sibling(lex_ref)) if lex_ref else Lexicon.default()
-        script = [_scripted_record(house, entry) for entry in data.get("virtual_actions", [])]
-        statements = [
-            (float(s["at"]), str(s["text"])) for s in data.get("human_statements", [])
-        ]
+        script = _entries(data, "virtual_actions", lambda e: _scripted_record(house, e))
+        statements = _entries(data, "human_statements", lambda s: (float(s["at"]), str(s["text"])))
         mission = None
         if data.get("mission"):
-            m = data["mission"]
+            m = _section(data, "mission")
+            try:
+                spec = parse_task(str(m["mission"]))
+            except UnparsableTask as exc:
+                raise ValueError(f"mission.mission: {exc}") from exc
             mission = Mission(
-                text=str(m["mission"]),
+                spec=spec,
                 pick_time=float(m["pick_time"]),
                 place_time=float(m["place_time"]),
                 place_pose=Pose.from_dict(m["place_pose"]),
             )
-        trajectory = [
-            (float(w["at"]), Pose.from_dict(w["pose"])) for w in data.get("trajectory", [])
-        ]
+        trajectory = _entries(data, "trajectory", lambda w: (float(w["at"]), Pose.from_dict(w["pose"])))
         pcfg = _section(data, "perception")
         rng = pcfg.get("range", [0.2, 4.0])
         if not isinstance(rng, (list, tuple)) or len(rng) != 2:
@@ -216,7 +233,9 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             max_range=float(rng[1]),
         )
         epsilon = float(pcfg.get("epsilon", 0.25))
-        k = int(pcfg.get("k", 2))
+        k = pcfg.get("k", 2)
+        if type(k) is not int:
+            raise ValueError(f"perception.k must be an integer, got {k!r}")
         failures = DetectorFailureConfig.from_dict(_section(data, "failures"))
         scenario = Scenario(
             path=path,
@@ -278,20 +297,16 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 f"virtual add at t={at}: pose {record.pose.t} does not land in room {room!r}"
             )
     if scenario.mission:
-        try:
-            spec = parse_task(scenario.mission.text)
-        except UnparsableTask as exc:
-            problems.append(f"mission text unparsable: {exc}")
+        spec = scenario.mission.spec
+        if spec.source_room not in room_labels or spec.target_room not in room_labels:
+            problems.append("mission names a room absent from the house")
         else:
-            if spec.source_room not in room_labels or spec.target_room not in room_labels:
-                problems.append("mission names a room absent from the house")
-            else:
-                place = scenario.mission.place_pose
-                if _landing_room(house, place) != spec.target_room:
-                    problems.append(
-                        f"mission.place_pose {place.t} does not land in the target room"
-                        f" {spec.target_room!r}"
-                    )
+            place = scenario.mission.place_pose
+            if _landing_room(house, place) != spec.target_room:
+                problems.append(
+                    f"mission.place_pose {place.t} does not land in the target room"
+                    f" {spec.target_room!r}"
+                )
         if scenario.mission.pick_time >= scenario.mission.place_time:
             problems.append("mission pick_time must precede place_time")
     return problems
@@ -325,7 +340,7 @@ class RunLog:
 
     entries: list[RunLogEntry] = field(default_factory=list)
     parse_failures: list[dict] = field(default_factory=list)
-    stale_reports: list[dict] = field(default_factory=list)
+    stale_reports: list[StaleReport] = field(default_factory=list)  # one per frame
 
     def append(self, entry: RunLogEntry) -> None:
         self.entries.append(entry)
@@ -406,7 +421,7 @@ def derive_ground_truth(scenario: Scenario) -> list[GroundTruthChange]:
         for r in scenario.virtual_actions
     ]
     if scenario.mission:
-        spec = parse_task(scenario.mission.text)
+        spec = scenario.mission.spec
         changes.append(
             GroundTruthChange(
                 rec.UpdateAction.MOVED, spec.object_label, spec.source_room, spec.target_room, "Action"
@@ -572,7 +587,7 @@ def run_scenario(
     task: Optional[PickPlaceTask] = None
     truth_task: Optional[PickPlaceTask] = None
     if scenario.mission:
-        spec = parse_task(scenario.mission.text)
+        spec = scenario.mission.spec
         task, truth_task = PickPlaceTask(spec=spec), PickPlaceTask(spec=spec)
 
     events: list[tuple[float, int, int, str, object]] = []
@@ -645,8 +660,7 @@ def run_scenario(
                         at=at, frame=frame_idx, provenance=rec.Provenance.PERCEPTION, report=report
                     )
                 )
-            report = stale_targets(graph, at, scenario.stale_threshold)
-            log.stale_reports.append({"at": at, "frame": frame_idx, **report.to_dict()})
+            log.stale_reports.append(stale_targets(graph, at, scenario.stale_threshold))
             frame_idx += 1
 
     ground_truth = derive_ground_truth(scenario)

@@ -14,6 +14,7 @@ from enum import Enum
 from importlib import resources
 from typing import Optional
 
+from .graph import _norm_label
 from .records import Provenance, UpdateAction, UpdateRecord
 
 __all__ = [
@@ -37,10 +38,6 @@ class Confidence(str, Enum):
     FAILED = "failed"
 
 
-def _norm(text: str) -> str:
-    return " ".join(text.strip().lower().split())
-
-
 @dataclass
 class Lexicon:
     """Closed vocabularies the grammar is allowed to recognize."""
@@ -54,7 +51,7 @@ class Lexicon:
 
     def __post_init__(self) -> None:
         for name in ("verbs_removed", "verbs_moved", "verbs_added", "rooms", "objects", "supports"):
-            setattr(self, name, [_norm(v) for v in getattr(self, name)])
+            setattr(self, name, [_norm_label(v) for v in getattr(self, name)])
 
     @classmethod
     def from_dict(cls, data: dict) -> "Lexicon":
@@ -108,7 +105,7 @@ def _strip_article(phrase: str) -> str:
 
 
 def _clean(text: str) -> str:
-    text = _norm(text)
+    text = _norm_label(text)
     text = text.rstrip(".!?").strip()
     text = _SUBORDINATE.sub("", text)
     return _LEADING.sub("", text)

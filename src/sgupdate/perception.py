@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .geometry import BBox3, Pose, pose_distance, quat_rotate
-from .graph import NoContainingRoom, SceneGraph
+from .graph import NoContainingRoom, SceneGraph, _norm_label
 from .records import Provenance, UpdateAction, UpdateRecord, PrimitiveCall
 
 __all__ = [
@@ -61,7 +61,7 @@ class Observation:
     bbox: BBox3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "label", " ".join(self.label.strip().lower().split()))
+        object.__setattr__(self, "label", _norm_label(self.label))
 
 
 def point_in_frustum(robot_pose: Pose, cam: CameraModel, point: Sequence[float]) -> bool:
@@ -131,7 +131,7 @@ def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> l
 
 def default_synonyms() -> list[frozenset[str]]:
     text = resources.files("sgupdate.data").joinpath("synonyms.json").read_text("utf-8")
-    return [frozenset(" ".join(w.lower().split()) for w in group) for group in json.loads(text)]
+    return [frozenset(map(_norm_label, group)) for group in json.loads(text)]
 
 
 _DEFAULT_GROUPS: Optional[list[frozenset[str]]] = None

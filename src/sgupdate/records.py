@@ -170,19 +170,25 @@ class ApplyStatus(str, Enum):
     DEFERRED = "deferred"
 
 
+def _to_json(value):
+    """A call argument as JSON: poses as ``{"q", "t"}``, boxes as their extents."""
+    if isinstance(value, Pose):
+        return value.to_dict()
+    if isinstance(value, BBox3):
+        return list(value.extents)
+    return value
+
+
 @dataclass
 class PrimitiveCall:
-    """One concrete graph-primitive invocation, replayable from JSON."""
+    """One graph-primitive invocation: ``args`` are the keyword arguments of
+    the primitive ``op`` names, held as values (poses, boxes, ids, floats)."""
 
     op: str
     args: dict
 
     def to_dict(self) -> dict:
-        return {"op": self.op, "args": self.args}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PrimitiveCall":
-        return cls(op=data["op"], args=dict(data["args"]))
+        return {"op": self.op, "args": {k: _to_json(v) for k, v in self.args.items()}}
 
 
 @dataclass
@@ -215,6 +221,17 @@ def find_call(record: UpdateRecord, resolved: str) -> PrimitiveCall:
     )
 
 
+# The mutating primitives, by the name a call's ``op`` gives them.
+_PRIMITIVES = {
+    "add_object": SceneGraph.add_object,
+    "remove_object": SceneGraph.remove_object,
+    "move_object": SceneGraph.move_object,
+    "detach": SceneGraph.detach,
+    "reattach": SceneGraph.reattach,
+    "touch": SceneGraph.touch,
+}
+
+
 def execute(graph: SceneGraph, call: PrimitiveCall):
     """Run one mutating primitive call and return the primitive's result.
 
@@ -222,37 +239,10 @@ def execute(graph: SceneGraph, call: PrimitiveCall):
     refreshes, the mission's pick and place and log replay all edit the
     graph by executing the same calls they log.
     """
-    args = call.args
-    if call.op == "add_object":
-        return graph.add_object(
-            args["target_room"],
-            args["label"],
-            Pose.from_dict(args["pose"]),
-            BBox3(tuple(args["bbox"])),
-            args["decay_rate"],
-            args["now"],
-            pose_provisional=args.get("pose_provisional", False),
-        )
-    if call.op == "remove_object":
-        return graph.remove_object(args["source_room"], args["target"])
-    if call.op == "move_object":
-        return graph.move_object(
-            args["source_room"],
-            args["target_room"],
-            args["target"],
-            Pose.from_dict(args["new_pose"]),
-            args["now"],
-            pose_provisional=args.get("pose_provisional", False),
-        )
-    if call.op == "detach":
-        return graph.detach(args["target"])
-    if call.op == "reattach":
-        return graph.reattach(
-            args["target"], args["room_label"], Pose.from_dict(args["pose"]), args["now"]
-        )
-    if call.op == "touch":
-        return graph.touch(args["target"], args["now"])
-    raise ValueError(f"unknown primitive op {call.op!r}")
+    primitive = _PRIMITIVES.get(call.op)
+    if primitive is None:
+        raise ValueError(f"unknown primitive op {call.op!r}")
+    return primitive(graph, **call.args)
 
 
 def apply(
@@ -306,8 +296,8 @@ def apply(
                 args={
                     "target_room": room.label,
                     "label": record.target_object,
-                    "pose": pose.to_dict(),
-                    "bbox": list(bbox.extents),
+                    "pose": pose,
+                    "bbox": bbox,
                     "decay_rate": _decay.lambda_for(record.target_object, table),
                     "now": record.issued_at,
                     "pose_provisional": provisional,
@@ -320,7 +310,7 @@ def apply(
                     "source_room": record.source_room,
                     "target_room": room.label,
                     "target": oid,
-                    "new_pose": pose.to_dict(),
+                    "new_pose": pose,
                     "now": record.issued_at,
                     "pose_provisional": provisional,
                 },

@@ -45,10 +45,16 @@ class DetectorFailureConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DetectorFailureConfig":
+        """The knobs of a scenario's ``failures`` section."""
+        noise, ids = data.get("label_noise", {}), data.get("dropout_ids", [])
+        if not isinstance(noise, dict):
+            raise ValueError(f"failures.label_noise must be an object, got {noise!r}")
+        if not isinstance(ids, list):
+            raise ValueError(f"failures.dropout_ids must be a list, got {ids!r}")
         return cls(
             min_detectable_extent=float(data.get("min_detectable_extent", 0.0)),
-            label_noise=dict(data.get("label_noise", {})),
-            dropout_ids=frozenset(data.get("dropout_ids", [])),
+            label_noise=dict(noise),
+            dropout_ids=frozenset(ids),
         )
 
 

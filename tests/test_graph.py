@@ -2,6 +2,7 @@
 import json
 import math
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -13,7 +14,6 @@ from sgupdate.graph import (
     NoContainingRoom,
     ObjectNode,
     ParseError,
-    RoomNode,
     SceneGraph,
     SceneGraphError,
     UnknownObject,
@@ -189,15 +189,16 @@ def test_copy_clones_every_node_field_for_field(house2):
     put(house2, "living room", "vase", (7, 3, 1), rate=0.0, pose_provisional=True)
     house2.detach(put(house2, "kitchen", "plate", (2, 2, 1)))
     clone = house2.copy()
-    for originals, copies, cls in (
-        (house2.rooms, clone.rooms, RoomNode),
-        (house2.objects, clone.objects, ObjectNode),
-    ):
-        assert list(copies) == list(originals)
-        for key, node in originals.items():
-            dup = copies[key]
-            assert type(dup) is cls and dup is not node
-            assert dup == node and vars(dup) == vars(node)
+    # Rooms are frozen values, so the copy shares them; objects are cloned.
+    assert clone.rooms is not house2.rooms and list(clone.rooms) == list(house2.rooms)
+    assert all(clone.rooms[rid] is room for rid, room in house2.rooms.items())
+    with pytest.raises(FrozenInstanceError):
+        house2.rooms["kitchen"].label = "pantry"
+    assert list(clone.objects) == list(house2.objects)
+    for oid, node in house2.objects.items():
+        dup = clone.objects[oid]
+        assert type(dup) is ObjectNode and dup is not node
+        assert dup == node and vars(dup) == vars(node)
 
 
 # -- serialization -----------------------------------------------------------

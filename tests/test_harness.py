@@ -67,8 +67,16 @@ def test_load_scenario_rejects_bad_parameters():
         (
             "virtual_actions",
             [{"at": 1, "action": "jump", "label": "mug", "room": "kitchen"}],
-            "unknown action 'jump'",
+            "virtual_actions[0]: unknown action 'jump'",
         ),
+        ("virtual_actions", 5, "virtual_actions must be a list"),
+        ("trajectory", [5], "trajectory[0] must be an object"),
+        ("human_statements", [{"at": 1}], "human_statements[0]: missing key 'text'"),
+        ("mission", [1], "mission must be an object"),
+        ("mission.mission", "Dance in the kitchen.", "mission.mission: instruction does not match"),
+        ("failures.dropout_ids", 5, "failures.dropout_ids must be a list"),
+        ("failures.label_noise", 5, "failures.label_noise must be an object"),
+        ("perception.k", 1.5, "perception.k must be an integer"),
     ]:
         with pytest.raises(ScenarioError, match=re.escape(names)):
             load_scenario(SCENARIO, overrides={key: value})

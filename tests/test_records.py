@@ -1,16 +1,21 @@
 """Update records: validation, target resolution, atomic apply, replay."""
+import json
+
 import pytest
 
+from sgupdate.action import PickPlaceTask, TaskSpec
 from sgupdate.decay import DecayTable
 from sgupdate.geometry import BBox3, Pose
 from sgupdate.graph import graphs_equal, serialize
 from sgupdate.records import (
     PROVISIONAL_BBOX,
     ApplyStatus,
+    PrimitiveCall,
     Provenance,
     UpdateAction,
     UpdateRecord,
     apply,
+    execute,
     replay,
     resolve_target,
     validate,
@@ -209,8 +214,38 @@ def test_replay_checks_each_logged_find(house2):
         replay(pristine, report.executed)
 
 
-def test_replay_rejects_unknown_ops(house2):
-    from sgupdate.records import PrimitiveCall
+@pytest.mark.parametrize("op", ["teleport", "find", "copy", "_link"])
+def test_execute_rejects_non_primitives(house2, op):
+    before = serialize(house2)
+    with pytest.raises(ValueError, match=f"unknown primitive op '{op}'"):
+        execute(house2, PrimitiveCall(op=op, args={}))
+    if op != "find":  # replay checks a logged find itself
+        with pytest.raises(ValueError, match="unknown primitive op"):
+            replay(house2, [PrimitiveCall(op=op, args={})])
+    assert serialize(house2) == before
 
-    with pytest.raises(ValueError):
-        replay(house2, [PrimitiveCall(op="teleport", args={})])
+
+def test_every_logged_call_is_json_with_poses_and_boxes_encoded(house2):
+    """Calls hold values; ``to_dict`` writes poses as {"q", "t"} and boxes as extents."""
+    at = Pose.identity((1, 1, 1))
+    reports = [
+        apply(house2, record(UpdateAction.ADDED, target_room="kitchen", pose=at,
+                             bbox=BBox3((0.1, 0.2, 0.3))), TABLE),
+        apply(house2, record(UpdateAction.MOVED, source_room="kitchen", target_room="kitchen",
+                             pose=Pose.identity((2, 1, 1))), TABLE),
+    ]
+    task = PickPlaceTask(TaskSpec("cup", "kitchen", "living room"))
+    reports += [task.pick(house2), task.place(house2, Pose.identity((8, 1, 1)), 5.0)]
+    reports.append(apply(house2, record(UpdateAction.REMOVED, source_room="living room"), TABLE))
+    calls = {call.op: call for report in reports for call in report.executed}
+    calls["touch"] = PrimitiveCall(op="touch", args={"target": "cup-1", "now": 6.0})
+    assert sorted(calls) == sorted(["find", "add_object", "move_object", "detach", "reattach",
+                                    "remove_object", "touch"])
+    assert calls["add_object"].args["pose"] is at  # a value, not its JSON
+    assert calls["add_object"].args["bbox"] == BBox3((0.1, 0.2, 0.3))
+    encoded = {op: json.loads(json.dumps(call.to_dict())) for op, call in calls.items()}
+    assert encoded["add_object"]["args"]["pose"] == {"q": [1.0, 0.0, 0.0, 0.0], "t": [1.0, 1.0, 1.0]}
+    assert encoded["add_object"]["args"]["bbox"] == [0.1, 0.2, 0.3]
+    assert encoded["move_object"]["args"]["new_pose"]["t"] == [2.0, 1.0, 1.0]
+    assert encoded["reattach"]["args"]["pose"]["t"] == [8.0, 1.0, 1.0]
+    assert encoded["touch"] == {"op": "touch", "args": {"target": "cup-1", "now": 6.0}}
