@@ -153,6 +153,8 @@ class SceneGraph:
         # room id -> (min x, min y, min z, max x, max y, max z) over the members'
         # translations, or a larger box: it does not shrink when members leave.
         self._boxes: dict[str, tuple[float, ...]] = {}
+        # slug -> n such that every f"{slug}-{m}" with m < n is an object id.
+        self._id_floor: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -182,9 +184,10 @@ class SceneGraph:
 
     def _next_id(self, label: str) -> str:
         slug = _norm_label(label).replace(" ", "-")
-        n = 1
+        n = self._id_floor.get(slug, 1)
         while f"{slug}-{n}" in self.objects:
             n += 1
+        self._id_floor[slug] = n
         return f"{slug}-{n}"
 
     # ------------------------------------------------------------------
@@ -310,6 +313,7 @@ class SceneGraph:
         """Delete the object (it must be attached in ``source_room``)."""
         node, _ = self._attached_in_room(source_room, target)
         del self.objects[target]
+        self._id_floor.pop(target.rsplit("-", 1)[0], None)
         self._unlink(target)
         return node
 
@@ -435,6 +439,9 @@ def _index_problems(graph: SceneGraph) -> list[str]:
         x, y, z = node.pose.t
         if box is None or not (box[0] <= x <= box[3] and box[1] <= y <= box[4] and box[2] <= z <= box[5]):
             problems.append(f"member box of room {rid!r} does not contain object {oid!r}")
+    for slug, floor in graph._id_floor.items():
+        if not all(f"{slug}-{n}" in graph.objects for n in range(1, floor)):
+            problems.append(f"id floor {floor} of {slug!r} skips a free id")
     return problems
 
 

@@ -127,6 +127,14 @@ def _section(data: dict, key: str) -> dict:
     return value
 
 
+def _number(value, where: str) -> float:
+    """``float(value)``; errors name ``where``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} must be a number, got {value!r}") from None
+
+
 def _entries(data: dict, key: str, read) -> list:
     """``read`` applied to each object in the list under ``key``; errors name the entry."""
     value = data.get(key, [])
@@ -191,21 +199,25 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         raise ScenarioError(f"{path}: a scenario must be a JSON object")
     base = path.parent
 
-    def sibling(name: str) -> Path:
+    def sibling(key: str, name) -> Path:
+        if not isinstance(name, str):
+            raise ValueError(f"{key} must be a path, got {name!r}")
         p = Path(name)
         return p if p.is_absolute() else base / p
 
     try:
         data = _apply_overrides(data, overrides)
-        house = deserialize(sibling(data["house"]).read_text("utf-8"))
+        house = deserialize(sibling("house", data["house"]).read_text("utf-8"))
         initial_ref = data.get("initial_graph", "from_house")
         initial = house if initial_ref == "from_house" else deserialize(
-            sibling(initial_ref).read_text("utf-8")
+            sibling("initial_graph", initial_ref).read_text("utf-8")
         )
         table_ref = data.get("decay_table")
-        decay_table = DecayTable.load(sibling(table_ref)) if table_ref else DecayTable.default()
+        decay_table = (
+            DecayTable.load(sibling("decay_table", table_ref)) if table_ref else DecayTable.default()
+        )
         lex_ref = data.get("lexicon")
-        lexicon = Lexicon.load(sibling(lex_ref)) if lex_ref else Lexicon.default()
+        lexicon = Lexicon.load(sibling("lexicon", lex_ref)) if lex_ref else Lexicon.default()
         script = _entries(data, "virtual_actions", lambda e: _scripted_record(house, e))
         statements = _entries(data, "human_statements", lambda s: (float(s["at"]), str(s["text"])))
         mission = None
@@ -217,8 +229,8 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
                 raise ValueError(f"mission.mission: {exc}") from exc
             mission = Mission(
                 spec=spec,
-                pick_time=float(m["pick_time"]),
-                place_time=float(m["place_time"]),
+                pick_time=_number(m["pick_time"], "mission.pick_time"),
+                place_time=_number(m["place_time"], "mission.place_time"),
                 place_pose=Pose.from_dict(m["place_pose"]),
             )
         trajectory = _entries(data, "trajectory", lambda w: (float(w["at"]), Pose.from_dict(w["pose"])))
@@ -227,12 +239,12 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         if not isinstance(rng, (list, tuple)) or len(rng) != 2:
             raise ValueError(f"perception.range must be [min, max], got {rng!r}")
         camera = CameraModel(
-            fov_h=float(pcfg.get("fov_h", 2.2)),
-            fov_v=float(pcfg.get("fov_v", 1.7)),
-            min_range=float(rng[0]),
-            max_range=float(rng[1]),
+            fov_h=_number(pcfg.get("fov_h", 2.2), "perception.fov_h"),
+            fov_v=_number(pcfg.get("fov_v", 1.7), "perception.fov_v"),
+            min_range=_number(rng[0], "perception.range"),
+            max_range=_number(rng[1], "perception.range"),
         )
-        epsilon = float(pcfg.get("epsilon", 0.25))
+        epsilon = _number(pcfg.get("epsilon", 0.25), "perception.epsilon")
         k = pcfg.get("k", 2)
         if type(k) is not int:
             raise ValueError(f"perception.k must be an integer, got {k!r}")
@@ -251,7 +263,7 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             epsilon=epsilon,
             k=k,
             failures=failures,
-            stale_threshold=float(data.get("stale_threshold", 0.5)),
+            stale_threshold=_number(data.get("stale_threshold", 0.5), "stale_threshold"),
         )
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc

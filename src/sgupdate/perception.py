@@ -15,9 +15,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
-from .geometry import BBox3, Pose, pose_distance, quat_rotate
+from .geometry import BBox3, Pose, pose_distance, quat_conj, quat_mul
 from .graph import NoContainingRoom, SceneGraph, _norm_label
 from .records import Provenance, UpdateAction, UpdateRecord, PrimitiveCall
 
@@ -64,6 +64,36 @@ class Observation:
         object.__setattr__(self, "label", _norm_label(self.label))
 
 
+def _frustum_test(robot_pose: Pose, cam: CameraModel) -> Callable[[Sequence[float]], bool]:
+    """:func:`point_in_frustum` for one camera pose, inverse rotation built once.
+
+    The point is rotated by the conjugate of ``robot_pose.q`` with the same
+    float operations, in the same order, as ``quat_rotate``; the quaternion
+    it conjugates back to is ``robot_pose.q`` bit for bit (negation is
+    exact), so every decision matches a per-point ``quat_rotate``.
+    """
+    tx, ty, tz = robot_pose.t
+    inv = quat_conj(robot_pose.q)
+    back = quat_conj(inv)
+    half_h, half_v = cam.fov_h / 2.0, cam.fov_v / 2.0
+
+    def inside(point: Sequence[float]) -> bool:
+        rel = (0.0, point[0] - tx, point[1] - ty, point[2] - tz)
+        _, fwd, left, up = quat_mul(quat_mul(inv, rel), back)
+        if fwd <= 0.0:
+            return False
+        dist = math.sqrt(fwd * fwd + left * left + up * up)
+        if not (cam.min_range < dist < cam.max_range):
+            return False
+        if abs(math.atan2(left, fwd)) >= half_h:
+            return False
+        if abs(math.atan2(up, fwd)) >= half_v:
+            return False
+        return True
+
+    return inside
+
+
 def point_in_frustum(robot_pose: Pose, cam: CameraModel, point: Sequence[float]) -> bool:
     """Strict containment of a world point in the camera frustum.
 
@@ -71,23 +101,7 @@ def point_in_frustum(robot_pose: Pose, cam: CameraModel, point: Sequence[float])
     strict, so a point exactly on the field-of-view or range boundary is
     outside.
     """
-    rel = (
-        point[0] - robot_pose.t[0],
-        point[1] - robot_pose.t[1],
-        point[2] - robot_pose.t[2],
-    )
-    # Rotate into the sensor frame (inverse rotation = conjugate).
-    fwd, left, up = quat_rotate((robot_pose.q[0], -robot_pose.q[1], -robot_pose.q[2], -robot_pose.q[3]), rel)
-    if fwd <= 0.0:
-        return False
-    dist = math.sqrt(fwd * fwd + left * left + up * up)
-    if not (cam.min_range < dist < cam.max_range):
-        return False
-    if abs(math.atan2(left, fwd)) >= cam.fov_h / 2.0:
-        return False
-    if abs(math.atan2(up, fwd)) >= cam.fov_v / 2.0:
-        return False
-    return True
+    return _frustum_test(robot_pose, cam)(point)
 
 
 def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> list[str]:
@@ -109,6 +123,7 @@ def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> l
     tx, ty, tz = robot_pose.t
     cull = cam.max_range * (1.0 + 1e-6)
     cull_sq = cull * cull
+    inside = _frustum_test(robot_pose, cam)
     objects = graph.objects
     out = []
     for oid in graph.objects_near(robot_pose.t, cull):
@@ -119,7 +134,7 @@ def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> l
         dx, dy, dz = px - tx, py - ty, pz - tz
         if dx * dx + dy * dy + dz * dz >= cull_sq:
             continue
-        if point_in_frustum(robot_pose, cam, node.pose.t):
+        if inside(node.pose.t):
             out.append(oid)
     out.sort()
     return out
@@ -134,23 +149,35 @@ def default_synonyms() -> list[frozenset[str]]:
     return [frozenset(map(_norm_label, group)) for group in json.loads(text)]
 
 
-_DEFAULT_GROUPS: Optional[list[frozenset[str]]] = None
+def _class_keys(groups: Sequence[frozenset[str]]) -> dict[str, str]:
+    """Label -> class key (the group's smallest label) for every grouped label.
+
+    A label in no group is its own class, so it is absent from the table.
+    Raises ``ValueError`` when a label sits in two groups: association
+    matches within classes, which is exact only when classes are disjoint.
+    """
+    keys: dict[str, str] = {}
+    for group in groups:
+        key = min(group)
+        for label in group:
+            if label in keys:
+                raise ValueError(f"synonym label {label!r} appears in two groups")
+            keys[label] = key
+    return keys
+
+
+_CLASS_KEYS = _class_keys(default_synonyms())
 
 
 def semantic_match(label_a: str, label_b: str) -> bool:
     """True when two labels name the same kind of object.
 
-    Normalizes whitespace/case and consults a small synonym table (e.g. a
-    'tv remote' is a 'remote control'). Symmetric by construction.
+    Normalizes whitespace/case, then compares the labels' class keys from
+    the synonym table (e.g. a 'tv remote' is a 'remote control'). Symmetric
+    by construction.
     """
-    global _DEFAULT_GROUPS
-    a = " ".join(label_a.strip().lower().split())
-    b = " ".join(label_b.strip().lower().split())
-    if a == b:
-        return True
-    if _DEFAULT_GROUPS is None:
-        _DEFAULT_GROUPS = default_synonyms()
-    return any(a in group and b in group for group in _DEFAULT_GROUPS)
+    a, b = _norm_label(label_a), _norm_label(label_b)
+    return _CLASS_KEYS.get(a, a) == _CLASS_KEYS.get(b, b)
 
 
 @dataclass
@@ -172,22 +199,27 @@ def associate(
 ) -> AssociationResult:
     """Greedy nearest-first association between expectation and detection.
 
-    All semantically compatible (expected, observation) pairs are ranked by
-    pose displacement (ties by object id, then observation index) and taken
-    greedily. Paired entries split into static/moved by the epsilon test;
-    unmatched expected objects become removal candidates, unmatched
+    All (expected, observation) pairs in the same synonym class are ranked
+    by pose displacement (ties by object id, then observation index) and
+    taken greedily. Paired entries split into static/moved by the epsilon
+    test; unmatched expected objects become removal candidates, unmatched
     observations become addition candidates.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
+    # The candidates are the pairs semantic_match accepts: bucketing the
+    # observations by class key builds exactly those, with no per-pair label
+    # test. Node and observation labels are already normalized.
+    key = _CLASS_KEYS.get
+    by_class: dict[str, list[tuple[int, Pose]]] = {}
+    for j, obs in enumerate(observed):
+        by_class.setdefault(key(obs.label, obs.label), []).append((j, obs.pose))
     pairs = []
     for oid in expected_ids:
         node = graph.objects[oid]
-        for j, obs in enumerate(observed):
-            if semantic_match(node.label, obs.label):
-                d = pose_distance(node.pose, obs.pose)
-                pairs.append((d, oid, j))
-    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
+        for j, obs_pose in by_class.get(key(node.label, node.label), ()):
+            pairs.append((pose_distance(node.pose, obs_pose), oid, j))
+    pairs.sort()  # by (d, oid, j)
 
     taken_ids: set[str] = set()
     taken_obs: set[int] = set()

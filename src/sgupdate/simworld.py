@@ -47,12 +47,19 @@ class DetectorFailureConfig:
     def from_dict(cls, data: dict) -> "DetectorFailureConfig":
         """The knobs of a scenario's ``failures`` section."""
         noise, ids = data.get("label_noise", {}), data.get("dropout_ids", [])
+        extent = data.get("min_detectable_extent", 0.0)
+        try:
+            extent = float(extent)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"failures.min_detectable_extent must be a number, got {extent!r}"
+            ) from None
         if not isinstance(noise, dict):
             raise ValueError(f"failures.label_noise must be an object, got {noise!r}")
         if not isinstance(ids, list):
             raise ValueError(f"failures.dropout_ids must be a list, got {ids!r}")
         return cls(
-            min_detectable_extent=float(data.get("min_detectable_extent", 0.0)),
+            min_detectable_extent=extent,
             label_noise=dict(noise),
             dropout_ids=frozenset(ids),
         )

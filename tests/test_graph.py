@@ -58,6 +58,23 @@ def test_object_ids_use_label_slug_and_smallest_free_number(house2):
     assert c == "coffee-mug-1"  # freed number is reused
 
 
+def test_a_freed_middle_id_is_reused_on_the_graph_and_on_a_copy(house2):
+    ids = [put(house2, "kitchen", "cup", (1 + 0.1 * i, 1, 1)) for i in range(5)]
+    assert ids == [f"cup-{n}" for n in range(1, 6)]
+    # A label whose slug ends like an id must not disturb the cups' numbering.
+    assert put(house2, "kitchen", "cup 3", (2, 2, 1)) == "cup-3-1"
+    house2.remove_object("kitchen", "cup-3")
+    copy = house2.copy()
+    assert put(house2, "kitchen", "cup", (3, 1, 1)) == "cup-3"
+    assert put(house2, "kitchen", "cup", (3, 2, 1)) == "cup-6"
+    assert put(copy, "kitchen", "cup", (3, 1, 1)) == "cup-3"
+    assert put(copy, "kitchen", "cup", (3, 2, 1)) == "cup-6"
+    reloaded = deserialize(serialize(house2))
+    reloaded.remove_object("kitchen", "cup-2")
+    assert put(reloaded, "kitchen", "cup", (3, 3, 1)) == "cup-2"
+    assert check_invariants(house2) == check_invariants(copy) == check_invariants(reloaded) == []
+
+
 def test_every_attached_object_belongs_to_exactly_one_room(house2):
     oid = put(house2, "kitchen", "cup", (1, 1, 1))
     assert house2.belongs_to[oid] == "kitchen"

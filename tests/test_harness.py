@@ -77,6 +77,11 @@ def test_load_scenario_rejects_bad_parameters():
         ("failures.dropout_ids", 5, "failures.dropout_ids must be a list"),
         ("failures.label_noise", 5, "failures.label_noise must be an object"),
         ("perception.k", 1.5, "perception.k must be an integer"),
+        ("perception.fov_h", "abc", "perception.fov_h must be a number"),
+        ("stale_threshold", "abc", "stale_threshold must be a number"),
+        ("mission.pick_time", "abc", "mission.pick_time must be a number"),
+        ("failures.min_detectable_extent", [1], "failures.min_detectable_extent must be a number"),
+        ("house", 5, "house must be a path"),
     ]:
         with pytest.raises(ScenarioError, match=re.escape(names)):
             load_scenario(SCENARIO, overrides={key: value})

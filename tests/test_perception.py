@@ -17,6 +17,8 @@ from sgupdate.perception import (
     confirm,
     expected_visible,
     point_in_frustum,
+    _class_keys,
+    default_synonyms,
     semantic_match,
 )
 from sgupdate.records import PrimitiveCall, UpdateAction
@@ -159,6 +161,22 @@ def test_semantic_match_normalizes_and_uses_synonyms():
     assert not semantic_match("cup", "mug")
 
 
+def test_overlapping_synonym_groups_are_rejected():
+    keys = _class_keys([frozenset({"sofa", "couch"}), frozenset({"tv", "television"})])
+    assert keys == {"sofa": "couch", "couch": "couch", "tv": "television", "television": "television"}
+    with pytest.raises(ValueError, match="'couch' appears in two groups"):
+        _class_keys([frozenset({"sofa", "couch"}), frozenset({"couch", "settee"})])
+
+
+def test_packaged_synonyms_load_and_match_as_a_group_scan():
+    groups = default_synonyms()
+    assert groups and _class_keys(groups)
+    labels = sorted(set().union(*groups)) + ["cup", "mug"]
+    for a, b in itertools.product(labels, repeat=2):
+        in_one_group = a == b or any(a in g and b in g for g in groups)
+        assert semantic_match(a, b) == in_one_group, (a, b)
+
+
 # -- association -------------------------------------------------------------
 
 
@@ -237,6 +255,68 @@ def test_associate_static_test_is_strictly_less_than_epsilon(house2):
 def test_associate_requires_positive_epsilon(house2):
     with pytest.raises(ValueError):
         associate([], [], house2, epsilon=0.0)
+
+
+def all_pairs_associate(expected_ids, observed, graph, epsilon):
+    """The association as a test of every (expected, observation) label pair."""
+    pairs = []
+    for oid in expected_ids:
+        node = graph.objects[oid]
+        for j, o in enumerate(observed):
+            if semantic_match(node.label, o.label):
+                pairs.append((pose_distance(node.pose, o.pose), oid, j))
+    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
+    taken_ids, taken_obs, matched = set(), set(), []
+    for d, oid, j in pairs:
+        if oid not in taken_ids and j not in taken_obs:
+            taken_ids.add(oid)
+            taken_obs.add(j)
+            matched.append((d, oid, j))
+    result = AssociationResult()
+    for d, oid, j in sorted(matched, key=lambda m: m[1]):
+        (result.static_pairs if d < epsilon else result.moved_pairs).append((oid, observed[j]))
+    result.remove_candidates = sorted(oid for oid in expected_ids if oid not in taken_ids)
+    result.add_candidates = [o for j, o in enumerate(observed) if j not in taken_obs]
+    return result
+
+
+# Two synonym groups, labels in no group, and one spelling that normalizes.
+FRAME_LABELS = ("tv remote", "remote control", "remote", "sofa", "couch", "cup", "mug", " Cup ")
+
+
+@st.composite
+def association_frame(draw):
+    """A graph, expected ids and observations on a coarse grid: repeated
+    labels and exactly equal distances are common."""
+    g = big_room_graph()
+    label = st.sampled_from(FRAME_LABELS)
+    cell = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    ids = [put(g, "hall", draw(label), (2.0 + x, 2.0 + y, 1.0)) for x, y in draw(st.lists(cell, max_size=8))]
+    expected = draw(st.permutations(ids))[: draw(st.integers(0, len(ids)))]
+    observed = [obs(draw(label), (2.0 + x, 2.0 + y, 1.0)) for x, y in draw(st.lists(cell, max_size=8))]
+    return g, expected, observed, draw(st.sampled_from((0.5, 1.0, 1.5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(association_frame())
+def test_associate_equals_the_all_pairs_oracle(frame):
+    g, expected, observed, epsilon = frame
+    got = associate(expected, observed, g, epsilon)
+    want = all_pairs_associate(expected, observed, g, epsilon)
+    # Observations compare by value; compare their indices too, so a tie
+    # between equal observations must be broken the same way.
+    index = {id(o): j for j, o in enumerate(observed)}
+
+    def by_index(result):
+        return (
+            [(oid, index[id(o)]) for oid, o in result.static_pairs],
+            [(oid, index[id(o)]) for oid, o in result.moved_pairs],
+            result.remove_candidates,
+            [index[id(o)] for o in result.add_candidates],
+        )
+
+    assert got == want
+    assert by_index(got) == by_index(want)
 
 
 # -- greedy vs exhaustive matching oracle -------------------------------------
