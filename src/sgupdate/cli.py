@@ -95,6 +95,11 @@ def _load_graph(path: str):
         raise SystemExit(2)
 
 
+def _unwritable(exc: OSError, path) -> int:
+    print(f"error: {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario, dict(args.overrides) or None)
@@ -112,13 +117,16 @@ def _cmd_run(args) -> int:
 
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "runlog.jsonl").write_text(result.log.to_jsonl(), "utf-8")
-        (out / "final_graph.json").write_bytes(serialize(result.graph))
-        (out / "metrics.json").write_text(
-            json.dumps(result.metrics.to_dict(), indent=2, sort_keys=True) + "\n", "utf-8"
-        )
-        (out / "metrics.txt").write_text(table + "\n", "utf-8")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "runlog.jsonl").write_text(result.log.to_jsonl(), "utf-8")
+            (out / "final_graph.json").write_bytes(serialize(result.graph))
+            (out / "metrics.json").write_text(
+                json.dumps(result.metrics.to_dict(), indent=2, sort_keys=True) + "\n", "utf-8"
+            )
+            (out / "metrics.txt").write_text(table + "\n", "utf-8")
+        except OSError as exc:
+            return _unwritable(exc, out)
         print(f"artifacts written to {out}")
     return 0
 
@@ -184,7 +192,10 @@ def _cmd_repl(args) -> int:
         report = apply_record(graph, to_record(parse, now=clock))
         print(f"  {report.status.value}" + (f": {report.reason}" if report.reason else ""))
     if args.save:
-        Path(args.save).write_bytes(serialize(graph))
+        try:
+            Path(args.save).write_bytes(serialize(graph))
+        except OSError as exc:
+            return _unwritable(exc, args.save)
         print(f"graph written to {args.save}")
     return 0
 

@@ -40,16 +40,21 @@ def persistence_probability(decay_rate: float, now: float, last_seen: float) -> 
     """Probability the object is still near its recorded pose.
 
     Strictly decreasing in elapsed time for positive rates, exactly 1 at
-    zero elapsed time or zero rate.
+    zero elapsed time or zero rate. A non-finite ``now`` raises
+    :class:`ValueError` (``-inf`` as :class:`ClockSkew`): a ``nan``
+    probability would compare as never stale.
     """
     if decay_rate < 0.0:
         raise ValueError(f"decay_rate must be >= 0, got {decay_rate}")
     if now < last_seen:
         raise ClockSkew(f"now={now} precedes last_seen={last_seen}")
     x = decay_rate * (now - last_seen)
-    if x > 700.0:  # exp overflow guard; the tail is numerically 2*exp(-x)
-        return 2.0 * math.exp(-x)
-    return 2.0 / (1.0 + math.exp(x))
+    if x <= 700.0:
+        return 2.0 / (1.0 + math.exp(x))
+    # x is nan or inf for a nan or infinite now; test it here, off the common path.
+    if not math.isfinite(now):
+        raise ValueError(f"now must be finite, got {now}")
+    return 2.0 * math.exp(-x)  # exp overflow guard; the tail is numerically 2*exp(-x)
 
 
 def half_probability_time(decay_rate: float) -> float:
@@ -130,9 +135,13 @@ def stale_targets(graph: SceneGraph, now: float, threshold: float) -> StaleRepor
 
     Entries come back sorted by ascending probability (ties by object id);
     immovable objects never qualify since their probability is exactly 1.
+    A non-finite ``now`` raises :class:`ValueError`, even on a graph with no
+    dynamic object.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold}")
+    if not math.isfinite(now):
+        raise ValueError(f"now must be finite, got {now}")
     entries = []
     for oid, node in graph.objects.items():
         if not node.attached or node.decay_rate <= 0.0:

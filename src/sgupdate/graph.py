@@ -10,14 +10,22 @@ Mutations go through the primitive operations defined here (``find``,
 a raised error leaves the graph unchanged. The structure is plain Python and
 is not safe for concurrent mutation; hand a copy to other workers instead.
 
+Object nodes are values shared between copies: :meth:`SceneGraph.copy`
+copies the containers and never a node, and a primitive that changes a
+node's fields first files a fresh copy of the node in its own graph's
+``objects``, then edits that copy. A node reachable from a graph is
+therefore never edited in place, and a copy and its original cannot change
+each other.
+
 The room layer doubles as a spatial index. The graph keeps a room-label map,
 each room's set of attached objects and, per room, a box around its members'
 translations that only grows until the graph is next loaded. Scoped ``find``,
 ``objects_in_room`` and ``objects_near`` read them instead of scanning every
-object. Only ``add_room``, the primitives and the loader may write ``rooms``,
-``objects`` or ``belongs_to`` (or an object's pose or attachment), since
-anything else would leave the indexes stale; :func:`check_invariants`
-verifies them.
+object; ``assign_room`` reads a flat list of the rooms' boxes. Only
+``add_room``, the primitives and the loader may write ``rooms``, ``objects``
+or ``belongs_to``, and only the primitives may write an object's fields,
+since anything else would leave the indexes stale or edit a node other
+graphs share; :func:`check_invariants` verifies the indexes.
 """
 from __future__ import annotations
 
@@ -26,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import BBox3, InvalidGeometry, Pose, point_in_aabb, poses_close
+from .geometry import BBox3, InvalidGeometry, Pose, poses_close
 
 __all__ = [
     "SceneGraphError",
@@ -91,6 +99,11 @@ def _norm_label(label: str) -> str:
     return " ".join(str(label).strip().lower().split())
 
 
+def _room_box(room: "RoomNode") -> tuple:
+    """``(cx, cy, cz, hx, hy, hz, volume, id)``: what ``assign_room`` tests."""
+    return (*room.pose.t, *room.bbox.half_sizes_xyz(), room.bbox.volume, room.id)
+
+
 @dataclass(frozen=True)
 class RoomNode:
     id: str
@@ -104,6 +117,12 @@ class RoomNode:
 
 @dataclass
 class ObjectNode:
+    """One object: a value that copies of a graph share.
+
+    Only the graph primitives write these fields, and only on a node they
+    have just cloned into their own graph (see the module docstring).
+    """
+
     id: str
     label: str
     pose: Pose
@@ -125,7 +144,8 @@ class ObjectNode:
             raise InvalidGeometry(f"decay_rate must be >= 0, got {self.decay_rate}")
 
     def _clone(self) -> "ObjectNode":
-        # Fields were validated when this node was built; skip __post_init__.
+        # Fields were validated when this node was built; skip __post_init__
+        # (a primitive clones a node on every write, touches included).
         dup = object.__new__(ObjectNode)
         dup.id = self.id
         dup.label = self.label
@@ -149,6 +169,7 @@ class SceneGraph:
         self.access: set[tuple[str, str]] = set()  # canonical (min, max) room-id pairs
         # Indexes over the fields above (see the module docstring).
         self._room_ids: dict[str, str] = {}  # room label -> room id
+        self._room_boxes: list[tuple] = []  # _room_box(room) of each room, in insertion order
         self._members: dict[str, set[str]] = {}  # room id -> attached object ids
         # room id -> (min x, min y, min z, max x, max y, max z) over the members'
         # translations, or a larger box: it does not shrink when members leave.
@@ -166,6 +187,7 @@ class SceneGraph:
             raise DuplicateRoomLabel(f"room label {room.label!r} already present")
         self.rooms[room.id] = room
         self._room_ids[room.label] = room.id
+        self._room_boxes.append(_room_box(room))
         self._members[room.id] = set()
         return room.id
 
@@ -242,16 +264,18 @@ class SceneGraph:
         """Room id whose axis-aligned box contains the pose translation.
 
         Ties (overlapping rooms) go to the smallest room volume, then to the
-        smaller id so the result is deterministic.
+        smaller id so the result is deterministic. The containment test is
+        :func:`~sgupdate.geometry.point_in_aabb`'s, written out inline.
         """
-        hits = []
-        for rid, room in self.rooms.items():
-            if point_in_aabb(pose.t, room.pose.t, room.bbox.half_sizes_xyz()):
-                hits.append((room.bbox.volume, rid))
+        x, y, z = pose.t
+        hits = [
+            (volume, rid)
+            for cx, cy, cz, hx, hy, hz, volume, rid in self._room_boxes
+            if abs(x - cx) <= hx and abs(y - cy) <= hy and abs(z - cz) <= hz
+        ]
         if not hits:
             raise NoContainingRoom(f"pose translation {pose.t} is outside every room")
-        hits.sort()
-        return hits[0][1]
+        return min(hits)[1]
 
     # ------------------------------------------------------------------
     # index upkeep
@@ -329,6 +353,7 @@ class SceneGraph:
         """Relocate an object; equivalent to remove+add but keeps the id."""
         node, _ = self._attached_in_room(source_room, target)
         new_room = self.room_by_label(target_room)
+        node = self.objects[target] = node._clone()
         node.pose = new_pose
         node.last_seen = float(now)
         node.pose_provisional = bool(pose_provisional)
@@ -342,6 +367,7 @@ class SceneGraph:
             raise UnknownObject(f"no object with id {target!r}")
         if not node.attached:
             raise AlreadyDetached(f"object {target!r} is already detached")
+        node = self.objects[target] = node._clone()
         node.attached = False
         self._unlink(target)
 
@@ -353,6 +379,7 @@ class SceneGraph:
         room = self.room_by_label(room_label)
         if node.attached:
             raise AlreadyAttached(f"object {target!r} is already attached")
+        node = self.objects[target] = node._clone()
         node.attached = True
         node.pose = pose
         node.last_seen = float(now)
@@ -364,18 +391,25 @@ class SceneGraph:
         node = self.objects.get(target)
         if node is None:
             raise UnknownObject(f"no object with id {target!r}")
+        node = self.objects[target] = node._clone()
         node.last_seen = float(now)
 
     # ------------------------------------------------------------------
 
     def copy(self) -> "SceneGraph":
-        """Independent graph: objects are cloned; rooms, poses and boxes are immutable and shared."""
+        """Independent graph that shares every room and object node.
+
+        Only the containers are copied. Rooms are frozen; object nodes are
+        never edited in place (the primitives replace a node before writing
+        it), so neither graph can change the other.
+        """
         dup = SceneGraph(epoch=self.epoch)
         dup.rooms = dict(self.rooms)
-        dup.objects = {oid: node._clone() for oid, node in self.objects.items()}
+        dup.objects = dict(self.objects)
         dup.belongs_to = dict(self.belongs_to)
         dup.access = set(self.access)
         dup._room_ids = dict(self._room_ids)
+        dup._room_boxes = list(self._room_boxes)
         dup._members = {rid: set(ids) for rid, ids in self._members.items()}
         dup._boxes = dict(self._boxes)
         return dup
@@ -424,6 +458,8 @@ def _index_problems(graph: SceneGraph) -> list[str]:
     problems: list[str] = []
     if graph._room_ids != {room.label: rid for rid, room in graph.rooms.items()}:
         problems.append("room label index does not match the rooms")
+    if graph._room_boxes != [_room_box(room) for room in graph.rooms.values()]:
+        problems.append("room box index does not match the rooms")
     members, boxes = graph._members, graph._boxes
     # Sets hold no duplicates, so equal totals plus every edge being filed
     # (checked below) means the member sets are belongs_to grouped by room.

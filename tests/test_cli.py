@@ -37,6 +37,17 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     deserialize((out / "final_graph.json").read_bytes())  # parses back
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["out-is-a-file", "out-under-a-file"])
+def test_run_out_that_cannot_be_a_directory_exits_2(below, tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory", "utf-8")
+    out = blocker / below if below else blocker
+    assert main(["run", SCENARIO, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+    assert blocker.read_text("utf-8") == "not a directory"
+
+
 def test_run_accepts_dotted_overrides(tmp_path, capsys):
     code = main(
         ["run", SCENARIO, "--set", "failures.min_detectable_extent=0.16", "--out", str(tmp_path)]
@@ -148,6 +159,12 @@ def test_stale_rejects_bad_threshold(house_file, capsys):
     assert main(["stale", house_file, "--now", "10", "--threshold", "2.0"]) == 2
 
 
+def test_stale_rejects_a_non_finite_now(house_file, capsys):
+    assert main(["stale", house_file, "--now", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "now must be finite" in captured.err and "candidate" not in captured.out
+
+
 def test_missing_graph_file_exits_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["query", str(tmp_path / "none.json")])
@@ -181,6 +198,14 @@ def test_repl_applies_statement_and_saves(house_file, tmp_path, capsys, monkeypa
     assert main(["repl", house_file, "--save", str(saved)]) == 0
     graph = deserialize(saved.read_bytes())
     assert graph.find("towel") == []
+
+
+def test_repl_save_into_a_missing_directory_exits_2(house_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("builtins.input", lambda *a: "")
+    target = tmp_path / "missing" / "x.json"
+    assert main(["repl", house_file, "--save", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {target}: No such file or directory\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_installed_entry_point_matches_main():

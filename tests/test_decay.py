@@ -54,6 +54,16 @@ def test_clock_skew_and_negative_rate_are_rejected():
         persistence_probability(-0.5, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("now", [math.nan, math.inf])
+def test_non_finite_now_is_rejected(now):
+    # nan < threshold is False, so a nan probability would read as never stale.
+    for rate in (1.0, 0.0, 1e300):
+        with pytest.raises(ValueError, match="now must be finite"):
+            persistence_probability(rate, now, 0.0)
+    with pytest.raises(ClockSkew):
+        persistence_probability(1.0, -math.inf, 0.0)
+
+
 @given(
     st.floats(1e-4, 5.0),
     st.floats(0.0, 60.0),
@@ -135,6 +145,15 @@ def test_stale_targets_threshold_must_be_in_open_interval(house2):
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError):
             stale_targets(house2, now=1.0, threshold=bad)
+
+
+@pytest.mark.parametrize("now", [math.nan, math.inf])
+def test_stale_targets_rejects_a_non_finite_now(house2, now):
+    with pytest.raises(ValueError, match="now must be finite"):
+        stale_targets(house2, now=now, threshold=0.5)  # even with no object to test
+    put(house2, "kitchen", "cup", (1, 1, 1), rate=2.0)
+    with pytest.raises(ValueError, match="now must be finite"):
+        stale_targets(house2, now=now, threshold=0.5)
 
 
 def test_stale_report_serializes(house2):

@@ -1,12 +1,15 @@
 """Scene-graph container: topology rules, primitives, serialization."""
+import ast
 import json
 import math
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import pytest
 
-from sgupdate.geometry import BBox3, Pose
+import sgupdate
+from sgupdate.geometry import BBox3, Pose, point_in_aabb
 from sgupdate.graph import (
     AlreadyAttached,
     AlreadyDetached,
@@ -188,34 +191,105 @@ def test_copy_is_deep(house2):
     assert graphs_equal(house2, house2.copy())
 
 
+def three_objects(g):
+    """A cup, a provisional vase, a detached plate and a book."""
+    put(g, "kitchen", "cup", (1, 1, 1))
+    put(g, "living room", "vase", (7, 3, 1), pose_provisional=True)
+    g.detach(put(g, "kitchen", "plate", (2, 2, 1)))
+    put(g, "kitchen", "book", (3, 1, 1))
+
+
 def test_mutating_a_copy_leaves_the_original_bytes_unchanged(house2):
-    cup = put(house2, "kitchen", "cup", (1, 1, 1))
-    vase = put(house2, "living room", "vase", (7, 3, 1), pose_provisional=True)
+    """All six primitives, run on either side of a copy, leave the other side as it was."""
+    three_objects(house2)
     before = serialize(house2)
-    clone = house2.copy()
-    clone.touch(cup, 50.0)
-    clone.move_object("kitchen", "living room", cup, Pose.identity((8, 1, 1)), 60.0)
-    clone.detach(vase)
-    assert serialize(clone) != before
-    assert serialize(house2) == before
-    assert check_invariants(house2) == [] and house2.find("cup", room_scope="kitchen") == [cup]
+    kitchen = {label: house2.find(label, room_scope="kitchen") for label in ("cup", "book", "plate")}
+    for edited_side in ("copy", "original"):
+        original = deserialize(before)
+        clone = original.copy()
+        edited, kept = (clone, original) if edited_side == "copy" else (original, clone)
+        edited.touch("cup-1", 50.0)
+        edited.move_object("kitchen", "living room", "cup-1", Pose.identity((8, 1, 1)), 60.0)
+        edited.detach("vase-1")
+        edited.reattach("plate-1", "living room", Pose.identity((6, 3, 1)), 70.0)
+        edited.remove_object("kitchen", "book-1")
+        put(edited, "kitchen", "cup", (3, 3, 1), now=80.0)
+        assert serialize(edited) != before and check_invariants(edited) == [], edited_side
+        assert serialize(kept) == before, edited_side
+        assert check_invariants(kept) == [], edited_side
+        for label, ids in kitchen.items():
+            assert kept.find(label, room_scope="kitchen") == ids, (edited_side, label)
+        assert kept.find("vase", room_scope="living room") == ["vase-1"], edited_side
 
 
-def test_copy_clones_every_node_field_for_field(house2):
-    put(house2, "kitchen", "cup", (1, 1, 1))
-    put(house2, "living room", "vase", (7, 3, 1), rate=0.0, pose_provisional=True)
-    house2.detach(put(house2, "kitchen", "plate", (2, 2, 1)))
+def test_copy_shares_every_node_and_a_primitive_replaces_only_its_own(house2):
+    three_objects(house2)
     clone = house2.copy()
-    # Rooms are frozen values, so the copy shares them; objects are cloned.
-    assert clone.rooms is not house2.rooms and list(clone.rooms) == list(house2.rooms)
-    assert all(clone.rooms[rid] is room for rid, room in house2.rooms.items())
+    # Rooms are frozen and object nodes are never edited in place, so a copy
+    # shares every one of them and allocates no node.
+    assert clone.rooms is not house2.rooms and clone.objects is not house2.objects
     with pytest.raises(FrozenInstanceError):
         house2.rooms["kitchen"].label = "pantry"
+    assert all(clone.rooms[rid] is room for rid, room in house2.rooms.items())
     assert list(clone.objects) == list(house2.objects)
-    for oid, node in house2.objects.items():
-        dup = clone.objects[oid]
-        assert type(dup) is ObjectNode and dup is not node
-        assert dup == node and vars(dup) == vars(node)
+    assert all(clone.objects[oid] is node for oid, node in house2.objects.items())
+    shared = dict(house2.objects)
+    edits = [
+        ("cup-1", lambda g: g.touch("cup-1", 5.0)),
+        ("book-1", lambda g: g.move_object("kitchen", "living room", "book-1", Pose.identity((9, 1, 1)), 6.0)),
+        ("vase-1", lambda g: g.detach("vase-1")),
+        ("plate-1", lambda g: g.reattach("plate-1", "kitchen", Pose.identity((2, 3, 1)), 7.0)),
+    ]
+    for i, (oid, edit) in enumerate(edits):
+        edit(clone)
+        node = clone.objects[oid]
+        assert type(node) is ObjectNode and node is not shared[oid], oid
+        assert house2.objects[oid] is shared[oid], oid
+        for other, _ in edits[i + 1 :]:  # not edited yet: still the shared node
+            assert clone.objects[other] is shared[other], (oid, other)
+    assert clone.objects["cup-1"].last_seen == 5.0 and shared["cup-1"].last_seen == 0.0
+    assert clone.objects["plate-1"].attached and not shared["plate-1"].attached
+
+
+def test_assign_room_matches_point_in_aabb_brute_force():
+    """Random and boundary points against overlapping rooms, two of equal volume."""
+    rng = random.Random(7)
+    g = SceneGraph()
+    g.add_room(make_room("a", (0.0, 0.0, 1.0), (4.0, 2.0, 4.0)))
+    g.add_room(make_room("b", (2.0, 0.0, 1.0), (4.0, 2.0, 4.0)))  # same volume, overlaps a
+    g.add_room(make_room("c", (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)))  # smaller, inside a and b
+    g.add_room(make_room("d", (0.1, 0.3, 0.7), (0.3, 0.7, 1.1)))  # sizes not exact in binary
+    rooms = list(g.rooms.values())
+    points = [(rng.uniform(-3, 5), rng.uniform(-3, 4), rng.uniform(-2, 4)) for _ in range(3000)]
+    for room in rooms:  # each corner, edge and face centre, and one ulp either side
+        (cx, cy, cz), (hx, hy, hz) = room.pose.t, room.bbox.half_sizes_xyz()
+        for sx in (-1, 0, 1):
+            for sy in (-1, 0, 1):
+                for sz in (-1, 0, 1):
+                    p = (cx + sx * hx, cy + sy * hy, cz + sz * hz)
+                    points.append(p)
+                    points.append(tuple(math.nextafter(v, math.inf) for v in p))
+                    points.append(tuple(math.nextafter(v, -math.inf) for v in p))
+    for p in points:
+        hits = sorted(
+            (room.bbox.volume, room.id)
+            for room in rooms
+            if point_in_aabb(p, room.pose.t, room.bbox.half_sizes_xyz())
+        )
+        if hits:
+            assert g.assign_room(Pose.identity(p)) == hits[0][1], p
+        else:
+            with pytest.raises(NoContainingRoom):
+                g.assign_room(Pose.identity(p))
+    assert g.assign_room(Pose.identity((1.0, 0.0, 1.0))) == "c"
+    assert g.assign_room(Pose.identity((1.0, -1.0, 1.0))) == "a"  # ties b on volume: smaller id
+    clone = g.copy()
+    assert clone.assign_room(Pose.identity((2.5, 0.0, 1.0))) == "b"
+    clone.add_room(make_room("e", (20.0, 20.0, 20.0)))  # the copy's room is not the original's
+    assert clone.assign_room(Pose.identity((20.0, 20.0, 20.0))) == "e"
+    with pytest.raises(NoContainingRoom):
+        g.assign_room(Pose.identity((20.0, 20.0, 20.0)))
+    assert check_invariants(g) == check_invariants(clone) == []
 
 
 # -- serialization -----------------------------------------------------------
@@ -342,7 +416,8 @@ def test_long_random_primitive_sequence_keeps_invariants():
     A quarter of adds, moves and reattaches put the object at a random spot
     (either room or outside the house) whatever room they name, so member
     boxes and room boxes disagree. Every 300 steps the graph is reloaded,
-    which refits the member boxes tightly.
+    which refits the member boxes tightly. Every 50 steps a copy is put
+    aside; at the end each must still have the bytes it was taken with.
     """
     rng = random.Random(20260813)
     g = two_room_graph()
@@ -357,6 +432,7 @@ def test_long_random_primitive_sequence_keeps_invariants():
         yaw_pose((-2.5, 2.0, 1.0), 0.0),
     ]
     detached: list[str] = []
+    snapshots: list[tuple[SceneGraph, bytes]] = []  # copies taken along the way, never edited
 
     def spot_for(room):
         if rng.random() < 0.25:  # anywhere, whatever room is named
@@ -396,6 +472,9 @@ def test_long_random_primitive_sequence_keeps_invariants():
             g.reattach(oid, room, Pose.identity(spot_for(room)), now=float(step))
         if step % 300 == 299:
             g = deserialize(serialize(g))
+        if step % 50 == 0:
+            snapshot = g.copy()
+            snapshots.append((snapshot, serialize(snapshot)))
         assert check_invariants(g) == [], f"invariants broke at step {step}"
 
         for room in rooms:
@@ -415,3 +494,101 @@ def test_long_random_primitive_sequence_keeps_invariants():
 
     # the survivors still serialize deterministically
     assert serialize(deserialize(serialize(g))) == serialize(g)
+    # later edits of the graph never reached a copy taken earlier
+    for snapshot, blob in snapshots:
+        assert serialize(snapshot) == blob and check_invariants(snapshot) == []
+
+
+# -- who may write a node ----------------------------------------------------
+
+# Copies share object nodes, so a field written anywhere but on a node a
+# primitive has just cloned into its own graph would change every graph
+# that holds the node.
+NODE_FIELDS = {f.name for f in fields(ObjectNode)}
+NODE_WRITERS = {("SceneGraph", name) for name in ("move_object", "detach", "reattach", "touch")}
+
+
+def node_field_writes(source: str) -> list[tuple[tuple[str, ...], int, str]]:
+    """``(scope, line, field)`` of each write to an ``ObjectNode`` field name
+    that is outside ``ObjectNode``, the primitives in ``NODE_WRITERS`` and a
+    ``__post_init__`` writing its own fresh ``self``.
+
+    A write is an assignment to ``<expr>.<field>`` or a ``setattr`` /
+    ``object.__setattr__`` call naming the field as a string literal. Types
+    are not known here, so a write to another class's field of the same name
+    counts too.
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            written = []  # (object expression, field)
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                            written.append((sub.value, sub.attr))
+            elif isinstance(child, ast.Call) and len(child.args) >= 2:
+                func, name = child.func, child.args[1]
+                is_setattr = (isinstance(func, ast.Name) and func.id == "setattr") or (
+                    isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+                )
+                if is_setattr and isinstance(name, ast.Constant) and isinstance(name.value, str):
+                    written.append((child.args[0], name.value))
+            for obj, field in written:
+                fresh_self = scope[-1:] == ("__post_init__",) and isinstance(obj, ast.Name) and obj.id == "self"
+                if field in NODE_FIELDS and not (
+                    scope[:1] == ("ObjectNode",) or scope in NODE_WRITERS or fresh_self
+                ):
+                    found.append((scope, child.lineno, field))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_only_the_primitives_write_object_node_fields():
+    package = Path(sgupdate.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert package / "graph.py" in sources
+    offenders = [
+        f"{path.name}:{line} ({'.'.join(scope) or 'module'}) writes .{field}"
+        for path in sources
+        for scope, line, field in node_field_writes(path.read_text("utf-8"))
+    ]
+    assert offenders == []
+
+
+def test_node_field_write_check_flags_writes_outside_the_primitives():
+    source = """
+class SceneGraph:
+    def touch(self, target, now):
+        node = self.objects[target] = self.objects[target]._clone()
+        node.last_seen = now
+    def copy(self):
+        self.objects["x"].pose = None
+class RoomNode:
+    def __post_init__(self):
+        object.__setattr__(self, "label", "x")
+        object.__setattr__(other, "label", "x")
+def refresh(graph, oid, now):
+    graph.objects[oid].last_seen = now
+    node = graph.objects[oid]
+    node.attached, node.bbox = False, None
+    node.decay_rate += 1.0
+    setattr(node, "pose_provisional", True)
+    node.note = "not a node field"
+"""
+    assert node_field_writes(source) == [
+        (("SceneGraph", "copy"), 7, "pose"),
+        (("RoomNode", "__post_init__"), 11, "label"),
+        (("refresh",), 13, "last_seen"),
+        (("refresh",), 15, "attached"),
+        (("refresh",), 15, "bbox"),
+        (("refresh",), 16, "decay_rate"),
+        (("refresh",), 17, "pose_provisional"),
+    ]
