@@ -27,7 +27,6 @@ from .records import (
     UpdateAction,
     UpdateRecord,
     execute,
-    find_call,
     resolve_target,
 )
 
@@ -108,23 +107,16 @@ class PickPlaceTask:
         """
         if self.phase is not Phase.PENDING:
             raise IllegalPhase(f"pick is only legal from pending, not {self.phase.value}")
-        probe = UpdateRecord(
-            action=UpdateAction.MOVED,
-            target_object=self.spec.object_label,
-            source_room=self.spec.source_room,
-            target_room=self.spec.target_room,
-        )
         try:
-            oid = resolve_target(graph, probe)
+            find = resolve_target(graph, self.spec.object_label, self.spec.source_room)
         except ResolutionError as exc:
             return ApplyReport(status=ApplyStatus.REJECTED, reason=str(exc))
+        oid = find.args["resolved"]
         call = PrimitiveCall(op="detach", args={"target": oid})
         execute(graph, call)
         self.phase = Phase.HOLDING
         self.held_id = oid
-        return ApplyReport(
-            status=ApplyStatus.APPLIED, executed=[find_call(probe, oid), call], resolved_id=oid
-        )
+        return ApplyReport(status=ApplyStatus.APPLIED, executed=[find, call], resolved_id=oid)
 
     def place(self, graph: SceneGraph, place_pose: Pose, now: float) -> ApplyReport:
         """Reattach the held object at ``place_pose`` in the target room.

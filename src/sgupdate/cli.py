@@ -107,6 +107,13 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    out = Path(args.out) if args.out else None
+    if out is not None:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _unwritable(exc, out)
+
     try:
         result = run_scenario(scenario)
     except InconsistentAction as exc:
@@ -115,10 +122,8 @@ def _cmd_run(args) -> int:
     table = format_metrics_table(result.metrics)
     print(table)
 
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         try:
-            out.mkdir(parents=True, exist_ok=True)
             (out / "runlog.jsonl").write_text(result.log.to_jsonl(), "utf-8")
             (out / "final_graph.json").write_bytes(serialize(result.graph))
             (out / "metrics.json").write_text(

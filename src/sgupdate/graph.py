@@ -618,9 +618,12 @@ def graph_from_payload(data: dict) -> SceneGraph:
     if not isinstance(data, dict):
         raise ParseError("document root: expected a JSON object")
     try:
-        graph = SceneGraph(epoch=float(data.get("epoch", 0.0)))
+        epoch = float(data.get("epoch", 0.0))
+        if not math.isfinite(epoch):
+            raise ValueError(f"must be finite, got {epoch}")
     except (TypeError, ValueError) as exc:
         raise ParseError(f"epoch: {exc}") from exc
+    graph = SceneGraph(epoch=epoch)
     for i, entry in enumerate(_require_list(data, "rooms")):
         where = f"rooms[{i}]"
         if not isinstance(entry, dict):

@@ -18,6 +18,7 @@ they do not assert world changes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -26,7 +27,7 @@ from . import records as rec
 from .action import PickPlaceTask, TaskSpec, UnparsableTask, parse_task
 from .decay import DecayTable, StaleReport, stale_targets
 from .geometry import BBox3, Pose
-from .graph import NoContainingRoom, SceneGraph, deserialize
+from .graph import NoContainingRoom, ParseError, SceneGraph, deserialize
 from .human import GrammarExtractor, Lexicon, to_record, Confidence
 from .perception import (
     CameraModel,
@@ -128,11 +129,14 @@ def _section(data: dict, key: str) -> dict:
 
 
 def _number(value, where: str) -> float:
-    """``float(value)``; errors name ``where``."""
+    """``float(value)`` when it is finite; errors name ``where``."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{where} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def _entries(data: dict, key: str, read) -> list:
@@ -159,7 +163,7 @@ def _scripted_record(house: SceneGraph, entry: dict) -> rec.UpdateRecord:
     every room; rooms never change after load, so this is the room the
     move lands in when applied.
     """
-    at, kind, label = float(entry["at"]), entry["action"], entry["label"]
+    at, kind, label = _number(entry["at"], "at"), entry["action"], entry["label"]
     if kind == "remove":
         return rec.UpdateRecord(
             rec.UpdateAction.REMOVED, label, source_room=entry["room"], issued_at=at
@@ -205,13 +209,17 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         p = Path(name)
         return p if p.is_absolute() else base / p
 
+    def graph_file(key: str, name) -> SceneGraph:
+        try:
+            return deserialize(sibling(key, name).read_text("utf-8"))
+        except ParseError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+
     try:
         data = _apply_overrides(data, overrides)
-        house = deserialize(sibling("house", data["house"]).read_text("utf-8"))
+        house = graph_file("house", data["house"])
         initial_ref = data.get("initial_graph", "from_house")
-        initial = house if initial_ref == "from_house" else deserialize(
-            sibling("initial_graph", initial_ref).read_text("utf-8")
-        )
+        initial = house if initial_ref == "from_house" else graph_file("initial_graph", initial_ref)
         table_ref = data.get("decay_table")
         decay_table = (
             DecayTable.load(sibling("decay_table", table_ref)) if table_ref else DecayTable.default()
@@ -219,7 +227,9 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         lex_ref = data.get("lexicon")
         lexicon = Lexicon.load(sibling("lexicon", lex_ref)) if lex_ref else Lexicon.default()
         script = _entries(data, "virtual_actions", lambda e: _scripted_record(house, e))
-        statements = _entries(data, "human_statements", lambda s: (float(s["at"]), str(s["text"])))
+        statements = _entries(
+            data, "human_statements", lambda s: (_number(s["at"], "at"), str(s["text"]))
+        )
         mission = None
         if data.get("mission"):
             m = _section(data, "mission")
@@ -233,7 +243,9 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
                 place_time=_number(m["place_time"], "mission.place_time"),
                 place_pose=Pose.from_dict(m["place_pose"]),
             )
-        trajectory = _entries(data, "trajectory", lambda w: (float(w["at"]), Pose.from_dict(w["pose"])))
+        trajectory = _entries(
+            data, "trajectory", lambda w: (_number(w["at"], "at"), Pose.from_dict(w["pose"]))
+        )
         pcfg = _section(data, "perception")
         rng = pcfg.get("range", [0.2, 4.0])
         if not isinstance(rng, (list, tuple)) or len(rng) != 2:

@@ -15,8 +15,8 @@ from enum import Enum
 from typing import Optional
 
 from . import decay as _decay
-from .geometry import BBox3, InvalidGeometry, Pose, pose_distance
-from .graph import SceneGraph, SceneGraphError
+from .geometry import BBox3, InvalidGeometry, Pose
+from .graph import SceneGraph, SceneGraphError, UnknownRoom
 
 __all__ = [
     "UpdateAction",
@@ -31,7 +31,6 @@ __all__ = [
     "ReplayMismatch",
     "validate",
     "resolve_target",
-    "find_call",
     "execute",
     "apply",
     "replay",
@@ -64,7 +63,7 @@ class AmbiguousTarget(ResolutionError):
 
 
 class ReplayMismatch(SceneGraphError):
-    """A logged ``find`` resolved an id that the replayed graph does not return."""
+    """A logged ``find`` does not resolve the same way on the replayed graph."""
 
 
 # Placeholder box for objects whose geometry nobody has sensed yet.
@@ -128,42 +127,6 @@ def validate(record: UpdateRecord) -> list[str]:
     return problems
 
 
-def resolve_target(graph: SceneGraph, record: UpdateRecord) -> str:
-    """Map a record's object label to one concrete node id.
-
-    Searches attached objects with the record's label in its source room.
-    A single candidate wins outright. Several candidates are disambiguated
-    by the record's support object: the candidate nearest (by translation)
-    to any same-room node carrying the support label is chosen, ties going
-    to the smaller id. Without a usable support the record is ambiguous.
-    """
-    room_label = record.source_room or record.target_room
-    if room_label is None:
-        raise TargetNotFound("record names no room to search")
-    candidates = graph.find(record.target_object, room_scope=room_label)
-    if not candidates:
-        raise TargetNotFound(
-            f"no attached {record.target_object!r} in room {room_label!r}"
-        )
-    if len(candidates) == 1:
-        return candidates[0]
-    if record.support_object:
-        supports = graph.find(record.support_object, room_scope=room_label)
-        if supports:
-            def support_distance(oid: str) -> float:
-                pose = graph.objects[oid].pose
-                return min(
-                    pose_distance(pose, graph.objects[sid].pose) for sid in supports
-                )
-
-            ranked = sorted(candidates, key=lambda oid: (support_distance(oid), oid))
-            return ranked[0]
-    raise AmbiguousTarget(
-        f"{len(candidates)} attached {record.target_object!r} in room {room_label!r}"
-        " and no usable support object"
-    )
-
-
 class ApplyStatus(str, Enum):
     APPLIED = "applied"
     REJECTED = "rejected"
@@ -209,15 +172,26 @@ class ApplyReport:
         }
 
 
-def find_call(record: UpdateRecord, resolved: str) -> PrimitiveCall:
-    """The logged ``find`` that resolved ``record``'s label to ``resolved``."""
+def resolve_target(graph: SceneGraph, label: str, room: Optional[str]) -> PrimitiveCall:
+    """The logged ``find`` resolving ``label`` to the one attached object in ``room``.
+
+    This is the one resolution rule: ``apply``, the mission's pick and
+    ``replay`` all call it. Raises :class:`TargetNotFound` when ``room``
+    is None, names no room of the graph or holds no attached ``label``, and
+    :class:`AmbiguousTarget` when it holds several.
+    """
+    if room is None:
+        raise TargetNotFound(f"no room to search for {label!r}")
+    try:
+        candidates = graph.find(label, room_scope=room)
+    except UnknownRoom as exc:
+        raise TargetNotFound(str(exc)) from None
+    if not candidates:
+        raise TargetNotFound(f"no attached {label!r} in room {room!r}")
+    if len(candidates) > 1:
+        raise AmbiguousTarget(f"{len(candidates)} attached {label!r} in room {room!r}")
     return PrimitiveCall(
-        op="find",
-        args={
-            "label": record.target_object,
-            "room_scope": record.source_room or record.target_room,
-            "resolved": resolved,
-        },
+        op="find", args={"label": label, "room_scope": room, "resolved": candidates[0]}
     )
 
 
@@ -267,15 +241,15 @@ def apply(
             record=record,
         )
 
-    oid = None
     if record.action is not UpdateAction.ADDED:
         # Removed / Moved need a concrete node first.
         try:
-            oid = resolve_target(graph, record)
+            find = resolve_target(graph, record.target_object, record.source_room)
         except AmbiguousTarget as exc:
             return ApplyReport(status=ApplyStatus.DEFERRED, reason=str(exc), record=record)
         except TargetNotFound as exc:
             return ApplyReport(status=ApplyStatus.REJECTED, reason=str(exc), record=record)
+        oid = find.args["resolved"]
 
     if record.action is UpdateAction.REMOVED:
         call = PrimitiveCall(
@@ -326,7 +300,7 @@ def apply(
         )
     return ApplyReport(
         status=ApplyStatus.APPLIED,
-        executed=[find_call(record, oid), call],
+        executed=[find, call],
         resolved_id=oid,
         record=record,
     )
@@ -337,17 +311,16 @@ def replay(graph: SceneGraph, calls: list[PrimitiveCall]) -> None:
 
     Replaying every executed call from an audit log, in order, against the
     initial graph reproduces the final graph exactly. Each logged ``find``
-    is checked: its ``resolved`` id must be among the ids ``find`` returns
-    on the replayed graph, else :class:`ReplayMismatch` is raised.
+    is resolved again with :func:`resolve_target` and must come out as the
+    identical call, else :class:`ReplayMismatch` is raised.
     """
     for call in calls:
         if call.op != "find":
             execute(graph, call)
             continue
-        args = call.args
-        found = graph.find(args["label"], room_scope=args.get("room_scope"))
-        if args.get("resolved") not in found:
-            raise ReplayMismatch(
-                f"find({args['label']!r}, room_scope={args.get('room_scope')!r}) "
-                f"returned {found}, but the log resolved {args.get('resolved')!r}"
-            )
+        try:
+            found = resolve_target(graph, call.args["label"], call.args["room_scope"])
+        except ResolutionError as exc:
+            raise ReplayMismatch(f"logged find {call.args}, replayed: {exc}") from None
+        if found.args != call.args:
+            raise ReplayMismatch(f"logged find {call.args}, replayed {found.args}")

@@ -13,6 +13,7 @@ per-object dropout) so detector pathologies are reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
@@ -54,6 +55,8 @@ class DetectorFailureConfig:
             raise ValueError(
                 f"failures.min_detectable_extent must be a number, got {extent!r}"
             ) from None
+        if not math.isfinite(extent):
+            raise ValueError(f"failures.min_detectable_extent must be finite, got {extent!r}")
         if not isinstance(noise, dict):
             raise ValueError(f"failures.label_noise must be an object, got {noise!r}")
         if not isinstance(ids, list):

@@ -43,9 +43,25 @@ def test_run_out_that_cannot_be_a_directory_exits_2(below, tmp_path, capsys):
     blocker.write_text("not a directory", "utf-8")
     out = blocker / below if below else blocker
     assert main(["run", SCENARIO, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {out}: ") and "Traceback" not in captured.err
+    assert captured.out == ""  # fails before the episode: no scoreboard
     assert blocker.read_text("utf-8") == "not a directory"
+
+
+@pytest.mark.parametrize(
+    "setting, key",
+    [
+        ("perception.epsilon=NaN", "perception.epsilon"),
+        ("mission.place_time=Infinity", "mission.place_time"),
+    ],
+)
+def test_run_rejects_a_non_finite_setting(setting, key, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", SCENARIO, "--set", setting, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"{key} must be finite" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_run_accepts_dotted_overrides(tmp_path, capsys):

@@ -327,6 +327,8 @@ def test_deserialize_reports_location_of_bad_object():
         pytest.param(("rooms", 1, "pose", "t", 0), "east", r"rooms\[1\]", id="room-t"),
         pytest.param(("rooms", 0, "bbox", 2), "deep", r"rooms\[0\]", id="room-bbox"),
         pytest.param(("epoch",), "dawn", r"epoch", id="epoch"),
+        pytest.param(("epoch",), float("nan"), r"^epoch: must be finite", id="epoch-nan"),
+        pytest.param(("epoch",), float("inf"), r"^epoch: must be finite", id="epoch-inf"),
     ],
 )
 def test_deserialize_reports_location_of_bad_number(path, value, where):

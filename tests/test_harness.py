@@ -1,5 +1,6 @@
 """Scenario runner end-to-end, scoring rules, artifact determinism."""
 import json
+import math
 import re
 
 import pytest
@@ -85,6 +86,41 @@ def test_load_scenario_rejects_bad_parameters():
     ]:
         with pytest.raises(ScenarioError, match=re.escape(names)):
             load_scenario(SCENARIO, overrides={key: value})
+
+
+def entries_at(key, i, at):
+    """The packaged scenario's ``key`` list with entry ``i`` at time ``at``."""
+    entries = json.loads(SCENARIO.read_text("utf-8"))[key]
+    entries[i]["at"] = at
+    return entries
+
+
+NON_FINITE = [
+    ("perception.epsilon", math.nan, "perception.epsilon must be finite"),
+    ("perception.range", [0.2, math.inf], "perception.range must be finite"),
+    ("mission.pick_time", math.nan, "mission.pick_time must be finite"),
+    ("mission.place_time", math.inf, "mission.place_time must be finite"),
+    ("failures.min_detectable_extent", math.nan, "failures.min_detectable_extent must be finite"),
+    ("virtual_actions", entries_at("virtual_actions", 0, math.nan), "virtual_actions[0]: at must be finite"),
+    ("human_statements", entries_at("human_statements", 1, math.inf), "human_statements[1]: at must be finite"),
+    ("trajectory", entries_at("trajectory", 1, -math.inf), "trajectory[1]: at must be finite"),
+]
+
+
+@pytest.mark.parametrize("key, value, names", NON_FINITE, ids=[key for key, _, _ in NON_FINITE])
+def test_load_scenario_rejects_non_finite_numbers(key, value, names):
+    with pytest.raises(ScenarioError, match=re.escape(names)):
+        load_scenario(SCENARIO, overrides={key: value})
+
+
+@pytest.mark.parametrize("key", ["house", "initial_graph"])
+def test_load_scenario_names_the_graph_file_that_does_not_parse(key, tmp_path):
+    house = json.loads(resources.files("sgupdate.data").joinpath("house.json").read_text("utf-8"))
+    house["epoch"] = math.nan
+    bad = tmp_path / "house.json"
+    bad.write_text(json.dumps(house), "utf-8")
+    with pytest.raises(ScenarioError, match=re.escape(f"{key}: epoch: must be finite, got nan")):
+        load_scenario(SCENARIO, overrides={key: str(bad)})
 
 
 def test_load_scenario_rejects_unknown_action_room():

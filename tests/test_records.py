@@ -7,6 +7,7 @@ from sgupdate.action import PickPlaceTask, TaskSpec
 from sgupdate.decay import DecayTable
 from sgupdate.geometry import BBox3, Pose
 from sgupdate.graph import graphs_equal, serialize
+from sgupdate.human import parse_statement, to_record
 from sgupdate.records import (
     PROVISIONAL_BBOX,
     ApplyStatus,
@@ -60,28 +61,51 @@ def test_validate_flags_missing_fields():
 def test_resolution_single_candidate_wins(house2):
     put(house2, "kitchen", "cup", (1, 1, 1))
     put(house2, "living room", "cup", (7, 1, 1))
-    r = record(UpdateAction.REMOVED, source_room="kitchen")
-    assert resolve_target(house2, r) == "cup-1"
+    assert resolve_target(house2, "cup", "kitchen") == PrimitiveCall(
+        op="find", args={"label": "cup", "room_scope": "kitchen", "resolved": "cup-1"}
+    )
 
 
 def test_resolution_not_found(house2):
-    with pytest.raises(TargetNotFound):
-        resolve_target(house2, record(UpdateAction.REMOVED, source_room="kitchen"))
+    with pytest.raises(TargetNotFound, match="no attached 'cup' in room 'kitchen'"):
+        resolve_target(house2, "cup", "kitchen")
+    put(house2, "living room", "cup", (7, 1, 1))
+    with pytest.raises(TargetNotFound, match="no room"):  # never a whole-graph search
+        resolve_target(house2, "cup", None)
 
 
-def test_resolution_ambiguity_without_support(house2):
+def test_resolution_ambiguity(house2):
     put(house2, "kitchen", "cup", (1, 1, 1))
     put(house2, "kitchen", "cup", (3, 3, 1))
-    with pytest.raises(AmbiguousTarget):
-        resolve_target(house2, record(UpdateAction.REMOVED, source_room="kitchen"))
+    with pytest.raises(AmbiguousTarget, match="^2 attached 'cup' in room 'kitchen'$"):
+        resolve_target(house2, "cup", "kitchen")
 
 
-def test_resolution_support_object_disambiguates(house2):
+def test_support_object_does_not_pick_among_same_label_candidates(house2):
+    """The destination's support ("the table in the living room") is what the
+    person said, not a tie-break: a kitchen table near one cup changes nothing."""
     put(house2, "kitchen", "cup", (1.0, 1.0, 1.0))
-    far = put(house2, "kitchen", "cup", (3.0, 3.0, 1.0))
-    put(house2, "kitchen", "counter", (2.9, 2.9, 0.5), rate=0.0)
-    r = record(UpdateAction.REMOVED, source_room="kitchen", support_object="counter")
-    assert resolve_target(house2, r) == far
+    put(house2, "kitchen", "cup", (3.0, 3.0, 1.0))
+    put(house2, "kitchen", "table", (3.2, 3.0, 0.5), rate=0.0)
+    before = serialize(house2)
+    r = to_record(
+        parse_statement("I moved the cup from the kitchen to the table in the living room"),
+        now=5.0,
+    )
+    assert (r.source_room, r.support_object) == ("kitchen", "table")
+    report = apply(house2, r, TABLE)
+    assert report.status is ApplyStatus.DEFERRED
+    assert report.reason == "2 attached 'cup' in room 'kitchen'"
+    assert serialize(house2) == before
+
+
+def test_pick_and_apply_log_the_same_find(house2):
+    put(house2, "kitchen", "cup", (1, 1, 1))
+    other = house2.copy()
+    find = resolve_target(house2, "cup", "kitchen")
+    picked = PickPlaceTask(TaskSpec("cup", "kitchen", "living room")).pick(house2)
+    removed = apply(other, record(UpdateAction.REMOVED, source_room="kitchen"), TABLE)
+    assert picked.executed[0] == removed.executed[0] == find
 
 
 def test_apply_added_with_full_geometry(house2):
@@ -175,6 +199,12 @@ def test_apply_rejects_unknown_rooms(house2):
     put(house2, "kitchen", "cup", (1, 1, 1))
     r = record(UpdateAction.MOVED, source_room="kitchen", target_room="attic")
     assert apply(house2, r, TABLE).status is ApplyStatus.REJECTED
+    before = serialize(house2)
+    for action in (UpdateAction.REMOVED, UpdateAction.MOVED):
+        r = record(action, source_room="attic", target_room="kitchen")
+        report = apply(house2, r, TABLE)
+        assert (report.status, report.reason) == (ApplyStatus.REJECTED, "no room labeled 'attic'")
+    assert serialize(house2) == before
 
 
 def test_replay_reproduces_apply_effects_exactly(house2):
@@ -212,6 +242,18 @@ def test_replay_checks_each_logged_find(house2):
     find.args["resolved"] = "plate-1"
     with pytest.raises(ReplayMismatch, match="plate-1"):
         replay(pristine, report.executed)
+
+
+def test_replay_rejects_a_find_that_became_ambiguous(house2):
+    put(house2, "kitchen", "cup", (1, 1, 1))
+    crowded = house2.copy()
+    put(crowded, "kitchen", "cup", (3, 3, 1))
+    report = apply(house2, record(UpdateAction.REMOVED, source_room="kitchen"), TABLE)
+    assert report.executed[0].args["resolved"] == "cup-1"
+    before = serialize(crowded)
+    with pytest.raises(ReplayMismatch, match="2 attached 'cup' in room 'kitchen'"):
+        replay(crowded, report.executed)
+    assert serialize(crowded) == before
 
 
 @pytest.mark.parametrize("op", ["teleport", "find", "copy", "_link"])
