@@ -87,10 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_graph(path: str):
     try:
         return deserialize(Path(path).read_text("utf-8"))
-    except FileNotFoundError:
-        print(f"error: graph file not found: {path}", file=sys.stderr)
-        raise SystemExit(2)
-    except ParseError as exc:
+    except (OSError, ParseError, ValueError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .graph import SceneGraph, _norm_label
+from .graph import SceneGraph, _norm_label, _number
 
 __all__ = [
     "ClockSkew",
@@ -29,7 +29,7 @@ __all__ = [
     "half_probability_time",
 ]
 
-_SECONDS_PER_HOUR = 3600.0
+_UNIT_SCALES = {"1/hour": 1.0 / 3600.0, "1/second": 1.0}
 
 
 class ClockSkew(ValueError):
@@ -76,24 +76,29 @@ class DecayTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecayTable":
+        """The table a JSON document describes; errors name the bad key or label."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a decay table must be a JSON object, got {data!r}")
         # Shipped tables use per-hour numbers for readability; node fields
         # are per-second, so convert at load time.
         units = data.get("units", "1/second")
-        if units == "1/hour":
-            scale = 1.0 / _SECONDS_PER_HOUR
-        elif units == "1/second":
-            scale = 1.0
-        else:
+        scale = _UNIT_SCALES.get(units) if isinstance(units, str) else None
+        if scale is None:
             raise ValueError(f"unsupported decay-table units {units!r}")
-        return cls(
-            default_rate=float(data["default"]) * scale,
-            anchors={k: float(v) * scale for k, v in data.get("anchors", {}).items()},
-        )
+        anchors = data.get("anchors", {})
+        if not isinstance(anchors, dict):
+            raise ValueError(f"anchors must be an object, got {anchors!r}")
 
-    @classmethod
-    def load(cls, path) -> "DecayTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        def rate(value, where: str) -> float:
+            number = _number(value, where)
+            if number < 0.0:
+                raise ValueError(f"{where} must be >= 0, got {value!r}")
+            return number * scale
+
+        return cls(
+            default_rate=rate(data.get("default"), "default"),
+            anchors={k: rate(v, f"anchors[{k!r}]") for k, v in anchors.items()},
+        )
 
     @classmethod
     def default(cls) -> "DecayTable":

@@ -99,6 +99,26 @@ def _norm_label(label: str) -> str:
     return " ".join(str(label).strip().lower().split())
 
 
+def _number(value, where: str) -> float:
+    """``float(value)`` when it is finite; errors name ``where``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{where} must be finite, got {value!r}")
+    return number
+
+
+def _text(value, where: str) -> str:
+    """``value`` when it is a string; errors name ``where``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 def _room_box(room: "RoomNode") -> tuple:
     """``(cx, cy, cz, hx, hy, hz, volume, id)``: what ``assign_room`` tests."""
     return (*room.pose.t, *room.bbox.half_sizes_xyz(), room.bbox.volume, room.id)
@@ -621,7 +641,7 @@ def graph_from_payload(data: dict) -> SceneGraph:
         epoch = float(data.get("epoch", 0.0))
         if not math.isfinite(epoch):
             raise ValueError(f"must be finite, got {epoch}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"epoch: {exc}") from exc
     graph = SceneGraph(epoch=epoch)
     for i, entry in enumerate(_require_list(data, "rooms")):
@@ -636,7 +656,7 @@ def graph_from_payload(data: dict) -> SceneGraph:
                 bbox=BBox3(tuple(_require(entry, "bbox", where))),
             )
             graph.add_room(room)
-        except (ValueError, DuplicateRoomLabel, TypeError, KeyError) as exc:
+        except (ValueError, OverflowError, DuplicateRoomLabel, TypeError, KeyError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
     for i, entry in enumerate(_require_list(data, "objects")):
         where = f"objects[{i}]"
@@ -648,12 +668,12 @@ def graph_from_payload(data: dict) -> SceneGraph:
                 label=str(_require(entry, "label", where)),
                 pose=Pose.from_dict(_require(entry, "pose", where)),
                 bbox=BBox3(tuple(_require(entry, "bbox", where))),
-                decay_rate=float(_require(entry, "decay_rate", where)),
-                last_seen=float(_require(entry, "last_seen", where)),
+                decay_rate=_require(entry, "decay_rate", where),
+                last_seen=_require(entry, "last_seen", where),
                 attached=bool(entry.get("attached", True)),
                 pose_provisional=bool(entry.get("pose_provisional", False)),
             )
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, OverflowError, TypeError, KeyError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
         if node.id in graph.objects:
             raise ParseError(f"{where}: duplicate object id {node.id!r}")

@@ -24,10 +24,10 @@ from pathlib import Path
 from typing import Optional
 
 from . import records as rec
-from .action import PickPlaceTask, TaskSpec, UnparsableTask, parse_task
+from .action import PickPlaceTask, TaskSpec, parse_task
 from .decay import DecayTable, StaleReport, stale_targets
 from .geometry import BBox3, Pose
-from .graph import NoContainingRoom, ParseError, SceneGraph, deserialize
+from .graph import NoContainingRoom, ParseError, SceneGraph, _number, _text, deserialize
 from .human import GrammarExtractor, Lexicon, to_record, Confidence
 from .perception import (
     CameraModel,
@@ -128,15 +128,13 @@ def _section(data: dict, key: str) -> dict:
     return value
 
 
-def _number(value, where: str) -> float:
-    """``float(value)`` when it is finite; errors name ``where``."""
+def _reading(where: str, read, *args):
+    """``read(*args)``; an error it raises is raised again naming ``where``."""
     try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ValueError(f"{where} must be finite, got {value!r}")
-    return number
+        return read(*args)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{where}: {what}") from exc
 
 
 def _entries(data: dict, key: str, read) -> list:
@@ -148,141 +146,21 @@ def _entries(data: dict, key: str, read) -> list:
     for i, entry in enumerate(value):
         if not isinstance(entry, dict):
             raise ValueError(f"{key}[{i}] must be an object, got {entry!r}")
-        try:
-            out.append(read(entry))
-        except (KeyError, TypeError, ValueError) as exc:
-            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"{key}[{i}]: {what}") from exc
+        out.append(_reading(f"{key}[{i}]", read, entry))
     return out
 
 
-def _scripted_record(house: SceneGraph, entry: dict) -> rec.UpdateRecord:
-    """One ``virtual_actions`` entry as the update record the world applies.
-
-    A move's target room is the room holding its ``to_pose``, None outside
-    every room; rooms never change after load, so this is the room the
-    move lands in when applied.
-    """
-    at, kind, label = _number(entry["at"], "at"), entry["action"], entry["label"]
-    if kind == "remove":
-        return rec.UpdateRecord(
-            rec.UpdateAction.REMOVED, label, source_room=entry["room"], issued_at=at
-        )
-    if kind == "move":
-        pose = Pose.from_dict(entry["to_pose"])
-        return rec.UpdateRecord(
-            rec.UpdateAction.MOVED,
-            label,
-            source_room=entry["from_room"],
-            target_room=_landing_room(house, pose),
-            pose=pose,
-            issued_at=at,
-        )
-    if kind == "add":
-        return rec.UpdateRecord(
-            rec.UpdateAction.ADDED,
-            label,
-            target_room=entry["room"],
-            pose=Pose.from_dict(entry["pose"]),
-            bbox=BBox3(tuple(entry["bbox"])),
-            issued_at=at,
-        )
-    raise ValueError(f"unknown action {kind!r}")
-
-
-def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
-    """Load and validate a scenario file. Raises :class:`ScenarioError`."""
-    path = Path(path)
+def _input_file(data: dict, key: str, base: Path, parse, default=None):
+    """``parse`` of the file named under ``key`` (relative to ``base``), or ``default()`` if absent."""
+    name = data.get(key)
+    if name is None and default is not None:
+        return default()
+    if not isinstance(name, str):
+        raise ValueError(f"{key} must be a path, got {name!r}")
     try:
-        data = json.loads(path.read_text("utf-8"))
-    except FileNotFoundError as exc:
-        raise ScenarioError(f"scenario file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: a scenario must be a JSON object")
-    base = path.parent
-
-    def sibling(key: str, name) -> Path:
-        if not isinstance(name, str):
-            raise ValueError(f"{key} must be a path, got {name!r}")
-        p = Path(name)
-        return p if p.is_absolute() else base / p
-
-    def graph_file(key: str, name) -> SceneGraph:
-        try:
-            return deserialize(sibling(key, name).read_text("utf-8"))
-        except ParseError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-
-    try:
-        data = _apply_overrides(data, overrides)
-        house = graph_file("house", data["house"])
-        initial_ref = data.get("initial_graph", "from_house")
-        initial = house if initial_ref == "from_house" else graph_file("initial_graph", initial_ref)
-        table_ref = data.get("decay_table")
-        decay_table = (
-            DecayTable.load(sibling("decay_table", table_ref)) if table_ref else DecayTable.default()
-        )
-        lex_ref = data.get("lexicon")
-        lexicon = Lexicon.load(sibling("lexicon", lex_ref)) if lex_ref else Lexicon.default()
-        script = _entries(data, "virtual_actions", lambda e: _scripted_record(house, e))
-        statements = _entries(
-            data, "human_statements", lambda s: (_number(s["at"], "at"), str(s["text"]))
-        )
-        mission = None
-        if data.get("mission"):
-            m = _section(data, "mission")
-            try:
-                spec = parse_task(str(m["mission"]))
-            except UnparsableTask as exc:
-                raise ValueError(f"mission.mission: {exc}") from exc
-            mission = Mission(
-                spec=spec,
-                pick_time=_number(m["pick_time"], "mission.pick_time"),
-                place_time=_number(m["place_time"], "mission.place_time"),
-                place_pose=Pose.from_dict(m["place_pose"]),
-            )
-        trajectory = _entries(
-            data, "trajectory", lambda w: (_number(w["at"], "at"), Pose.from_dict(w["pose"]))
-        )
-        pcfg = _section(data, "perception")
-        rng = pcfg.get("range", [0.2, 4.0])
-        if not isinstance(rng, (list, tuple)) or len(rng) != 2:
-            raise ValueError(f"perception.range must be [min, max], got {rng!r}")
-        camera = CameraModel(
-            fov_h=_number(pcfg.get("fov_h", 2.2), "perception.fov_h"),
-            fov_v=_number(pcfg.get("fov_v", 1.7), "perception.fov_v"),
-            min_range=_number(rng[0], "perception.range"),
-            max_range=_number(rng[1], "perception.range"),
-        )
-        epsilon = _number(pcfg.get("epsilon", 0.25), "perception.epsilon")
-        k = pcfg.get("k", 2)
-        if type(k) is not int:
-            raise ValueError(f"perception.k must be an integer, got {k!r}")
-        failures = DetectorFailureConfig.from_dict(_section(data, "failures"))
-        scenario = Scenario(
-            path=path,
-            house=house,
-            initial=initial,
-            decay_table=decay_table,
-            lexicon=lexicon,
-            virtual_actions=script,
-            human_statements=statements,
-            mission=mission,
-            trajectory=trajectory,
-            camera=camera,
-            epsilon=epsilon,
-            k=k,
-            failures=failures,
-            stale_threshold=_number(data.get("stale_threshold", 0.5), "stale_threshold"),
-        )
-    except (KeyError, TypeError, ValueError, OSError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ScenarioError(f"{path}: " + "; ".join(problems))
-    return scenario
+        return parse((base / name).read_text("utf-8"))
+    except (OSError, ValueError, ParseError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _landing_room(house: SceneGraph, pose: Pose) -> Optional[str]:
@@ -293,47 +171,160 @@ def _landing_room(house: SceneGraph, pose: Pose) -> Optional[str]:
         return None
 
 
-def validate_scenario(scenario: Scenario) -> list[str]:
-    """Static consistency checks, empty when the scenario is runnable."""
-    problems = []
-    if scenario.k < 1:
-        problems.append("perception.k must be >= 1")
-    if scenario.epsilon <= 0:
-        problems.append("perception.epsilon must be positive")
-    if not (0.0 < scenario.stale_threshold < 1.0):
-        problems.append("stale_threshold must lie strictly between 0 and 1")
-    times = [t for t, _ in scenario.trajectory]
-    if times != sorted(times):
-        problems.append("trajectory timestamps must be non-decreasing")
-    house = scenario.house
-    room_labels = {r.label for r in house.rooms.values()}
-    for record in scenario.virtual_actions:
-        at, added = record.issued_at, record.action is rec.UpdateAction.ADDED
-        room = record.target_room if added else record.source_room  # the room the file names
-        if room not in room_labels:
-            problems.append(f"virtual action at t={at} names unknown room {room!r}")
-        if record.action is rec.UpdateAction.MOVED and record.target_room is None:
-            problems.append(
-                f"virtual move at t={at}: to_pose {record.pose.t} is outside every room"
-            )
-        if added and _landing_room(house, record.pose) != room:
-            problems.append(
-                f"virtual add at t={at}: pose {record.pose.t} does not land in room {room!r}"
-            )
-    if scenario.mission:
-        spec = scenario.mission.spec
-        if spec.source_room not in room_labels or spec.target_room not in room_labels:
-            problems.append("mission names a room absent from the house")
-        else:
-            place = scenario.mission.place_pose
-            if _landing_room(house, place) != spec.target_room:
-                problems.append(
-                    f"mission.place_pose {place.t} does not land in the target room"
-                    f" {spec.target_room!r}"
-                )
-        if scenario.mission.pick_time >= scenario.mission.place_time:
-            problems.append("mission pick_time must precede place_time")
-    return problems
+def _scripted_record(house: SceneGraph, rooms: set[str], entry: dict) -> rec.UpdateRecord:
+    """One ``virtual_actions`` entry as the update record the world applies.
+
+    Each room it names is one of the house's ``rooms``. A move's target room is
+    the room holding its ``to_pose``: rooms never change after load.
+    """
+    at, kind, label = _number(entry["at"], "at"), entry["action"], _text(entry["label"], "label")
+
+    def room(key: str) -> str:
+        name = _text(entry[key], key)
+        if name not in rooms:
+            raise ValueError(f"virtual action at t={at} names unknown room {name!r}")
+        return name
+
+    if kind == "remove":
+        return rec.UpdateRecord(
+            rec.UpdateAction.REMOVED, label, source_room=room("room"), issued_at=at
+        )
+    if kind == "move":
+        source, pose = room("from_room"), Pose.from_dict(entry["to_pose"])
+        target = _landing_room(house, pose)
+        if target is None:
+            raise ValueError(f"virtual move at t={at}: to_pose {pose.t} is outside every room")
+        return rec.UpdateRecord(
+            rec.UpdateAction.MOVED,
+            label,
+            source_room=source,
+            target_room=target,
+            pose=pose,
+            issued_at=at,
+        )
+    if kind == "add":
+        target, pose = room("room"), Pose.from_dict(entry["pose"])
+        if _landing_room(house, pose) != target:
+            raise ValueError(f"virtual add at t={at}: pose {pose.t} does not land in room {target!r}")
+        return rec.UpdateRecord(
+            rec.UpdateAction.ADDED,
+            label,
+            target_room=target,
+            pose=pose,
+            bbox=BBox3(tuple(entry["bbox"])),
+            issued_at=at,
+        )
+    raise ValueError(f"unknown action {kind!r}")
+
+
+def _mission(house: SceneGraph, rooms: set[str], m: dict) -> Mission:
+    """The ``mission`` section, between rooms of the house, placing into its target room."""
+    spec = _reading("mission.mission", parse_task, _text(m.get("mission"), "mission.mission"))
+    if spec.source_room not in rooms or spec.target_room not in rooms:
+        raise ValueError("mission names a room absent from the house")
+    pick_time = _number(m.get("pick_time"), "mission.pick_time")
+    place_time = _number(m.get("place_time"), "mission.place_time")
+    if pick_time >= place_time:
+        raise ValueError("mission pick_time must precede place_time")
+    place = _reading("mission.place_pose", Pose.from_dict, m.get("place_pose"))
+    if _landing_room(house, place) != spec.target_room:
+        raise ValueError(
+            f"mission.place_pose {place.t} does not land in the target room {spec.target_room!r}"
+        )
+    return Mission(spec=spec, pick_time=pick_time, place_time=place_time, place_pose=place)
+
+
+def _trajectory(data: dict, initial: SceneGraph, initial_key: str) -> list[tuple[float, Pose]]:
+    """The camera waypoints, in time order and none before an attached movable object's
+    ``last_seen`` in ``initial``, which each frame's staleness sweep subtracts from the frame."""
+    seen = (n.last_seen for n in initial.objects.values() if n.attached and n.decay_rate > 0.0)
+    last_seen = max(seen, default=-math.inf)
+    floor = (last_seen, f"the last_seen {last_seen} of an object in {initial_key}")
+
+    def frame(w: dict) -> tuple[float, Pose]:
+        nonlocal floor
+        at = _number(w["at"], "at")
+        if at < floor[0]:
+            raise ValueError(f"at {at} precedes {floor[1]}")
+        floor = (at, f"the frame before it, at {at}")
+        return at, Pose.from_dict(w["pose"])
+
+    return _entries(data, "trajectory", frame)
+
+
+def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
+    """Load a scenario file, checking each value where it is read.
+
+    Raises :class:`ScenarioError` naming the first bad key or entry.
+    """
+    path = Path(path)
+    base = path.parent
+    try:
+        data = json.loads(path.read_text("utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("a scenario must be a JSON object")
+        data = _apply_overrides(data, overrides)
+        house = _input_file(data, "house", base, deserialize)
+        rooms = {r.label for r in house.rooms.values()}
+        from_house = data.get("initial_graph", "from_house") == "from_house"
+        initial = house if from_house else _input_file(data, "initial_graph", base, deserialize)
+        decay_table = _input_file(
+            data, "decay_table", base, lambda t: DecayTable.from_dict(json.loads(t)), DecayTable.default
+        )
+        lexicon = _input_file(
+            data, "lexicon", base, lambda t: Lexicon.from_dict(json.loads(t)), Lexicon.default
+        )
+        script = _entries(data, "virtual_actions", lambda e: _scripted_record(house, rooms, e))
+        statements = _entries(
+            data, "human_statements", lambda s: (_number(s["at"], "at"), _text(s["text"], "text"))
+        )
+        m = data.get("mission")
+        mission = None if m is None else _mission(house, rooms, _section(data, "mission"))
+        trajectory = _trajectory(data, initial, "house" if from_house else "initial_graph")
+        pcfg = _section(data, "perception")
+        rng = pcfg.get("range", [0.2, 4.0])
+        if not isinstance(rng, (list, tuple)) or len(rng) != 2:
+            raise ValueError(f"perception.range must be [min, max], got {rng!r}")
+        camera = _reading(
+            "perception",
+            CameraModel,
+            _number(pcfg.get("fov_h", 2.2), "perception.fov_h"),
+            _number(pcfg.get("fov_v", 1.7), "perception.fov_v"),
+            _number(rng[0], "perception.range"),
+            _number(rng[1], "perception.range"),
+        )
+        epsilon = _number(pcfg.get("epsilon", 0.25), "perception.epsilon")
+        if epsilon <= 0.0:
+            raise ValueError("perception.epsilon must be positive")
+        k = pcfg.get("k", 2)
+        if type(k) is not int or k < 1:
+            raise ValueError(f"perception.k must be an integer >= 1, got {k!r}")
+        failures = DetectorFailureConfig.from_dict(_section(data, "failures"))
+        stale_threshold = _number(data.get("stale_threshold", 0.5), "stale_threshold")
+        if not (0.0 < stale_threshold < 1.0):
+            raise ValueError("stale_threshold must lie strictly between 0 and 1")
+    except FileNotFoundError as exc:  # the scenario file: every other file is read by _input_file
+        raise ScenarioError(f"scenario file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from exc
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+    return Scenario(
+        path=path,
+        house=house,
+        initial=initial,
+        decay_table=decay_table,
+        lexicon=lexicon,
+        virtual_actions=script,
+        human_statements=statements,
+        mission=mission,
+        trajectory=trajectory,
+        camera=camera,
+        epsilon=epsilon,
+        k=k,
+        failures=failures,
+        stale_threshold=stale_threshold,
+    )
 
 
 # ----------------------------------------------------------------------

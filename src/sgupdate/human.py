@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
 from typing import Optional
 
-from .graph import _norm_label
+from .graph import _norm_label, _text
 from .records import Provenance, UpdateAction, UpdateRecord
 
 __all__ = [
@@ -50,24 +50,18 @@ class Lexicon:
     supports: list[str]
 
     def __post_init__(self) -> None:
-        for name in ("verbs_removed", "verbs_moved", "verbs_added", "rooms", "objects", "supports"):
-            setattr(self, name, [_norm_label(v) for v in getattr(self, name)])
+        for name in (f.name for f in fields(self)):
+            words = getattr(self, name)
+            if not isinstance(words, list):
+                raise ValueError(f"{name} must be a list of strings, got {words!r}")
+            setattr(self, name, [_norm_label(_text(w, f"{name}[{i}]")) for i, w in enumerate(words)])
 
     @classmethod
     def from_dict(cls, data: dict) -> "Lexicon":
-        return cls(
-            verbs_removed=list(data.get("verbs_removed", [])),
-            verbs_moved=list(data.get("verbs_moved", [])),
-            verbs_added=list(data.get("verbs_added", [])),
-            rooms=list(data.get("rooms", [])),
-            objects=list(data.get("objects", [])),
-            supports=list(data.get("supports", [])),
-        )
-
-    @classmethod
-    def load(cls, path) -> "Lexicon":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The word lists of a JSON document; errors name the bad list or word."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a lexicon must be a JSON object, got {data!r}")
+        return cls(**{f.name: data.get(f.name, []) for f in fields(cls)})
 
     @classmethod
     def default(cls) -> "Lexicon":

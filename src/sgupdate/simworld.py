@@ -13,7 +13,6 @@ per-object dropout) so detector pathologies are reproducible.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
@@ -21,7 +20,7 @@ from typing import Optional, Sequence
 from . import records as rec
 from .decay import DecayTable
 from .geometry import Pose
-from .graph import SceneGraph, SceneGraphError, deserialize
+from .graph import SceneGraph, SceneGraphError, _number, _text, deserialize
 from .perception import CameraModel, Observation, expected_visible
 
 __all__ = [
@@ -48,23 +47,16 @@ class DetectorFailureConfig:
     def from_dict(cls, data: dict) -> "DetectorFailureConfig":
         """The knobs of a scenario's ``failures`` section."""
         noise, ids = data.get("label_noise", {}), data.get("dropout_ids", [])
-        extent = data.get("min_detectable_extent", 0.0)
-        try:
-            extent = float(extent)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"failures.min_detectable_extent must be a number, got {extent!r}"
-            ) from None
-        if not math.isfinite(extent):
-            raise ValueError(f"failures.min_detectable_extent must be finite, got {extent!r}")
         if not isinstance(noise, dict):
             raise ValueError(f"failures.label_noise must be an object, got {noise!r}")
         if not isinstance(ids, list):
             raise ValueError(f"failures.dropout_ids must be a list, got {ids!r}")
         return cls(
-            min_detectable_extent=extent,
-            label_noise=dict(noise),
-            dropout_ids=frozenset(ids),
+            min_detectable_extent=_number(
+                data.get("min_detectable_extent", 0.0), "failures.min_detectable_extent"
+            ),
+            label_noise={k: _text(v, f"failures.label_noise[{k!r}]") for k, v in noise.items()},
+            dropout_ids=frozenset(_text(v, f"failures.dropout_ids[{i}]") for i, v in enumerate(ids)),
         )
 
 

@@ -64,6 +64,46 @@ def test_run_rejects_a_non_finite_setting(setting, key, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_a_frame_before_the_last_observation(tmp_path, capsys):
+    frames = json.loads(Path(SCENARIO).read_text("utf-8"))["trajectory"]
+    frames[0]["at"] = -1
+    out = tmp_path / "out"
+    assert main(["run", SCENARIO, "--set", f"trajectory={json.dumps(frames)}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "trajectory[0]: at -1.0 precedes the last_seen 0.0" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_run_rejects_a_400_digit_setting(capsys):
+    assert main(["run", SCENARIO, "--set", "stale_threshold=1" + "0" * 400]) == 2
+    assert "stale_threshold must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, where",
+    [
+        (("epoch",), "epoch: "),
+        (("objects", 0, "pose", "t", 0), "objects[0]: "),
+        (("objects", 0, "decay_rate"), "objects[0]: "),
+    ],
+    ids=["epoch", "pose", "decay-rate"],
+)
+def test_a_400_digit_graph_number_exits_2(path, where, tmp_path, capsys):
+    payload = json.loads(serialize(load_house()))
+    *parents, last = path
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[last] = 10**400  # valid JSON, too large for a float
+    bad = tmp_path / "house.json"
+    bad.write_text(json.dumps(payload), "utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["query", str(bad)])
+    assert err.value.code == 2 and where in capsys.readouterr().err
+    assert main(["run", SCENARIO, "--set", f"house={bad}"]) == 2
+    assert f"house: {where}" in capsys.readouterr().err
+
+
 def test_run_accepts_dotted_overrides(tmp_path, capsys):
     code = main(
         ["run", SCENARIO, "--set", "failures.min_detectable_extent=0.16", "--out", str(tmp_path)]

@@ -123,6 +123,103 @@ def test_load_scenario_names_the_graph_file_that_does_not_parse(key, tmp_path):
         load_scenario(SCENARIO, overrides={key: str(bad)})
 
 
+def scripted(i, **fields):
+    """The packaged scenario's ``virtual_actions`` with ``fields`` set on entry ``i``."""
+    entries = json.loads(SCENARIO.read_text("utf-8"))["virtual_actions"]
+    entries[i].update(fields)
+    return entries
+
+
+BIG = 10**400  # valid JSON, too large for a float
+
+
+@pytest.mark.parametrize(
+    "key, value, names",
+    [
+        pytest.param(
+            "virtual_actions", scripted(0, room=[1, 2]),
+            "virtual_actions[0]: room must be a string, got [1, 2]", id="list-room",
+        ),
+        pytest.param(
+            "virtual_actions", scripted(0, label=-1),
+            "virtual_actions[0]: label must be a string, got -1", id="number-label",
+        ),
+        pytest.param("stale_threshold", BIG, "stale_threshold must be finite", id="big-threshold"),
+        pytest.param(
+            "virtual_actions", scripted(1, to_pose={"q": [1, 0, 0, 0], "t": [BIG, 0, 0]}),
+            "virtual_actions[1]: int too large to convert to float", id="big-pose",
+        ),
+        pytest.param(
+            "trajectory", entries_at("trajectory", 0, -1),
+            "trajectory[0]: at -1.0 precedes the last_seen 0.0 of an object in house",
+            id="frame-before-house",
+        ),
+        pytest.param(
+            "trajectory", entries_at("trajectory", 1, 14),
+            "trajectory[1]: at 14.0 precedes the frame before it, at 15.0", id="frames-out-of-order",
+        ),
+    ],
+)
+def test_load_scenario_names_the_entry_of_a_bad_value(key, value, names):
+    with pytest.raises(ScenarioError, match=re.escape(names)):
+        load_scenario(SCENARIO, overrides={key: value})
+
+
+def test_a_frame_before_an_initial_graph_observation_names_that_graph(tmp_path):
+    house = json.loads(resources.files("sgupdate.data").joinpath("house.json").read_text("utf-8"))
+    banana = next(o for o in house["objects"] if o["label"] == "banana")
+    banana["last_seen"] = 15.5
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps(house), "utf-8")
+    names = "trajectory[0]: at 15.0 precedes the last_seen 15.5 of an object in initial_graph"
+    with pytest.raises(ScenarioError, match=re.escape(names)):
+        load_scenario(SCENARIO, overrides={"initial_graph": str(initial)})
+
+
+BAD_FILES = [
+    # (id, key, file text, expected message)
+    ("nan-default", "decay_table", '{"default": NaN}', "decay_table: default must be finite, got nan"),
+    ("negative-default", "decay_table", '{"default": -1}', "decay_table: default must be >= 0, got -1"),
+    (
+        "infinite-anchor",
+        "decay_table",
+        '{"default": 1, "anchors": {"cup": Infinity}}',
+        "decay_table: anchors['cup'] must be finite, got inf",
+    ),
+    (
+        "text-anchors",
+        "decay_table",
+        '{"default": 1, "anchors": "abc"}',
+        "decay_table: anchors must be an object, got 'abc'",
+    ),
+    ("no-default", "decay_table", '{"anchors": {}}', "decay_table: default must be a number, got None"),
+    ("table-not-json", "decay_table", "{", "decay_table: Expecting property name"),
+    ("lexicon-list", "lexicon", "[1, 2]", "lexicon: a lexicon must be a JSON object, got [1, 2]"),
+    (
+        "text-rooms",
+        "lexicon",
+        '{"rooms": "kitchen"}',
+        "lexicon: rooms must be a list of strings, got 'kitchen'",
+    ),
+    ("number-word", "lexicon", '{"objects": ["cup", 5]}', "lexicon: objects[1] must be a string, got 5"),
+    ("lexicon-not-json", "lexicon", "[", "lexicon: Expecting value"),
+]
+
+
+@pytest.mark.parametrize("key, text, names", [f[1:] for f in BAD_FILES], ids=[f[0] for f in BAD_FILES])
+def test_load_scenario_names_a_bad_decay_table_or_lexicon(key, text, names, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, "utf-8")
+    with pytest.raises(ScenarioError, match=re.escape(names)):
+        load_scenario(SCENARIO, overrides={key: str(bad)})
+
+
+@pytest.mark.parametrize("key", ["decay_table", "lexicon"])
+def test_load_scenario_names_a_missing_decay_table_or_lexicon(key, tmp_path):
+    with pytest.raises(ScenarioError, match=f"{key}: .*No such file"):
+        load_scenario(SCENARIO, overrides={key: str(tmp_path / "missing.json")})
+
+
 def test_load_scenario_rejects_unknown_action_room():
     with pytest.raises(ScenarioError, match="unknown room"):
         load_scenario(
