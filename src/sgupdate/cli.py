@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .decay import stale_targets
+from .decay import DecayTable, stale_targets
 from .graph import ParseError, UnknownRoom, _norm_label, deserialize, serialize
 from .harness import (
     ScenarioError,
@@ -25,7 +25,7 @@ from .harness import (
     load_scenario,
     run_scenario,
 )
-from .human import Confidence, parse_statement, to_record
+from .human import Confidence, GrammarExtractor, to_record
 from .records import apply as apply_record
 from .simworld import InconsistentAction
 
@@ -177,6 +177,7 @@ def _cmd_stale(args) -> int:
 
 def _cmd_repl(args) -> int:
     graph = _load_graph(args.graph)
+    extract, table = GrammarExtractor(), DecayTable.default()
     print("enter update sentences (blank line or EOF to finish):")
     clock = graph.epoch
     while True:
@@ -186,12 +187,12 @@ def _cmd_repl(args) -> int:
             break
         if not line:
             break
-        parse = parse_statement(line)
+        parse = extract(line)
         if parse.confidence is Confidence.FAILED:
             print("  could not understand that sentence")
             continue
         clock += 1.0
-        report = apply_record(graph, to_record(parse, now=clock))
+        report = apply_record(graph, to_record(parse, now=clock), table)
         print(f"  {report.status.value}" + (f": {report.reason}" if report.reason else ""))
     if args.save:
         try:

@@ -22,6 +22,13 @@ class InvalidGeometry(ValueError):
     """A quaternion is not unit norm or a box extent is not positive."""
 
 
+def _array(value, what: str):
+    """``value`` when it is a JSON array (a list or tuple); errors name ``what``."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidGeometry(f"{what} must be an array, got {value!r}")
+    return value
+
+
 def _float3(values: Sequence[float], what: str) -> tuple[float, float, float]:
     vals = tuple(map(float, values))
     if len(vals) != 3:
@@ -56,7 +63,7 @@ class Pose:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Pose":
-        return cls(tuple(data["q"]), tuple(data["t"]))
+        return cls(_array(data["q"], "quaternion"), _array(data["t"], "translation"))
 
     def to_dict(self) -> dict:
         return {"q": list(self.q), "t": list(self.t)}

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import BBox3, InvalidGeometry, Pose, poses_close
+from .geometry import BBox3, InvalidGeometry, Pose, _array, poses_close
 
 __all__ = [
     "SceneGraphError",
@@ -100,11 +100,11 @@ def _norm_label(label: str) -> str:
 
 
 def _number(value, where: str) -> float:
-    """``float(value)`` when it is finite; errors name ``where``."""
+    """``float(value)`` when ``value`` is a finite int or float; errors name ``where``."""
+    if type(value) not in (int, float):  # neither a bool nor a numeric string is a number
+        raise ValueError(f"{where} must be a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} must be a number, got {value!r}") from None
     except OverflowError:  # an integer too large for a float
         number = math.inf
     if not math.isfinite(number):
@@ -116,6 +116,13 @@ def _text(value, where: str) -> str:
     """``value`` when it is a string; errors name ``where``."""
     if not isinstance(value, str):
         raise ValueError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _flag(value, where: str) -> bool:
+    """``value`` when it is a boolean; errors name ``where``."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{where} must be true or false, got {value!r}")
     return value
 
 
@@ -154,12 +161,8 @@ class ObjectNode:
 
     def __post_init__(self) -> None:
         self.label = _norm_label(self.label)
-        self.decay_rate = float(self.decay_rate)
-        self.last_seen = float(self.last_seen)
-        if not math.isfinite(self.decay_rate) or not math.isfinite(self.last_seen):
-            raise InvalidGeometry(
-                f"decay_rate and last_seen must be finite, got {self.decay_rate}, {self.last_seen}"
-            )
+        self.decay_rate = _number(self.decay_rate, "decay_rate")
+        self.last_seen = _number(self.last_seen, "last_seen")
         if self.decay_rate < 0.0:
             raise InvalidGeometry(f"decay_rate must be >= 0, got {self.decay_rate}")
 
@@ -306,7 +309,10 @@ class SceneGraph:
         self._members[room_id].add(oid)
         x, y, z = t
         x0, y0, z0, x1, y1, z1 = self._boxes.get(room_id, (x, y, z, x, y, z))
-        self._boxes[room_id] = (min(x0, x), min(y0, y), min(z0, z), max(x1, x), max(y1, y), max(z1, z))
+        self._boxes[room_id] = (
+            x if x < x0 else x0, y if y < y0 else y0, z if z < z0 else z0,
+            x if x > x1 else x1, y if y > y1 else y1, z if z > z1 else z1,
+        )
 
     def _unlink(self, oid: str) -> None:
         """Drop the belongs-to edge; the room's box keeps its size."""
@@ -327,8 +333,6 @@ class SceneGraph:
     ) -> str:
         """Create an attached object in the room labeled ``target_room``."""
         room = self.room_by_label(target_room)
-        if float(decay_rate) < 0.0:
-            raise InvalidGeometry(f"decay_rate must be >= 0, got {decay_rate}")
         oid = self._next_id(label)
         node = ObjectNode(
             id=oid,
@@ -447,10 +451,6 @@ class SceneGraph:
 
 def check_invariants(graph: SceneGraph) -> list[str]:
     """Structural and index invariant violations, empty when the graph is healthy."""
-    return _structure_problems(graph) + _index_problems(graph)
-
-
-def _structure_problems(graph: SceneGraph) -> list[str]:
     problems: list[str] = []
     labels = [r.label for r in graph.rooms.values()]
     if len(labels) != len(set(labels)):
@@ -471,11 +471,6 @@ def _structure_problems(graph: SceneGraph) -> list[str]:
     for oid, node in graph.objects.items():
         if node.decay_rate < 0.0:
             problems.append(f"object {oid!r} has negative decay_rate")
-    return problems
-
-
-def _index_problems(graph: SceneGraph) -> list[str]:
-    problems: list[str] = []
     if graph._room_ids != {room.label: rid for rid, room in graph.rooms.items()}:
         problems.append("room label index does not match the rooms")
     if graph._room_boxes != [_room_box(room) for room in graph.rooms.values()]:
@@ -491,7 +486,7 @@ def _index_problems(graph: SceneGraph) -> list[str]:
             problems.append(f"room member index does not file {oid!r} under {rid!r}")
         node, box = graph.objects.get(oid), boxes.get(rid)
         if node is None:
-            continue  # a belongs_to/attached mismatch, reported by _structure_problems
+            continue  # a belongs_to/attached mismatch, reported above
         x, y, z = node.pose.t
         if box is None or not (box[0] <= x <= box[3] and box[1] <= y <= box[4] and box[2] <= z <= box[5]):
             problems.append(f"member box of room {rid!r} does not contain object {oid!r}")
@@ -621,100 +616,98 @@ def serialize(graph: SceneGraph) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _require(data: dict, key: str, where: str):
+def _require(data: dict, key: str, kind: type, expected: str):
+    """``data[key]`` when it is a ``kind``; errors name ``key``."""
     if key not in data:
-        raise ParseError(f"{where}: missing required key {key!r}")
+        raise ParseError(f"document root: missing required key {key!r}")
+    if not isinstance(data[key], kind):
+        raise ParseError(f"{key}: expected {expected}")
     return data[key]
 
 
-def _require_list(data: dict, key: str) -> list:
-    value = _require(data, key, "document root")
-    if not isinstance(value, list):
-        raise ParseError(f"{key}: expected a list")
-    return value
-
-
 def graph_from_payload(data: dict) -> SceneGraph:
+    """The graph a document describes, read in one pass through the checks and
+    index upkeep the primitives use; errors are :class:`ParseError` naming the
+    bad key or entry."""
     if not isinstance(data, dict):
         raise ParseError("document root: expected a JSON object")
     try:
-        epoch = float(data.get("epoch", 0.0))
-        if not math.isfinite(epoch):
-            raise ValueError(f"must be finite, got {epoch}")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"epoch: {exc}") from exc
-    graph = SceneGraph(epoch=epoch)
-    for i, entry in enumerate(_require_list(data, "rooms")):
+        graph = SceneGraph(epoch=_number(data.get("epoch", 0.0), "epoch:"))  # "epoch: must be ..."
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    for i, entry in enumerate(_require(data, "rooms", list, "a list")):
         where = f"rooms[{i}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: expected a JSON object")
         try:
             room = RoomNode(
-                id=str(_require(entry, "id", where)),
-                label=str(_require(entry, "label", where)),
-                pose=Pose.from_dict(_require(entry, "pose", where)),
-                bbox=BBox3(tuple(_require(entry, "bbox", where))),
+                id=_text(entry["id"], "id"),
+                label=_text(entry["label"], "label"),
+                pose=Pose.from_dict(entry["pose"]),
+                bbox=BBox3(_array(entry["bbox"], "bbox")),
             )
             graph.add_room(room)
-        except (ValueError, OverflowError, DuplicateRoomLabel, TypeError, KeyError) as exc:
+        except KeyError as exc:
+            raise ParseError(f"{where}: missing required key {exc}") from exc
+        except (ValueError, OverflowError, DuplicateRoomLabel, TypeError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
-    for i, entry in enumerate(_require_list(data, "objects")):
+    attached = 0
+    for i, entry in enumerate(_require(data, "objects", list, "a list")):
         where = f"objects[{i}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: expected a JSON object")
         try:
             node = ObjectNode(
-                id=str(_require(entry, "id", where)),
-                label=str(_require(entry, "label", where)),
-                pose=Pose.from_dict(_require(entry, "pose", where)),
-                bbox=BBox3(tuple(_require(entry, "bbox", where))),
-                decay_rate=_require(entry, "decay_rate", where),
-                last_seen=_require(entry, "last_seen", where),
-                attached=bool(entry.get("attached", True)),
-                pose_provisional=bool(entry.get("pose_provisional", False)),
+                id=_text(entry["id"], "id"),
+                label=_text(entry["label"], "label"),
+                pose=Pose.from_dict(entry["pose"]),
+                bbox=BBox3(_array(entry["bbox"], "bbox")),
+                decay_rate=entry["decay_rate"],
+                last_seen=entry["last_seen"],
+                attached=_flag(entry.get("attached", True), "attached"),
+                pose_provisional=_flag(entry.get("pose_provisional", False), "pose_provisional"),
             )
-        except (ValueError, OverflowError, TypeError, KeyError) as exc:
+        except KeyError as exc:
+            raise ParseError(f"{where}: missing required key {exc}") from exc
+        except (ValueError, OverflowError, TypeError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
         if node.id in graph.objects:
             raise ParseError(f"{where}: duplicate object id {node.id!r}")
         graph.objects[node.id] = node
-    belongs = _require(data, "belongs_to", "document root")
-    if not isinstance(belongs, dict):
-        raise ParseError("belongs_to: expected an object-id to room-id mapping")
-    points: dict[str, list[tuple[float, float, float]]] = {}
+        attached += node.attached
+    belongs = _require(data, "belongs_to", dict, "an object-id to room-id mapping")
     for oid, rid in belongs.items():
-        if oid not in graph.objects:
+        node = graph.objects.get(oid)
+        if node is None:
             raise ParseError(f"belongs_to[{oid!r}]: unknown object id")
         if not isinstance(rid, str) or rid not in graph.rooms:
             raise ParseError(f"belongs_to[{oid!r}]: unknown room id {rid!r}")
-        graph.belongs_to[oid] = rid
-        graph._members[rid].add(oid)
-        points.setdefault(rid, []).append(graph.objects[oid].pose.t)
-    for rid, ts in points.items():
-        xs, ys, zs = zip(*ts)
-        graph._boxes[rid] = (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
-    for i, pair in enumerate(_require_list(data, "access")):
+        if node.attached:
+            graph._link(oid, rid, node.pose.t)
+    # Keys are unique: every key was linked, so names an attached object, and
+    # there are as many as attached objects, so every attached object has one.
+    if not len(graph.belongs_to) == len(belongs) == attached:
+        raise ParseError(
+            "document violates graph invariants: "
+            "belongs_to keys do not exactly match attached object ids"
+        )
+    for i, pair in enumerate(_require(data, "access", list, "a list")):
         where = f"access[{i}]"
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError(f"{where}: expected a two-element room-id pair")
         try:
-            graph.add_access(str(pair[0]), str(pair[1]))
-        except SceneGraphError as exc:
+            graph.add_access(_text(pair[0], "room id"), _text(pair[1], "room id"))
+        except (SceneGraphError, ValueError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
-    # The indexes were built from the document just read, so only its
-    # structure can be wrong.
-    problems = _structure_problems(graph)
-    if problems:
-        raise ParseError(f"document violates graph invariants: {problems[0]}")
     return graph
 
 
 def deserialize(data: bytes | str) -> SceneGraph:
     """Parse graph bytes/text; raises :class:`ParseError` with a location."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        payload = json.loads(data)
+        payload = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"offset {exc.pos}: {exc.msg}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer of over 4,300 digits
+        raise ParseError(str(exc)) from exc
     return graph_from_payload(payload)

@@ -26,9 +26,9 @@ from typing import Optional
 from . import records as rec
 from .action import PickPlaceTask, TaskSpec, parse_task
 from .decay import DecayTable, StaleReport, stale_targets
-from .geometry import BBox3, Pose
+from .geometry import BBox3, Pose, _array
 from .graph import NoContainingRoom, ParseError, SceneGraph, _number, _text, deserialize
-from .human import GrammarExtractor, Lexicon, to_record, Confidence
+from .human import Confidence, GrammarExtractor, Lexicon, StatementParse, to_record
 from .perception import (
     CameraModel,
     ConfirmationStore,
@@ -95,9 +95,8 @@ class Scenario:
     house: SceneGraph
     initial: SceneGraph
     decay_table: DecayTable
-    lexicon: Lexicon
     virtual_actions: list[rec.UpdateRecord]  # the script, in file order
-    human_statements: list[tuple[float, str]]
+    human_statements: list[tuple[float, StatementParse]]  # parsed with the scenario's lexicon
     mission: Optional[Mission]
     trajectory: list[tuple[float, Pose]]
     camera: CameraModel
@@ -175,7 +174,8 @@ def _scripted_record(house: SceneGraph, rooms: set[str], entry: dict) -> rec.Upd
     """One ``virtual_actions`` entry as the update record the world applies.
 
     Each room it names is one of the house's ``rooms``. A move's target room is
-    the room holding its ``to_pose``: rooms never change after load.
+    the room holding its ``to_pose``: rooms never change after load. The record
+    passes ``records.validate``, the check ``apply`` makes first.
     """
     at, kind, label = _number(entry["at"], "at"), entry["action"], _text(entry["label"], "label")
 
@@ -186,35 +186,27 @@ def _scripted_record(house: SceneGraph, rooms: set[str], entry: dict) -> rec.Upd
         return name
 
     if kind == "remove":
-        return rec.UpdateRecord(
-            rec.UpdateAction.REMOVED, label, source_room=room("room"), issued_at=at
-        )
-    if kind == "move":
+        action, fields = rec.UpdateAction.REMOVED, {"source_room": room("room")}
+    elif kind == "move":
         source, pose = room("from_room"), Pose.from_dict(entry["to_pose"])
         target = _landing_room(house, pose)
         if target is None:
             raise ValueError(f"virtual move at t={at}: to_pose {pose.t} is outside every room")
-        return rec.UpdateRecord(
-            rec.UpdateAction.MOVED,
-            label,
-            source_room=source,
-            target_room=target,
-            pose=pose,
-            issued_at=at,
-        )
-    if kind == "add":
+        action = rec.UpdateAction.MOVED
+        fields = {"source_room": source, "target_room": target, "pose": pose}
+    elif kind == "add":
         target, pose = room("room"), Pose.from_dict(entry["pose"])
         if _landing_room(house, pose) != target:
             raise ValueError(f"virtual add at t={at}: pose {pose.t} does not land in room {target!r}")
-        return rec.UpdateRecord(
-            rec.UpdateAction.ADDED,
-            label,
-            target_room=target,
-            pose=pose,
-            bbox=BBox3(tuple(entry["bbox"])),
-            issued_at=at,
-        )
-    raise ValueError(f"unknown action {kind!r}")
+        bbox = BBox3(_array(entry["bbox"], "bbox"))
+        action, fields = rec.UpdateAction.ADDED, {"target_room": target, "pose": pose, "bbox": bbox}
+    else:
+        raise ValueError(f"unknown action {kind!r}")
+    record = rec.UpdateRecord(action, label, issued_at=at, **fields)
+    problems = rec.validate(record)
+    if problems:
+        raise ValueError("validation: " + ", ".join(problems))
+    return record
 
 
 def _mission(house: SceneGraph, rooms: set[str], m: dict) -> Mission:
@@ -253,7 +245,8 @@ def _trajectory(data: dict, initial: SceneGraph, initial_key: str) -> list[tuple
 
 
 def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
-    """Load a scenario file, checking each value where it is read.
+    """Load a scenario file, checking each value where it is read and parsing
+    each human statement once, with the scenario's lexicon.
 
     Raises :class:`ScenarioError` naming the first bad key or entry.
     """
@@ -274,9 +267,12 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         lexicon = _input_file(
             data, "lexicon", base, lambda t: Lexicon.from_dict(json.loads(t)), Lexicon.default
         )
+        extract = GrammarExtractor(lexicon)
         script = _entries(data, "virtual_actions", lambda e: _scripted_record(house, rooms, e))
         statements = _entries(
-            data, "human_statements", lambda s: (_number(s["at"], "at"), _text(s["text"], "text"))
+            data,
+            "human_statements",
+            lambda s: (_number(s["at"], "at"), extract(_text(s["text"], "text"))),
         )
         m = data.get("mission")
         mission = None if m is None else _mission(house, rooms, _section(data, "mission"))
@@ -314,7 +310,6 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         house=house,
         initial=initial,
         decay_table=decay_table,
-        lexicon=lexicon,
         virtual_actions=script,
         human_statements=statements,
         mission=mission,
@@ -413,11 +408,8 @@ def derive_ground_truth(scenario: Scenario) -> list[GroundTruthChange]:
     move belongs to Action; everything else must be noticed by the detector
     (RGB-D).
     """
-    extractor = GrammarExtractor(scenario.lexicon)
-    statements = [extractor(text) for _, text in scenario.human_statements]
-
     def stated(action: rec.UpdateAction, label: str, room: Optional[str]) -> bool:
-        for parse in statements:
+        for _, parse in scenario.human_statements:
             if parse.confidence is Confidence.FAILED:
                 continue
             if parse.action is action and parse.target_object == label:
@@ -596,7 +588,6 @@ def run_scenario(
     graph = scenario.initial.copy()
     log = RunLog()
     store = ConfirmationStore()
-    extract = GrammarExtractor(scenario.lexicon)
 
     # The mission runs on the estimate and, as the robot's real manipulation, on the truth.
     task: Optional[PickPlaceTask] = None
@@ -606,8 +597,8 @@ def run_scenario(
         task, truth_task = PickPlaceTask(spec=spec), PickPlaceTask(spec=spec)
 
     events: list[tuple[float, int, int, str, object]] = []
-    for i, (at, text) in enumerate(scenario.human_statements):
-        events.append((at, 1, i, "statement", text))
+    for i, (at, parse) in enumerate(scenario.human_statements):
+        events.append((at, 1, i, "statement", parse))
     if scenario.mission:
         events.append((scenario.mission.pick_time, 2, 0, "pick", None))
         events.append((scenario.mission.place_time, 3, 0, "place", None))
@@ -620,9 +611,9 @@ def run_scenario(
         world.step(at)
 
         if kind == "statement":
-            parse = extract(payload)
+            parse: StatementParse = payload
             if parse.confidence is Confidence.FAILED:
-                log.parse_failures.append({"at": at, "text": payload})
+                log.parse_failures.append({"at": at, "text": parse.text})
                 continue
             record = to_record(parse, now=at)
             report = rec.apply(graph, record, scenario.decay_table)

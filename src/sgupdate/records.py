@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Optional
 
 from . import decay as _decay
-from .geometry import BBox3, InvalidGeometry, Pose
+from .geometry import BBox3, Pose
 from .graph import SceneGraph, SceneGraphError, UnknownRoom
 
 __all__ = [
@@ -292,7 +292,7 @@ def apply(
 
     try:
         result = execute(graph, call)
-    except (SceneGraphError, InvalidGeometry) as exc:
+    except (SceneGraphError, ValueError) as exc:  # ValueError: a field ObjectNode or Pose refuses
         return ApplyReport(status=ApplyStatus.REJECTED, reason=str(exc), record=record)
     if record.action is UpdateAction.ADDED:
         return ApplyReport(

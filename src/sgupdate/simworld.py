@@ -92,10 +92,7 @@ class World:
         applied = []
         while self._cursor < len(self._queue) and self._queue[self._cursor].issued_at <= until:
             record = self._queue[self._cursor]
-            try:
-                report = rec.apply(self.graph, record, self.decay_table)
-            except SceneGraphError as exc:
-                raise InconsistentAction(f"t={record.issued_at}: {exc}") from exc
+            report = rec.apply(self.graph, record, self.decay_table)
             if report.status is not rec.ApplyStatus.APPLIED:
                 raise InconsistentAction(f"t={record.issued_at}: {report.reason}")
             self._cursor += 1

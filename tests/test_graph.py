@@ -329,6 +329,26 @@ def test_deserialize_reports_location_of_bad_object():
         pytest.param(("epoch",), "dawn", r"epoch", id="epoch"),
         pytest.param(("epoch",), float("nan"), r"^epoch: must be finite", id="epoch-nan"),
         pytest.param(("epoch",), float("inf"), r"^epoch: must be finite", id="epoch-inf"),
+        pytest.param(("epoch",), True, r"^epoch: must be a number, got True", id="epoch-bool"),
+        pytest.param(
+            ("objects", 0, "decay_rate"), True, r"^objects\[0\]: decay_rate must be a number",
+            id="decay-bool",
+        ),
+        pytest.param(
+            ("objects", 0, "last_seen"), "4", r"^objects\[0\]: last_seen must be a number",
+            id="seen-numeral",
+        ),
+        pytest.param(
+            ("objects", 0, "pose", "t"), "123", r"^objects\[0\]: translation must be an array",
+            id="t-numerals",
+        ),
+        pytest.param(
+            ("rooms", 0, "pose", "q"), "1000", r"^rooms\[0\]: quaternion must be an array",
+            id="q-numerals",
+        ),
+        pytest.param(
+            ("objects", 0, "bbox"), "111", r"^objects\[0\]: bbox must be an array", id="bbox-numerals"
+        ),
     ],
 )
 def test_deserialize_reports_location_of_bad_number(path, value, where):
@@ -344,6 +364,20 @@ def test_deserialize_reports_location_of_bad_number(path, value, where):
         pytest.param(("access",), "kitchen", r"^access: expected a list", id="access"),
         pytest.param(("rooms", 0), 5, r"^rooms\[0\]: expected a JSON object", id="room-entry"),
         pytest.param(("objects", 0), "x", r"^objects\[0\]: expected a JSON object", id="object-entry"),
+        pytest.param(
+            ("objects", 0, "label"), None, r"^objects\[0\]: label must be a string", id="null-label"
+        ),
+        pytest.param(("rooms", 0, "label"), 5, r"^rooms\[0\]: label must be a string", id="number-label"),
+        pytest.param(("rooms", 1, "id"), None, r"^rooms\[1\]: id must be a string", id="null-room-id"),
+        pytest.param(
+            ("objects", 0, "attached"), "x", r"^objects\[0\]: attached must be true or false",
+            id="text-flag",
+        ),
+        pytest.param(
+            ("objects", 0, "pose_provisional"), 0,
+            r"^objects\[0\]: pose_provisional must be true or false", id="number-flag",
+        ),
+        pytest.param(("access", 0, 1), 5, r"^access\[0\]: room id must be a string", id="number-access"),
     ],
 )
 def test_deserialize_reports_location_of_wrong_shape(path, value, where):
@@ -385,6 +419,20 @@ def test_deserialize_rejects_invariant_violations():
     del payload["belongs_to"]["cup-1"]  # attached object with no home room
     with pytest.raises(ParseError, match="invariants"):
         deserialize(json.dumps(payload))
+
+
+def test_deserialize_rejects_an_edge_to_a_detached_object():
+    g = two_room_graph()
+    g.detach(put(g, "kitchen", "cup", (1, 1, 1)))
+    payload = json.loads(serialize(g))
+    payload["belongs_to"]["cup-1"] = "kitchen"
+    with pytest.raises(ParseError, match="^document violates graph invariants: belongs_to keys"):
+        deserialize(json.dumps(payload))
+
+
+def test_deserialize_refuses_an_integer_too_long_for_python():
+    with pytest.raises(ParseError, match="4300 digits"):
+        deserialize('{"epoch": ' + "1" * 5000 + "}")
 
 
 def test_graphs_equal_ignore_last_seen_mode(house2):

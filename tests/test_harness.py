@@ -158,6 +158,26 @@ BIG = 10**400  # valid JSON, too large for a float
             "trajectory", entries_at("trajectory", 1, 14),
             "trajectory[1]: at 14.0 precedes the frame before it, at 15.0", id="frames-out-of-order",
         ),
+        pytest.param(
+            "virtual_actions", scripted(0, label=""),
+            "virtual_actions[0]: validation: MissingTargetObject", id="blank-label",
+        ),
+        pytest.param(
+            "virtual_actions", entries_at("virtual_actions", 0, True),
+            "virtual_actions[0]: at must be a number, got True", id="bool-at",
+        ),
+        pytest.param(
+            "human_statements", entries_at("human_statements", 0, "4"),
+            "human_statements[0]: at must be a number, got '4'", id="numeral-at",
+        ),
+        pytest.param(
+            "virtual_actions", scripted(1, to_pose={"q": [1, 0, 0, 0], "t": "123"}),
+            "virtual_actions[1]: translation must be an array, got '123'", id="numeral-pose",
+        ),
+        pytest.param(
+            "virtual_actions", scripted(2, bbox="111"),
+            "virtual_actions[2]: bbox must be an array, got '111'", id="numeral-bbox",
+        ),
     ],
 )
 def test_load_scenario_names_the_entry_of_a_bad_value(key, value, names):

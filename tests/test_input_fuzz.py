@@ -1,4 +1,4 @@
-"""Bad input exits 2 on any input: one hostile value at one place in a packaged input.
+"""Bad input exits 2 on any input: one hostile value at one place in an input.
 
 Each example copies the packaged scenario, house graph, decay table and
 lexicon into a temporary directory, puts one value from a fixed hostile set
@@ -12,6 +12,12 @@ something else, because they are reported where a reference breaks:
   that entry (``virtual_actions[0]: ... names unknown room 'kitchen'``);
 - a scripted change that does not fit the simulated world when its time
   comes names that time (``error: t=4.0: no attached 'x' in room ...``).
+
+The graph loader is also fuzzed on its own, on a small graph document with a
+repeated label and a detached object. One hostile value at one path, or one
+of the document's own ids, labels or flags at the path of another, must
+either raise ``ParseError`` or load as a graph whose invariants hold, whose
+bytes round-trip, and which keeps every node and edge of the document.
 """
 import contextlib
 import copy
@@ -26,6 +32,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgupdate.cli import main
+from sgupdate.graph import ParseError, check_invariants, deserialize, serialize
+
+from conftest import put, two_room_graph
 
 DATA = resources.files("sgupdate.data")
 # Packaged file of each input, and the name each is written under. The
@@ -113,3 +122,56 @@ def test_one_hostile_value_in_an_input_file_exits_0_or_2(doc_key, data):
 def test_one_hostile_set_string_exits_0_or_2(key, value):
     code, err = run(DOCS, "--set", f"{key}={json.dumps(value)}")
     check(code, err, (key.split(".")[0],))
+
+
+def small_graph_document() -> dict:
+    """Two rooms, two cups in the kitchen (a repeated label) and a detached book."""
+    g = two_room_graph()
+    put(g, "kitchen", "cup", (1, 1, 1))
+    put(g, "kitchen", "cup", (3, 3, 1), pose_provisional=True)
+    g.detach(put(g, "living room", "book", (7, 2, 1)))
+    return json.loads(serialize(g))
+
+
+def skeleton(doc) -> tuple:
+    """A graph document's node ids and edges."""
+    ids = [sorted(node["id"] for node in doc[key]) for key in ("rooms", "objects")]
+    return (*ids, doc["belongs_to"], doc["access"])
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+GRAPH_DOC = small_graph_document()
+GRAPH_PATHS = list(paths(GRAPH_DOC))
+# Paths of ids, labels, flags and edges, and the values found there: put in
+# the wrong place, they make duplicate ids and labels, self-loops and edges
+# to detached objects.
+NAME_PATHS = [p for p in GRAPH_PATHS if isinstance(value_at(GRAPH_DOC, p), (str, bool))]
+NAMES = sorted({value_at(GRAPH_DOC, p) for p in NAME_PATHS}, key=repr)
+
+
+@pytest.mark.parametrize(
+    "where, values",
+    [(GRAPH_PATHS, [*HOSTILE, "123"]), (NAME_PATHS, NAMES)],
+    ids=["hostile-value", "misplaced-name"],
+)
+@settings(derandomize=True, max_examples=2000, deadline=None, database=None)  # every pair, in both
+@given(data=st.data())
+def test_one_bad_value_in_a_graph_document_loads_a_sound_graph_or_raises_parse_error(
+    where, values, data
+):
+    path = data.draw(st.sampled_from(where), label="path")
+    value = data.draw(st.sampled_from(values), label="value")
+    doc = with_value(GRAPH_DOC, path, value)
+    try:
+        graph = deserialize(json.dumps(doc))
+    except ParseError:
+        return
+    assert check_invariants(graph) == []
+    blob = serialize(graph)
+    assert serialize(deserialize(blob)) == blob
+    assert skeleton(json.loads(blob)) == skeleton(doc)  # no node or edge dropped
