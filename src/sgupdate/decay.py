@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .graph import SceneGraph, _norm_label, _number
+from .graph import SceneGraph, _norm_label
+from .values import number, obj, text
 
 __all__ = [
     "ClockSkew",
@@ -72,28 +73,25 @@ class DecayTable:
     anchors: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.anchors = {_norm_label(k): float(v) for k, v in self.anchors.items()}
+        self.anchors = {_norm_label(k): v for k, v in self.anchors.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecayTable":
         """The table a JSON document describes; errors name the bad key or label."""
-        if not isinstance(data, dict):
-            raise ValueError(f"a decay table must be a JSON object, got {data!r}")
+        data = obj(data, "a decay table")
         # Shipped tables use per-hour numbers for readability; node fields
         # are per-second, so convert at load time.
-        units = data.get("units", "1/second")
-        scale = _UNIT_SCALES.get(units) if isinstance(units, str) else None
+        units = text(data.get("units", "1/second"), "units")
+        scale = _UNIT_SCALES.get(units)
         if scale is None:
             raise ValueError(f"unsupported decay-table units {units!r}")
-        anchors = data.get("anchors", {})
-        if not isinstance(anchors, dict):
-            raise ValueError(f"anchors must be an object, got {anchors!r}")
+        anchors = obj(data.get("anchors", {}), "anchors")
 
         def rate(value, where: str) -> float:
-            number = _number(value, where)
-            if number < 0.0:
+            per_unit = number(value, where)
+            if per_unit < 0.0:
                 raise ValueError(f"{where} must be >= 0, got {value!r}")
-            return number * scale
+            return per_unit * scale
 
         return cls(
             default_rate=rate(data.get("default"), "default"),

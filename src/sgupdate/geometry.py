@@ -15,27 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .values import floats, obj
+
 QUAT_NORM_TOL = 1e-9
 
 
 class InvalidGeometry(ValueError):
     """A quaternion is not unit norm or a box extent is not positive."""
-
-
-def _array(value, what: str):
-    """``value`` when it is a JSON array (a list or tuple); errors name ``what``."""
-    if not isinstance(value, (list, tuple)):
-        raise InvalidGeometry(f"{what} must be an array, got {value!r}")
-    return value
-
-
-def _float3(values: Sequence[float], what: str) -> tuple[float, float, float]:
-    vals = tuple(map(float, values))
-    if len(vals) != 3:
-        raise InvalidGeometry(f"{what} must have exactly 3 components, got {len(vals)}")
-    if not all(map(math.isfinite, vals)):
-        raise InvalidGeometry(f"{what} must be finite, got {vals}")
-    return vals  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -46,24 +32,28 @@ class Pose:
     t: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        q = tuple(map(float, self.q))
-        if len(q) != 4 or not all(map(math.isfinite, q)):
-            raise InvalidGeometry(f"quaternion must be 4 finite components, got {self.q!r}")
+        try:
+            q = floats(self.q, "quaternion", 4)
+            t = floats(self.t, "translation", 3)
+        except ValueError as exc:
+            raise InvalidGeometry(str(exc)) from None
         w, x, y, z = q
         # Keep sum(): Python >= 3.12 adds floats with compensation, chained + would not.
         norm = math.sqrt(sum((w * w, x * x, y * y, z * z)))
         if abs(norm - 1.0) > QUAT_NORM_TOL:
             raise InvalidGeometry(f"quaternion norm {norm!r} deviates from 1 beyond {QUAT_NORM_TOL}")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "t", _float3(self.t, "translation"))
+        object.__setattr__(self, "t", t)
 
     @classmethod
     def identity(cls, t: Sequence[float] = (0.0, 0.0, 0.0)) -> "Pose":
         return cls((1.0, 0.0, 0.0, 0.0), tuple(t))  # type: ignore[arg-type]
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Pose":
-        return cls(_array(data["q"], "quaternion"), _array(data["t"], "translation"))
+    def from_dict(cls, data: dict, where: str = "pose") -> "Pose":
+        """The pose of a JSON object ``{"q": [...], "t": [...]}`` read at ``where``."""
+        data = obj(data, where)
+        return cls(data["q"], data["t"])
 
     def to_dict(self) -> dict:
         return {"q": list(self.q), "t": list(self.t)}
@@ -76,7 +66,10 @@ class BBox3:
     extents: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        ext = _float3(self.extents, "extents")
+        try:
+            ext = floats(self.extents, "bbox", 3)
+        except ValueError as exc:
+            raise InvalidGeometry(str(exc)) from None
         w, h, d = ext
         if not (w > 0.0 and h > 0.0 and d > 0.0):
             raise InvalidGeometry(f"extents must be strictly positive, got {ext}")

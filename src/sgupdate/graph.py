@@ -30,11 +30,11 @@ graphs share; :func:`check_invariants` verifies the indexes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import BBox3, InvalidGeometry, Pose, _array, poses_close
+from .geometry import BBox3, InvalidGeometry, Pose, poses_close
+from .values import array, entries, flag, number, obj, text, texts
 
 __all__ = [
     "SceneGraphError",
@@ -96,34 +96,7 @@ class ParseError(SceneGraphError):
 
 
 def _norm_label(label: str) -> str:
-    return " ".join(str(label).strip().lower().split())
-
-
-def _number(value, where: str) -> float:
-    """``float(value)`` when ``value`` is a finite int or float; errors name ``where``."""
-    if type(value) not in (int, float):  # neither a bool nor a numeric string is a number
-        raise ValueError(f"{where} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer too large for a float
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"{where} must be finite, got {value!r}")
-    return number
-
-
-def _text(value, where: str) -> str:
-    """``value`` when it is a string; errors name ``where``."""
-    if not isinstance(value, str):
-        raise ValueError(f"{where} must be a string, got {value!r}")
-    return value
-
-
-def _flag(value, where: str) -> bool:
-    """``value`` when it is a boolean; errors name ``where``."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{where} must be true or false, got {value!r}")
-    return value
+    return " ".join(label.strip().lower().split())
 
 
 def _room_box(room: "RoomNode") -> tuple:
@@ -161,8 +134,8 @@ class ObjectNode:
 
     def __post_init__(self) -> None:
         self.label = _norm_label(self.label)
-        self.decay_rate = _number(self.decay_rate, "decay_rate")
-        self.last_seen = _number(self.last_seen, "last_seen")
+        self.decay_rate = number(self.decay_rate, "decay_rate")
+        self.last_seen = number(self.last_seen, "last_seen")
         if self.decay_rate < 0.0:
             raise InvalidGeometry(f"decay_rate must be >= 0, got {self.decay_rate}")
 
@@ -218,7 +191,7 @@ class SceneGraph:
         if room_a not in self.rooms or room_b not in self.rooms:
             raise UnknownRoom(f"access edge references unknown room: {room_a!r}/{room_b!r}")
         if room_a == room_b:
-            raise SceneGraphError("access edges must connect two distinct rooms")
+            raise SceneGraphError(f"access edge ({room_a!r}, {room_b!r}) must connect two distinct rooms")
         self.access.add((min(room_a, room_b), max(room_a, room_b)))
 
     def room_by_label(self, label: str) -> RoomNode:
@@ -616,89 +589,65 @@ def serialize(graph: SceneGraph) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _require(data: dict, key: str, kind: type, expected: str):
-    """``data[key]`` when it is a ``kind``; errors name ``key``."""
-    if key not in data:
-        raise ParseError(f"document root: missing required key {key!r}")
-    if not isinstance(data[key], kind):
-        raise ParseError(f"{key}: expected {expected}")
-    return data[key]
-
-
 def graph_from_payload(data: dict) -> SceneGraph:
     """The graph a document describes, read in one pass through the checks and
     index upkeep the primitives use; errors are :class:`ParseError` naming the
     bad key or entry."""
-    if not isinstance(data, dict):
-        raise ParseError("document root: expected a JSON object")
     try:
-        graph = SceneGraph(epoch=_number(data.get("epoch", 0.0), "epoch:"))  # "epoch: must be ..."
-    except ValueError as exc:
+        return _read_graph(obj(data, "a graph document"))
+    except (ValueError, SceneGraphError) as exc:
         raise ParseError(str(exc)) from exc
-    for i, entry in enumerate(_require(data, "rooms", list, "a list")):
-        where = f"rooms[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: expected a JSON object")
-        try:
-            room = RoomNode(
-                id=_text(entry["id"], "id"),
-                label=_text(entry["label"], "label"),
-                pose=Pose.from_dict(entry["pose"]),
-                bbox=BBox3(_array(entry["bbox"], "bbox")),
-            )
-            graph.add_room(room)
-        except KeyError as exc:
-            raise ParseError(f"{where}: missing required key {exc}") from exc
-        except (ValueError, OverflowError, DuplicateRoomLabel, TypeError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-    attached = 0
-    for i, entry in enumerate(_require(data, "objects", list, "a list")):
-        where = f"objects[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: expected a JSON object")
-        try:
-            node = ObjectNode(
-                id=_text(entry["id"], "id"),
-                label=_text(entry["label"], "label"),
-                pose=Pose.from_dict(entry["pose"]),
-                bbox=BBox3(_array(entry["bbox"], "bbox")),
-                decay_rate=entry["decay_rate"],
-                last_seen=entry["last_seen"],
-                attached=_flag(entry.get("attached", True), "attached"),
-                pose_provisional=_flag(entry.get("pose_provisional", False), "pose_provisional"),
-            )
-        except KeyError as exc:
-            raise ParseError(f"{where}: missing required key {exc}") from exc
-        except (ValueError, OverflowError, TypeError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+
+
+def _read_graph(data: dict) -> SceneGraph:
+    """:func:`graph_from_payload`, raising the errors it turns into ParseError."""
+    graph = SceneGraph(epoch=number(data.get("epoch", 0.0), "epoch"))
+
+    def read_room(entry: dict) -> None:
+        room = RoomNode(
+            id=text(entry["id"], "id"),
+            label=text(entry["label"], "label"),
+            pose=Pose.from_dict(entry["pose"]),
+            bbox=BBox3(entry["bbox"]),
+        )
+        graph.add_room(room)
+
+    def read_object(entry: dict) -> ObjectNode:
+        node = ObjectNode(
+            id=text(entry["id"], "id"),
+            label=text(entry["label"], "label"),
+            pose=Pose.from_dict(entry["pose"]),
+            bbox=BBox3(entry["bbox"]),
+            decay_rate=entry["decay_rate"],
+            last_seen=entry["last_seen"],
+            attached=flag(entry.get("attached", True), "attached"),
+            pose_provisional=flag(entry.get("pose_provisional", False), "pose_provisional"),
+        )
         if node.id in graph.objects:
-            raise ParseError(f"{where}: duplicate object id {node.id!r}")
+            raise ValueError(f"duplicate object id {node.id!r}")
         graph.objects[node.id] = node
-        attached += node.attached
-    belongs = _require(data, "belongs_to", dict, "an object-id to room-id mapping")
+        return node
+
+    entries(data.get("rooms"), "rooms", read_room)
+    attached = sum(n.attached for n in entries(data.get("objects"), "objects", read_object))
+    belongs = obj(data.get("belongs_to"), "belongs_to")
     for oid, rid in belongs.items():
         node = graph.objects.get(oid)
         if node is None:
-            raise ParseError(f"belongs_to[{oid!r}]: unknown object id")
-        if not isinstance(rid, str) or rid not in graph.rooms:
-            raise ParseError(f"belongs_to[{oid!r}]: unknown room id {rid!r}")
+            raise ValueError(f"belongs_to[{oid!r}]: unknown object id")
+        if rid.__hash__ is None or rid not in graph.rooms:  # an array or object is unhashable
+            raise ValueError(f"belongs_to[{oid!r}]: unknown room id {rid!r}")
         if node.attached:
             graph._link(oid, rid, node.pose.t)
     # Keys are unique: every key was linked, so names an attached object, and
     # there are as many as attached objects, so every attached object has one.
     if not len(graph.belongs_to) == len(belongs) == attached:
-        raise ParseError(
+        raise ValueError(
             "document violates graph invariants: "
             "belongs_to keys do not exactly match attached object ids"
         )
-    for i, pair in enumerate(_require(data, "access", list, "a list")):
-        where = f"access[{i}]"
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ParseError(f"{where}: expected a two-element room-id pair")
-        try:
-            graph.add_access(_text(pair[0], "room id"), _text(pair[1], "room id"))
-        except (SceneGraphError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+    for i, pair in enumerate(array(data.get("access"), "access")):
+        graph.add_access(*texts(pair, f"access[{i}]", 2))
     return graph
 
 

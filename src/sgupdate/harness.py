@@ -26,8 +26,8 @@ from typing import Optional
 from . import records as rec
 from .action import PickPlaceTask, TaskSpec, parse_task
 from .decay import DecayTable, StaleReport, stale_targets
-from .geometry import BBox3, Pose, _array
-from .graph import NoContainingRoom, ParseError, SceneGraph, _number, _text, deserialize
+from .geometry import BBox3, Pose
+from .graph import NoContainingRoom, ParseError, SceneGraph, deserialize
 from .human import Confidence, GrammarExtractor, Lexicon, StatementParse, to_record
 from .perception import (
     CameraModel,
@@ -37,6 +37,7 @@ from .perception import (
     expected_visible,
 )
 from .simworld import DetectorFailureConfig, InconsistentAction, World
+from .values import entries, floats, number, obj, text, within
 
 __all__ = [
     "ScenarioError",
@@ -112,41 +113,9 @@ def _apply_overrides(data: dict, overrides: Optional[dict]) -> dict:
         *parents, leaf = key.split(".")
         cursor = data
         for part in parents:
-            cursor = cursor.setdefault(part, {})
-            if not isinstance(cursor, dict):
-                raise ValueError(f"override {key!r}: {part!r} is not an object")
+            cursor = obj(cursor.setdefault(part, {}), f"override {key!r}: {part!r}")
         cursor[leaf] = value
     return data
-
-
-def _section(data: dict, key: str) -> dict:
-    """The object stored under ``key`` (empty when absent)."""
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must be an object, got {value!r}")
-    return value
-
-
-def _reading(where: str, read, *args):
-    """``read(*args)``; an error it raises is raised again naming ``where``."""
-    try:
-        return read(*args)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"{where}: {what}") from exc
-
-
-def _entries(data: dict, key: str, read) -> list:
-    """``read`` applied to each object in the list under ``key``; errors name the entry."""
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise ValueError(f"{key} must be a list, got {value!r}")
-    out = []
-    for i, entry in enumerate(value):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{key}[{i}] must be an object, got {entry!r}")
-        out.append(_reading(f"{key}[{i}]", read, entry))
-    return out
 
 
 def _input_file(data: dict, key: str, base: Path, parse, default=None):
@@ -154,10 +123,9 @@ def _input_file(data: dict, key: str, base: Path, parse, default=None):
     name = data.get(key)
     if name is None and default is not None:
         return default()
-    if not isinstance(name, str):
-        raise ValueError(f"{key} must be a path, got {name!r}")
+    path = base / text(name, key)
     try:
-        return parse((base / name).read_text("utf-8"))
+        return parse(path.read_text("utf-8"))
     except (OSError, ValueError, ParseError) as exc:
         raise ValueError(f"{key}: {exc}") from exc
 
@@ -177,10 +145,10 @@ def _scripted_record(house: SceneGraph, rooms: set[str], entry: dict) -> rec.Upd
     the room holding its ``to_pose``: rooms never change after load. The record
     passes ``records.validate``, the check ``apply`` makes first.
     """
-    at, kind, label = _number(entry["at"], "at"), entry["action"], _text(entry["label"], "label")
+    at, kind, label = number(entry["at"], "at"), entry["action"], text(entry["label"], "label")
 
     def room(key: str) -> str:
-        name = _text(entry[key], key)
+        name = text(entry[key], key)
         if name not in rooms:
             raise ValueError(f"virtual action at t={at} names unknown room {name!r}")
         return name
@@ -188,7 +156,7 @@ def _scripted_record(house: SceneGraph, rooms: set[str], entry: dict) -> rec.Upd
     if kind == "remove":
         action, fields = rec.UpdateAction.REMOVED, {"source_room": room("room")}
     elif kind == "move":
-        source, pose = room("from_room"), Pose.from_dict(entry["to_pose"])
+        source, pose = room("from_room"), Pose.from_dict(entry["to_pose"], "to_pose")
         target = _landing_room(house, pose)
         if target is None:
             raise ValueError(f"virtual move at t={at}: to_pose {pose.t} is outside every room")
@@ -198,7 +166,7 @@ def _scripted_record(house: SceneGraph, rooms: set[str], entry: dict) -> rec.Upd
         target, pose = room("room"), Pose.from_dict(entry["pose"])
         if _landing_room(house, pose) != target:
             raise ValueError(f"virtual add at t={at}: pose {pose.t} does not land in room {target!r}")
-        bbox = BBox3(_array(entry["bbox"], "bbox"))
+        bbox = BBox3(entry["bbox"])
         action, fields = rec.UpdateAction.ADDED, {"target_room": target, "pose": pose, "bbox": bbox}
     else:
         raise ValueError(f"unknown action {kind!r}")
@@ -211,14 +179,14 @@ def _scripted_record(house: SceneGraph, rooms: set[str], entry: dict) -> rec.Upd
 
 def _mission(house: SceneGraph, rooms: set[str], m: dict) -> Mission:
     """The ``mission`` section, between rooms of the house, placing into its target room."""
-    spec = _reading("mission.mission", parse_task, _text(m.get("mission"), "mission.mission"))
+    spec = within("mission.mission", parse_task, text(m.get("mission"), "mission.mission"))
     if spec.source_room not in rooms or spec.target_room not in rooms:
         raise ValueError("mission names a room absent from the house")
-    pick_time = _number(m.get("pick_time"), "mission.pick_time")
-    place_time = _number(m.get("place_time"), "mission.place_time")
+    pick_time = number(m.get("pick_time"), "mission.pick_time")
+    place_time = number(m.get("place_time"), "mission.place_time")
     if pick_time >= place_time:
         raise ValueError("mission pick_time must precede place_time")
-    place = _reading("mission.place_pose", Pose.from_dict, m.get("place_pose"))
+    place = within("mission.place_pose", Pose.from_dict, m.get("place_pose"))
     if _landing_room(house, place) != spec.target_room:
         raise ValueError(
             f"mission.place_pose {place.t} does not land in the target room {spec.target_room!r}"
@@ -235,13 +203,13 @@ def _trajectory(data: dict, initial: SceneGraph, initial_key: str) -> list[tuple
 
     def frame(w: dict) -> tuple[float, Pose]:
         nonlocal floor
-        at = _number(w["at"], "at")
+        at = number(w["at"], "at")
         if at < floor[0]:
             raise ValueError(f"at {at} precedes {floor[1]}")
         floor = (at, f"the frame before it, at {at}")
         return at, Pose.from_dict(w["pose"])
 
-    return _entries(data, "trajectory", frame)
+    return entries(data.get("trajectory", []), "trajectory", frame)
 
 
 def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
@@ -253,14 +221,13 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
     path = Path(path)
     base = path.parent
     try:
-        data = json.loads(path.read_text("utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError("a scenario must be a JSON object")
-        data = _apply_overrides(data, overrides)
+        data = _apply_overrides(obj(json.loads(path.read_text("utf-8")), "a scenario"), overrides)
         house = _input_file(data, "house", base, deserialize)
         rooms = {r.label for r in house.rooms.values()}
         from_house = data.get("initial_graph", "from_house") == "from_house"
         initial = house if from_house else _input_file(data, "initial_graph", base, deserialize)
+        if initial.rooms != house.rooms:  # every room check at load is made against the house
+            raise ValueError("initial_graph: its rooms differ from the house's")
         decay_table = _input_file(
             data, "decay_table", base, lambda t: DecayTable.from_dict(json.loads(t)), DecayTable.default
         )
@@ -268,35 +235,35 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             data, "lexicon", base, lambda t: Lexicon.from_dict(json.loads(t)), Lexicon.default
         )
         extract = GrammarExtractor(lexicon)
-        script = _entries(data, "virtual_actions", lambda e: _scripted_record(house, rooms, e))
-        statements = _entries(
-            data,
+        script = entries(
+            data.get("virtual_actions", []),
+            "virtual_actions",
+            lambda e: _scripted_record(house, rooms, e),
+        )
+        statements = entries(
+            data.get("human_statements", []),
             "human_statements",
-            lambda s: (_number(s["at"], "at"), extract(_text(s["text"], "text"))),
+            lambda s: (number(s["at"], "at"), extract(text(s["text"], "text"))),
         )
         m = data.get("mission")
-        mission = None if m is None else _mission(house, rooms, _section(data, "mission"))
+        mission = None if m is None else _mission(house, rooms, obj(m, "mission"))
         trajectory = _trajectory(data, initial, "house" if from_house else "initial_graph")
-        pcfg = _section(data, "perception")
-        rng = pcfg.get("range", [0.2, 4.0])
-        if not isinstance(rng, (list, tuple)) or len(rng) != 2:
-            raise ValueError(f"perception.range must be [min, max], got {rng!r}")
-        camera = _reading(
+        pcfg = obj(data.get("perception", {}), "perception")
+        camera = within(
             "perception",
             CameraModel,
-            _number(pcfg.get("fov_h", 2.2), "perception.fov_h"),
-            _number(pcfg.get("fov_v", 1.7), "perception.fov_v"),
-            _number(rng[0], "perception.range"),
-            _number(rng[1], "perception.range"),
+            number(pcfg.get("fov_h", 2.2), "perception.fov_h"),
+            number(pcfg.get("fov_v", 1.7), "perception.fov_v"),
+            *floats(pcfg.get("range", [0.2, 4.0]), "perception.range", 2),
         )
-        epsilon = _number(pcfg.get("epsilon", 0.25), "perception.epsilon")
+        epsilon = number(pcfg.get("epsilon", 0.25), "perception.epsilon")
         if epsilon <= 0.0:
             raise ValueError("perception.epsilon must be positive")
         k = pcfg.get("k", 2)
         if type(k) is not int or k < 1:
             raise ValueError(f"perception.k must be an integer >= 1, got {k!r}")
-        failures = DetectorFailureConfig.from_dict(_section(data, "failures"))
-        stale_threshold = _number(data.get("stale_threshold", 0.5), "stale_threshold")
+        failures = DetectorFailureConfig.from_dict(obj(data.get("failures", {}), "failures"))
+        stale_threshold = number(data.get("stale_threshold", 0.5), "stale_threshold")
         if not (0.0 < stale_threshold < 1.0):
             raise ValueError("stale_threshold must lie strictly between 0 and 1")
     except FileNotFoundError as exc:  # the scenario file: every other file is read by _input_file

@@ -14,8 +14,9 @@ from enum import Enum
 from importlib import resources
 from typing import Optional
 
-from .graph import _norm_label, _text
+from .graph import _norm_label
 from .records import Provenance, UpdateAction, UpdateRecord
+from .values import obj, texts
 
 __all__ = [
     "Lexicon",
@@ -51,16 +52,12 @@ class Lexicon:
 
     def __post_init__(self) -> None:
         for name in (f.name for f in fields(self)):
-            words = getattr(self, name)
-            if not isinstance(words, list):
-                raise ValueError(f"{name} must be a list of strings, got {words!r}")
-            setattr(self, name, [_norm_label(_text(w, f"{name}[{i}]")) for i, w in enumerate(words)])
+            setattr(self, name, [_norm_label(w) for w in texts(getattr(self, name), name)])
 
     @classmethod
     def from_dict(cls, data: dict) -> "Lexicon":
         """The word lists of a JSON document; errors name the bad list or word."""
-        if not isinstance(data, dict):
-            raise ValueError(f"a lexicon must be a JSON object, got {data!r}")
+        data = obj(data, "a lexicon")
         return cls(**{f.name: data.get(f.name, []) for f in fields(cls)})
 
     @classmethod

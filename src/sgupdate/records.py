@@ -99,21 +99,6 @@ class UpdateRecord:
             "refines_geometry": self.refines_geometry,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "UpdateRecord":
-        return cls(
-            action=UpdateAction(data["action"]),
-            target_object=data["target_object"],
-            source_room=data.get("source_room"),
-            target_room=data.get("target_room"),
-            pose=Pose.from_dict(data["pose"]) if data.get("pose") else None,
-            bbox=BBox3(tuple(data["bbox"])) if data.get("bbox") else None,
-            support_object=data.get("support_object"),
-            provenance=Provenance(data.get("provenance", "perception")),
-            issued_at=float(data.get("issued_at", 0.0)),
-            refines_geometry=bool(data.get("refines_geometry", False)),
-        )
-
 
 def validate(record: UpdateRecord) -> list[str]:
     """Field-presence violations for the record's action, empty when valid."""

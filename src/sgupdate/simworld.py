@@ -20,8 +20,9 @@ from typing import Optional, Sequence
 from . import records as rec
 from .decay import DecayTable
 from .geometry import Pose
-from .graph import SceneGraph, SceneGraphError, _number, _text, deserialize
+from .graph import SceneGraph, SceneGraphError, _norm_label, deserialize
 from .perception import CameraModel, Observation, expected_visible
+from .values import number, obj, text, texts
 
 __all__ = [
     "InconsistentAction",
@@ -40,23 +41,21 @@ class DetectorFailureConfig:
     """Deterministic detector degradation knobs. All-zero means ideal."""
 
     min_detectable_extent: float = 0.0  # suppress when max box extent is below this
-    label_noise: dict = field(default_factory=dict)  # true label -> reported label
+    label_noise: dict = field(default_factory=dict)  # true (normalized) label -> reported label
     dropout_ids: frozenset = frozenset()  # ground-truth ids never reported
 
     @classmethod
     def from_dict(cls, data: dict) -> "DetectorFailureConfig":
-        """The knobs of a scenario's ``failures`` section."""
-        noise, ids = data.get("label_noise", {}), data.get("dropout_ids", [])
-        if not isinstance(noise, dict):
-            raise ValueError(f"failures.label_noise must be an object, got {noise!r}")
-        if not isinstance(ids, list):
-            raise ValueError(f"failures.dropout_ids must be a list, got {ids!r}")
+        """The knobs of a scenario's ``failures`` section; ``label_noise`` keys are labels."""
+        noise = obj(data.get("label_noise", {}), "failures.label_noise")
         return cls(
-            min_detectable_extent=_number(
+            min_detectable_extent=number(
                 data.get("min_detectable_extent", 0.0), "failures.min_detectable_extent"
             ),
-            label_noise={k: _text(v, f"failures.label_noise[{k!r}]") for k, v in noise.items()},
-            dropout_ids=frozenset(_text(v, f"failures.dropout_ids[{i}]") for i, v in enumerate(ids)),
+            label_noise={
+                _norm_label(k): text(v, f"failures.label_noise[{k!r}]") for k, v in noise.items()
+            },
+            dropout_ids=frozenset(texts(data.get("dropout_ids", []), "failures.dropout_ids")),
         )
 
 

@@ -82,7 +82,7 @@ def test_run_rejects_a_400_digit_setting(capsys):
 @pytest.mark.parametrize(
     "path, where",
     [
-        (("epoch",), "epoch: "),
+        (("epoch",), "epoch must be finite, got 1000"),
         (("objects", 0, "pose", "t", 0), "objects[0]: "),
         (("objects", 0, "decay_rate"), "objects[0]: "),
     ],
@@ -154,6 +154,40 @@ def test_add_pose_in_another_room_exits_2(tmp_path, capsys):
     assert "virtual add at t=6.0" in capsys.readouterr().err
     assert main(["run", str(bad)]) == 2
     assert "virtual add at t=6.0" in capsys.readouterr().err
+
+
+def without_bedroom(house: dict) -> None:
+    house["rooms"] = [r for r in house["rooms"] if r["id"] != "bedroom"]
+    gone = {oid for oid, rid in house["belongs_to"].items() if rid == "bedroom"}
+    house["objects"] = [o for o in house["objects"] if o["id"] not in gone]
+    house["belongs_to"] = {o: r for o, r in house["belongs_to"].items() if o not in gone}
+    house["access"] = [pair for pair in house["access"] if "bedroom" not in pair]
+
+
+def bedroom_moved_away(house: dict) -> None:
+    bedroom = next(r for r in house["rooms"] if r["id"] == "bedroom")
+    bedroom["pose"]["t"][1] = 50.0
+
+
+@pytest.mark.parametrize("edit", [without_bedroom, bedroom_moved_away], ids=lambda f: f.__name__)
+def test_an_initial_graph_with_other_rooms_than_the_house_exits_2(edit, tmp_path, capsys):
+    """Every room check at load is made against the house, so the estimate needs its rooms."""
+    data = resources.files("sgupdate.data")
+    house = json.loads(data.joinpath("house.json").read_text("utf-8"))
+    edit(house)
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps(house), "utf-8")
+    scenario = json.loads(data.joinpath("scenario_house.json").read_text("utf-8"))
+    for key in ("house", "decay_table", "lexicon"):
+        scenario[key] = str(data.joinpath(scenario[key]))
+    scenario["initial_graph"] = str(initial)
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(scenario), "utf-8")
+    names = "initial_graph: its rooms differ from the house's\n"
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err.endswith(names)
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err.endswith(names)
 
 
 def test_run_on_an_inconsistent_script_exits_2(tmp_path, capsys):
@@ -244,7 +278,7 @@ def test_graph_file_of_wrong_shape_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["query", str(bad)])
     assert err.value.code == 2
-    assert "rooms: expected a list" in capsys.readouterr().err
+    assert "rooms must be a list, got 5" in capsys.readouterr().err
 
 
 def test_repl_applies_statement_and_saves(house_file, tmp_path, capsys, monkeypatch):

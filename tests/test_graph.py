@@ -310,7 +310,7 @@ def test_deserialize_reports_location_of_bad_object():
     put(g, "kitchen", "cup", (1, 1, 1))
     payload = json.loads(serialize(g))
     del payload["objects"][0]["pose"]
-    with pytest.raises(ParseError, match=r"objects\[0\]"):
+    with pytest.raises(ParseError, match=r"^objects\[0\]: missing key 'pose'$"):
         deserialize(json.dumps(payload))
 
 
@@ -327,9 +327,9 @@ def test_deserialize_reports_location_of_bad_object():
         pytest.param(("rooms", 1, "pose", "t", 0), "east", r"rooms\[1\]", id="room-t"),
         pytest.param(("rooms", 0, "bbox", 2), "deep", r"rooms\[0\]", id="room-bbox"),
         pytest.param(("epoch",), "dawn", r"epoch", id="epoch"),
-        pytest.param(("epoch",), float("nan"), r"^epoch: must be finite", id="epoch-nan"),
-        pytest.param(("epoch",), float("inf"), r"^epoch: must be finite", id="epoch-inf"),
-        pytest.param(("epoch",), True, r"^epoch: must be a number, got True", id="epoch-bool"),
+        pytest.param(("epoch",), float("nan"), r"^epoch must be finite, got nan$", id="epoch-nan"),
+        pytest.param(("epoch",), float("inf"), r"^epoch must be finite, got inf$", id="epoch-inf"),
+        pytest.param(("epoch",), True, r"^epoch must be a number, got True$", id="epoch-bool"),
         pytest.param(
             ("objects", 0, "decay_rate"), True, r"^objects\[0\]: decay_rate must be a number",
             id="decay-bool",
@@ -339,15 +339,28 @@ def test_deserialize_reports_location_of_bad_object():
             id="seen-numeral",
         ),
         pytest.param(
-            ("objects", 0, "pose", "t"), "123", r"^objects\[0\]: translation must be an array",
-            id="t-numerals",
+            ("objects", 0, "pose", "t", 0), "1",
+            r"^objects\[0\]: translation\[0\] must be a number, got '1'$", id="t-numeral",
         ),
         pytest.param(
-            ("rooms", 0, "pose", "q"), "1000", r"^rooms\[0\]: quaternion must be an array",
-            id="q-numerals",
+            ("objects", 0, "bbox", 0), True, r"^objects\[0\]: bbox\[0\] must be a number, got True$",
+            id="bbox-bool",
         ),
         pytest.param(
-            ("objects", 0, "bbox"), "111", r"^objects\[0\]: bbox must be an array", id="bbox-numerals"
+            ("rooms", 0, "pose", "q", 0), True,
+            r"^rooms\[0\]: quaternion\[0\] must be a number, got True$", id="q-bool",
+        ),
+        pytest.param(
+            ("objects", 0, "pose", "t"), "123",
+            r"^objects\[0\]: translation must be a list of 3 numbers, got '123'$", id="t-numerals",
+        ),
+        pytest.param(
+            ("rooms", 0, "pose", "q"), "1000",
+            r"^rooms\[0\]: quaternion must be a list of 4 numbers, got '1000'$", id="q-numerals",
+        ),
+        pytest.param(
+            ("objects", 0, "bbox"), "111",
+            r"^objects\[0\]: bbox must be a list of 3 numbers, got '111'$", id="bbox-numerals",
         ),
     ],
 )
@@ -359,11 +372,13 @@ def test_deserialize_reports_location_of_bad_number(path, value, where):
 @pytest.mark.parametrize(
     "path, value, where",
     [
-        pytest.param(("rooms",), 5, r"^rooms: expected a list", id="rooms"),
-        pytest.param(("objects",), {"cup-1": {}}, r"^objects: expected a list", id="objects"),
-        pytest.param(("access",), "kitchen", r"^access: expected a list", id="access"),
-        pytest.param(("rooms", 0), 5, r"^rooms\[0\]: expected a JSON object", id="room-entry"),
-        pytest.param(("objects", 0), "x", r"^objects\[0\]: expected a JSON object", id="object-entry"),
+        pytest.param(("rooms",), 5, r"^rooms must be a list, got 5$", id="rooms"),
+        pytest.param(
+            ("objects",), {"cup-1": {}}, r"^objects must be a list, got \{'cup-1': \{\}\}$", id="objects"
+        ),
+        pytest.param(("access",), "kitchen", r"^access must be a list, got 'kitchen'$", id="access"),
+        pytest.param(("rooms", 0), 5, r"^rooms\[0\] must be an object, got 5$", id="room-entry"),
+        pytest.param(("objects", 0), "x", r"^objects\[0\] must be an object, got 'x'$", id="object-entry"),
         pytest.param(
             ("objects", 0, "label"), None, r"^objects\[0\]: label must be a string", id="null-label"
         ),
@@ -377,7 +392,7 @@ def test_deserialize_reports_location_of_bad_number(path, value, where):
             ("objects", 0, "pose_provisional"), 0,
             r"^objects\[0\]: pose_provisional must be true or false", id="number-flag",
         ),
-        pytest.param(("access", 0, 1), 5, r"^access\[0\]: room id must be a string", id="number-access"),
+        pytest.param(("access", 0, 1), 5, r"^access\[0\]\[1\] must be a string, got 5$", id="number-access"),
     ],
 )
 def test_deserialize_reports_location_of_wrong_shape(path, value, where):
@@ -401,6 +416,8 @@ def payload_with(path, value) -> str:
 def test_deserialize_rejects_malformed_json():
     with pytest.raises(ParseError, match="offset"):
         deserialize(b'{"rooms": [')
+    with pytest.raises(ParseError, match=r"^a graph document must be an object, got \[1\]$"):
+        deserialize(b"[1]")
 
 
 def test_deserialize_rejects_unknown_room_reference():

@@ -82,7 +82,7 @@ def test_load_scenario_rejects_bad_parameters():
         ("stale_threshold", "abc", "stale_threshold must be a number"),
         ("mission.pick_time", "abc", "mission.pick_time must be a number"),
         ("failures.min_detectable_extent", [1], "failures.min_detectable_extent must be a number"),
-        ("house", 5, "house must be a path"),
+        ("house", 5, "house must be a string, got 5"),
     ]:
         with pytest.raises(ScenarioError, match=re.escape(names)):
             load_scenario(SCENARIO, overrides={key: value})
@@ -97,7 +97,7 @@ def entries_at(key, i, at):
 
 NON_FINITE = [
     ("perception.epsilon", math.nan, "perception.epsilon must be finite"),
-    ("perception.range", [0.2, math.inf], "perception.range must be finite"),
+    ("perception.range", [0.2, math.inf], "perception.range[1] must be finite, got inf"),
     ("mission.pick_time", math.nan, "mission.pick_time must be finite"),
     ("mission.place_time", math.inf, "mission.place_time must be finite"),
     ("failures.min_detectable_extent", math.nan, "failures.min_detectable_extent must be finite"),
@@ -119,13 +119,20 @@ def test_load_scenario_names_the_graph_file_that_does_not_parse(key, tmp_path):
     house["epoch"] = math.nan
     bad = tmp_path / "house.json"
     bad.write_text(json.dumps(house), "utf-8")
-    with pytest.raises(ScenarioError, match=re.escape(f"{key}: epoch: must be finite, got nan")):
+    with pytest.raises(ScenarioError, match=re.escape(f"{key}: epoch must be finite, got nan")):
         load_scenario(SCENARIO, overrides={key: str(bad)})
 
 
 def scripted(i, **fields):
     """The packaged scenario's ``virtual_actions`` with ``fields`` set on entry ``i``."""
     entries = json.loads(SCENARIO.read_text("utf-8"))["virtual_actions"]
+    entries[i].update(fields)
+    return entries
+
+
+def frames(i, **fields):
+    """The packaged scenario's ``trajectory`` with ``fields`` set on frame ``i``."""
+    entries = json.loads(SCENARIO.read_text("utf-8"))["trajectory"]
     entries[i].update(fields)
     return entries
 
@@ -147,7 +154,7 @@ BIG = 10**400  # valid JSON, too large for a float
         pytest.param("stale_threshold", BIG, "stale_threshold must be finite", id="big-threshold"),
         pytest.param(
             "virtual_actions", scripted(1, to_pose={"q": [1, 0, 0, 0], "t": [BIG, 0, 0]}),
-            "virtual_actions[1]: int too large to convert to float", id="big-pose",
+            "virtual_actions[1]: translation[0] must be finite, got 1000", id="big-pose",
         ),
         pytest.param(
             "trajectory", entries_at("trajectory", 0, -1),
@@ -172,11 +179,22 @@ BIG = 10**400  # valid JSON, too large for a float
         ),
         pytest.param(
             "virtual_actions", scripted(1, to_pose={"q": [1, 0, 0, 0], "t": "123"}),
-            "virtual_actions[1]: translation must be an array, got '123'", id="numeral-pose",
+            "virtual_actions[1]: translation must be a list of 3 numbers, got '123'", id="numeral-pose",
         ),
         pytest.param(
             "virtual_actions", scripted(2, bbox="111"),
-            "virtual_actions[2]: bbox must be an array, got '111'", id="numeral-bbox",
+            "virtual_actions[2]: bbox must be a list of 3 numbers, got '111'", id="numeral-bbox",
+        ),
+        *(
+            pytest.param(
+                key, value, f"{names} must be an object, got {bad!r}", id=f"{key}-{type(bad).__name__}"
+            )
+            for bad in (5, [1], "x")
+            for key, value, names in [
+                ("virtual_actions", scripted(1, to_pose=bad), "virtual_actions[1]: to_pose"),
+                ("trajectory", frames(0, pose=bad), "trajectory[0]: pose"),
+                ("mission.place_pose", bad, "mission.place_pose: pose"),
+            ]
         ),
     ],
 )
@@ -214,7 +232,7 @@ BAD_FILES = [
     ),
     ("no-default", "decay_table", '{"anchors": {}}', "decay_table: default must be a number, got None"),
     ("table-not-json", "decay_table", "{", "decay_table: Expecting property name"),
-    ("lexicon-list", "lexicon", "[1, 2]", "lexicon: a lexicon must be a JSON object, got [1, 2]"),
+    ("lexicon-list", "lexicon", "[1, 2]", "lexicon: a lexicon must be an object, got [1, 2]"),
     (
         "text-rooms",
         "lexicon",
@@ -415,6 +433,16 @@ def test_degraded_run_misreads_the_remote(degraded):
 def test_degraded_replay_still_exact(degraded):
     replayed = replay_runlog(degraded.scenario.initial, degraded.log)
     assert serialize(replayed) == serialize(degraded.graph)
+
+
+def test_label_noise_keys_are_read_as_labels():
+    metrics = [
+        run_scenario(SCENARIO, overrides={"failures.label_noise": {key: "cup"}}).metrics
+        for key in ("Mug", " mug ", "mug")
+    ]
+    assert metrics[0].to_dict() == metrics[1].to_dict() == metrics[2].to_dict()
+    rates = [metrics[0].rows[row].success_rate for row in ("Add", "Remove", "Move")]
+    assert rates == pytest.approx([1 / 2, 2 / 3, 2 / 3])  # the mug, seen as a cup, is misread
 
 
 def test_failed_pick_logs_one_rejection_and_skips_the_place():

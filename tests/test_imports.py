@@ -1,4 +1,5 @@
-"""Every module of the package reads each name it imports."""
+"""Every module of the package reads each name it imports, and only
+``values.py`` checks the shape of an input value."""
 import ast
 from pathlib import Path
 
@@ -36,3 +37,46 @@ def test_unused_import_check_flags_only_unread_names():
         "j.dumps(dataclass(xml.dom))\n"
     )
     assert unused_imports(snippet) == ["P", "field", "os"]
+
+
+# The types a decoded JSON value is tested against to check its shape.
+SHAPES = {"dict", "list", "tuple", "str", "bool"}
+
+
+def shape_checks(source: str) -> list[int]:
+    """Lines where ``source`` tests a value against a JSON shape type, by
+    ``isinstance`` or by comparing its ``type()``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            kinds = node.args[1:]
+        elif isinstance(node, ast.Compare) and isinstance(node.left, ast.Call) and getattr(
+            node.left.func, "id", None
+        ) == "type":
+            kinds = node.comparators
+        else:
+            continue
+        names = {
+            n.id for kind in kinds for n in ast.walk(kind) if isinstance(n, ast.Name) and n.id in SHAPES
+        }
+        if names:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "values.py"], ids=lambda p: p.name)
+def test_only_the_values_module_checks_input_shapes(path):
+    assert shape_checks(path.read_text("utf-8")) == []
+
+
+def test_shape_check_scan_flags_only_json_shape_tests():
+    snippet = (
+        "isinstance(a, dict)\n"
+        "isinstance(b, (list, tuple))\n"
+        "type(c) is str\n"
+        "type(d) in (int, bool)\n"
+        "isinstance(e, bytes)\n"
+        "isinstance(f, Pose)\n"
+        "type(g) is float\n"
+    )
+    assert shape_checks(snippet) == [1, 2, 3, 4]

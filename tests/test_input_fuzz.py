@@ -17,7 +17,7 @@ The graph loader is also fuzzed on its own, on a small graph document with a
 repeated label and a detached object. One hostile value at one path, or one
 of the document's own ids, labels or flags at the path of another, must
 either raise ``ParseError`` or load as a graph whose invariants hold, whose
-bytes round-trip, and which keeps every node and edge of the document.
+bytes round-trip, and which serializes back to the document's own values.
 """
 import contextlib
 import copy
@@ -133,10 +133,19 @@ def small_graph_document() -> dict:
     return json.loads(serialize(g))
 
 
-def skeleton(doc) -> tuple:
-    """A graph document's node ids and edges."""
-    ids = [sorted(node["id"] for node in doc[key]) for key in ("rooms", "objects")]
-    return (*ids, doc["belongs_to"], doc["access"])
+def as_written(doc):
+    """A graph document as ``serialize`` writes it: ints as floats, nodes in id order."""
+    if type(doc) is int:
+        return float(doc)
+    if isinstance(doc, list):
+        return [as_written(v) for v in doc]
+    if isinstance(doc, dict):
+        out = {k: as_written(v) for k, v in doc.items()}
+        for key in ("rooms", "objects"):
+            if key in out:
+                out[key] = sorted(out[key], key=lambda node: node["id"])
+        return out
+    return doc
 
 
 def value_at(doc, path):
@@ -174,4 +183,4 @@ def test_one_bad_value_in_a_graph_document_loads_a_sound_graph_or_raises_parse_e
     assert check_invariants(graph) == []
     blob = serialize(graph)
     assert serialize(deserialize(blob)) == blob
-    assert skeleton(json.loads(blob)) == skeleton(doc)  # no node or edge dropped
+    assert json.loads(blob) == as_written(doc)  # no value dropped, coerced or normalized

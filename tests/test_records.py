@@ -1,5 +1,6 @@
 """Update records: validation, target resolution, atomic apply, replay."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,18 +35,24 @@ def record(action, obj="cup", **kw):
     return UpdateRecord(action=action, target_object=obj, **kw)
 
 
-def test_records_roundtrip_via_dict():
+def documented_example(heading: str) -> dict:
+    """The first JSON block under ``heading`` in docs/file_formats.md."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "file_formats.md").read_text("utf-8")
+    section = text.split(f"\n{heading}\n", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_record_to_dict_is_the_documented_example():
     r = record(
         UpdateAction.MOVED,
         source_room="kitchen",
         target_room="living room",
-        pose=Pose.identity((1, 2, 3)),
-        bbox=BBox3((0.1, 0.2, 0.3)),
+        pose=Pose.identity((6.0, 3.0, 0.905)),
         support_object="table",
         provenance=Provenance.HUMAN,
-        issued_at=12.5,
+        issued_at=12.0,
     )
-    assert UpdateRecord.from_dict(r.to_dict()) == r
+    assert json.loads(json.dumps(r.to_dict())) == documented_example("## Update record")
 
 
 def test_validate_flags_missing_fields():
