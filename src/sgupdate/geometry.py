@@ -6,8 +6,9 @@ Conventions used throughout the package:
 * translations are meters in a fixed world frame (z up),
 * sensor frames are x-forward / y-left / z-up.
 
-Both :class:`Pose` and :class:`BBox3` are immutable value types; they are
-safe to share between threads but the containers that hold them are not.
+Both :class:`Pose` and :class:`BBox3` are immutable, slotted value types;
+they are safe to share between threads but the containers that hold them are
+not.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ class InvalidGeometry(ValueError):
     """A quaternion is not unit norm or a box extent is not positive."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     """A rigid transform: rotation quaternion ``q`` plus translation ``t``."""
 
@@ -59,7 +60,7 @@ class Pose:
         return {"q": list(self.q), "t": list(self.t)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBox3:
     """Axis-aligned box extents ``(w, h, d)`` = size along x, z and y."""
 

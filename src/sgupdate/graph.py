@@ -26,9 +26,15 @@ object; ``assign_room`` reads a flat list of the rooms' boxes. Only
 or ``belongs_to``, and only the primitives may write an object's fields,
 since anything else would leave the indexes stale or edit a node other
 graphs share; :func:`check_invariants` verifies the indexes.
+
+:func:`serialize` and :func:`deserialize` run with the cyclic garbage
+collector paused. A graph document and the graph built from it hold no
+reference cycles and everything a load builds survives, so a collection in
+the middle of one only rescans a growing heap and finds nothing.
 """
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -104,7 +110,7 @@ def _room_box(room: "RoomNode") -> tuple:
     return (*room.pose.t, *room.bbox.half_sizes_xyz(), room.bbox.volume, room.id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoomNode:
     id: str
     label: str
@@ -115,7 +121,7 @@ class RoomNode:
         object.__setattr__(self, "label", _norm_label(self.label))
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectNode:
     """One object: a value that copies of a graph share.
 
@@ -552,41 +558,72 @@ def graphs_equivalent(a: SceneGraph, b: SceneGraph, tol: float = 1e-9) -> bool:
 # serialization
 
 
+class _CollectorPaused:
+    """Context manager running its block with the cyclic garbage collector off.
+
+    If the collector was on, it is back on at exit, errors included, and if
+    the block left more young objects than the young threshold, one young
+    and middle pass runs there, moving what the block built to the oldest
+    generation, rather than a young pass in the caller's next allocation and
+    a middle pass later. A class, not a generator: this runs on every load
+    and save, and a generator-based manager costs several microseconds more.
+    """
+
+    __slots__ = ("was_enabled",)
+
+    def __enter__(self) -> None:
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.was_enabled:
+            # Decided before the collector is back on, so that no allocation
+            # in between can start a young pass of its own.
+            settle = gc.get_count()[0] > gc.get_threshold()[0]
+            gc.enable()
+            if settle:
+                gc.collect(1)
+
+
 def graph_to_payload(graph: SceneGraph) -> dict:
-    """JSON-ready document; poses and boxes appear as tuples (JSON arrays)."""
+    """JSON-ready document; poses and boxes appear as tuples (JSON arrays).
+
+    Every dict is built with its keys in sorted order, the order
+    :func:`serialize` writes them in.
+    """
     return {
+        "access": sorted(list(pair) for pair in graph.access),
+        "belongs_to": dict(sorted(graph.belongs_to.items())),
         "epoch": graph.epoch,
-        "rooms": [
-            {
-                "id": room.id,
-                "label": room.label,
-                "pose": {"q": room.pose.q, "t": room.pose.t},
-                "bbox": room.bbox.extents,
-            }
-            for _, room in sorted(graph.rooms.items())
-        ],
         "objects": [
             {
-                "id": node.id,
-                "label": node.label,
-                "pose": {"q": node.pose.q, "t": node.pose.t},
+                "attached": node.attached,
                 "bbox": node.bbox.extents,
                 "decay_rate": node.decay_rate,
+                "id": node.id,
+                "label": node.label,
                 "last_seen": node.last_seen,
-                "attached": node.attached,
+                "pose": {"q": node.pose.q, "t": node.pose.t},
                 "pose_provisional": node.pose_provisional,
             }
             for _, node in sorted(graph.objects.items())
         ],
-        "belongs_to": dict(sorted(graph.belongs_to.items())),
-        "access": sorted(list(pair) for pair in graph.access),
+        "rooms": [
+            {
+                "bbox": room.bbox.extents,
+                "id": room.id,
+                "label": room.label,
+                "pose": {"q": room.pose.q, "t": room.pose.t},
+            }
+            for _, room in sorted(graph.rooms.items())
+        ],
     }
 
 
 def serialize(graph: SceneGraph) -> bytes:
-    """Canonical UTF-8 JSON bytes; byte-identical for equal graphs."""
-    payload = graph_to_payload(graph)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Canonical UTF-8 JSON bytes, keys sorted; byte-identical for equal graphs."""
+    with _CollectorPaused():  # the payload is freed inside the block
+        return json.dumps(graph_to_payload(graph), separators=(",", ":")).encode("utf-8")
 
 
 def graph_from_payload(data: dict) -> SceneGraph:
@@ -653,10 +690,16 @@ def _read_graph(data: dict) -> SceneGraph:
 
 def deserialize(data: bytes | str) -> SceneGraph:
     """Parse graph bytes/text; raises :class:`ParseError` with a location."""
+    # The document is freed inside the block, so the settling pass does not scan it.
+    with _CollectorPaused():
+        return graph_from_payload(_decoded(data))
+
+
+def _decoded(data: bytes | str):
+    """The JSON value of ``data``; raises :class:`ParseError` with a location."""
     try:
-        payload = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"offset {exc.pos}: {exc.msg}") from exc
     except ValueError as exc:  # bytes that are not UTF-8, or an integer of over 4,300 digits
         raise ParseError(str(exc)) from exc
-    return graph_from_payload(payload)

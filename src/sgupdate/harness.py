@@ -262,7 +262,9 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         k = pcfg.get("k", 2)
         if type(k) is not int or k < 1:
             raise ValueError(f"perception.k must be an integer >= 1, got {k!r}")
-        failures = DetectorFailureConfig.from_dict(obj(data.get("failures", {}), "failures"))
+        failures = DetectorFailureConfig.for_episode(
+            obj(data.get("failures", {}), "failures"), house, script
+        )
         stale_threshold = number(data.get("stale_threshold", 0.5), "stale_threshold")
         if not (0.0 < stale_threshold < 1.0):
             raise ValueError("stale_threshold must lie strictly between 0 and 1")

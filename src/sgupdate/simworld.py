@@ -13,6 +13,7 @@ per-object dropout) so detector pathologies are reproducible.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
@@ -57,6 +58,27 @@ class DetectorFailureConfig:
             },
             dropout_ids=frozenset(texts(data.get("dropout_ids", []), "failures.dropout_ids")),
         )
+
+    @classmethod
+    def for_episode(
+        cls, data: dict, house: SceneGraph, script: Sequence[rec.UpdateRecord]
+    ) -> "DetectorFailureConfig":
+        """:meth:`from_dict`, refusing a knob that names nothing the truth can hold: each
+        ``label_noise`` key must be the label of a house object or of a scripted add, and
+        each ``dropout_ids`` entry a house object id or ``<slug>-<n>`` for a scripted add."""
+        failures = cls.from_dict(data)
+        added = {_norm_label(r.target_object) for r in script if r.action is rec.UpdateAction.ADDED}
+        nothing = "names no {} of the house or of a scripted add"
+        for key in data.get("label_noise", {}):
+            label = _norm_label(key)
+            if label not in added and all(n.label != label for n in house.objects.values()):
+                raise ValueError(f"failures.label_noise[{key!r}] " + nothing.format("label"))
+        slugs = {label.replace(" ", "-") for label in added}
+        for i, oid in enumerate(data.get("dropout_ids", [])):
+            slug, _, n = oid.rpartition("-")
+            if oid not in house.objects and not (slug in slugs and re.fullmatch("[1-9][0-9]*", n)):
+                raise ValueError(f"failures.dropout_ids[{i}] " + nothing.format("object"))
+        return failures
 
 
 def load_house() -> SceneGraph:

@@ -208,8 +208,11 @@ def test_run_on_an_inconsistent_script_exits_2(tmp_path, capsys):
         ("perception.range=[1]", "perception.range"),
         ('virtual_actions=[{"at": 1, "action": "jump", "label": "mug", "room": "kitchen"}]',
          "unknown action 'jump'"),
+        ('failures.label_noise={"mugg": "cup"}', "failures.label_noise['mugg'] names no label"),
+        ('failures.dropout_ids=["mug-7"]', "failures.dropout_ids[0] names no object"),
     ],
-    ids=["into-a-string", "perception-list", "failures-list", "short-range", "unknown-action"],
+    ids=["into-a-string", "perception-list", "failures-list", "short-range", "unknown-action",
+         "label-noise-typo", "dropout-typo"],
 )
 def test_run_on_bad_scenario_input_exits_2(override, names, tmp_path, capsys):
     assert main(["run", SCENARIO, "--set", override, "--out", str(tmp_path)]) == 2

@@ -1,9 +1,11 @@
 """Scene-graph container: topology rules, primitives, serialization."""
 import ast
+import gc
 import json
 import math
 import random
 from dataclasses import FrozenInstanceError, fields
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -24,12 +26,14 @@ from sgupdate.graph import (
     WrongRoom,
     check_invariants,
     deserialize,
+    graph_to_payload,
     graphs_equal,
     graphs_equivalent,
     serialize,
 )
 
 from sgupdate.perception import CameraModel, expected_visible, point_in_frustum
+from sgupdate.simworld import load_house
 
 from conftest import make_room, put, two_room_graph, yaw_pose
 
@@ -452,6 +456,112 @@ def test_deserialize_refuses_an_integer_too_long_for_python():
         deserialize('{"epoch": ' + "1" * 5000 + "}")
 
 
+# -- canonical bytes and the collector ---------------------------------------
+
+
+def canonical_bytes(graph) -> bytes:
+    """The bytes ``serialize`` must give: the payload dumped with sorted keys."""
+    return json.dumps(graph_to_payload(graph), sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def unsorted_dicts(value) -> list[list]:
+    """The key lists of every dict in ``value`` whose keys are out of sorted order."""
+    if isinstance(value, dict):
+        found = [] if list(value) == sorted(value) else [list(value)]
+        return found + [keys for v in value.values() for keys in unsorted_dicts(v)]
+    if isinstance(value, (list, tuple)):
+        return [keys for v in value for keys in unsorted_dicts(v)]
+    return []
+
+
+def generated_graph(n: int = 5000) -> SceneGraph:
+    """``n`` objects spread over two rooms, a few of them detached."""
+    g = two_room_graph()
+    labels = ["cup", "plate", "vase", "book", "tv remote"]
+    for i in range(n):
+        room, x0, width = (("kitchen", 0.5, 3.0), ("living room", 4.5, 5.0))[i % 2]
+        t = (x0 + width * (i % 97) / 97, 0.5 + 3.0 * (i % 13) / 13, 1.0)
+        oid = put(g, room, labels[i % len(labels)], t, now=float(i))
+        if i % 50 == 0:
+            g.detach(oid)
+    return g
+
+
+@pytest.mark.parametrize("graph", [load_house, generated_graph], ids=["packaged", "generated"])
+def test_serialize_writes_the_sorted_key_dump(graph):
+    g = graph()
+    assert serialize(g) == canonical_bytes(g)
+    assert unsorted_dicts(graph_to_payload(g)) == []
+
+
+def test_unsorted_dict_scan_finds_nested_dicts():
+    value = {"a": [{"t": 1, "q": 2}], "b": {"y": {"d": 1, "c": 2}, "z": 0}}
+    assert unsorted_dicts(value) == [["t", "q"], ["d", "c"]]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_load_and_save_leave_the_collector_as_they_found_it(enabled, house2):
+    put(house2, "kitchen", "cup", (1, 1, 1))
+    blob = serialize(house2)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        deserialize(blob)
+        after_load = gc.isenabled()
+        serialize(house2)
+        after_save = gc.isenabled()
+        with pytest.raises(ParseError):
+            deserialize(b'{"rooms": [')
+        after_bad_json = gc.isenabled()
+        with pytest.raises(ParseError):
+            deserialize(payload_with(("objects", 0, "pose", "t", 0), math.nan))
+        after_bad_graph = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after_load is after_save is after_bad_json is after_bad_graph is enabled
+
+
+def test_a_large_load_leaves_no_collection_to_the_caller():
+    blob = serialize(generated_graph())
+    gc.collect()
+    g = deserialize(blob)
+    gc.disable()  # what the load left, before an allocation here can start a pass
+    try:
+        young = gc.get_count()[0]
+        middle = {id(value) for value in gc.get_objects(generation=1)}
+    finally:
+        gc.enable()
+    assert len(g.objects) == 5000
+    assert young <= gc.get_threshold()[0]
+    # the nodes went straight to the oldest generation: no middle pass over them is pending
+    assert not any(id(node) in middle for node in g.objects.values())
+
+
+def test_loading_the_packaged_house_runs_no_collection():
+    text = resources.files("sgupdate.data").joinpath("house.json").read_text("utf-8")
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        deserialize(text)
+    finally:
+        gc.callbacks.remove(count)
+    assert passes == []
+
+
+def test_nodes_and_geometry_carry_no_instance_dict(house2):
+    oid = put(house2, "kitchen", "cup", (1, 1, 1))
+    house2.touch(oid, 1.0)  # a primitive's clone
+    node = house2.objects[oid]
+    for value in (node, node.pose, node.bbox, house2.room_by_label("kitchen")):
+        assert not hasattr(value, "__dict__"), type(value).__name__
+
+
 def test_graphs_equal_ignore_last_seen_mode(house2):
     oid = put(house2, "kitchen", "cup", (1, 1, 1))
     other = house2.copy()
@@ -543,6 +653,7 @@ def test_long_random_primitive_sequence_keeps_invariants():
             snapshot = g.copy()
             snapshots.append((snapshot, serialize(snapshot)))
         assert check_invariants(g) == [], f"invariants broke at step {step}"
+        assert serialize(g) == canonical_bytes(g), f"serialize is not the sorted dump at step {step}"
 
         for room in rooms:
             rid = g.room_by_label(room).id

@@ -445,6 +445,36 @@ def test_label_noise_keys_are_read_as_labels():
     assert rates == pytest.approx([1 / 2, 2 / 3, 2 / 3])  # the mug, seen as a cup, is misread
 
 
+@pytest.mark.parametrize(
+    "key, value, names",
+    [
+        ("failures.label_noise", {"mug": "cup", "mugg": "cup"}, "failures.label_noise['mugg'] names no label"),
+        ("failures.label_noise", {"towels": "cup"}, "failures.label_noise['towels'] names no label"),
+        ("failures.dropout_ids", ["mug-7"], "failures.dropout_ids[0] names no object"),
+        ("failures.dropout_ids", ["mug-1", "mug"], "failures.dropout_ids[1] names no object"),
+        ("failures.dropout_ids", ["book-2", "book-0"], "failures.dropout_ids[1] names no object"),
+        ("failures.dropout_ids", ["book-x"], "failures.dropout_ids[0] names no object"),
+    ],
+)
+def test_failure_knobs_that_name_nothing_are_refused(key, value, names):
+    with pytest.raises(ScenarioError, match=re.escape(names)):
+        load_scenario(SCENARIO, overrides={key: value})
+
+
+def test_failure_knobs_may_name_what_a_scripted_add_brings():
+    # The house holds no book; the script adds one, which the truth files as book-1.
+    overrides = {"failures.label_noise": {" Book": "cup"}, "failures.dropout_ids": ["book-1", "book-12"]}
+    failures = load_scenario(SCENARIO, overrides=overrides).failures
+    assert failures.label_noise == {"book": "cup"}
+    assert failures.dropout_ids == {"book-1", "book-12"}
+
+
+def test_dropping_out_a_house_object_degrades_the_run():
+    metrics = run_scenario(SCENARIO, overrides={"failures.dropout_ids": ["mug-1"]}).metrics
+    rates = [metrics.rows[row].success_rate for row in ("Add", "Remove", "Move")]
+    assert rates == pytest.approx([1, 2 / 3, 2 / 3])
+
+
 def test_failed_pick_logs_one_rejection_and_skips_the_place():
     absent = "Pick the sofa in the kitchen and take it to the bedroom."
     result = run_scenario(SCENARIO, overrides={"mission.mission": absent})

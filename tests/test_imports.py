@@ -80,3 +80,55 @@ def test_shape_check_scan_flags_only_json_shape_tests():
         "type(g) is float\n"
     )
     assert shape_checks(snippet) == [1, 2, 3, 4]
+
+
+# Only this class switches or runs the cyclic garbage collector.
+COLLECTOR_OWNER = ("graph.py", "_CollectorPaused")
+COLLECTOR_CALLS = {"disable", "enable", "collect"}
+
+
+def collector_calls(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """``(scope, line)`` of each ``gc.disable``, ``gc.enable`` or ``gc.collect``
+    call in ``source``, and of each ``from gc import``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in COLLECTOR_CALLS
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "gc"
+            ) or (isinstance(child, ast.ImportFrom) and child.module == "gc"):
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_only_the_graph_loader_switches_the_collector():
+    callers = {
+        (path.name, *scope[:1])
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, _ in collector_calls(path.read_text("utf-8"))
+    }
+    assert callers == {COLLECTOR_OWNER}
+
+
+def test_collector_call_scan_flags_every_switch():
+    snippet = (
+        "import gc\n"
+        "gc.collect()\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        gc.disable(); gc.isenabled()\n"
+        "        gc.enable()\n"
+        "from gc import collect\n"
+        "other.collect()\n"
+    )
+    assert collector_calls(snippet) == [((), 2), (("A", "f"), 5), (("A", "f"), 6), ((), 7)]
