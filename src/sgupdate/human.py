@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Optional
 
 from .graph import _norm_label
-from .records import Provenance, UpdateAction, UpdateRecord
+from .records import Provenance, UpdateAction, UpdateRecord, validate
 from .values import obj, texts
 
 __all__ = [
@@ -107,22 +107,30 @@ def _alts(verbs: list[str]) -> str:
 
 
 class GrammarExtractor:
-    """Sentence templates first, keyword scan fallback."""
+    """Sentence templates first, keyword scan fallback.
+
+    Either way the parse is kept only when ``records.validate`` finds that it
+    names everything its action needs; otherwise the next template is tried,
+    and a keyword scan that falls short is a failed parse.
+    """
 
     def __init__(self, lexicon: Optional[Lexicon] = None) -> None:
         self.lexicon = lexicon if lexicon is not None else Lexicon.default()
         lx = self.lexicon
-        self._moved = re.compile(
-            rf"^(?:{_alts(lx.verbs_moved)}) (?P<obj>.+?) from the (?P<sr>.+?) "
-            rf"(?:to|into|onto) the (?P<dest>.+)$"
+        # The templates, tried in this order: ``src`` is a room, ``dest`` a
+        # room or a support in one.
+        shapes = (
+            (UpdateAction.MOVED, lx.verbs_moved,
+             " from the (?P<src>.+?) (?:to|into|onto) the (?P<dest>.+)"),
+            (UpdateAction.REMOVED, lx.verbs_removed,
+             "(?: that (?:was|were))? (?:from|in) the (?P<src>.+)"),
+            (UpdateAction.ADDED, lx.verbs_added, " (?:to|into|in|on|onto) the (?P<dest>.+)"),
         )
-        self._removed = re.compile(
-            rf"^(?:{_alts(lx.verbs_removed)}) (?P<obj>.+?)"
-            rf"(?: that (?:was|were))? (?:from|in) the (?P<sr>.+)$"
-        )
-        self._added = re.compile(
-            rf"^(?:{_alts(lx.verbs_added)}) (?P<obj>.+?) (?:to|into|in|on|onto) the (?P<dest>.+)$"
-        )
+        self._templates = [
+            (action, re.compile(rf"^(?:{_alts(verbs)}) (?P<obj>.+?){rest}$"))
+            for action, verbs, rest in shapes
+        ]
+        self._verbs = [(verb, action) for action, verbs, _ in shapes for verb in verbs]
 
     def _room(self, phrase: str) -> Optional[str]:
         phrase = _strip_article(phrase)
@@ -149,107 +157,63 @@ class GrammarExtractor:
         cleaned = _clean(text)
         if not cleaned:
             return StatementParse.failed(text)
-
-        m = self._moved.match(cleaned)
-        if m:
-            obj = self._object(m.group("obj"))
-            sr = self._room(m.group("sr"))
-            sup, tr = self._destination(m.group("dest"))
-            if obj and sr and tr:
-                return StatementParse(
-                    action=UpdateAction.MOVED,
-                    target_object=obj,
-                    source_room=sr,
-                    target_room=tr,
-                    support_object=sup,
-                    confidence=Confidence.EXACT,
-                    text=text,
-                )
-
-        m = self._removed.match(cleaned)
-        if m:
-            obj = self._object(m.group("obj"))
-            sr = self._room(m.group("sr"))
-            if obj and sr:
-                return StatementParse(
-                    action=UpdateAction.REMOVED,
-                    target_object=obj,
-                    source_room=sr,
-                    confidence=Confidence.EXACT,
-                    text=text,
-                )
-
-        m = self._added.match(cleaned)
-        if m:
-            obj = self._object(m.group("obj"))
-            sup, tr = self._destination(m.group("dest"))
-            if obj and tr:
-                return StatementParse(
-                    action=UpdateAction.ADDED,
-                    target_object=obj,
-                    target_room=tr,
-                    support_object=sup,
-                    confidence=Confidence.EXACT,
-                    text=text,
-                )
-
+        for action, template in self._templates:
+            m = template.match(cleaned)
+            if m is None:
+                continue
+            found = m.groupdict()
+            support, target = self._destination(found["dest"]) if "dest" in found else (None, None)
+            parse = _complete(
+                action=action,
+                target_object=self._object(found["obj"]),
+                source_room=self._room(found["src"]) if "src" in found else None,
+                target_room=target,
+                support_object=support,
+                confidence=Confidence.EXACT,
+                text=text,
+            )
+            if parse.confidence is not Confidence.FAILED:
+                return parse
         return self._fallback(cleaned, text)
 
     def _fallback(self, cleaned: str, original: str) -> StatementParse:
         """Keyword scan when no template fits; lower confidence, same fields."""
         lx = self.lexicon
         padded = f" {cleaned} "
-
-        def first_verb(verbs: list[str]) -> Optional[int]:
-            hits = [padded.find(f" {v} ") for v in verbs]
-            hits = [h for h in hits if h >= 0]
-            return min(hits) if hits else None
-
-        found = [
-            (pos, action)
-            for action, pos in (
-                (UpdateAction.REMOVED, first_verb(lx.verbs_removed)),
-                (UpdateAction.MOVED, first_verb(lx.verbs_moved)),
-                (UpdateAction.ADDED, first_verb(lx.verbs_added)),
-            )
-            if pos is not None
-        ]
-        if not found:
+        action = _first(padded, self._verbs)
+        if action is None:
             return StatementParse.failed(original)
-        action = min(found)[1]
-
-        obj = None
-        obj_hits = [(padded.find(f" {o} "), o) for o in lx.objects]
-        obj_hits = [(p, o) for p, o in obj_hits if p >= 0]
-        if obj_hits:
-            obj = min(obj_hits)[1]
-        if obj is None:
-            return StatementParse.failed(original)
-
         sr = tr = None
         for room in lx.rooms:
             if re.search(rf"(?:from|out of) the {re.escape(room)}\b", cleaned):
                 sr = room
             elif re.search(rf"(?:to|into|in|on|onto|at) the {re.escape(room)}\b", cleaned):
                 tr = room
-        if action is UpdateAction.REMOVED and sr is None:
-            sr = tr  # "ate the banana in the kitchen" reads as a source room
-            tr = None
-        needs = {
-            UpdateAction.REMOVED: sr is not None,
-            UpdateAction.ADDED: tr is not None,
-            UpdateAction.MOVED: sr is not None and tr is not None,
-        }
-        if not needs[action]:
-            return StatementParse.failed(original)
-        return StatementParse(
+        if action is UpdateAction.REMOVED:
+            # "ate the banana in the kitchen" reads as a source room
+            sr, tr = (tr if sr is None else sr), None
+        return _complete(
             action=action,
-            target_object=obj,
+            target_object=_first(padded, [(o, o) for o in lx.objects]),
             source_room=sr,
-            target_room=tr if action is not UpdateAction.REMOVED else None,
+            target_room=tr,
             confidence=Confidence.LEXICON,
             text=original,
         )
+
+
+def _first(padded: str, words: list[tuple[str, object]]):
+    """The value paired with the earliest whole word of ``words`` in ``padded``
+    (ties go to the smaller value), or None when none occurs."""
+    hits = [(at, value) for w, value in words if (at := padded.find(f" {w} ")) >= 0]
+    return min(hits)[1] if hits else None
+
+
+def _complete(**fields) -> StatementParse:
+    """The parse of ``fields`` when ``records.validate`` finds that it names
+    everything its action needs, else a failed parse of the same text."""
+    parse = StatementParse(**fields)
+    return StatementParse.failed(parse.text) if validate(parse) else parse
 
 
 def parse_statement(text: str, lexicon: Optional[Lexicon] = None) -> StatementParse:

@@ -101,9 +101,17 @@ class UpdateRecord:
 
 
 def validate(record: UpdateRecord) -> list[str]:
-    """Field-presence violations for the record's action, empty when valid."""
+    """Field-presence violations for the record's action, empty when valid.
+
+    This is the one rule for what a change must name: every record names an
+    object, a removal its source room, an addition its target room and a move
+    both. It reads only ``action``, ``target_object``, ``source_room`` and
+    ``target_room``, which a ``human.StatementParse`` carries under the same
+    names, so the grammar keeps a parse only when this finds nothing missing.
+    A ``None`` or blank label is missing.
+    """
     problems = []
-    if not str(record.target_object).strip():
+    if not (record.target_object or "").strip():
         problems.append("MissingTargetObject")
     if record.action in (UpdateAction.ADDED, UpdateAction.MOVED) and not record.target_room:
         problems.append("MissingTargetRoom")

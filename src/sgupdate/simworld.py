@@ -46,39 +46,35 @@ class DetectorFailureConfig:
     dropout_ids: frozenset = frozenset()  # ground-truth ids never reported
 
     @classmethod
-    def from_dict(cls, data: dict) -> "DetectorFailureConfig":
-        """The knobs of a scenario's ``failures`` section; ``label_noise`` keys are labels."""
-        noise = obj(data.get("label_noise", {}), "failures.label_noise")
-        return cls(
-            min_detectable_extent=number(
-                data.get("min_detectable_extent", 0.0), "failures.min_detectable_extent"
-            ),
-            label_noise={
-                _norm_label(k): text(v, f"failures.label_noise[{k!r}]") for k, v in noise.items()
-            },
-            dropout_ids=frozenset(texts(data.get("dropout_ids", []), "failures.dropout_ids")),
-        )
-
-    @classmethod
     def for_episode(
         cls, data: dict, house: SceneGraph, script: Sequence[rec.UpdateRecord]
     ) -> "DetectorFailureConfig":
-        """:meth:`from_dict`, refusing a knob that names nothing the truth can hold: each
-        ``label_noise`` key must be the label of a house object or of a scripted add, and
-        each ``dropout_ids`` entry a house object id or ``<slug>-<n>`` for a scripted add."""
-        failures = cls.from_dict(data)
+        """The knobs of a scenario's ``failures`` section, each checked where it is read.
+        A knob must name what the truth can hold: each ``label_noise`` key the label of a
+        house object or of a scripted add, no label twice, and each ``dropout_ids`` entry a
+        house object id or ``<slug>-<n>`` for a scripted add."""
+        extent = number(data.get("min_detectable_extent", 0.0), "failures.min_detectable_extent")
         added = {_norm_label(r.target_object) for r in script if r.action is rec.UpdateAction.ADDED}
         nothing = "names no {} of the house or of a scripted add"
-        for key in data.get("label_noise", {}):
-            label = _norm_label(key)
-            if label not in added and all(n.label != label for n in house.objects.values()):
-                raise ValueError(f"failures.label_noise[{key!r}] " + nothing.format("label"))
+        noise = obj(data.get("label_noise", {}), "failures.label_noise")
+        # Only label noise needs the house's labels: most scenarios set none.
+        labels = added.union(n.label for n in house.objects.values()) if noise else added
+        label_noise = {}
+        for key, value in noise.items():
+            where, label = f"failures.label_noise[{key!r}]", _norm_label(key)
+            text(value, where)
+            if label not in labels:
+                raise ValueError(f"{where} " + nothing.format("label"))
+            if label in label_noise:
+                raise ValueError(f"{where} repeats the label {label!r}")
+            label_noise[label] = value
         slugs = {label.replace(" ", "-") for label in added}
-        for i, oid in enumerate(data.get("dropout_ids", [])):
+        dropout_ids = texts(data.get("dropout_ids", []), "failures.dropout_ids")
+        for i, oid in enumerate(dropout_ids):
             slug, _, n = oid.rpartition("-")
             if oid not in house.objects and not (slug in slugs and re.fullmatch("[1-9][0-9]*", n)):
                 raise ValueError(f"failures.dropout_ids[{i}] " + nothing.format("object"))
-        return failures
+        return cls(extent, label_noise, frozenset(dropout_ids))
 
 
 def load_house() -> SceneGraph:

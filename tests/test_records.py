@@ -25,6 +25,7 @@ from sgupdate.records import (
     ReplayMismatch,
     TargetNotFound,
 )
+from sgupdate.simworld import load_house
 
 from conftest import put, two_room_graph
 
@@ -179,6 +180,24 @@ def test_apply_rejects_invalid_record_without_touching_graph(house2):
     assert report.status is ApplyStatus.REJECTED
     assert "MissingTargetRoom" in report.reason
     assert serialize(house2) == before
+
+
+@pytest.mark.parametrize("label", [None, "", "  "], ids=["none", "empty", "blank"])
+@pytest.mark.parametrize(
+    "action, rooms",
+    [
+        (UpdateAction.REMOVED, {"source_room": "kitchen"}),
+        (UpdateAction.ADDED, {"target_room": "kitchen"}),
+        (UpdateAction.MOVED, {"source_room": "kitchen", "target_room": "bedroom"}),
+    ],
+    ids=["removed", "added", "moved"],
+)
+def test_apply_rejects_a_missing_label_without_touching_graph(label, action, rooms):
+    house = load_house()
+    before = serialize(house)
+    report = apply(house, UpdateRecord(action, label, **rooms))
+    assert (report.status, report.reason) == (ApplyStatus.REJECTED, "validation: MissingTargetObject")
+    assert serialize(house) == before
 
 
 def test_apply_rejects_unknown_target_atomically(house2):

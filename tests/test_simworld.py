@@ -257,13 +257,17 @@ def test_detector_failure_knobs():
 
 
 def test_failure_config_from_dict_roundtrip():
-    cfg = DetectorFailureConfig.from_dict(
-        {"min_detectable_extent": 0.16, "label_noise": {"a": "b"}, "dropout_ids": ["x-1"]}
-    )
-    assert cfg.min_detectable_extent == 0.16
-    assert cfg.label_noise == {"a": "b"}
-    assert cfg.dropout_ids == frozenset({"x-1"})
-    assert DetectorFailureConfig.from_dict({}) == DetectorFailureConfig()
+    # One reader: keys are normalized labels of the house or of a scripted add,
+    # ids name a house object or what an add will be filed as.
+    book = UpdateRecord(UpdateAction.ADDED, " Book", target_room="bedroom")
+    data = {
+        "min_detectable_extent": 0.16,
+        "label_noise": {" Mug": "cup", "book": "mug"},
+        "dropout_ids": ["mug-1", "book-2"],
+    }
+    cfg = DetectorFailureConfig.for_episode(data, load_house(), [book])
+    assert cfg == DetectorFailureConfig(0.16, {"mug": "cup", "book": "mug"}, frozenset({"mug-1", "book-2"}))
+    assert DetectorFailureConfig.for_episode({}, load_house(), []) == DetectorFailureConfig()
 
 
 def test_packaged_house_loads_cleanly():
