@@ -8,15 +8,29 @@ logistic in elapsed time:
 
 A rate of zero models immovable objects (the probability stays pinned at 1),
 and the probability crosses one half exactly at ``ln(3) / rate`` seconds.
+
+The probability falls below a threshold ``θ`` exactly when ``rate * elapsed >
+ln(2/θ - 1)``, so each dynamic object has one crossing time, which moves only
+when a primitive files a new node for it (after Toris & Azimi, "Temporal
+Persistence Modeling for Object Search", ICRA 2017). :func:`stale_targets`
+therefore answers from an index it keeps on the graph
+(``SceneGraph.stale_index``): the objects already stale plus the others,
+queued by crossing time and kept current from the ids the primitives report.
+A query looks at the objects that crossed since the last query and at those
+already stale, not at every object, and gives the report a sweep over every
+object would.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import attrgetter
+from typing import NamedTuple
 
-from .graph import SceneGraph, _norm_label
+from .graph import ObjectNode, SceneGraph, _norm_label
 from .values import number, obj, text
 
 __all__ = [
@@ -48,7 +62,7 @@ def persistence_probability(decay_rate: float, now: float, last_seen: float) -> 
     if decay_rate < 0.0:
         raise ValueError(f"decay_rate must be >= 0, got {decay_rate}")
     if now < last_seen:
-        raise ClockSkew(f"now={now} precedes last_seen={last_seen}")
+        raise _clock_skew(now, last_seen)
     x = decay_rate * (now - last_seen)
     if x <= 700.0:
         return 2.0 / (1.0 + math.exp(x))
@@ -109,8 +123,11 @@ def lambda_for(label: str, table: DecayTable) -> float:
     return table.anchors.get(_norm_label(label), table.default_rate)
 
 
-@dataclass(frozen=True)
-class StaleEntry:
+class StaleEntry(NamedTuple):
+    """One object below the threshold. A named tuple: a report holds one per
+    stale object and is rebuilt on every query, and a tuple is the cheapest
+    immutable record to build."""
+
     object_id: str
     probability: float
     last_seen: float
@@ -139,18 +156,148 @@ def stale_targets(graph: SceneGraph, now: float, threshold: float) -> StaleRepor
     Entries come back sorted by ascending probability (ties by object id);
     immovable objects never qualify since their probability is exactly 1.
     A non-finite ``now`` raises :class:`ValueError`, even on a graph with no
-    dynamic object.
+    dynamic object, and an attached dynamic object seen after ``now`` raises
+    :class:`ClockSkew`.
+
+    The answer comes from the graph's :class:`_StaleIndex`, built by the
+    first query and rebuilt when the threshold changes or ``now`` goes back.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold}")
     if not math.isfinite(now):
         raise ValueError(f"now must be finite, got {now}")
-    entries = []
-    for oid, node in graph.objects.items():
-        if not node.attached or node.decay_rate <= 0.0:
-            continue
-        p = persistence_probability(node.decay_rate, now, node.last_seen)
-        if p < threshold:
-            entries.append(StaleEntry(object_id=oid, probability=p, last_seen=node.last_seen))
-    entries.sort(key=lambda e: (e.probability, e.object_id))
-    return StaleReport(threshold=float(threshold), now=float(now), entries=tuple(entries))
+    index = graph.stale_index
+    if index is None or index.threshold != threshold or now < index.now or index.skewed(graph, now):
+        # After a skewed write the build raises ClockSkew for the first
+        # skewed object in the graph's order, as the sweep does.
+        index = graph.stale_index = _StaleIndex(graph, now, threshold)
+    return index.report(graph, now)
+
+
+def _clock_skew(now: float, last_seen: float) -> ClockSkew:
+    return ClockSkew(f"now={now} precedes last_seen={last_seen}")
+
+
+# Absolute slack, in units of rate * elapsed, by which the index looks at a
+# node ahead of its exact crossing. Rounding in the crossing time and in
+# persistence_probability moves the crossing by a few 1e-16 of (1 + ln(2/θ-1)),
+# so a node the index has not yet looked at is never below the threshold.
+_SLACK = 1e-9
+
+
+class _StaleIndex:
+    """What :func:`stale_targets` knows of one graph, as of its last query.
+
+    Every attached dynamic node is either in ``stale`` (id to node) or
+    queued in ``due`` under ``last_seen + lead / decay_rate``, a little before
+    the time its probability falls below ``threshold``; ``heap`` holds the
+    keys of ``due``. A node with a nan ``last_seen`` is never stale and is in
+    neither. ``written`` holds the ids the graph's primitives filed a new node
+    under since the last query. A node counts only
+    while the graph files that very node under its id: the primitives replace
+    a node on every write, and detach and remove leave nothing to report.
+
+    The queue only schedules when to look at a node; membership is always
+    ``persistence_probability(...) < threshold``, so the report is the
+    sweep's exactly. Nodes not written since the last query were seen no
+    later than it, and time only moves forward here, so the written ones are
+    the only ones that can be skewed.
+    """
+
+    __slots__ = ("threshold", "now", "lead", "stale", "due", "heap", "queued", "written")
+
+    def __init__(self, graph: SceneGraph, now: float, threshold: float) -> None:
+        c = math.log(2.0 / threshold - 1.0)  # p < threshold iff rate * elapsed > c
+        self.threshold, self.now = threshold, now
+        self.lead = lead = max(c - _SLACK * (1.0 + c), 0.0)
+        self.stale: dict[str, ObjectNode] = {}
+        # Nodes that share last_seen and decay rate share a key: a frame's
+        # touches, or a whole label of a freshly loaded house.
+        self.due: dict[float, list[ObjectNode]] = {}
+        self.written: set[str] = set()
+        stale, due = self.stale, self.due
+        # Each node is filed as report() files a written one, after the skew check.
+        for node in graph.objects.values():
+            rate = node.decay_rate
+            if rate > 0.0 and node.attached:
+                seen = node.last_seen
+                if seen > now:
+                    raise _clock_skew(now, seen)
+                at = seen + lead / rate
+                if at > now:
+                    try:
+                        due[at].append(node)
+                    except KeyError:
+                        due[at] = [node]
+                elif at <= now:  # neither holds for a nan last_seen
+                    stale[node.id] = node
+        self.heap = list(due)
+        heapq.heapify(self.heap)
+        self.queued = sum(map(len, due.values()))  # replaced nodes included, once queued
+
+    def _compact(self, objects: dict[str, ObjectNode]) -> None:
+        """Drop the replaced nodes from ``due``: they pile up when the same
+        objects are written over and over long before their crossing."""
+        due = {}
+        for at, queue in self.due.items():
+            live = [node for node in queue if objects.get(node.id) is node]
+            if live:
+                due[at] = live
+        self.due, self.heap = due, list(due)
+        heapq.heapify(self.heap)
+        self.queued = sum(map(len, due.values()))
+
+    def _queue(self, at: float, node: ObjectNode) -> None:
+        queue = self.due.get(at)
+        if queue is None:
+            self.due[at] = [node]
+            heapq.heappush(self.heap, at)
+        else:
+            queue.append(node)
+        self.queued += 1
+
+    def skewed(self, graph: SceneGraph, now: float) -> bool:
+        """Whether a node written since the last query is attached, dynamic and seen after ``now``."""
+        objects = graph.objects
+        for oid in self.written:
+            node = objects.get(oid)
+            if node is not None and node.attached and node.decay_rate > 0.0 and node.last_seen > now:
+                return True
+        return False
+
+    def report(self, graph: SceneGraph, now: float) -> StaleReport:
+        """The staleness report at ``now``, no earlier than the last query."""
+        objects, stale, due, heap, lead = graph.objects, self.stale, self.due, self.heap, self.lead
+        for oid in self.written:
+            node = objects.get(oid)
+            if node is not None and node.attached and node.decay_rate > 0.0:
+                at = node.last_seen + lead / node.decay_rate
+                if at > now:
+                    self._queue(at, node)
+                elif at <= now:
+                    stale[oid] = node
+        self.written.clear()
+        while heap and heap[0] <= now:
+            queue = due.pop(heapq.heappop(heap))
+            self.queued -= len(queue)
+            for node in queue:
+                if objects.get(node.id) is node:
+                    stale[node.id] = node
+        threshold, entries, dropped = self.threshold, [], []
+        for oid, node in stale.items():
+            if objects.get(oid) is node:
+                seen = node.last_seen
+                p = persistence_probability(node.decay_rate, now, seen)
+                if p < threshold:
+                    entries.append(StaleEntry(oid, p, seen))
+                    continue
+                # Looked at within the slack of its crossing: look again next time.
+                self._queue(seen + lead / node.decay_rate, node)
+            dropped.append(oid)
+        for oid in dropped:
+            del stale[oid]
+        self.now = now
+        if self.queued > 2 * len(objects) + 64:
+            self._compact(objects)
+        entries.sort(key=attrgetter("probability", "object_id"))
+        return StaleReport(threshold=float(threshold), now=float(now), entries=tuple(entries))

@@ -21,11 +21,14 @@ The room layer doubles as a spatial index. The graph keeps a room-label map,
 each room's set of attached objects and, per room, a box around its members'
 translations that only grows until the graph is next loaded. Scoped ``find``,
 ``objects_in_room`` and ``objects_near`` read them instead of scanning every
-object; ``assign_room`` reads a flat list of the rooms' boxes. Only
-``add_room``, the primitives and the loader may write ``rooms``, ``objects``
-or ``belongs_to``, and only the primitives may write an object's fields,
-since anything else would leave the indexes stale or edit a node other
-graphs share; :func:`check_invariants` verifies the indexes.
+object; ``assign_room`` reads a flat list of the rooms' boxes. One more index
+belongs to :mod:`sgupdate.decay`: ``stale_index``, ``None`` on a new, copied or
+loaded graph and built by the first staleness query; ``add_object``,
+``move_object``, ``reattach`` and ``touch`` report to it the id they file a
+new node under. Only ``add_room``, the primitives and the loader may write
+``rooms``, ``objects`` or ``belongs_to``, and only the primitives may write an
+object's fields, since anything else would leave the indexes stale or edit a
+node other graphs share; :func:`check_invariants` verifies the room indexes.
 
 :func:`serialize` and :func:`deserialize` run with the cyclic garbage
 collector paused. A graph document and the graph built from it hold no
@@ -178,6 +181,10 @@ class SceneGraph:
         self._boxes: dict[str, tuple[float, ...]] = {}
         # slug -> n such that every f"{slug}-{m}" with m < n is an object id.
         self._id_floor: dict[str, int] = {}
+        # decay's staleness index over this graph; None until the first
+        # stale_targets query, and on every new, copied or loaded graph. The
+        # primitives that file a new node add its id to ``stale_index.written``.
+        self.stale_index = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -325,6 +332,8 @@ class SceneGraph:
         )
         self.objects[oid] = node
         self._link(oid, room.id, pose.t)
+        if self.stale_index is not None:  # tell it ``oid`` names a new node
+            self.stale_index.written.add(oid)
         return oid
 
     def _attached_in_room(self, source_room: str, target: str) -> tuple[ObjectNode, RoomNode]:
@@ -362,6 +371,8 @@ class SceneGraph:
         node.pose_provisional = bool(pose_provisional)
         self._unlink(target)
         self._link(target, new_room.id, new_pose.t)
+        if self.stale_index is not None:
+            self.stale_index.written.add(target)
 
     def detach(self, target: str) -> None:
         """Drop the belongs-to edge but keep the node (object picked up)."""
@@ -388,6 +399,8 @@ class SceneGraph:
         node.last_seen = float(now)
         node.pose_provisional = False
         self._link(target, room.id, pose.t)
+        if self.stale_index is not None:
+            self.stale_index.written.add(target)
 
     def touch(self, target: str, now: float) -> None:
         """Record a fresh observation of an object (resets its decay clock)."""
@@ -396,6 +409,8 @@ class SceneGraph:
             raise UnknownObject(f"no object with id {target!r}")
         node = self.objects[target] = node._clone()
         node.last_seen = float(now)
+        if self.stale_index is not None:
+            self.stale_index.written.add(target)
 
     # ------------------------------------------------------------------
 

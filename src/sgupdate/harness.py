@@ -196,7 +196,7 @@ def _mission(house: SceneGraph, rooms: set[str], m: dict) -> Mission:
 
 def _trajectory(data: dict, initial: SceneGraph, initial_key: str) -> list[tuple[float, Pose]]:
     """The camera waypoints, in time order and none before an attached movable object's
-    ``last_seen`` in ``initial``, which each frame's staleness sweep subtracts from the frame."""
+    ``last_seen`` in ``initial``, which each frame's staleness report subtracts from the frame."""
     seen = (n.last_seen for n in initial.objects.values() if n.attached and n.decay_rate > 0.0)
     last_seen = max(seen, default=-math.inf)
     floor = (last_seen, f"the last_seen {last_seen} of an object in {initial_key}")
@@ -540,8 +540,10 @@ def run_scenario(
 
     Events are processed in timestamp order (ties: world changes, then
     statements, then mission steps, then camera frames). Each camera frame
-    runs detect → associate → confirm → apply and consults the staleness
-    report for logging.
+    runs detect → associate → confirm → apply and then keeps the frame's
+    staleness report in ``RunLog.stale_reports``. The report comes from the
+    estimate's staleness index, which the first frame builds and later frames
+    bring up to date from the nodes the primitives wrote since.
     """
     scenario = (
         scenario_or_path

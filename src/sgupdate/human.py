@@ -52,7 +52,12 @@ class Lexicon:
 
     def __post_init__(self) -> None:
         for name in (f.name for f in fields(self)):
-            setattr(self, name, [_norm_label(w) for w in texts(getattr(self, name), name)])
+            words = texts(getattr(self, name), name)
+            normed = [_norm_label(w) for w in words]
+            if "" in normed:  # a blank word would match anywhere in a pattern
+                i = normed.index("")
+                raise ValueError(f"{name}[{i}] must not be blank, got {words[i]!r}")
+            setattr(self, name, normed)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Lexicon":

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from sgupdate.decay import StaleEntry, StaleReport, persistence_probability
 from sgupdate.geometry import BBox3, Pose
 from sgupdate.graph import RoomNode, SceneGraph
 
@@ -26,6 +27,24 @@ def put(g, room, label, t, extents=(0.2, 0.2, 0.2), rate=0.05, now=0.0, **kw):
 def yaw_pose(t, yaw):
     """Pose at t facing `yaw` radians counterclockwise from +x."""
     return Pose((math.cos(yaw / 2.0), 0.0, 0.0, math.sin(yaw / 2.0)), t)
+
+
+def stale_sweep(graph, now, threshold):
+    """``decay.stale_targets`` as a full sweep over every object: the oracle
+    the incremental index must match exactly, errors included."""
+    if not (0.0 < threshold < 1.0):
+        raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold}")
+    if not math.isfinite(now):
+        raise ValueError(f"now must be finite, got {now}")
+    entries = []
+    for oid, node in graph.objects.items():
+        if not node.attached or node.decay_rate <= 0.0:
+            continue
+        p = persistence_probability(node.decay_rate, now, node.last_seen)
+        if p < threshold:
+            entries.append(StaleEntry(object_id=oid, probability=p, last_seen=node.last_seen))
+    entries.sort(key=lambda e: (e.probability, e.object_id))
+    return StaleReport(threshold=float(threshold), now=float(now), entries=tuple(entries))
 
 
 @pytest.fixture

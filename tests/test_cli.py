@@ -248,6 +248,43 @@ def test_stale_lists_low_persistence_objects(house_file, capsys):
     assert "refrigerator-1" not in out  # immovable never decays
 
 
+STALE_LINES = {
+    "12000": [
+        "banana-1  label='banana'  room=kitchen  persistence=0.3177",
+        "1 candidate(s) below 0.5",
+    ],
+    "20000": [
+        "banana-1  label='banana'  room=kitchen  persistence=0.1171",
+        "cup-1  label='cup'  room=kitchen  persistence=0.4953",
+        "mug-1  label='mug'  room=kitchen  persistence=0.4953",
+        "plate-1  label='plate'  room=kitchen  persistence=0.4953",
+        "towel-1  label='towel'  room=bathroom  persistence=0.4953",
+        "vase-1  label='vase'  room=living room  persistence=0.4953",
+        "6 candidate(s) below 0.5",
+    ],
+    "100000": [
+        "banana-1  label='banana'  room=kitchen  persistence=0.0000",
+        "cup-1  label='cup'  room=kitchen  persistence=0.0077",
+        "mug-1  label='mug'  room=kitchen  persistence=0.0077",
+        "plate-1  label='plate'  room=kitchen  persistence=0.0077",
+        "towel-1  label='towel'  room=bathroom  persistence=0.0077",
+        "vase-1  label='vase'  room=living room  persistence=0.0077",
+        "alarm-clock-1  label='alarm clock'  room=bedroom  persistence=0.3992",
+        "hairbrush-1  label='hairbrush'  room=bathroom  persistence=0.3992",
+        "pillow-1  label='pillow'  room=bedroom  persistence=0.3992",
+        "tv-remote-1  label='tv remote'  room=living room  persistence=0.3992",
+        "10 candidate(s) below 0.5",
+    ],
+}
+
+
+@pytest.mark.parametrize("now", sorted(STALE_LINES, key=float))
+def test_stale_prints_the_pinned_report(now, house_file, capsys):
+    # One load, one query: the index is built and read in the same call.
+    assert main(["stale", house_file, "--now", now, "--threshold", "0.5"]) == 0
+    assert capsys.readouterr().out.splitlines() == STALE_LINES[now]
+
+
 def test_stale_rejects_bad_threshold(house_file, capsys):
     assert main(["stale", house_file, "--now", "10", "--threshold", "2.0"]) == 2
 

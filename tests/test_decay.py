@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sgupdate.decay import (
     ClockSkew,
@@ -12,8 +12,10 @@ from sgupdate.decay import (
     persistence_probability,
     stale_targets,
 )
+from sgupdate.geometry import Pose
+from sgupdate.graph import deserialize, serialize
 
-from conftest import put, two_room_graph
+from conftest import put, stale_sweep, two_room_graph
 
 
 def test_zero_rate_pins_probability_at_one():
@@ -161,3 +163,123 @@ def test_stale_report_serializes(house2):
     d = stale_targets(house2, now=100.0, threshold=0.5).to_dict()
     assert d["threshold"] == 0.5 and d["now"] == 100.0
     assert d["entries"][0]["object_id"] == "cup-1"
+
+
+# -- the staleness index against the sweep -----------------------------------
+
+
+def outcome(query, graph, now, threshold):
+    """``query``'s report, or the type and message of the error it raised."""
+    try:
+        return query(graph, now, threshold)
+    except ValueError as exc:  # ClockSkew included
+        return type(exc), str(exc)
+
+
+def assert_matches_sweep(graph, now, threshold):
+    want = outcome(stale_sweep, graph, now, threshold)
+    assert outcome(stale_targets, graph, now, threshold) == want
+    return want
+
+
+THRESHOLDS = (0.5, 0.5, 0.5, 0.1, 0.9)
+RATES = (0.0, 0.05, 0.5, 2.0)
+STEP = st.tuples(
+    st.sampled_from(
+        ["add", "remove", "move", "touch", "detach", "reattach", "query", "query",
+         "crossing", "back", "copy", "reload"]
+    ),
+    st.integers(0, 2**16),  # picks the object, room, rate, threshold
+    st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0, 20.0]),  # how far the clock moves
+    st.booleans(),  # a write dated after the clock, which a query at the clock must refuse
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(STEP, min_size=20, max_size=80))
+def test_stale_targets_matches_the_sweep_after_every_step(steps):
+    """After every primitive, copy, reload and query, ``stale_targets`` gives
+    the sweep's report (ids, probabilities and order) or raises its error."""
+    g = two_room_graph()
+    rooms = ["kitchen", "living room"]
+    spots = {"kitchen": (1.0, 1.0, 1.0), "living room": (7.0, 1.0, 1.0)}
+    clock, threshold = 0.0, 0.5
+    copies = []  # (copy, the time it was taken at): queried again later
+    for op, pick, dt, ahead in steps:
+        clock += dt
+        written_at = clock + 2.0 if ahead else clock
+        attached = sorted(oid for oid, n in g.objects.items() if n.attached)
+        detached = sorted(oid for oid, n in g.objects.items() if not n.attached)
+        room = rooms[pick % 2]
+        if op == "add":
+            rate = RATES[pick % len(RATES)]
+            put(g, room, "cup" if pick % 3 else "plate", spots[room], rate=rate, now=written_at)
+        elif op == "remove" and attached:
+            oid = attached[pick % len(attached)]
+            g.remove_object(g.rooms[g.belongs_to[oid]].label, oid)
+        elif op == "move" and attached:
+            oid = attached[pick % len(attached)]
+            g.move_object(
+                g.rooms[g.belongs_to[oid]].label, room, oid, Pose.identity(spots[room]), written_at
+            )
+        elif op == "touch" and g.objects:
+            g.touch(sorted(g.objects)[pick % len(g.objects)], written_at)
+        elif op == "detach" and attached:
+            g.detach(attached[pick % len(attached)])
+        elif op == "reattach" and detached:
+            g.reattach(detached[pick % len(detached)], room, Pose.identity(spots[room]), written_at)
+        elif op == "query":
+            threshold = THRESHOLDS[pick % len(THRESHOLDS)]
+        elif op == "crossing":  # the next crossing time, give or take an ulp
+            c = math.log(2.0 / threshold - 1.0)
+            ahead = [
+                n.last_seen + c / n.decay_rate
+                for n in g.objects.values()
+                if n.attached and n.decay_rate > 0.0 and n.last_seen + c / n.decay_rate > clock
+            ]
+            if ahead:
+                at = min(ahead)
+                clock = max(clock, math.nextafter(at, (-math.inf, at, math.inf)[pick % 3]))
+        elif op == "back":  # a query earlier than the last one
+            assert_matches_sweep(g, max(clock - dt - 1.0, 0.0), threshold)
+        elif op == "copy":
+            copies.append((g.copy(), clock))
+            if pick % 2:  # carry on with the copy, whose index starts empty
+                g = copies[-1][0]
+        elif op == "reload":
+            g = deserialize(serialize(g))
+        assert_matches_sweep(g, clock, threshold)
+    for copy, taken in copies:
+        assert_matches_sweep(copy, taken, threshold)
+        assert_matches_sweep(copy, clock, threshold)
+
+
+def test_stale_targets_raises_the_sweeps_clock_skew_for_a_later_write():
+    g = two_room_graph()
+    cup = put(g, "kitchen", "cup", (1, 1, 1), rate=1.0)
+    put(g, "kitchen", "plate", (2, 1, 1), rate=1.0)
+    assert [e.object_id for e in stale_targets(g, 5.0, 0.5).entries] == ["cup-1", "plate-1"]
+    g.touch(cup, 9.0)
+    g.touch("plate-1", 8.0)
+    want = assert_matches_sweep(g, 6.0, 0.5)
+    assert want == (ClockSkew, "now=6.0 precedes last_seen=9.0")  # the first in the graph's order
+    assert [e.object_id for e in stale_targets(g, 12.0, 0.5).entries] == ["plate-1", "cup-1"]
+
+
+def test_stale_targets_keeps_an_index_on_the_graph_and_none_on_a_copy_or_load(house2):
+    put(house2, "kitchen", "cup", (1, 1, 1), rate=1.0)
+    assert house2.stale_index is None
+    stale_targets(house2, 5.0, 0.5)
+    assert house2.stale_index is not None
+    assert house2.copy().stale_index is None
+    assert deserialize(serialize(house2)).stale_index is None
+
+
+def test_stale_index_drops_replaced_nodes_that_pile_up_before_their_crossing(house2):
+    cup = put(house2, "kitchen", "cup", (1, 1, 1), rate=0.001)  # crosses 0.5 after 1099 s
+    put(house2, "kitchen", "plate", (2, 1, 1), rate=1.0)
+    for step in range(1, 400):
+        house2.touch(cup, float(step))
+        assert_matches_sweep(house2, float(step), 0.5)
+        queued = sum(map(len, house2.stale_index.due.values()))
+        assert queued == house2.stale_index.queued <= 2 * len(house2.objects) + 64 + 1

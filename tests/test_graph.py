@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sgupdate
+from sgupdate.decay import stale_targets
 from sgupdate.geometry import BBox3, Pose, point_in_aabb
 from sgupdate.graph import (
     AlreadyAttached,
@@ -35,7 +36,7 @@ from sgupdate.graph import (
 from sgupdate.perception import CameraModel, expected_visible, point_in_frustum
 from sgupdate.simworld import load_house
 
-from conftest import make_room, put, two_room_graph, yaw_pose
+from conftest import make_room, put, stale_sweep, two_room_graph, yaw_pose
 
 
 def test_room_labels_are_normalized_and_unique():
@@ -588,7 +589,7 @@ def test_graphs_equivalent_ignores_ids_but_not_content(house2):
 
 
 def test_long_random_primitive_sequence_keeps_invariants():
-    """Invariants plus the room indexes checked against brute-force scans.
+    """Invariants plus the room and staleness indexes checked against brute-force scans.
 
     A quarter of adds, moves and reattaches put the object at a random spot
     (either room or outside the house) whatever room they name, so member
@@ -654,6 +655,8 @@ def test_long_random_primitive_sequence_keeps_invariants():
             snapshots.append((snapshot, serialize(snapshot)))
         assert check_invariants(g) == [], f"invariants broke at step {step}"
         assert serialize(g) == canonical_bytes(g), f"serialize is not the sorted dump at step {step}"
+        want = stale_sweep(g, float(step), 0.5)
+        assert stale_targets(g, float(step), 0.5) == want, f"stale_targets at step {step}"
 
         for room in rooms:
             rid = g.room_by_label(room).id

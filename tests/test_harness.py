@@ -6,6 +6,8 @@ import re
 import pytest
 from importlib import resources
 
+from sgupdate import harness
+from sgupdate.decay import stale_targets
 from sgupdate.graph import graphs_equal, serialize
 from sgupdate.harness import (
     GroundTruthChange,
@@ -26,6 +28,8 @@ from sgupdate.records import (
     UpdateAction,
     UpdateRecord,
 )
+
+from conftest import stale_sweep
 
 SCENARIO = resources.files("sgupdate.data").joinpath("scenario_house.json")
 DEGRADED = {"failures.min_detectable_extent": 0.16}
@@ -362,7 +366,28 @@ def test_ideal_run_log_is_clean(ideal):
     assert ideal.log.deferred == []
     statuses = {e.report.status for e in ideal.log.entries}
     assert statuses == {ApplyStatus.APPLIED}
-    assert len(ideal.log.stale_reports) == 8  # one staleness sweep per frame
+    assert len(ideal.log.stale_reports) == 8  # one staleness report per frame
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [None, DEGRADED, {"stale_threshold": 0.9999}, {**DEGRADED, "stale_threshold": 0.9999}],
+    ids=["ideal", "degraded", "ideal-0.9999", "degraded-0.9999"],
+)
+def test_every_frames_stale_report_is_the_sweeps(overrides, monkeypatch):
+    # At the default threshold no frame of the packaged episode reports an
+    # object; at 0.9999 up to six do, and touches take some off again.
+    pairs = []
+
+    def checked(graph, now, threshold):
+        report = stale_targets(graph, now, threshold)
+        pairs.append((report, stale_sweep(graph, now, threshold)))
+        return report
+
+    monkeypatch.setattr(harness, "stale_targets", checked)
+    result = run_scenario(SCENARIO, overrides)
+    assert [got for got, _ in pairs] == result.log.stale_reports and len(pairs) == 8
+    assert [got for got, _ in pairs] == [want for _, want in pairs]
 
 
 def test_ideal_run_emits_one_geometry_refinement(ideal):

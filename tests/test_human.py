@@ -1,12 +1,15 @@
 """Statement parsing. The grammar is deterministic: same text, same parse."""
+import json
 import re
 from dataclasses import astuple
+from importlib import resources
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgupdate.cli import main
 from sgupdate.human import (
     Confidence,
     GrammarExtractor,
@@ -21,6 +24,8 @@ from sgupdate.human import (
 )
 from sgupdate.records import Provenance, UpdateAction
 
+
+SCENARIO = resources.files("sgupdate.data").joinpath("scenario_house.json")
 
 # the three canonical shapes the pipeline is built around
 REMOVED_SENT = "I removed the towel from the bathroom because it was too old."
@@ -130,6 +135,23 @@ def test_custom_lexicon_swaps_vocabulary():
     )
     # the default vocabulary no longer applies under the custom lexicon
     assert parse_statement(REMOVED_SENT, lexicon=lex).confidence is Confidence.FAILED
+
+
+@pytest.mark.parametrize("blank", ["", "  ", "\t\n"])
+def test_lexicon_refuses_a_blank_word(blank):
+    with pytest.raises(ValueError, match=re.escape(f"rooms[1] must not be blank, got {blank!r}")):
+        Lexicon.from_dict({"rooms": ["kitchen", blank]})
+
+
+def test_a_scenario_with_a_blank_lexicon_word_exits_2(tmp_path, capsys):
+    lexicon = json.loads(resources.files("sgupdate.data").joinpath("lexicon.json").read_text("utf-8"))
+    lexicon["rooms"].append("  ")
+    path = tmp_path / "lexicon.json"
+    path.write_text(json.dumps(lexicon), "utf-8")
+    assert main(["run", str(SCENARIO), "--set", f"lexicon={path}"]) == 2
+    captured = capsys.readouterr()
+    where = f"lexicon: rooms[{len(lexicon['rooms']) - 1}] must not be blank, got '  '"
+    assert where in captured.err and captured.out == ""
 
 
 def test_extractor_is_reusable_and_pluggable():
