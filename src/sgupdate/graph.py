@@ -40,6 +40,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional, Sequence
 
 from .geometry import BBox3, InvalidGeometry, Pose, poses_close
@@ -365,6 +366,8 @@ class SceneGraph:
         """Relocate an object; equivalent to remove+add but keeps the id."""
         node, _ = self._attached_in_room(source_room, target)
         new_room = self.room_by_label(target_room)
+        if not isfinite(now):  # the error ObjectNode raises
+            raise ValueError(f"last_seen must be finite, got {now!r}")
         node = self.objects[target] = node._clone()
         node.pose = new_pose
         node.last_seen = float(now)
@@ -393,6 +396,8 @@ class SceneGraph:
         room = self.room_by_label(room_label)
         if node.attached:
             raise AlreadyAttached(f"object {target!r} is already attached")
+        if not isfinite(now):  # the error ObjectNode raises
+            raise ValueError(f"last_seen must be finite, got {now!r}")
         node = self.objects[target] = node._clone()
         node.attached = True
         node.pose = pose
@@ -407,6 +412,8 @@ class SceneGraph:
         node = self.objects.get(target)
         if node is None:
             raise UnknownObject(f"no object with id {target!r}")
+        if not isfinite(now):  # the error ObjectNode raises
+            raise ValueError(f"last_seen must be finite, got {now!r}")
         node = self.objects[target] = node._clone()
         node.last_seen = float(now)
         if self.stale_index is not None:

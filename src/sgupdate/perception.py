@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Sequence
@@ -199,11 +200,14 @@ def associate(
 ) -> AssociationResult:
     """Greedy nearest-first association between expectation and detection.
 
-    All (expected, observation) pairs in the same synonym class are ranked
-    by pose displacement (ties by object id, then observation index) and
-    taken greedily. Paired entries split into static/moved by the epsilon
-    test; unmatched expected objects become removal candidates, unmatched
-    observations become addition candidates.
+    Same-class (expected, observation) pairs are taken greedily in order of
+    pose displacement, ties by object id and then observation index. Every
+    pair with ``d < epsilon`` ranks first, so two passes give exactly this:
+    pass 1 takes those, found through a window of ``x ± epsilon`` (1e-6 wider,
+    a margin for rounding) when a class has several observations,
+    and pass 2 ranks the pairs whose two ends are both still free. Matches
+    split into static/moved by the epsilon test; unmatched expected objects
+    become removal candidates, unmatched observations addition candidates.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -214,30 +218,60 @@ def associate(
     by_class: dict[str, list[tuple[int, Pose]]] = {}
     for j, obs in enumerate(observed):
         by_class.setdefault(key(obs.label, obs.label), []).append((j, obs.pose))
-    pairs = []
+    columns: dict[str, list[float]] = {}  # class key -> sorted x, if it has several observations
+    if len(by_class) < len(observed):
+        for k, bucket in by_class.items():
+            if len(bucket) > 1:
+                bucket.sort(key=lambda e: e[1].t[0])
+                columns[k] = [pose.t[0] for _, pose in bucket]
+    reach = epsilon * (1.0 + 1e-6)
+    objects = graph.objects
+    near = []
     for oid in expected_ids:
-        node = graph.objects[oid]
-        for j, obs_pose in by_class.get(key(node.label, node.label), ()):
-            pairs.append((pose_distance(node.pose, obs_pose), oid, j))
-    pairs.sort()  # by (d, oid, j)
-
+        node = objects[oid]
+        k = key(node.label, node.label)
+        bucket = by_class.get(k, ())
+        if k in columns:
+            x, xs = node.pose.t[0], columns[k]
+            bucket = bucket[bisect_left(xs, x - reach) : bisect_right(xs, x + reach)]
+        for j, obs_pose in bucket:
+            d = pose_distance(node.pose, obs_pose)
+            if d < epsilon:
+                near.append((d, oid, j))
+    near.sort()  # by (d, oid, j)
     taken_ids: set[str] = set()
     taken_obs: set[int] = set()
-    result = AssociationResult()
-    matched: list[tuple[float, str, int]] = []
-    for d, oid, j in pairs:
-        if oid in taken_ids or j in taken_obs:
-            continue
-        taken_ids.add(oid)
-        taken_obs.add(j)
-        matched.append((d, oid, j))
+    matched: list[tuple[str, int, float]] = []
+    for d, oid, j in near:
+        if oid not in taken_ids and j not in taken_obs:
+            taken_ids.add(oid)
+            taken_obs.add(j)
+            matched.append((oid, j, d))
+    if len(taken_ids) < len(expected_ids) and len(taken_obs) < len(observed):
+        far = []
+        for oid in expected_ids:
+            if oid not in taken_ids:
+                node = objects[oid]
+                for j, obs_pose in by_class.get(key(node.label, node.label), ()):
+                    if j not in taken_obs:
+                        far.append((pose_distance(node.pose, obs_pose), oid, j))
+        far.sort()
+        for d, oid, j in far:
+            if oid not in taken_ids and j not in taken_obs:
+                taken_ids.add(oid)
+                taken_obs.add(j)
+                matched.append((oid, j, d))
 
-    for d, oid, j in sorted(matched, key=lambda m: m[1]):
-        bucket = result.static_pairs if d < epsilon else result.moved_pairs
-        bucket.append((oid, observed[j]))
-    result.remove_candidates = sorted(oid for oid in expected_ids if oid not in taken_ids)
-    result.add_candidates = [obs for j, obs in enumerate(observed) if j not in taken_obs]
-    return result
+    matched.sort()  # by object id, which is unique among the matches
+    static_pairs, moved_pairs = [], []
+    for oid, j, d in matched:
+        (static_pairs if d < epsilon else moved_pairs).append((oid, observed[j]))
+    return AssociationResult(
+        static_pairs=static_pairs,
+        moved_pairs=moved_pairs,
+        remove_candidates=sorted([oid for oid in expected_ids if oid not in taken_ids]),
+        add_candidates=[obs for j, obs in enumerate(observed) if j not in taken_obs],
+    )
 
 
 # ----------------------------------------------------------------------

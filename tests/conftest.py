@@ -3,8 +3,9 @@ import math
 import pytest
 
 from sgupdate.decay import StaleEntry, StaleReport, persistence_probability
-from sgupdate.geometry import BBox3, Pose
+from sgupdate.geometry import BBox3, Pose, pose_distance
 from sgupdate.graph import RoomNode, SceneGraph
+from sgupdate.perception import AssociationResult, semantic_match
 
 
 def make_room(rid, center, extents=(4.0, 3.0, 4.0), label=None):
@@ -45,6 +46,42 @@ def stale_sweep(graph, now, threshold):
             entries.append(StaleEntry(object_id=oid, probability=p, last_seen=node.last_seen))
     entries.sort(key=lambda e: (e.probability, e.object_id))
     return StaleReport(threshold=float(threshold), now=float(now), entries=tuple(entries))
+
+
+def all_pairs_associate(expected_ids, observed, graph, epsilon):
+    """The association as a test of every (expected, observation) label pair."""
+    pairs = []
+    for oid in expected_ids:
+        node = graph.objects[oid]
+        for j, o in enumerate(observed):
+            if semantic_match(node.label, o.label):
+                pairs.append((pose_distance(node.pose, o.pose), oid, j))
+    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
+    taken_ids, taken_obs, matched = set(), set(), []
+    for d, oid, j in pairs:
+        if oid not in taken_ids and j not in taken_obs:
+            taken_ids.add(oid)
+            taken_obs.add(j)
+            matched.append((d, oid, j))
+    result = AssociationResult()
+    for d, oid, j in sorted(matched, key=lambda m: m[1]):
+        (result.static_pairs if d < epsilon else result.moved_pairs).append((oid, observed[j]))
+    result.remove_candidates = sorted(oid for oid in expected_ids if oid not in taken_ids)
+    result.add_candidates = [o for j, o in enumerate(observed) if j not in taken_obs]
+    return result
+
+
+def by_index(result, observed):
+    """An association result with every observation as its index in
+    ``observed``: observations compare by value, and a tie between equal
+    observations must be broken the same way."""
+    index = {id(o): j for j, o in enumerate(observed)}
+    return (
+        [(oid, index[id(o)]) for oid, o in result.static_pairs],
+        [(oid, index[id(o)]) for oid, o in result.moved_pairs],
+        result.remove_candidates,
+        [index[id(o)] for o in result.add_candidates],
+    )
 
 
 @pytest.fixture

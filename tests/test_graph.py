@@ -188,6 +188,31 @@ def test_touch_only_refreshes_last_seen(house2):
     assert serialize(house2) == before
 
 
+@pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("primitive", ["touch", "move_object", "reattach"])
+def test_a_primitive_refuses_a_non_finite_time_before_any_write(house2, primitive, now):
+    """The time ``add_object`` refuses is refused by the other writers of
+    ``last_seen`` too, before a node is cloned or the stale index is told."""
+    cup = put(house2, "kitchen", "cup", (1, 1, 1))
+    plate = put(house2, "kitchen", "plate", (2, 2, 1))
+    house2.detach(plate)
+    stale_targets(house2, 1.0, 0.5)  # builds the index, so a write would reach it
+    before, nodes = serialize(house2), dict(house2.objects)
+    calls = {
+        "touch": lambda: house2.touch(cup, now),
+        "move_object": lambda: house2.move_object("kitchen", "living room", cup, Pose.identity((8, 1, 1)), now),
+        "reattach": lambda: house2.reattach(plate, "kitchen", Pose.identity((2, 3, 1)), now),
+    }
+    with pytest.raises(ValueError) as refused:
+        calls[primitive]()
+    with pytest.raises(ValueError) as added:
+        put(house2.copy(), "kitchen", "cup", (1, 1, 1), now=now)
+    assert str(refused.value) == str(added.value) == f"last_seen must be finite, got {now!r}"
+    assert serialize(house2) == before
+    assert all(house2.objects[oid] is node for oid, node in nodes.items())
+    assert house2.stale_index.written == set()
+
+
 def test_copy_is_deep(house2):
     oid = put(house2, "kitchen", "cup", (1, 1, 1))
     clone = house2.copy()

@@ -21,6 +21,7 @@ from sgupdate.harness import (
     run_scenario,
     score,
 )
+from sgupdate.perception import associate
 from sgupdate.records import (
     ApplyReport,
     ApplyStatus,
@@ -29,7 +30,7 @@ from sgupdate.records import (
     UpdateRecord,
 )
 
-from conftest import stale_sweep
+from conftest import all_pairs_associate, by_index, stale_sweep
 
 SCENARIO = resources.files("sgupdate.data").joinpath("scenario_house.json")
 DEGRADED = {"failures.min_detectable_extent": 0.16}
@@ -388,6 +389,22 @@ def test_every_frames_stale_report_is_the_sweeps(overrides, monkeypatch):
     result = run_scenario(SCENARIO, overrides)
     assert [got for got, _ in pairs] == result.log.stale_reports and len(pairs) == 8
     assert [got for got, _ in pairs] == [want for _, want in pairs]
+
+
+@pytest.mark.parametrize("overrides", [None, DEGRADED], ids=["ideal", "degraded"])
+def test_every_frames_association_is_the_all_pairs_greedy(overrides, monkeypatch):
+    frames = []
+
+    def checked(expected_ids, observed, graph, epsilon):
+        result = associate(expected_ids, observed, graph, epsilon)
+        want = all_pairs_associate(expected_ids, observed, graph, epsilon)
+        frames.append((by_index(result, observed), by_index(want, observed)))
+        return result
+
+    monkeypatch.setattr(harness, "associate", checked)
+    run_scenario(SCENARIO, overrides)
+    assert len(frames) == 8
+    assert [got for got, _ in frames] == [want for _, want in frames]
 
 
 def test_ideal_run_emits_one_geometry_refinement(ideal):

@@ -23,7 +23,7 @@ from sgupdate.perception import (
 )
 from sgupdate.records import PrimitiveCall, UpdateAction
 
-from conftest import make_room, put, two_room_graph, yaw_pose
+from conftest import all_pairs_associate, by_index, make_room, put, two_room_graph, yaw_pose
 
 CAM = CameraModel(fov_h=math.pi / 2, fov_v=math.pi / 2, min_range=0.5, max_range=5.0)
 
@@ -257,29 +257,6 @@ def test_associate_requires_positive_epsilon(house2):
         associate([], [], house2, epsilon=0.0)
 
 
-def all_pairs_associate(expected_ids, observed, graph, epsilon):
-    """The association as a test of every (expected, observation) label pair."""
-    pairs = []
-    for oid in expected_ids:
-        node = graph.objects[oid]
-        for j, o in enumerate(observed):
-            if semantic_match(node.label, o.label):
-                pairs.append((pose_distance(node.pose, o.pose), oid, j))
-    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
-    taken_ids, taken_obs, matched = set(), set(), []
-    for d, oid, j in pairs:
-        if oid not in taken_ids and j not in taken_obs:
-            taken_ids.add(oid)
-            taken_obs.add(j)
-            matched.append((d, oid, j))
-    result = AssociationResult()
-    for d, oid, j in sorted(matched, key=lambda m: m[1]):
-        (result.static_pairs if d < epsilon else result.moved_pairs).append((oid, observed[j]))
-    result.remove_candidates = sorted(oid for oid in expected_ids if oid not in taken_ids)
-    result.add_candidates = [o for j, o in enumerate(observed) if j not in taken_obs]
-    return result
-
-
 # Two synonym groups, labels in no group, and one spelling that normalizes.
 FRAME_LABELS = ("tv remote", "remote control", "remote", "sofa", "couch", "cup", "mug", " Cup ")
 
@@ -297,26 +274,55 @@ def association_frame(draw):
     return g, expected, observed, draw(st.sampled_from((0.5, 1.0, 1.5)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(association_frame())
-def test_associate_equals_the_all_pairs_oracle(frame):
+@st.composite
+def crowded_association_frame(draw):
+    """Two classes of 20 or more on each side at continuous coordinates, z
+    varied, and observations planted on and one ulp either side of an
+    expected object's ``x ± e``, where ``e`` is epsilon or just inside it.
+    A planted observation may get a second expected object at a distance
+    between ``e`` and epsilon: it takes the observation only if a window
+    narrower than epsilon misses the first."""
+    g = big_room_graph()
+    epsilon = draw(st.sampled_from((0.1, 0.25, 0.7)))
+    side = draw(st.sampled_from((1.0, 4.0)))  # crowded, or a few pairs near
+    point = st.tuples(st.floats(2.0, 2.0 + side), st.floats(2.0, 2.0 + side), st.floats(0.2, 2.8))
+    ids, observed = [], []
+    for labels in (("tv remote", "remote control"), ("cup",)):
+        label = st.sampled_from(labels)
+        ids += [put(g, "hall", draw(label), draw(point)) for _ in range(draw(st.integers(20, 30)))]
+        observed += [obs(draw(label), draw(point)) for _ in range(draw(st.integers(20, 30)))]
+    observed = draw(st.permutations(observed))
+    for _ in range(draw(st.integers(0, 8))):
+        node = g.objects[draw(st.sampled_from(ids))]
+        x, y, z = node.pose.t
+        inside = draw(st.sampled_from((0.0, 1e-7, 1e-12)))
+        edge = x + draw(st.sampled_from((-1.0, 1.0))) * epsilon * (1.0 - inside)
+        ox = draw(st.sampled_from((edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf))))
+        observed.insert(draw(st.integers(0, len(observed))), obs(node.label, (ox, y, z)))
+        if draw(st.booleans()):
+            ids.append(put(g, "hall", node.label, (ox, y + epsilon * (1.0 - inside / 2.0), z)))
+    expected = draw(st.permutations(ids))[: len(ids) - draw(st.integers(0, 4))]
+    return g, expected, observed, epsilon
+
+
+def assert_equals_all_pairs(frame):
     g, expected, observed, epsilon = frame
     got = associate(expected, observed, g, epsilon)
     want = all_pairs_associate(expected, observed, g, epsilon)
-    # Observations compare by value; compare their indices too, so a tie
-    # between equal observations must be broken the same way.
-    index = {id(o): j for j, o in enumerate(observed)}
-
-    def by_index(result):
-        return (
-            [(oid, index[id(o)]) for oid, o in result.static_pairs],
-            [(oid, index[id(o)]) for oid, o in result.moved_pairs],
-            result.remove_candidates,
-            [index[id(o)] for o in result.add_candidates],
-        )
-
     assert got == want
-    assert by_index(got) == by_index(want)
+    assert by_index(got, observed) == by_index(want, observed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(association_frame())
+def test_associate_equals_the_all_pairs_oracle(frame):
+    assert_equals_all_pairs(frame)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(crowded_association_frame())
+def test_associate_equals_the_all_pairs_oracle_on_crowded_classes(frame):
+    assert_equals_all_pairs(frame)
 
 
 # -- greedy vs exhaustive matching oracle -------------------------------------
