@@ -25,6 +25,24 @@ class InvalidGeometry(ValueError):
     """A quaternion is not unit norm or a box extent is not positive."""
 
 
+def quat_norm(q: Sequence[float]) -> float:
+    """The Euclidean norm of quaternion ``q``."""
+    w, x, y, z = q
+    # Keep sum(): Python >= 3.12 adds floats with compensation, chained + would not.
+    return math.sqrt(sum((w * w, x * x, y * y, z * z)))
+
+
+def is_unit(q: Sequence[float]) -> bool:
+    """Whether quaternion ``q`` of finite floats is unit norm within ``QUAT_NORM_TOL``."""
+    return abs(quat_norm(q) - 1.0) <= QUAT_NORM_TOL
+
+
+def is_positive(extents: Sequence[float]) -> bool:
+    """Whether every box extent is strictly positive."""
+    w, h, d = extents
+    return w > 0.0 and h > 0.0 and d > 0.0
+
+
 @dataclass(frozen=True, slots=True)
 class Pose:
     """A rigid transform: rotation quaternion ``q`` plus translation ``t``."""
@@ -38,13 +56,19 @@ class Pose:
             t = floats(self.t, "translation", 3)
         except ValueError as exc:
             raise InvalidGeometry(str(exc)) from None
-        w, x, y, z = q
-        # Keep sum(): Python >= 3.12 adds floats with compensation, chained + would not.
-        norm = math.sqrt(sum((w * w, x * x, y * y, z * z)))
-        if abs(norm - 1.0) > QUAT_NORM_TOL:
-            raise InvalidGeometry(f"quaternion norm {norm!r} deviates from 1 beyond {QUAT_NORM_TOL}")
+        if not is_unit(q):
+            raise InvalidGeometry(f"quaternion norm {quat_norm(q)!r} deviates from 1 beyond {QUAT_NORM_TOL}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
+
+    @classmethod
+    def _unchecked(cls, q: tuple[float, ...], t: tuple[float, ...]) -> "Pose":
+        """The pose of tuples of floats the caller has checked (``is_unit(q)``
+        included); skips ``__post_init__``."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "q", q)
+        object.__setattr__(pose, "t", t)
+        return pose
 
     @classmethod
     def identity(cls, t: Sequence[float] = (0.0, 0.0, 0.0)) -> "Pose":
@@ -71,10 +95,17 @@ class BBox3:
             ext = floats(self.extents, "bbox", 3)
         except ValueError as exc:
             raise InvalidGeometry(str(exc)) from None
-        w, h, d = ext
-        if not (w > 0.0 and h > 0.0 and d > 0.0):
+        if not is_positive(ext):
             raise InvalidGeometry(f"extents must be strictly positive, got {ext}")
         object.__setattr__(self, "extents", ext)
+
+    @classmethod
+    def _unchecked(cls, extents: tuple[float, ...]) -> "BBox3":
+        """The box of a tuple of floats the caller has checked (``is_positive``
+        included); skips ``__post_init__``."""
+        box = object.__new__(cls)
+        object.__setattr__(box, "extents", extents)
+        return box
 
     @property
     def max_extent(self) -> float:

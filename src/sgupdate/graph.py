@@ -30,6 +30,13 @@ new node under. Only ``add_room``, the primitives and the loader may write
 object's fields, since anything else would leave the indexes stale or edit a
 node other graphs share; :func:`check_invariants` verifies the room indexes.
 
+The loader builds each object entry of exactly the shape :func:`serialize`
+writes from one combined test (:func:`~sgupdate.values.node_entry`) and the
+node classes' own rules, skipping the per-value readers; every other entry,
+and every entry a rule refuses, goes through those readers, which read it or
+raise the error that names the bad value. A load normalizes each distinct
+object label once, and the nodes that carry it share the string.
+
 :func:`serialize` and :func:`deserialize` run with the cyclic garbage
 collector paused. A graph document and the graph built from it hold no
 reference cycles and everything a load builds survives, so a collection in
@@ -43,8 +50,8 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Optional, Sequence
 
-from .geometry import BBox3, InvalidGeometry, Pose, poses_close
-from .values import array, entries, flag, number, obj, text, texts
+from .geometry import BBox3, InvalidGeometry, Pose, is_positive, is_unit, poses_close
+from .values import array, entries, flag, node_entry, number, obj, text, texts
 
 __all__ = [
     "SceneGraphError",
@@ -109,6 +116,14 @@ def _norm_label(label: str) -> str:
     return " ".join(label.strip().lower().split())
 
 
+def _node_label(label: str) -> str:
+    """A room's or object's label, normalized; a blank one is refused."""
+    norm = _norm_label(label)
+    if not norm:
+        raise ValueError(f"label must not be blank, got {label!r}")
+    return norm
+
+
 def _room_box(room: "RoomNode") -> tuple:
     """``(cx, cy, cz, hx, hy, hz, volume, id)``: what ``assign_room`` tests."""
     return (*room.pose.t, *room.bbox.half_sizes_xyz(), room.bbox.volume, room.id)
@@ -122,7 +137,7 @@ class RoomNode:
     bbox: BBox3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "label", _norm_label(self.label))
+        object.__setattr__(self, "label", _node_label(self.label))
 
 
 @dataclass(slots=True)
@@ -143,7 +158,7 @@ class ObjectNode:
     pose_provisional: bool = False  # True until a sensed pose replaces a guessed one
 
     def __post_init__(self) -> None:
-        self.label = _norm_label(self.label)
+        self.label = _node_label(self.label)
         self.decay_rate = number(self.decay_rate, "decay_rate")
         self.last_seen = number(self.last_seen, "last_seen")
         if self.decay_rate < 0.0:
@@ -162,6 +177,30 @@ class ObjectNode:
         dup.attached = self.attached
         dup.pose_provisional = self.pose_provisional
         return dup
+
+    @staticmethod
+    def _of(fields: tuple, labels: dict[str, str]) -> Optional["ObjectNode"]:
+        """The node of ``fields``, an entry :func:`~sgupdate.values.node_entry`
+        read, or None when the unit-quaternion, positive-extent or decay-rate
+        rule refuses it; a blank label raises the node classes' ValueError.
+        ``labels`` maps each label as written to its node label, so that one
+        load normalizes a label once and its nodes share the string."""
+        oid, label, q, t, extents, decay_rate, last_seen, attached, provisional = fields
+        if not (is_unit(q) and is_positive(extents) and decay_rate >= 0.0):
+            return None
+        norm = labels.get(label)
+        if norm is None:
+            norm = labels[label] = _node_label(label)
+        node = object.__new__(ObjectNode)
+        node.id = oid
+        node.label = norm
+        node.pose = Pose._unchecked(q, t)
+        node.bbox = BBox3._unchecked(extents)
+        node.decay_rate = decay_rate
+        node.last_seen = last_seen
+        node.attached = attached
+        node.pose_provisional = provisional
+        return node
 
 
 class SceneGraph:
@@ -661,6 +700,7 @@ def graph_from_payload(data: dict) -> SceneGraph:
 def _read_graph(data: dict) -> SceneGraph:
     """:func:`graph_from_payload`, raising the errors it turns into ParseError."""
     graph = SceneGraph(epoch=number(data.get("epoch", 0.0), "epoch"))
+    labels: dict[str, str] = {}  # ObjectNode._of's label memo, for this load only
 
     def read_room(entry: dict) -> None:
         room = RoomNode(
@@ -669,19 +709,27 @@ def _read_graph(data: dict) -> SceneGraph:
             pose=Pose.from_dict(entry["pose"]),
             bbox=BBox3(entry["bbox"]),
         )
-        graph.add_room(room)
+        try:
+            graph.add_room(room)
+        except DuplicateRoomLabel as exc:  # re-raised so that ``entries`` names the entry
+            raise ValueError(str(exc)) from exc
 
     def read_object(entry: dict) -> ObjectNode:
-        node = ObjectNode(
-            id=text(entry["id"], "id"),
-            label=text(entry["label"], "label"),
-            pose=Pose.from_dict(entry["pose"]),
-            bbox=BBox3(entry["bbox"]),
-            decay_rate=entry["decay_rate"],
-            last_seen=entry["last_seen"],
-            attached=flag(entry.get("attached", True), "attached"),
-            pose_provisional=flag(entry.get("pose_provisional", False), "pose_provisional"),
-        )
+        # The common case, the shape serialize writes, in one test; anything
+        # else, and whatever a rule refuses, takes the per-value readers.
+        fields = node_entry(entry)
+        node = None if fields is None else ObjectNode._of(fields, labels)
+        if node is None:
+            node = ObjectNode(
+                id=text(entry["id"], "id"),
+                label=text(entry["label"], "label"),
+                pose=Pose.from_dict(entry["pose"]),
+                bbox=BBox3(entry["bbox"]),
+                decay_rate=entry["decay_rate"],
+                last_seen=entry["last_seen"],
+                attached=flag(entry.get("attached", True), "attached"),
+                pose_provisional=flag(entry.get("pose_provisional", False), "pose_provisional"),
+            )
         if node.id in graph.objects:
             raise ValueError(f"duplicate object id {node.id!r}")
         graph.objects[node.id] = node
@@ -706,7 +754,10 @@ def _read_graph(data: dict) -> SceneGraph:
             "belongs_to keys do not exactly match attached object ids"
         )
     for i, pair in enumerate(array(data.get("access"), "access")):
-        graph.add_access(*texts(pair, f"access[{i}]", 2))
+        try:
+            graph.add_access(*texts(pair, f"access[{i}]", 2))
+        except SceneGraphError as exc:
+            raise ValueError(f"access[{i}]: {exc}") from exc
     return graph
 
 

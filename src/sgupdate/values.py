@@ -12,6 +12,11 @@ the place it was read from, and returns the value, or raises
 A number is a finite int or float, never a boolean or a numeric string, and
 reads as a float. A list may also be a tuple, since code builds poses from
 tuples. This module imports nothing from the package.
+
+:func:`node_entry` is the graph loader's common case: one combined test of
+an object entry of exactly the shape ``serialize`` writes. It raises
+nothing; an entry it does not take goes to the per-value readers, which
+either read it or raise the error that names the bad value.
 """
 from __future__ import annotations
 
@@ -72,6 +77,40 @@ def floats(value, where: str, n: int) -> tuple[float, ...]:
     if _FLOAT.issuperset(map(type, value)) and math.isfinite(sum(value)):
         return tuple(value)
     return tuple([number(v, f"{where}[{i}]") for i, v in enumerate(value)])
+
+
+def node_entry(entry: dict) -> tuple | None:
+    """``(id, label, q, t, extents, decay_rate, last_seen, attached,
+    pose_provisional)`` of an object entry of exactly the shape ``serialize``
+    writes, with ``q``, ``t`` and ``extents`` as tuples; otherwise ``None``.
+
+    That shape is the eight keys, an id and label that are strings, two
+    booleans, two floats and a ``pose`` of exactly ``q`` and ``t``, which
+    with ``bbox`` are lists of 4, 3 and 3 floats, every number finite (a
+    sum of floats is finite only when every term is). Ints, tuples, extra
+    keys and every error take the per-value readers.
+    """
+    if type(entry) is not dict:
+        return None
+    try:
+        pose = entry["pose"]
+        if len(entry) != 8 or type(pose) is not dict or len(pose) != 2:
+            return None
+        q, t, extents = pose["q"], pose["t"], entry["bbox"]
+        oid, label, rate, seen = entry["id"], entry["label"], entry["decay_rate"], entry["last_seen"]
+        attached, provisional = entry["attached"], entry["pose_provisional"]
+    except KeyError:
+        return None
+    if (
+        type(oid) is type(label) is str
+        and type(attached) is type(provisional) is bool
+        and type(q) is type(t) is type(extents) is list
+        and (len(q), len(t), len(extents)) == (4, 3, 3)
+    ):
+        numbers = (*q, *t, *extents, rate, seen)
+        if _FLOAT.issuperset(map(type, numbers)) and math.isfinite(sum(numbers)):
+            return (oid, label, tuple(q), tuple(t), tuple(extents), rate, seen, attached, provisional)
+    return None
 
 
 def texts(value, where: str, n: int | None = None) -> list[str]:

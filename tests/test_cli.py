@@ -312,6 +312,18 @@ def test_non_numeric_graph_field_exits_2(tmp_path, capsys):
     assert "objects[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["objects", "rooms"])
+def test_a_blank_graph_label_exits_2(tmp_path, capsys, key):
+    payload = json.loads(serialize(load_house()))
+    payload[key][0]["label"] = "   "
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), "utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["query", str(bad)])
+    assert err.value.code == 2
+    assert f"{key}[0]: label must not be blank, got '   '" in capsys.readouterr().err
+
+
 def test_graph_file_of_wrong_shape_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"rooms": 5, "objects": [], "belongs_to": {}, "access": []}), "utf-8")

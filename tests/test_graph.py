@@ -20,6 +20,7 @@ from sgupdate.graph import (
     NoContainingRoom,
     ObjectNode,
     ParseError,
+    RoomNode,
     SceneGraph,
     SceneGraphError,
     UnknownObject,
@@ -27,6 +28,7 @@ from sgupdate.graph import (
     WrongRoom,
     check_invariants,
     deserialize,
+    graph_from_payload,
     graph_to_payload,
     graphs_equal,
     graphs_equivalent,
@@ -482,6 +484,45 @@ def test_deserialize_refuses_an_integer_too_long_for_python():
         deserialize('{"epoch": ' + "1" * 5000 + "}")
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        pytest.param(
+            ("objects", 0, "label"), "   ", r"^objects\[0\]: label must not be blank, got '   '$",
+            id="object-label",
+        ),
+        pytest.param(("rooms", 1, "label"), "", r"^rooms\[1\]: label must not be blank, got ''$", id="room-label"),
+        pytest.param(
+            ("rooms", 1, "id"), "kitchen", r"^rooms\[1\]: room id 'kitchen' already present$", id="room-id"
+        ),
+        pytest.param(
+            ("rooms", 1, "label"), " Kitchen", r"^rooms\[1\]: room label 'kitchen' already present$",
+            id="room-label-twice",
+        ),
+        pytest.param(
+            ("access", 0, 1), "attic",
+            r"^access\[0\]: access edge references unknown room: 'kitchen'/'attic'$", id="access-room",
+        ),
+        pytest.param(
+            ("access", 0, 1), "kitchen",
+            r"^access\[0\]: access edge \('kitchen', 'kitchen'\) must connect two distinct rooms$",
+            id="access-loop",
+        ),
+    ],
+)
+def test_deserialize_names_the_entry_a_graph_rule_refuses(path, value, message):
+    with pytest.raises(ParseError, match=message):
+        deserialize(payload_with(path, value))
+
+
+def test_a_node_label_must_not_be_blank(house2):
+    with pytest.raises(ValueError, match=r"^label must not be blank, got ' \\t '$"):
+        put(house2, "kitchen", " \t ", (1, 1, 1))
+    with pytest.raises(ValueError, match=r"^label must not be blank, got ''$"):
+        house2.add_room(RoomNode(id="attic", label="", pose=Pose.identity(), bbox=BBox3((1.0, 1.0, 1.0))))
+    assert check_invariants(house2) == [] and not house2.objects and "attic" not in house2.rooms
+
+
 # -- canonical bytes and the collector ---------------------------------------
 
 
@@ -518,6 +559,34 @@ def test_serialize_writes_the_sorted_key_dump(graph):
     g = graph()
     assert serialize(g) == canonical_bytes(g)
     assert unsorted_dicts(graph_to_payload(g)) == []
+
+
+def per_value_reads(blob) -> int:
+    """How many object nodes loading ``blob`` built through the per-value readers
+    (``ObjectNode.__post_init__``) rather than the loader's common case."""
+    built = []
+    check = ObjectNode.__post_init__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ObjectNode, "__post_init__", lambda node: built.append(check(node)))
+        deserialize(blob)
+    return len(built)
+
+
+@pytest.mark.parametrize("graph", [load_house, generated_graph], ids=["packaged", "generated"])
+def test_loading_what_serialize_writes_takes_the_common_case_for_every_object(graph):
+    g = graph()
+    blob = serialize(g)
+    assert per_value_reads(blob) == 0
+    # the same document as tuples, which only the per-value readers take
+    assert serialize(graph_from_payload(graph_to_payload(g))) == blob
+    assert per_value_reads(payload_with(("objects", 0, "decay_rate"), 0)) == 1  # the count sees one
+
+
+def test_a_load_files_one_string_per_label():
+    back = deserialize(serialize(generated_graph(50)))
+    labels = {}
+    for node in back.objects.values():
+        assert labels.setdefault(node.label, node.label) is node.label
 
 
 def test_unsorted_dict_scan_finds_nested_dicts():

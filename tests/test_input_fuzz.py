@@ -31,7 +31,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sgupdate.graph
 from sgupdate.cli import main
+from sgupdate.geometry import QUAT_NORM_TOL, is_unit
 from sgupdate.graph import ParseError, check_invariants, deserialize, serialize
 
 from conftest import put, two_room_graph
@@ -148,6 +150,19 @@ def as_written(doc):
     return doc
 
 
+def loaded(text, common_case=True):
+    """``serialize`` of the graph ``text`` loads as, or the text of the
+    ``ParseError`` it raises. Without the common case every object entry
+    takes the loader's per-value readers."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not common_case:
+            mp.setattr(sgupdate.graph, "node_entry", lambda entry: None)
+        try:
+            return serialize(deserialize(text))
+        except ParseError as exc:
+            return f"ParseError: {exc}"
+
+
 def value_at(doc, path):
     for key in path:
         doc = doc[key]
@@ -176,6 +191,7 @@ def test_one_bad_value_in_a_graph_document_loads_a_sound_graph_or_raises_parse_e
     path = data.draw(st.sampled_from(where), label="path")
     value = data.draw(st.sampled_from(values), label="value")
     doc = with_value(GRAPH_DOC, path, value)
+    assert loaded(json.dumps(doc)) == loaded(json.dumps(doc), common_case=False)
     try:
         graph = deserialize(json.dumps(doc))
     except ParseError:
@@ -184,3 +200,58 @@ def test_one_bad_value_in_a_graph_document_loads_a_sound_graph_or_raises_parse_e
     blob = serialize(graph)
     assert serialize(deserialize(blob)) == blob
     assert json.loads(blob) == as_written(doc)  # no value dropped, coerced or normalized
+
+
+def unit_w(outside: bool) -> float:
+    """``w`` of the quaternion ``(w, 0, 0, 0)`` whose norm is the last float
+    within ``QUAT_NORM_TOL`` of 1, or the first float beyond it."""
+    w = 1.0 + QUAT_NORM_TOL
+    while not is_unit((w, 0.0, 0.0, 0.0)):
+        w = math.nextafter(w, 1.0)
+    while is_unit((math.nextafter(w, 2.0), 0.0, 0.0, 0.0)):
+        w = math.nextafter(w, 2.0)
+    return math.nextafter(w, 2.0) if outside else w
+
+
+# objects[0] is the detached book, objects[1] and objects[2] the cups.
+NUMBER_PATHS = [p for p in paths(GRAPH_DOC["objects"][0], ("objects", 0)) if type(value_at(GRAPH_DOC, p)) is float]
+
+
+def with_values(doc, edits):
+    for path, value in edits:
+        doc = with_value(doc, path, value)
+    return doc
+
+
+def without_q(doc):
+    doc = copy.deepcopy(doc)
+    del doc["objects"][0]["pose"]["q"]
+    return doc
+
+
+BOUNDARY_DOCS = {
+    **{
+        "int-" + "-".join(map(str, p[2:])): with_value(GRAPH_DOC, p, math.ceil(value_at(GRAPH_DOC, p)))
+        for p in NUMBER_PATHS
+    },
+    "int-everywhere": with_values(GRAPH_DOC, [(p, math.ceil(value_at(GRAPH_DOC, p))) for p in NUMBER_PATHS]),
+    "negative-zero-extent": with_value(GRAPH_DOC, ("objects", 0, "bbox", 1), -0.0),
+    "negative-zero-rate": with_value(GRAPH_DOC, ("objects", 0, "decay_rate"), -0.0),
+    "norm-just-inside": with_value(GRAPH_DOC, ("objects", 0, "pose", "q"), [unit_w(False), 0.0, 0.0, 0.0]),
+    "norm-just-outside": with_value(GRAPH_DOC, ("objects", 0, "pose", "q"), [unit_w(True), 0.0, 0.0, 0.0]),
+    "label-to-normalize": with_value(GRAPH_DOC, ("objects", 1, "label"), "  Alarm  Clock"),
+    "blank-label": with_value(GRAPH_DOC, ("objects", 1, "label"), " \t "),
+    "duplicate-id": with_value(GRAPH_DOC, ("objects", 2, "id"), GRAPH_DOC["objects"][1]["id"]),
+    "missing-q": without_q(GRAPH_DOC),
+    "pose-list": with_value(GRAPH_DOC, ("objects", 0, "pose"), [[1.0, 0.0, 0.0, 0.0], [7.0, 2.0, 1.0]]),
+}
+
+REFUSED = {"negative-zero-extent", "norm-just-outside", "blank-label", "duplicate-id", "missing-q", "pose-list"}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_DOCS))
+def test_the_common_case_and_the_per_value_readers_agree_at_its_edges(name):
+    text = json.dumps(BOUNDARY_DOCS[name])
+    outcome = loaded(text)
+    assert outcome == loaded(text, common_case=False)
+    assert isinstance(outcome, str) is (name in REFUSED), outcome
