@@ -16,16 +16,22 @@ Persistence Modeling for Object Search", ICRA 2017). :func:`stale_targets`
 therefore answers from an index it keeps on the graph
 (``SceneGraph.stale_index``): the objects already stale plus the others,
 queued by crossing time and kept current from the ids the primitives report.
-A query looks at the objects that crossed since the last query and at those
-already stale, not at every object, and gives the report a sweep over every
-object would.
+A query looks at the objects written or crossed since the last query and at
+the groups already stale, not at every object, and gives the report a sweep
+over every object would.
+
+The probability depends only on the rate and on ``last_seen``, so the index
+keeps the stale objects in groups that share both: a frame's touches, or a
+whole label of a freshly loaded house. A report costs one probability per
+group and holds each group's nodes as one run; it builds its per-object
+:class:`StaleEntry` tuple only when it is first read.
 """
 from __future__ import annotations
 
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from importlib import resources
 from operator import attrgetter
 from typing import NamedTuple
@@ -124,20 +130,78 @@ def lambda_for(label: str, table: DecayTable) -> float:
 
 
 class StaleEntry(NamedTuple):
-    """One object below the threshold. A named tuple: a report holds one per
-    stale object and is rebuilt on every query, and a tuple is the cheapest
-    immutable record to build."""
+    """One object below the threshold, with its node's own ``last_seen``. A
+    named tuple: the cheapest immutable record to build, and a report builds
+    one per stale object only when its ``entries`` are first read."""
 
     object_id: str
     probability: float
     last_seen: float
 
 
-@dataclass(frozen=True)
 class StaleReport:
-    threshold: float
-    now: float
-    entries: tuple[StaleEntry, ...]
+    """The attached dynamic objects below ``threshold`` at ``now``.
+
+    ``entries`` is a tuple of :class:`StaleEntry` sorted by ``(probability,
+    object_id)``. ``StaleReport(threshold, now, entries)`` holds the entries
+    it is given. A report from :func:`stale_targets` holds one run per
+    ``(decay_rate, last_seen)`` group instead, the group's probability and
+    its nodes in id order, and builds ``entries`` from them the first time
+    they are read, so a report that is kept and never read costs one run per
+    group, not one entry per object. Either kind compares, hashes, prints and
+    serializes as its ``(threshold, now, entries)``, and neither can be
+    assigned to.
+    """
+
+    __slots__ = ("threshold", "now", "_entries", "_runs")
+
+    def __init__(self, threshold: float, now: float, entries: tuple[StaleEntry, ...]) -> None:
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "now", now)
+        object.__setattr__(self, "_entries", entries)
+
+    @classmethod
+    def _of_runs(cls, threshold: float, now: float, runs: list) -> "StaleReport":
+        """The report of ``runs``, ``(probability, nodes in id order)`` pairs."""
+        report = cls(threshold, now, None)
+        object.__setattr__(report, "_runs", runs)
+        return report
+
+    @property
+    def entries(self) -> tuple[StaleEntry, ...]:
+        if self._entries is None:
+            entries = [StaleEntry(n.id, p, n.last_seen) for p, nodes in self._runs for n in nodes]
+            # Each run is sorted already; the sort merges runs of equal probability by id.
+            entries.sort(key=attrgetter("probability", "object_id"))
+            object.__setattr__(self, "_entries", tuple(entries))
+            object.__delattr__(self, "_runs")
+        return self._entries
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.threshold, self.now, self.entries)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self) -> tuple:  # copy and pickle as the eager report
+        return (type(self), self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(threshold={self.threshold!r}, now={self.now!r},"
+            f" entries={self.entries!r})"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -188,34 +252,46 @@ _SLACK = 1e-9
 class _StaleIndex:
     """What :func:`stale_targets` knows of one graph, as of its last query.
 
-    Every attached dynamic node is either in ``stale`` (id to node) or
+    Every attached dynamic node is either stale, in ``stale`` (id to node)
+    and in the group of ``groups`` under its ``(decay_rate, last_seen)``, or
     queued in ``due`` under ``last_seen + lead / decay_rate``, a little before
     the time its probability falls below ``threshold``; ``heap`` holds the
     keys of ``due``. A node with a nan ``last_seen`` is never stale and is in
-    neither. ``written`` holds the ids the graph's primitives filed a new node
-    under since the last query. A node counts only
-    while the graph files that very node under its id: the primitives replace
-    a node on every write, and detach and remove leave nothing to report.
+    neither. ``written`` holds the ids the graph's primitives wrote since the
+    last query: every primitive that files a new node under an id or drops
+    the one filed there reports the id, so once a query has read ``written``,
+    ``stale`` holds only nodes the graph still files, with no scan for it.
+    ``due`` may still hold replaced nodes; one counts only while the graph
+    files that very node under its id.
 
-    The queue only schedules when to look at a node; membership is always
+    The nodes of a group share their probability, so a report computes it
+    once per group and keeps the group's nodes in id order (``ordered``, kept
+    until the group changes) as one run. Nodes are never edited in place, so
+    a report that holds them stays the snapshot of its query. The queue only
+    schedules when to look at a node; membership is always
     ``persistence_probability(...) < threshold``, so the report is the
     sweep's exactly. Nodes not written since the last query were seen no
     later than it, and time only moves forward here, so the written ones are
     the only ones that can be skewed.
     """
 
-    __slots__ = ("threshold", "now", "lead", "stale", "due", "heap", "queued", "written")
+    __slots__ = (
+        "threshold", "now", "lead", "stale", "groups", "ordered", "due", "heap", "queued", "written"
+    )
 
     def __init__(self, graph: SceneGraph, now: float, threshold: float) -> None:
         c = math.log(2.0 / threshold - 1.0)  # p < threshold iff rate * elapsed > c
         self.threshold, self.now = threshold, now
         self.lead = lead = max(c - _SLACK * (1.0 + c), 0.0)
         self.stale: dict[str, ObjectNode] = {}
+        # (decay_rate, last_seen) -> id -> node, and the group's nodes in id order.
+        self.groups: dict[tuple[float, float], dict[str, ObjectNode]] = {}
+        self.ordered: dict[tuple[float, float], tuple[ObjectNode, ...]] = {}
         # Nodes that share last_seen and decay rate share a key: a frame's
         # touches, or a whole label of a freshly loaded house.
         self.due: dict[float, list[ObjectNode]] = {}
         self.written: set[str] = set()
-        stale, due = self.stale, self.due
+        due = self.due
         # Each node is filed as report() files a written one, after the skew check.
         for node in graph.objects.values():
             rate = node.decay_rate
@@ -230,7 +306,7 @@ class _StaleIndex:
                     except KeyError:
                         due[at] = [node]
                 elif at <= now:  # neither holds for a nan last_seen
-                    stale[node.id] = node
+                    self._file(node)
         self.heap = list(due)
         heapq.heapify(self.heap)
         self.queued = sum(map(len, due.values()))  # replaced nodes included, once queued
@@ -247,14 +323,35 @@ class _StaleIndex:
         heapq.heapify(self.heap)
         self.queued = sum(map(len, due.values()))
 
-    def _queue(self, at: float, node: ObjectNode) -> None:
+    def _queue(self, at: float, nodes: list[ObjectNode]) -> None:
         queue = self.due.get(at)
         if queue is None:
-            self.due[at] = [node]
+            self.due[at] = nodes
             heapq.heappush(self.heap, at)
         else:
-            queue.append(node)
-        self.queued += 1
+            queue.extend(nodes)
+        self.queued += len(nodes)
+
+    def _file(self, node: ObjectNode) -> None:
+        """Add a stale node to ``stale`` and to its group."""
+        key = (node.decay_rate, node.last_seen)
+        group = self.groups.get(key)
+        if group is None:
+            group = self.groups[key] = {}
+        else:
+            self.ordered.pop(key, None)
+        group[node.id] = node
+        self.stale[node.id] = node
+
+    def _unfile(self, oid: str) -> None:
+        """Drop the stale node filed under ``oid``."""
+        node = self.stale.pop(oid)
+        key = (node.decay_rate, node.last_seen)
+        group = self.groups[key]
+        del group[oid]
+        self.ordered.pop(key, None)
+        if not group:
+            del self.groups[key]
 
     def skewed(self, graph: SceneGraph, now: float) -> bool:
         """Whether a node written since the last query is attached, dynamic and seen after ``now``."""
@@ -269,35 +366,41 @@ class _StaleIndex:
         """The staleness report at ``now``, no earlier than the last query."""
         objects, stale, due, heap, lead = graph.objects, self.stale, self.due, self.heap, self.lead
         for oid in self.written:
+            if oid in stale:
+                self._unfile(oid)
             node = objects.get(oid)
             if node is not None and node.attached and node.decay_rate > 0.0:
                 at = node.last_seen + lead / node.decay_rate
                 if at > now:
-                    self._queue(at, node)
+                    self._queue(at, [node])
                 elif at <= now:
-                    stale[oid] = node
+                    self._file(node)
         self.written.clear()
         while heap and heap[0] <= now:
             queue = due.pop(heapq.heappop(heap))
             self.queued -= len(queue)
             for node in queue:
                 if objects.get(node.id) is node:
-                    stale[node.id] = node
-        threshold, entries, dropped = self.threshold, [], []
-        for oid, node in stale.items():
-            if objects.get(oid) is node:
-                seen = node.last_seen
-                p = persistence_probability(node.decay_rate, now, seen)
-                if p < threshold:
-                    entries.append(StaleEntry(oid, p, seen))
-                    continue
-                # Looked at within the slack of its crossing: look again next time.
-                self._queue(seen + lead / node.decay_rate, node)
-            dropped.append(oid)
-        for oid in dropped:
-            del stale[oid]
+                    self._file(node)
+        threshold, groups, ordered = self.threshold, self.groups, self.ordered
+        runs, dropped = [], []
+        for key, group in groups.items():
+            rate, seen = key
+            p = persistence_probability(rate, now, seen)
+            if p < threshold:
+                nodes = ordered.get(key)
+                if nodes is None:
+                    nodes = ordered[key] = tuple(group[oid] for oid in sorted(group))
+                runs.append((p, nodes))
+            else:  # looked at within the slack of its crossing: look again next time
+                dropped.append(key)
+        for key in dropped:
+            group = groups.pop(key)
+            ordered.pop(key, None)
+            for oid in group:
+                del stale[oid]
+            self._queue(key[1] + lead / key[0], list(group.values()))
         self.now = now
         if self.queued > 2 * len(objects) + 64:
             self._compact(objects)
-        entries.sort(key=attrgetter("probability", "object_id"))
-        return StaleReport(threshold=float(threshold), now=float(now), entries=tuple(entries))
+        return StaleReport._of_runs(float(threshold), float(now), runs)

@@ -23,9 +23,10 @@ translations that only grows until the graph is next loaded. Scoped ``find``,
 ``objects_in_room`` and ``objects_near`` read them instead of scanning every
 object; ``assign_room`` reads a flat list of the rooms' boxes. One more index
 belongs to :mod:`sgupdate.decay`: ``stale_index``, ``None`` on a new, copied or
-loaded graph and built by the first staleness query; ``add_object``,
-``move_object``, ``reattach`` and ``touch`` report to it the id they file a
-new node under. Only ``add_room``, the primitives and the loader may write
+loaded graph and built by the first staleness query; each of the six
+primitives that write an object (``add_object``, ``remove_object``,
+``move_object``, ``detach``, ``reattach`` and ``touch``) reports to it the id
+it writes. Only ``add_room``, the primitives and the loader may write
 ``rooms``, ``objects`` or ``belongs_to``, and only the primitives may write an
 object's fields, since anything else would leave the indexes stale or edit a
 node other graphs share; :func:`check_invariants` verifies the room indexes.
@@ -222,8 +223,8 @@ class SceneGraph:
         # slug -> n such that every f"{slug}-{m}" with m < n is an object id.
         self._id_floor: dict[str, int] = {}
         # decay's staleness index over this graph; None until the first
-        # stale_targets query, and on every new, copied or loaded graph. The
-        # primitives that file a new node add its id to ``stale_index.written``.
+        # stale_targets query, and on every new, copied or loaded graph. Each
+        # primitive adds the id it writes to ``stale_index.written``.
         self.stale_index = None
 
     # ------------------------------------------------------------------
@@ -391,6 +392,8 @@ class SceneGraph:
         del self.objects[target]
         self._id_floor.pop(target.rsplit("-", 1)[0], None)
         self._unlink(target)
+        if self.stale_index is not None:
+            self.stale_index.written.add(target)
         return node
 
     def move_object(
@@ -426,6 +429,8 @@ class SceneGraph:
         node = self.objects[target] = node._clone()
         node.attached = False
         self._unlink(target)
+        if self.stale_index is not None:
+            self.stale_index.written.add(target)
 
     def reattach(self, target: str, room_label: str, pose: Pose, now: float) -> None:
         """Put a detached object back into a room at a concrete pose."""
@@ -684,7 +689,10 @@ def graph_to_payload(graph: SceneGraph) -> dict:
 def serialize(graph: SceneGraph) -> bytes:
     """Canonical UTF-8 JSON bytes, keys sorted; byte-identical for equal graphs."""
     with _CollectorPaused():  # the payload is freed inside the block
-        return json.dumps(graph_to_payload(graph), separators=(",", ":")).encode("utf-8")
+        # The payload is a fresh tree of dicts and lists, with no cycle to look for.
+        return json.dumps(
+            graph_to_payload(graph), separators=(",", ":"), check_circular=False
+        ).encode("utf-8")
 
 
 def graph_from_payload(data: dict) -> SceneGraph:

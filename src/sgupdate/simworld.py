@@ -51,8 +51,9 @@ class DetectorFailureConfig:
     ) -> "DetectorFailureConfig":
         """The knobs of a scenario's ``failures`` section, each checked where it is read.
         A knob must name what the truth can hold: each ``label_noise`` key the label of a
-        house object or of a scripted add, no label twice, and each ``dropout_ids`` entry a
-        house object id or ``<slug>-<n>`` for a scripted add."""
+        house object or of a scripted add, no label twice, each ``label_noise`` value a
+        label that is not blank, and each ``dropout_ids`` entry a house object id or
+        ``<slug>-<n>`` for a scripted add."""
         extent = number(data.get("min_detectable_extent", 0.0), "failures.min_detectable_extent")
         added = {_norm_label(r.target_object) for r in script if r.action is rec.UpdateAction.ADDED}
         nothing = "names no {} of the house or of a scripted add"
@@ -62,7 +63,8 @@ class DetectorFailureConfig:
         label_noise = {}
         for key, value in noise.items():
             where, label = f"failures.label_noise[{key!r}]", _norm_label(key)
-            text(value, where)
+            if not _norm_label(text(value, where)):
+                raise ValueError(f"{where} must not be blank, got {value!r}")
             if label not in labels:
                 raise ValueError(f"{where} " + nothing.format("label"))
             if label in label_noise:

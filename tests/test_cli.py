@@ -9,9 +9,12 @@ import pytest
 from importlib import resources
 
 import sgupdate
+from sgupdate import cli
 from sgupdate.cli import main
 from sgupdate.graph import deserialize, serialize
 from sgupdate.simworld import load_house
+
+from conftest import stale_sweep
 
 SCENARIO = str(resources.files("sgupdate.data").joinpath("scenario_house.json"))
 
@@ -210,9 +213,10 @@ def test_run_on_an_inconsistent_script_exits_2(tmp_path, capsys):
          "unknown action 'jump'"),
         ('failures.label_noise={"mugg": "cup"}', "failures.label_noise['mugg'] names no label"),
         ('failures.dropout_ids=["mug-7"]', "failures.dropout_ids[0] names no object"),
+        ('failures.label_noise={"sofa": "  "}', "failures.label_noise['sofa'] must not be blank"),
     ],
     ids=["into-a-string", "perception-list", "failures-list", "short-range", "unknown-action",
-         "label-noise-typo", "dropout-typo"],
+         "label-noise-typo", "dropout-typo", "label-noise-blank"],
 )
 def test_run_on_bad_scenario_input_exits_2(override, names, tmp_path, capsys):
     assert main(["run", SCENARIO, "--set", override, "--out", str(tmp_path)]) == 2
@@ -283,6 +287,15 @@ def test_stale_prints_the_pinned_report(now, house_file, capsys):
     # One load, one query: the index is built and read in the same call.
     assert main(["stale", house_file, "--now", now, "--threshold", "0.5"]) == 0
     assert capsys.readouterr().out.splitlines() == STALE_LINES[now]
+
+
+@pytest.mark.parametrize("now", sorted(STALE_LINES, key=float))
+def test_stale_prints_the_sweeps_report_byte_for_byte(now, house_file, capsys, monkeypatch):
+    assert main(["stale", house_file, "--now", now, "--threshold", "0.5"]) == 0
+    grouped = capsys.readouterr().out
+    monkeypatch.setattr(cli, "stale_targets", stale_sweep)  # the eager report
+    assert main(["stale", house_file, "--now", now, "--threshold", "0.5"]) == 0
+    assert capsys.readouterr().out == grouped
 
 
 def test_stale_rejects_bad_threshold(house_file, capsys):

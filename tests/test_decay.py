@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,7 +179,9 @@ def outcome(query, graph, now, threshold):
 
 def assert_matches_sweep(graph, now, threshold):
     want = outcome(stale_sweep, graph, now, threshold)
-    assert outcome(stale_targets, graph, now, threshold) == want
+    got = outcome(stale_targets, graph, now, threshold)
+    # repr as well: == takes -0.0 for 0.0, and an entry keeps its node's own last_seen.
+    assert got == want and repr(got) == repr(want)
     return want
 
 
@@ -252,6 +255,78 @@ def test_stale_targets_matches_the_sweep_after_every_step(steps):
     for copy, taken in copies:
         assert_matches_sweep(copy, taken, threshold)
         assert_matches_sweep(copy, clock, threshold)
+
+
+def test_stale_groups_of_equal_probability_merge_by_id_and_keep_each_last_seen(house2):
+    """Two (rate, last_seen) groups with one probability, one of them holding
+    a -0.0 and a 0.0 last_seen, interleave by id; then one stale object of
+    each kind is removed, detached, touched and moved between two queries."""
+    slow = [put(house2, "kitchen", label, (1, 1, 1), rate=1.0, now=t) for label, t in
+            (("apple", -0.0), ("cup", 0.0), ("fork", 0.0), ("jar", 0.0), ("pan", 0.0))]
+    fast = [put(house2, "kitchen", label, (2, 1, 1), rate=2.0, now=5.0) for label in
+            ("bowl", "dish", "lid", "mug", "pot")]
+    report = stale_targets(house2, 10.0, 0.5)  # 1.0 * (10 - 0) == 2.0 * (10 - 5)
+    assert [e.object_id for e in report.entries] == sorted(slow + fast)
+    assert len({e.probability for e in report.entries}) == 1
+    apple = report.entries[0]
+    assert apple.object_id == "apple-1" and math.copysign(1.0, apple.last_seen) == -1.0
+    assert math.copysign(1.0, report.entries[2].last_seen) == 1.0  # cup-1, in apple's group
+    assert_matches_sweep(house2, 10.0, 0.5)
+
+    house2.remove_object("kitchen", "cup-1")
+    house2.detach("dish-1")
+    house2.touch("fork-1", 10.0)
+    house2.move_object("kitchen", "living room", "lid-1", Pose.identity((7, 1, 1)), 10.0)
+    want = assert_matches_sweep(house2, 10.0, 0.5)
+    assert [e.object_id for e in want.entries] == "apple-1 bowl-1 jar-1 mug-1 pan-1 pot-1".split()
+    assert math.copysign(1.0, stale_targets(house2, 10.0, 0.5).entries[0].last_seen) == -1.0
+    house2.touch("apple-1", 11.0)
+    house2.remove_object("kitchen", "pot-1")
+    assert_matches_sweep(house2, 12.0, 0.5)
+
+
+def test_a_stale_report_is_a_snapshot_of_its_query(house2):
+    """A report's entries, built only when read, are those of the graph it was
+    taken on, whatever the primitives write afterwards."""
+    for label in ("cup", "plate", "vase", "book"):
+        put(house2, "kitchen", label, (1, 1, 1), rate=1.0)
+    put(house2, "living room", "fork", (7, 1, 1), rate=3.0)
+    first = stale_targets(house2, 10.0, 0.5)
+    want = stale_sweep(house2, 10.0, 0.5)
+    house2.remove_object("kitchen", "cup-1")
+    house2.touch("plate-1", 10.0)
+    house2.detach("fork-1")
+    second = stale_targets(house2, 10.0, 0.5)  # regroups what the first report holds
+    house2.detach("vase-1")
+    house2.remove_object("kitchen", "book-1")
+    third = stale_targets(house2, 10.5, 0.5)
+    assert repr(first.entries) == repr(want.entries) and len(want.entries) == 5
+    assert [e.object_id for e in second.entries] == ["book-1", "vase-1"]
+    assert third.entries == ()
+
+
+def test_a_grouped_report_is_the_eager_report_it_stands_for(house2):
+    """``stale_targets``' report and ``StaleReport(threshold, now, entries)``
+    agree both ways on ==, hash, repr and to_dict."""
+    put(house2, "kitchen", "cup", (1, 1, 1), rate=1.0, now=-0.0)
+    put(house2, "kitchen", "plate", (1, 1, 1), rate=1.0, now=2.0)
+    put(house2, "living room", "fork", (7, 1, 1), rate=2.0, now=6.0)
+    put(house2, "living room", "sofa", (7, 1, 1), rate=0.0)
+    eager = stale_sweep(house2, 10.0, 0.5)
+    assert type(eager) is StaleReport and len(eager.entries) == 3
+
+    def grouped():
+        return stale_targets(house2, 10.0, 0.5)  # a new, unread report each call
+
+    assert grouped() == eager and eager == grouped() and not grouped() != eager
+    assert hash(grouped()) == hash(eager) and hash(eager) == hash(grouped())
+    assert repr(grouped()) == repr(eager)
+    assert repr(eager).startswith("StaleReport(threshold=0.5, now=10.0, entries=(StaleEntry(")
+    assert grouped().to_dict() == eager.to_dict()
+    assert {grouped(): 1}[eager] == 1
+    assert grouped() != stale_sweep(house2, 11.0, 0.5) and grouped() != eager.to_dict()
+    with pytest.raises(FrozenInstanceError):
+        grouped().now = 11.0
 
 
 def test_stale_targets_raises_the_sweeps_clock_skew_for_a_later_write():

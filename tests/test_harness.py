@@ -497,6 +497,7 @@ def test_label_noise_keys_are_read_as_labels():
         ("failures.dropout_ids", ["book-2", "book-0"], "failures.dropout_ids[1] names no object"),
         ("failures.dropout_ids", ["book-x"], "failures.dropout_ids[0] names no object"),
         ("failures.label_noise", {"Mug": "cup", "mug": "plate"}, "failures.label_noise['mug'] repeats the label 'mug'"),
+        ("failures.label_noise", {"sofa": "  "}, "failures.label_noise['sofa'] must not be blank, got '  '"),
     ],
 )
 def test_failure_knobs_that_name_nothing_are_refused(key, value, names):
