@@ -179,7 +179,8 @@ def _cmd_repl(args) -> int:
     graph = _load_graph(args.graph)
     extract, table = GrammarExtractor(), DecayTable.default()
     print("enter update sentences (blank line or EOF to finish):")
-    clock = graph.epoch
+    # Edits are dated after every observation the graph holds.
+    clock = max([graph.epoch, *(node.last_seen for node in graph.objects.values())])
     while True:
         try:
             line = input("> ").strip()

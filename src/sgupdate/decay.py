@@ -9,26 +9,22 @@ logistic in elapsed time:
 A rate of zero models immovable objects (the probability stays pinned at 1),
 and the probability crosses one half exactly at ``ln(3) / rate`` seconds.
 
-The probability falls below a threshold ``θ`` exactly when ``rate * elapsed >
-ln(2/θ - 1)``, so each dynamic object has one crossing time, which moves only
-when a primitive files a new node for it (after Toris & Azimi, "Temporal
-Persistence Modeling for Object Search", ICRA 2017). :func:`stale_targets`
-therefore answers from an index it keeps on the graph
-(``SceneGraph.stale_index``): the objects already stale plus the others,
-queued by crossing time and kept current from the ids the primitives report.
-A query looks at the objects written or crossed since the last query and at
-the groups already stale, not at every object, and gives the report a sweep
-over every object would.
-
-The probability depends only on the rate and on ``last_seen``, so the index
-keeps the stale objects in groups that share both: a frame's touches, or a
-whole label of a freshly loaded house. A report costs one probability per
-group and holds each group's nodes as one run; it builds its per-object
-:class:`StaleEntry` tuple only when it is first read.
+The probability depends only on the rate and on ``last_seen`` (after Toris
+& Azimi, "Temporal Persistence Modeling for Object Search", ICRA 2017), so
+:func:`stale_targets` answers from an index it keeps on the graph
+(``SceneGraph.stale_index``): the attached dynamic objects grouped by
+``(decay_rate, last_seen)`` and kept current from the ids the primitives
+report. The objects of a freshly loaded house that share a rate form one
+group, and so do a frame's touches that share one. A query computes one
+probability per group, not per object, and gives the report a sweep over
+every object would; the report holds each stale group's nodes as one run
+and builds its per-object :class:`StaleEntry` tuple only when it is first
+read. The groups do not depend on the threshold or on the query's time, so
+one index serves every query. A graph in which every object has its own
+``last_seen`` would cost one probability per object per query.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -113,10 +109,16 @@ class DecayTable:
                 raise ValueError(f"{where} must be >= 0, got {value!r}")
             return per_unit * scale
 
-        return cls(
-            default_rate=rate(data.get("default"), "default"),
-            anchors={k: rate(v, f"anchors[{k!r}]") for k, v in anchors.items()},
-        )
+        default_rate = rate(data.get("default"), "default")
+        rates = {}
+        for key, value in anchors.items():
+            where, label = f"anchors[{key!r}]", _norm_label(key)
+            if not label:
+                raise ValueError(f"{where} must not be blank")
+            if label in rates:
+                raise ValueError(f"{where} repeats the label {label!r}")
+            rates[label] = rate(value, where)
+        return cls(default_rate=default_rate, anchors=rates)
 
     @classmethod
     def default(cls) -> "DecayTable":
@@ -224,183 +226,127 @@ def stale_targets(graph: SceneGraph, now: float, threshold: float) -> StaleRepor
     :class:`ClockSkew`.
 
     The answer comes from the graph's :class:`_StaleIndex`, built by the
-    first query and rebuilt when the threshold changes or ``now`` goes back.
+    first query and serving every later one, whatever its threshold or time.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold}")
     if not math.isfinite(now):
         raise ValueError(f"now must be finite, got {now}")
     index = graph.stale_index
-    if index is None or index.threshold != threshold or now < index.now or index.skewed(graph, now):
-        # After a skewed write the build raises ClockSkew for the first
-        # skewed object in the graph's order, as the sweep does.
-        index = graph.stale_index = _StaleIndex(graph, now, threshold)
-    return index.report(graph, now)
+    if index is None:
+        index = graph.stale_index = _StaleIndex(graph)
+    return index.report(graph, now, threshold)
 
 
 def _clock_skew(now: float, last_seen: float) -> ClockSkew:
     return ClockSkew(f"now={now} precedes last_seen={last_seen}")
 
 
-# Absolute slack, in units of rate * elapsed, by which the index looks at a
-# node ahead of its exact crossing. Rounding in the crossing time and in
-# persistence_probability moves the crossing by a few 1e-16 of (1 + ln(2/θ-1)),
-# so a node the index has not yet looked at is never below the threshold.
-_SLACK = 1e-9
-
-
 class _StaleIndex:
-    """What :func:`stale_targets` knows of one graph, as of its last query.
+    """What :func:`stale_targets` knows of one graph: its attached dynamic
+    nodes grouped by ``(decay_rate, last_seen)``.
 
-    Every attached dynamic node is either stale, in ``stale`` (id to node)
-    and in the group of ``groups`` under its ``(decay_rate, last_seen)``, or
-    queued in ``due`` under ``last_seen + lead / decay_rate``, a little before
-    the time its probability falls below ``threshold``; ``heap`` holds the
-    keys of ``due``. A node with a nan ``last_seen`` is never stale and is in
-    neither. ``written`` holds the ids the graph's primitives wrote since the
-    last query: every primitive that files a new node under an id or drops
-    the one filed there reports the id, so once a query has read ``written``,
-    ``stale`` holds only nodes the graph still files, with no scan for it.
-    ``due`` may still hold replaced nodes; one counts only while the graph
-    files that very node under its id.
+    ``groups`` maps each key to the nodes filed under it. ``written`` holds
+    the ids the graph's primitives wrote since the last query: every
+    primitive that files a new node under an id or drops the one filed there
+    reports the id, and a query first files the new node. A group may still
+    hold replaced nodes; a node counts only while the graph files that very
+    node under its id. Once the groups hold more than twice the graph's
+    objects plus 64 nodes, a query drops the replaced ones.
 
-    The nodes of a group share their probability, so a report computes it
-    once per group and keeps the group's nodes in id order (``ordered``, kept
-    until the group changes) as one run. Nodes are never edited in place, so
-    a report that holds them stays the snapshot of its query. The queue only
-    schedules when to look at a node; membership is always
-    ``persistence_probability(...) < threshold``, so the report is the
-    sweep's exactly. Nodes not written since the last query were seen no
-    later than it, and time only moves forward here, so the written ones are
-    the only ones that can be skewed.
+    A group's nodes share their probability, so a query computes it once per
+    group, and a group seen after ``now`` that holds a live node makes it
+    raise the sweep's :class:`ClockSkew`. From the first query that finds a
+    group stale, ``members`` keeps the group's live nodes by id (``tracked``
+    holds the nodes of every such group by id), and ``runs`` its run of the
+    report, those nodes in id order, until a write changes them. Nodes are
+    never edited in place, so a report that holds a run stays the snapshot
+    of its query. Nothing here depends on the threshold or on ``now``, so one
+    index serves every query.
     """
 
-    __slots__ = (
-        "threshold", "now", "lead", "stale", "groups", "ordered", "due", "heap", "queued", "written"
-    )
+    __slots__ = ("groups", "members", "tracked", "runs", "written")
 
-    def __init__(self, graph: SceneGraph, now: float, threshold: float) -> None:
-        c = math.log(2.0 / threshold - 1.0)  # p < threshold iff rate * elapsed > c
-        self.threshold, self.now = threshold, now
-        self.lead = lead = max(c - _SLACK * (1.0 + c), 0.0)
-        self.stale: dict[str, ObjectNode] = {}
-        # (decay_rate, last_seen) -> id -> node, and the group's nodes in id order.
-        self.groups: dict[tuple[float, float], dict[str, ObjectNode]] = {}
-        self.ordered: dict[tuple[float, float], tuple[ObjectNode, ...]] = {}
-        # Nodes that share last_seen and decay rate share a key: a frame's
-        # touches, or a whole label of a freshly loaded house.
-        self.due: dict[float, list[ObjectNode]] = {}
+    def __init__(self, graph: SceneGraph) -> None:
+        self.groups: dict[tuple[float, float], list[ObjectNode]] = {}
+        self.members: dict[tuple[float, float], dict[str, ObjectNode]] = {}
+        self.tracked: dict[str, ObjectNode] = {}
+        self.runs: dict[tuple[float, float], tuple[ObjectNode, ...]] = {}
         self.written: set[str] = set()
-        due = self.due
-        # Each node is filed as report() files a written one, after the skew check.
+        groups = self.groups
         for node in graph.objects.values():
-            rate = node.decay_rate
-            if rate > 0.0 and node.attached:
-                seen = node.last_seen
-                if seen > now:
-                    raise _clock_skew(now, seen)
-                at = seen + lead / rate
-                if at > now:
-                    try:
-                        due[at].append(node)
-                    except KeyError:
-                        due[at] = [node]
-                elif at <= now:  # neither holds for a nan last_seen
-                    self._file(node)
-        self.heap = list(due)
-        heapq.heapify(self.heap)
-        self.queued = sum(map(len, due.values()))  # replaced nodes included, once queued
+            if node.decay_rate > 0.0 and node.attached:
+                try:
+                    groups[node.decay_rate, node.last_seen].append(node)
+                except KeyError:
+                    groups[node.decay_rate, node.last_seen] = [node]
+
+    def _fold(self, objects: dict[str, ObjectNode]) -> None:
+        """File the nodes the primitives wrote since the last query."""
+        groups, members, tracked, runs = self.groups, self.members, self.tracked, self.runs
+        for oid in self.written:
+            node = tracked.pop(oid, None)
+            if node is not None:  # the node it replaces is in a group's members
+                key = (node.decay_rate, node.last_seen)
+                del members[key][oid]
+                runs.pop(key, None)
+            node = objects.get(oid)
+            if node is not None and node.decay_rate > 0.0 and node.attached:
+                key = (node.decay_rate, node.last_seen)
+                try:
+                    groups[key].append(node)
+                except KeyError:
+                    groups[key] = [node]
+                live = members.get(key)
+                if live is not None:
+                    live[oid] = tracked[oid] = node
+                    runs.pop(key, None)
+        self.written.clear()
+        if sum(map(len, groups.values())) > 2 * len(objects) + 64:
+            self._compact(objects)
 
     def _compact(self, objects: dict[str, ObjectNode]) -> None:
-        """Drop the replaced nodes from ``due``: they pile up when the same
-        objects are written over and over long before their crossing."""
-        due = {}
-        for at, queue in self.due.items():
-            live = [node for node in queue if objects.get(node.id) is node]
+        """Drop the replaced nodes: they pile up when the same objects are
+        written over and over."""
+        groups = {}
+        for key, group in self.groups.items():
+            live = [node for node in group if objects.get(node.id) is node]
             if live:
-                due[at] = live
-        self.due, self.heap = due, list(due)
-        heapq.heapify(self.heap)
-        self.queued = sum(map(len, due.values()))
+                groups[key] = live
+            else:
+                self.members.pop(key, None)
+                self.runs.pop(key, None)
+        self.groups = groups
 
-    def _queue(self, at: float, nodes: list[ObjectNode]) -> None:
-        queue = self.due.get(at)
-        if queue is None:
-            self.due[at] = nodes
-            heapq.heappush(self.heap, at)
-        else:
-            queue.extend(nodes)
-        self.queued += len(nodes)
-
-    def _file(self, node: ObjectNode) -> None:
-        """Add a stale node to ``stale`` and to its group."""
-        key = (node.decay_rate, node.last_seen)
-        group = self.groups.get(key)
-        if group is None:
-            group = self.groups[key] = {}
-        else:
-            self.ordered.pop(key, None)
-        group[node.id] = node
-        self.stale[node.id] = node
-
-    def _unfile(self, oid: str) -> None:
-        """Drop the stale node filed under ``oid``."""
-        node = self.stale.pop(oid)
-        key = (node.decay_rate, node.last_seen)
-        group = self.groups[key]
-        del group[oid]
-        self.ordered.pop(key, None)
-        if not group:
-            del self.groups[key]
-
-    def skewed(self, graph: SceneGraph, now: float) -> bool:
-        """Whether a node written since the last query is attached, dynamic and seen after ``now``."""
-        objects = graph.objects
-        for oid in self.written:
-            node = objects.get(oid)
-            if node is not None and node.attached and node.decay_rate > 0.0 and node.last_seen > now:
-                return True
-        return False
-
-    def report(self, graph: SceneGraph, now: float) -> StaleReport:
-        """The staleness report at ``now``, no earlier than the last query."""
-        objects, stale, due, heap, lead = graph.objects, self.stale, self.due, self.heap, self.lead
-        for oid in self.written:
-            if oid in stale:
-                self._unfile(oid)
-            node = objects.get(oid)
-            if node is not None and node.attached and node.decay_rate > 0.0:
-                at = node.last_seen + lead / node.decay_rate
-                if at > now:
-                    self._queue(at, [node])
-                elif at <= now:
-                    self._file(node)
-        self.written.clear()
-        while heap and heap[0] <= now:
-            queue = due.pop(heapq.heappop(heap))
-            self.queued -= len(queue)
-            for node in queue:
-                if objects.get(node.id) is node:
-                    self._file(node)
-        threshold, groups, ordered = self.threshold, self.groups, self.ordered
-        runs, dropped = [], []
-        for key, group in groups.items():
+    def report(self, graph: SceneGraph, now: float, threshold: float) -> StaleReport:
+        """The staleness report at ``now`` for ``threshold``."""
+        objects, members, runs = graph.objects, self.members, self.runs
+        if self.written:
+            self._fold(objects)
+        out = []
+        for key, group in self.groups.items():
             rate, seen = key
+            if seen > now:
+                if any(objects.get(node.id) is node for node in group):
+                    raise _first_skew(graph, now)
+                continue
             p = persistence_probability(rate, now, seen)
             if p < threshold:
-                nodes = ordered.get(key)
-                if nodes is None:
-                    nodes = ordered[key] = tuple(group[oid] for oid in sorted(group))
-                runs.append((p, nodes))
-            else:  # looked at within the slack of its crossing: look again next time
-                dropped.append(key)
-        for key in dropped:
-            group = groups.pop(key)
-            ordered.pop(key, None)
-            for oid in group:
-                del stale[oid]
-            self._queue(key[1] + lead / key[0], list(group.values()))
-        self.now = now
-        if self.queued > 2 * len(objects) + 64:
-            self._compact(objects)
-        return StaleReport._of_runs(float(threshold), float(now), runs)
+                run = runs.get(key)
+                if run is None:
+                    live = members.get(key)
+                    if live is None:
+                        live = members[key] = {n.id: n for n in group if objects.get(n.id) is n}
+                        self.tracked.update(live)
+                    run = runs[key] = tuple(live[oid] for oid in sorted(live))
+                if run:
+                    out.append((p, run))
+        return StaleReport._of_runs(float(threshold), float(now), out)
+
+
+def _first_skew(graph: SceneGraph, now: float) -> ClockSkew:
+    """The sweep's error: the first attached dynamic object, in the graph's
+    order, seen after ``now``."""
+    for node in graph.objects.values():
+        if node.attached and node.decay_rate > 0.0 and node.last_seen > now:
+            return _clock_skew(now, node.last_seen)

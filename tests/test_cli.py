@@ -225,6 +225,23 @@ def test_run_on_bad_scenario_input_exits_2(override, names, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "anchors, names",
+    [
+        ({"Mug": 1.0, "mug": 2.0}, "anchors['mug'] repeats the label 'mug'"),
+        ({"  ": 1.0}, "anchors['  '] must not be blank"),
+    ],
+    ids=["repeated-anchor", "blank-anchor"],
+)
+def test_a_decay_table_with_a_repeated_or_blank_anchor_exits_2(anchors, names, tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"units": "1/hour", "default": 0.5, "anchors": anchors}), "utf-8")
+    out = tmp_path / "out"
+    assert main(["run", SCENARIO, "--set", f"decay_table={table}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {SCENARIO}: decay_table: {names}\n"
+    assert not out.exists()
+
+
 def test_validate_good_and_bad(tmp_path, capsys):
     assert main(["validate", SCENARIO]) == 0
     bad = tmp_path / "bad.json"
@@ -353,6 +370,19 @@ def test_repl_applies_statement_and_saves(house_file, tmp_path, capsys, monkeypa
     assert main(["repl", house_file, "--save", str(saved)]) == 0
     graph = deserialize(saved.read_bytes())
     assert graph.find("towel") == []
+
+
+def test_repl_dates_its_edits_after_the_graphs_observations(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["run", SCENARIO, "--out", str(out)]) == 0
+    before = deserialize((out / "final_graph.json").read_bytes())
+    latest = max(node.last_seen for node in before.objects.values())
+    assert before.objects["cup-1"].last_seen == 23.0 and latest > before.epoch
+    lines = iter(["the cup was moved from the living room to the bedroom", ""])
+    monkeypatch.setattr("builtins.input", lambda *a: next(lines))
+    saved = tmp_path / "after.json"
+    assert main(["repl", str(out / "final_graph.json"), "--save", str(saved)]) == 0
+    assert deserialize(saved.read_bytes()).objects["cup-1"].last_seen == latest + 1.0
 
 
 def test_repl_save_into_a_missing_directory_exits_2(house_file, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import FrozenInstanceError
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from sgupdate.decay import (
 )
 from sgupdate.geometry import Pose
 from sgupdate.graph import deserialize, serialize
+from sgupdate.harness import run_scenario
 
 from conftest import put, stale_sweep, two_room_graph
 
@@ -97,6 +99,25 @@ def test_table_per_second_units_pass_through():
     assert table.default_rate == 0.5 and table.anchors["a"] == 2.0
     with pytest.raises(ValueError):
         DecayTable.from_dict({"units": "1/fortnight", "default": 1.0})
+
+
+@pytest.mark.parametrize(
+    "anchors, names",
+    [
+        ({"Mug": 1.0, "mug": 2.0}, "anchors['mug'] repeats the label 'mug'"),
+        (
+            {"tv remote": 1.0, " TV  remote": 2.0},
+            "anchors[' TV  remote'] repeats the label 'tv remote'",
+        ),
+        ({"  ": 1.0}, "anchors['  '] must not be blank"),
+        ({"": 1.0}, "anchors[''] must not be blank"),
+    ],
+    ids=["repeated", "repeated-once-normalized", "blank", "empty"],
+)
+def test_table_refuses_a_blank_or_repeated_anchor(anchors, names):
+    with pytest.raises(ValueError) as err:
+        DecayTable.from_dict({"default": 1.0, "anchors": anchors})
+    assert str(err.value) == names
 
 
 def test_packaged_default_table_has_useful_anchors():
@@ -305,6 +326,26 @@ def test_a_stale_report_is_a_snapshot_of_its_query(house2):
     assert third.entries == ()
 
 
+def test_a_write_dated_into_a_stale_group_joins_its_run(house2):
+    """A primitive may date a node into a group whose run a query already
+    built; the run takes the node in, and lets it go when it is next written."""
+    put(house2, "kitchen", "cup", (1, 1, 1), rate=1.0)
+    put(house2, "kitchen", "plate", (1, 1, 1), rate=1.0)
+    bowl = put(house2, "living room", "bowl", (7, 1, 1), rate=1.0, now=9.5)
+    assert len(assert_matches_sweep(house2, 10.0, 0.5).entries) == 2
+    house2.touch(bowl, 0.0)  # into the stale group of cup and plate
+    assert len(assert_matches_sweep(house2, 10.0, 0.5).entries) == 3
+    house2.touch(bowl, 10.0)
+    house2.move_object("kitchen", "living room", "plate-1", Pose.identity((7, 1, 1)), 0.0)
+    want = assert_matches_sweep(house2, 10.0, 0.5)
+    assert [e.object_id for e in want.entries] == ["cup-1", "plate-1"]
+    house2.touch(bowl, 0.0)
+    house2.detach("cup-1")
+    assert [e.object_id for e in assert_matches_sweep(house2, 10.0, 0.5).entries] == [
+        "bowl-1", "plate-1"
+    ]
+
+
 def test_a_grouped_report_is_the_eager_report_it_stands_for(house2):
     """``stale_targets``' report and ``StaleReport(threshold, now, entries)``
     agree both ways on ==, hash, repr and to_dict."""
@@ -354,7 +395,29 @@ def test_stale_index_drops_replaced_nodes_that_pile_up_before_their_crossing(hou
     cup = put(house2, "kitchen", "cup", (1, 1, 1), rate=0.001)  # crosses 0.5 after 1099 s
     put(house2, "kitchen", "plate", (2, 1, 1), rate=1.0)
     for step in range(1, 400):
-        house2.touch(cup, float(step))
+        house2.touch(cup, float(step))  # a new group each time; the last one's node is replaced
         assert_matches_sweep(house2, float(step), 0.5)
-        queued = sum(map(len, house2.stale_index.due.values()))
-        assert queued == house2.stale_index.queued <= 2 * len(house2.objects) + 64 + 1
+        held = sum(map(len, house2.stale_index.groups.values()))
+        assert held <= 2 * len(house2.objects) + 64 + 1
+    assert len(house2.stale_index.groups) < 399
+
+
+def test_one_stale_index_serves_every_threshold_and_an_earlier_now():
+    """Queries at three thresholds, with time going forward and back, all
+    come from the index the first one built."""
+    scenario = resources.files("sgupdate.data").joinpath("scenario_house.json")
+    graph = run_scenario(str(scenario)).graph
+    assert len({(n.decay_rate, n.last_seen) for n in graph.objects.values() if n.decay_rate}) > 5
+    queries = [
+        (3636.0, 0.9), (19800.0, 0.5), (3630.0, 0.9), (60000.0, 0.1), (14480.0, 0.9),
+        (19795.0, 0.5), (53020.0, 0.1), (30.0, 0.5), (4.0e6, 0.5), (212030.0, 0.1),
+        (3642.0, 0.9), (1.1e7, 0.1), (79130.0, 0.5),
+    ]
+    index = graph.stale_index  # built by the run's first frame, at the run's threshold 0.5
+    assert index is not None
+    sizes = set()
+    for now, threshold in queries:
+        want = assert_matches_sweep(graph, now, threshold)
+        assert graph.stale_index is index
+        sizes.add(len(want.entries) if isinstance(want, StaleReport) else want[0])
+    assert ClockSkew in sizes and len(sizes) > 5  # an error, and reports of many sizes

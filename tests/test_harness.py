@@ -236,6 +236,18 @@ BAD_FILES = [
         "decay_table: anchors must be an object, got 'abc'",
     ),
     ("no-default", "decay_table", '{"anchors": {}}', "decay_table: default must be a number, got None"),
+    (
+        "repeated-anchor",
+        "decay_table",
+        '{"default": 1, "anchors": {"Mug": 1.0, "mug": 2.0}}',
+        "decay_table: anchors['mug'] repeats the label 'mug'",
+    ),
+    (
+        "blank-anchor",
+        "decay_table",
+        '{"default": 1, "anchors": {"  ": 1.0}}',
+        "decay_table: anchors['  '] must not be blank",
+    ),
     ("table-not-json", "decay_table", "{", "decay_table: Expecting property name"),
     ("lexicon-list", "lexicon", "[1, 2]", "lexicon: a lexicon must be an object, got [1, 2]"),
     (
