@@ -19,17 +19,19 @@ each other.
 
 The room layer doubles as a spatial index. The graph keeps a room-label map,
 each room's set of attached objects and, per room, a box around its members'
-translations that only grows until the graph is next loaded. Scoped ``find``,
-``objects_in_room`` and ``objects_near`` read them instead of scanning every
-object; ``assign_room`` reads a flat list of the rooms' boxes. One more index
-belongs to :mod:`sgupdate.decay`: ``stale_index``, ``None`` on a new, copied or
-loaded graph and built by the first staleness query; each of the six
-primitives that write an object (``add_object``, ``remove_object``,
-``move_object``, ``detach``, ``reattach`` and ``touch``) reports to it the id
-it writes. Only ``add_room``, the primitives and the loader may write
-``rooms``, ``objects`` or ``belongs_to``, and only the primitives may write an
-object's fields, since anything else would leave the indexes stale or edit a
-node other graphs share; :func:`check_invariants` verifies the room indexes.
+translations that only grows until the graph is next loaded. Scoped ``find``
+and ``objects_in_room`` read them instead of scanning every object,
+``objects_near`` yields each in-range room's box and member set (perception
+culls the boxes against the view's planes), and ``assign_room`` reads a flat
+list of the rooms' boxes. One more index belongs to :mod:`sgupdate.decay`:
+``stale_index``, ``None`` on a new, copied or loaded graph and built by the
+first staleness query; each of the six primitives that write an object
+(``add_object``, ``remove_object``, ``move_object``, ``detach``, ``reattach``
+and ``touch``) reports to it the id it writes. Only ``add_room``, the
+primitives and the loader may write ``rooms``, ``objects`` or ``belongs_to``,
+and only the primitives may write an object's fields, since anything else would
+leave the indexes stale or edit a node other graphs share;
+:func:`check_invariants` verifies the room indexes.
 
 The loader builds each object entry of exactly the shape :func:`serialize`
 writes from one combined test (:func:`~sgupdate.values.node_entry`) and the
@@ -49,7 +51,7 @@ import gc
 import json
 from dataclasses import dataclass
 from math import isfinite
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geometry import BBox3, InvalidGeometry, Pose, is_positive, is_unit, poses_close
 from .values import array, entries, flag, node_entry, number, obj, text, texts
@@ -285,14 +287,14 @@ class SceneGraph:
         """Ids of the objects attached in the room with this id, sorted."""
         return sorted(self._members.get(room_id, ()))
 
-    def objects_near(self, point: Sequence[float], radius: float) -> list[str]:
-        """Attached objects of every room whose member box comes closer than ``radius``.
-
-        Every attached object whose translation lies closer than ``radius`` to
-        ``point`` is included, even one whose pose lies outside its room's
-        ``bbox``: member boxes are built from the members' translations, not
-        from the room geometry. Objects farther away may be included too. The
-        order is unspecified.
+    def objects_near(self, point: Sequence[float], radius: float) -> Iterator[tuple[tuple, set[str]]]:
+        """The member box ``(x0, y0, z0, x1, y1, z1)`` and the graph's own member
+        set (do not edit the graph while iterating) of each room whose member
+        box comes closer than ``radius``. Every attached object whose translation
+        lies closer than ``radius`` to ``point`` is in a yielded set, even one
+        whose pose lies outside its room's ``bbox``: member boxes are built from
+        the members' translations, not from the room geometry. Objects farther
+        away may be in one too. The order is unspecified.
 
         The squared box distance is computed term by term like a member's
         squared distance ``dx * dx + dy * dy + dz * dz`` with ``dx = x - px``,
@@ -301,14 +303,13 @@ class SceneGraph:
         """
         px, py, pz = point
         r2 = radius * radius
-        out: list[str] = []
-        for rid, (x0, y0, z0, x1, y1, z1) in self._boxes.items():
+        for rid, box in self._boxes.items():
+            x0, y0, z0, x1, y1, z1 = box
             dx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
             dy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
             dz = z0 - pz if pz < z0 else (pz - z1 if pz > z1 else 0.0)
             if dx * dx + dy * dy + dz * dz < r2:
-                out.extend(self._members[rid])
-        return out
+                yield box, self._members[rid]
 
     def assign_room(self, pose: Pose) -> str:
         """Room id whose axis-aligned box contains the pose translation.

@@ -8,6 +8,13 @@ still or moved, and the leftovers become removal/addition candidates that
 must survive ``k`` consecutive frames before a record is emitted. Moves are
 reported immediately — the evidence (both old and new pose) is already in
 hand.
+
+Visibility visits the members of rooms whose member box comes within range
+(``SceneGraph.objects_near``) and is not wholly outside the frustum's back
+plane or a side plane (Assarsson and Möller's box-plane test), then drops
+offsets beyond ``max_range`` unrotated. Each cull keeps a relative margin of
+1e-6, far above its own rounding, the exact test's (about 1e-15 of an offset)
+and the ``|q|**2`` (1 within 2e-9) by which that test's rotation scales lengths.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Sequence
 
-from .geometry import BBox3, Pose, pose_distance, quat_conj, quat_mul
+from .geometry import BBox3, Pose, pose_distance, quat_conj, quat_rotate
 from .graph import NoContainingRoom, SceneGraph, _norm_label
 from .records import Provenance, UpdateAction, UpdateRecord, PrimitiveCall
 
@@ -62,35 +69,34 @@ class Observation:
     bbox: BBox3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "label", _norm_label(self.label))
+        label = _norm_label(self.label)
+        if label != self.label:
+            object.__setattr__(self, "label", label)
 
 
-def _frustum_test(robot_pose: Pose, cam: CameraModel) -> Callable[[Sequence[float]], bool]:
-    """:func:`point_in_frustum` for one camera pose, inverse rotation built once.
-
-    The point is rotated by the conjugate of ``robot_pose.q`` with the same
-    float operations, in the same order, as ``quat_rotate``; the quaternion
-    it conjugates back to is ``robot_pose.q`` bit for bit (negation is
-    exact), so every decision matches a per-point ``quat_rotate``.
-    """
+def _frustum_test(robot_pose: Pose, cam: CameraModel) -> Callable[[float, float, float], bool]:
+    """:func:`point_in_frustum` for one camera pose, as a test of ``(x, y, z)``: the
+    offset's ``quat_mul(quat_mul(quat_conj(q), (0.0, *offset)), q)`` written out
+    with the same float operations in the same order, ``* 0.0`` products included."""
     tx, ty, tz = robot_pose.t
-    inv = quat_conj(robot_pose.q)
-    back = quat_conj(inv)
-    half_h, half_v = cam.fov_h / 2.0, cam.fov_v / 2.0
+    bw, bx, by, bz = robot_pose.q
+    aw, ax, ay, az = quat_conj(robot_pose.q)
+    aw0, ax0, ay0, az0 = aw * 0.0, ax * 0.0, ay * 0.0, az * 0.0
+    half_h, half_v, near, far = cam.fov_h / 2.0, cam.fov_v / 2.0, cam.min_range, cam.max_range
 
-    def inside(point: Sequence[float]) -> bool:
-        rel = (0.0, point[0] - tx, point[1] - ty, point[2] - tz)
-        _, fwd, left, up = quat_mul(quat_mul(inv, rel), back)
+    def inside(x: float, y: float, z: float) -> bool:
+        rx, ry, rz = x - tx, y - ty, z - tz
+        mw = aw0 - ax * rx - ay * ry - az * rz
+        mx = aw * rx + ax0 + ay * rz - az * ry
+        my = aw * ry - ax * rz + ay0 + az * rx
+        mz = aw * rz + ax * ry - ay * rx + az0
+        fwd = mw * bx + mx * bw + my * bz - mz * by
         if fwd <= 0.0:
             return False
+        left = mw * by - mx * bz + my * bw + mz * bx
+        up = mw * bz + mx * by - my * bx + mz * bw
         dist = math.sqrt(fwd * fwd + left * left + up * up)
-        if not (cam.min_range < dist < cam.max_range):
-            return False
-        if abs(math.atan2(left, fwd)) >= half_h:
-            return False
-        if abs(math.atan2(up, fwd)) >= half_v:
-            return False
-        return True
+        return near < dist < far and abs(math.atan2(left, fwd)) < half_h and abs(math.atan2(up, fwd)) < half_v
 
     return inside
 
@@ -102,7 +108,35 @@ def point_in_frustum(robot_pose: Pose, cam: CameraModel, point: Sequence[float])
     strict, so a point exactly on the field-of-view or range boundary is
     outside.
     """
-    return _frustum_test(robot_pose, cam)(point)
+    return _frustum_test(robot_pose, cam)(*point)
+
+
+def _box_cull(robot_pose: Pose, cam: CameraModel, reach: float) -> Callable[[tuple], bool]:
+    """Whether a member box ``(x0, y0, z0, x1, y1, z1)`` within ``reach`` lies
+    wholly outside the frustum's back plane or a side plane: for a plane's unit
+    inward normal ``n``, rotated from the camera frame, whether ``n . c +
+    sum(|n_i| * h_i)`` (centre ``c`` and half extents ``h`` of the box's offsets
+    from the camera) is below ``-1e-6 * (reach + h_x + h_y + h_z)``.
+    """
+    sh, ch = math.sin(cam.fov_h / 2.0), math.cos(cam.fov_h / 2.0)
+    sv, cv = math.sin(cam.fov_v / 2.0), math.cos(cam.fov_v / 2.0)
+    planes = []
+    for normal in ((1.0, 0.0, 0.0), (sh, -ch, 0.0), (sh, ch, 0.0), (sv, 0.0, -cv), (sv, 0.0, cv)):
+        a, b, c = quat_rotate(robot_pose.q, normal)
+        planes.append((a, b, c, abs(a), abs(b), abs(c)))
+    tx, ty, tz = robot_pose.t
+
+    def outside(box: tuple) -> bool:
+        x0, y0, z0, x1, y1, z1 = box
+        hx, hy, hz = (x1 - x0) * 0.5, (y1 - y0) * 0.5, (z1 - z0) * 0.5
+        cx, cy, cz = x0 - tx + hx, y0 - ty + hy, z0 - tz + hz
+        slack = -1e-6 * (reach + hx + hy + hz)
+        for a, b, c, abs_a, abs_b, abs_c in planes:
+            if a * cx + b * cy + c * cz + abs_a * hx + abs_b * hy + abs_c * hz < slack:
+                return True
+        return False
+
+    return outside
 
 
 def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> list[str]:
@@ -113,30 +147,34 @@ def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> l
     Detached (held) objects are excluded as well. Output is sorted by id.
 
     This is the one visibility rule: the simulator's detector renders the
-    truth through it too. Only the members of rooms whose member box comes
-    within range are visited (:meth:`SceneGraph.objects_near`), and of
-    those, objects at or beyond ``max_range`` (with a 1e-6 relative margin)
-    are dropped on the unrotated offset before the exact frustum test. A
-    pose quaternion's norm is within ``QUAT_NORM_TOL`` of 1 and rotating by
-    it scales lengths by ``|q|**2``, so the margin never drops an object
-    :func:`point_in_frustum` accepts.
+    truth through it too. It visits the members of the rooms whose member
+    box comes within range (:meth:`SceneGraph.objects_near`) and, in a room
+    of 8 or more, is not culled by the frustum's planes (:func:`_box_cull`),
+    and drops those at or beyond ``max_range`` (margin 1e-6, see the module
+    docstring) on the unrotated offset before the exact frustum test.
     """
     tx, ty, tz = robot_pose.t
     cull = cam.max_range * (1.0 + 1e-6)
     cull_sq = cull * cull
     inside = _frustum_test(robot_pose, cam)
+    outside = None
     objects = graph.objects
     out = []
-    for oid in graph.objects_near(robot_pose.t, cull):
-        node = objects[oid]
-        if node.decay_rate <= 0.0:
-            continue
-        px, py, pz = node.pose.t
-        dx, dy, dz = px - tx, py - ty, pz - tz
-        if dx * dx + dy * dy + dz * dz >= cull_sq:
-            continue
-        if inside(node.pose.t):
-            out.append(oid)
+    for box, members in graph.objects_near(robot_pose.t, cull):
+        if len(members) >= 8:  # a smaller room costs less to visit than to test
+            outside = outside or _box_cull(robot_pose, cam, cull)
+            if outside(box):
+                continue
+        for oid in members:
+            node = objects[oid]
+            if node.decay_rate <= 0.0:
+                continue
+            px, py, pz = node.pose.t
+            dx, dy, dz = px - tx, py - ty, pz - tz
+            if dx * dx + dy * dy + dz * dz >= cull_sq:
+                continue
+            if inside(px, py, pz):
+                out.append(oid)
     out.sort()
     return out
 

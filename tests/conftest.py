@@ -3,7 +3,7 @@ import math
 import pytest
 
 from sgupdate.decay import StaleEntry, StaleReport, persistence_probability
-from sgupdate.geometry import BBox3, Pose, pose_distance
+from sgupdate.geometry import BBox3, Pose, pose_distance, quat_conj, quat_mul
 from sgupdate.graph import RoomNode, SceneGraph
 from sgupdate.perception import AssociationResult, semantic_match
 
@@ -46,6 +46,35 @@ def stale_sweep(graph, now, threshold):
             entries.append(StaleEntry(object_id=oid, probability=p, last_seen=node.last_seen))
     entries.sort(key=lambda e: (e.probability, e.object_id))
     return StaleReport(threshold=float(threshold), now=float(now), entries=tuple(entries))
+
+
+def frustum_oracle(robot_pose, cam, point):
+    """``perception.point_in_frustum`` as two ``quat_mul`` calls on the
+    conjugate of the pose's rotation: the rule the written-out test in
+    ``perception`` must match decision for decision."""
+    inv = quat_conj(robot_pose.q)
+    tx, ty, tz = robot_pose.t
+    rel = (0.0, point[0] - tx, point[1] - ty, point[2] - tz)
+    _, fwd, left, up = quat_mul(quat_mul(inv, rel), quat_conj(inv))
+    if fwd <= 0.0:
+        return False
+    dist = math.sqrt(fwd * fwd + left * left + up * up)
+    if not (cam.min_range < dist < cam.max_range):
+        return False
+    if abs(math.atan2(left, fwd)) >= cam.fov_h / 2.0:
+        return False
+    if abs(math.atan2(up, fwd)) >= cam.fov_v / 2.0:
+        return False
+    return True
+
+
+def visible_oracle(graph, robot_pose, cam):
+    """``perception.expected_visible`` as a test of every object, unculled."""
+    return sorted(
+        oid
+        for oid, node in graph.objects.items()
+        if node.attached and node.decay_rate > 0.0 and frustum_oracle(robot_pose, cam, node.pose.t)
+    )
 
 
 def all_pairs_associate(expected_ids, observed, graph, epsilon):

@@ -35,10 +35,10 @@ from sgupdate.graph import (
     serialize,
 )
 
-from sgupdate.perception import CameraModel, expected_visible, point_in_frustum
+from sgupdate.perception import CameraModel, expected_visible
 from sgupdate.simworld import load_house
 
-from conftest import make_room, put, stale_sweep, two_room_graph, yaw_pose
+from conftest import make_room, put, stale_sweep, two_room_graph, visible_oracle, yaw_pose
 
 
 def test_room_labels_are_normalized_and_unique():
@@ -760,11 +760,7 @@ def test_long_random_primitive_sequence_keeps_invariants():
                 want = [oid for oid in in_room if g.objects[oid].label == label]
                 assert g.find(label, room_scope=room) == want, f"find at step {step}"
         for pose in cameras:
-            want = sorted(
-                oid
-                for oid, node in g.objects.items()
-                if node.attached and node.decay_rate > 0.0 and point_in_frustum(pose, cam, node.pose.t)
-            )
+            want = visible_oracle(g, pose, cam)
             assert expected_visible(g, pose, cam) == want, f"expected_visible at step {step}"
 
     # the survivors still serialize deterministically

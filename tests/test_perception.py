@@ -23,7 +23,16 @@ from sgupdate.perception import (
 )
 from sgupdate.records import PrimitiveCall, UpdateAction
 
-from conftest import all_pairs_associate, by_index, make_room, put, two_room_graph, yaw_pose
+from conftest import (
+    all_pairs_associate,
+    by_index,
+    frustum_oracle,
+    make_room,
+    put,
+    two_room_graph,
+    visible_oracle,
+    yaw_pose,
+)
 
 CAM = CameraModel(fov_h=math.pi / 2, fov_v=math.pi / 2, min_range=0.5, max_range=5.0)
 
@@ -138,16 +147,107 @@ def visibility_case(draw):
     return g, robot, cam
 
 
-@settings(max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(visibility_case())
 def test_expected_visible_cull_matches_brute_force_frustum(case):
     g, robot, cam = case
-    brute = sorted(
-        oid
-        for oid, node in g.objects.items()
-        if node.attached and node.decay_rate > 0.0 and point_in_frustum(robot, cam, node.pose.t)
-    )
-    assert expected_visible(g, robot, cam) == brute
+    assert expected_visible(g, robot, cam) == visible_oracle(g, robot, cam)
+
+
+# Multiples of a half field of view or a range boundary: on it, and a few
+# ulps, a few QUAT_NORM_TOL and a millionth to either side.
+EDGE_SCALES = (1.0, 1.0 - 1e-15, 1.0 + 1e-15, 1.0 - 2e-9, 1.0 + 2e-9, 1.0 - 1e-6, 1.0 + 1e-6)
+# Where a room's cluster sits against its plane: well inside to well outside.
+CLUSTER_SCALES = (0.9, 1.0 - 1e-3, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.0 + 1e-3, 1.1)
+
+
+def sensor_offset(axis, angle, other, dist):
+    """A camera-frame offset of length ``dist`` at ``angle`` from the forward
+    axis towards camera axis ``axis`` (1 left, 2 up) and at ``other`` towards
+    the remaining one, as ``atan2`` measures them while the offset lies ahead."""
+    v = [math.cos(angle), 0.0, 0.0]
+    v[axis] = math.sin(angle)
+    v[3 - axis] = abs(math.cos(angle)) * math.tan(other)
+    norm = math.sqrt(sum(c * c for c in v))
+    return tuple(dist * c / norm for c in v)
+
+
+@st.composite
+def plane_cull_case(draw):
+    """A camera whose quaternion norm is off by up to 1e-9, with fields of
+    view up to just below pi, among small rooms of 8 to 12 members each, so
+    that every room's member box is tested against the frustum's planes.
+
+    Each room crowds one plane, the back plane or a side. Its members are a
+    cluster of drawn radius around a centre from well inside to well outside
+    the plane, so the box lies inside, straddles or lies outside it, plus
+    points on the plane: at the half field of view (or just ahead of and
+    behind the camera) and at a drawn or boundary distance, each scaled by
+    ``EDGE_SCALES``.
+    """
+
+    def field_of_view():
+        if draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from((math.pi - 1e-6, math.nextafter(math.pi, 0.0))))
+        return draw(st.floats(0.1, 3.1))
+
+    def distance():
+        boundary = draw(st.sampled_from(("min", "max", None)))
+        if boundary is None:
+            return draw(st.floats(0.0, 1.2)) * cam.max_range
+        return (cam.min_range if boundary == "min" else cam.max_range) * draw(st.sampled_from(EDGE_SCALES))
+
+    min_range = draw(st.floats(0.05, 2.0))
+    cam = CameraModel(field_of_view(), field_of_view(), min_range, min_range + draw(st.floats(0.01, 10.0)))
+    halves = {1: cam.fov_h / 2.0, 2: cam.fov_v / 2.0}
+    q = draw(unit_vector(4))
+    norm_scale = 1.0 + draw(st.floats(-0.999e-9, 0.999e-9))
+    origin = draw(st.tuples(*[st.floats(-50.0, 50.0)] * 3))
+    robot = Pose(tuple(c * norm_scale for c in q), origin)
+
+    g = SceneGraph()
+    for r in range(draw(st.integers(2, 5))):
+        plane = draw(st.sampled_from(("back", "left", "right", "up", "down")))
+        if plane == "back":
+            across = draw(unit_vector(2))
+
+            def on_plane(scale, dist):  # ahead of the camera by 1 - scale of dist
+                v = (1.0 - scale, across[0], across[1])
+                norm = math.sqrt(sum(c * c for c in v))
+                return tuple(dist * c / norm for c in v)
+        else:
+            axis = 1 if plane in ("left", "right") else 2
+            sign = 1.0 if plane in ("left", "up") else -1.0
+            other = draw(st.floats(-0.999, 0.999)) * halves[3 - axis]
+
+            def on_plane(scale, dist):
+                return sensor_offset(axis, sign * halves[axis] * scale, other, dist)
+
+        dist = distance()
+        centre = on_plane(draw(st.sampled_from(CLUSTER_SCALES)), dist)
+        radius = dist * draw(st.sampled_from((0.0, 1e-9, 1e-6, 1e-3, 0.05)))
+        members = draw(st.integers(8, 12))
+        offsets = [on_plane(draw(st.sampled_from(EDGE_SCALES)), distance()) for _ in range(draw(st.integers(0, 3)))]
+        while len(offsets) < members:
+            jitter = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+            offsets.append(tuple(c + radius * j for c, j in zip(centre, jitter)))
+        points = [tuple(o + c for o, c in zip(origin, quat_rotate(q, v))) for v in offsets]
+        lo = [min(p[i] for p in points) - 0.5 for i in range(3)]
+        hi = [max(p[i] for p in points) + 0.5 for i in range(3)]
+        centre_world = tuple((a + b) / 2.0 for a, b in zip(lo, hi))
+        g.add_room(make_room(f"room {r}", centre_world, tuple(b - a for a, b in zip(lo, hi))))
+        for t in points:
+            put(g, f"room {r}", "cup", t, rate=draw(st.sampled_from((0.0, 0.05, 0.05, 0.05))))
+    return g, robot, cam
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(plane_cull_case())
+def test_plane_cull_never_drops_a_visible_object(case):
+    g, robot, cam = case
+    for node in g.objects.values():
+        assert point_in_frustum(robot, cam, node.pose.t) == frustum_oracle(robot, cam, node.pose.t)
+    assert expected_visible(g, robot, cam) == visible_oracle(g, robot, cam)
 
 
 # -- label matching ----------------------------------------------------------
