@@ -99,6 +99,7 @@ from .harness import (
     Scenario,
     ScenarioError,
     ScenarioResult,
+    Updater,
     format_metrics_table,
     load_scenario,
     replay_runlog,

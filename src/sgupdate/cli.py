@@ -21,12 +21,12 @@ from .decay import DecayTable, stale_targets
 from .graph import ParseError, UnknownRoom, _norm_label, deserialize, serialize
 from .harness import (
     ScenarioError,
+    Updater,
     format_metrics_table,
     load_scenario,
     run_scenario,
 )
-from .human import Confidence, GrammarExtractor, to_record
-from .records import apply as apply_record
+from .human import GrammarExtractor
 from .simworld import InconsistentAction
 
 __all__ = ["main", "build_parser"]
@@ -177,7 +177,7 @@ def _cmd_stale(args) -> int:
 
 def _cmd_repl(args) -> int:
     graph = _load_graph(args.graph)
-    extract, table = GrammarExtractor(), DecayTable.default()
+    robot, extract = Updater(graph, DecayTable.default()), GrammarExtractor()
     print("enter update sentences (blank line or EOF to finish):")
     # Edits are dated after every observation the graph holds.
     clock = max([graph.epoch, *(node.last_seen for node in graph.objects.values())])
@@ -188,12 +188,12 @@ def _cmd_repl(args) -> int:
             break
         if not line:
             break
-        parse = extract(line)
-        if parse.confidence is Confidence.FAILED:
+        logged = robot.statement(extract(line), clock + 1.0)
+        if not logged:  # an unparsed line takes no time
             print("  could not understand that sentence")
             continue
         clock += 1.0
-        report = apply_record(graph, to_record(parse, now=clock), table)
+        report = logged[0].report
         print(f"  {report.status.value}" + (f": {report.reason}" if report.reason else ""))
     if args.save:
         try:

@@ -2,10 +2,11 @@
 
 A scenario file wires everything together: the house, the scripted world
 changes, human statements, one optional pick-and-place mission, a robot
-trajectory, detector parameters and failure injection. Running it produces
-an append-only :class:`RunLog` whose applied records (and raw primitive
-calls) fully determine the final graph — replaying the log against the
-initial graph reproduces it byte for byte.
+trajectory, detector parameters and failure injection. :func:`run_scenario`
+steps the simulated truth through it and drives an :class:`Updater`, the
+robot's side of the run, which keeps an append-only :class:`RunLog` whose
+applied records (and raw primitive calls) fully determine the final graph —
+replaying the log against the initial graph reproduces it byte for byte.
 
 Scoring compares applied records against the scripted ground-truth changes.
 Per update type, the denominator counts every true change of that type plus
@@ -32,6 +33,7 @@ from .human import Confidence, GrammarExtractor, Lexicon, StatementParse, to_rec
 from .perception import (
     CameraModel,
     ConfirmationStore,
+    Observation,
     associate,
     confirm,
     expected_visible,
@@ -47,6 +49,7 @@ __all__ = [
     "RunLog",
     "GroundTruthChange",
     "ScenarioResult",
+    "Updater",
     "run_scenario",
     "score",
     "Metrics",
@@ -92,7 +95,6 @@ class Scenario:
     ``from_house``) are read-only: a run copies both before editing.
     """
 
-    path: Optional[Path]
     house: SceneGraph
     initial: SceneGraph
     decay_table: DecayTable
@@ -275,7 +277,6 @@ def load_scenario(path, overrides: Optional[dict] = None) -> Scenario:
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     return Scenario(
-        path=path,
         house=house,
         initial=initial,
         decay_table=decay_table,
@@ -321,8 +322,10 @@ class RunLog:
     parse_failures: list[dict] = field(default_factory=list)
     stale_reports: list[StaleReport] = field(default_factory=list)  # one per frame
 
-    def append(self, entry: RunLogEntry) -> None:
-        self.entries.append(entry)
+    def append(self, *entries: RunLogEntry) -> list[RunLogEntry]:
+        """Append ``entries`` in order and return them as a list."""
+        self.entries.extend(entries)
+        return list(entries)
 
     @property
     def deferred(self) -> list[RunLogEntry]:
@@ -522,6 +525,68 @@ def format_metrics_table(metrics: Metrics) -> str:
 # the event loop
 
 
+class Updater:
+    """The robot's side of a run: one estimate graph kept current from its inputs.
+
+    It owns the estimate ``graph``, the confirmation store, the run ``log``,
+    the decay table and the frame counter. Each input method returns the log
+    entries it appended. ``scenario`` gives what frames and the mission need:
+    the camera, ``epsilon``, ``k``, the staleness threshold and the mission.
+    Without one, the updater takes statements only.
+    """
+
+    def __init__(self, graph: SceneGraph, decay_table: DecayTable, scenario: Optional[Scenario] = None):
+        self.graph, self.decay_table, self.scenario = graph, decay_table, scenario
+        self.log, self.store, self.frames = RunLog(), ConfirmationStore(), 0
+        mission = scenario and scenario.mission
+        self.task = PickPlaceTask(spec=mission.spec) if mission else None
+
+    def statement(self, parse: StatementParse, at: float) -> list[RunLogEntry]:
+        """Apply a parsed statement dated ``at``; a failed parse is kept in
+        ``log.parse_failures`` and appends no entry."""
+        if parse.confidence is Confidence.FAILED:
+            self.log.parse_failures.append({"at": at, "text": parse.text})
+            return []
+        report = rec.apply(self.graph, to_record(parse, now=at), self.decay_table)
+        return self.log.append(RunLogEntry(at, rec.Provenance.HUMAN, report))
+
+    def pick(self, at: float) -> list[RunLogEntry]:
+        """The mission's pick. If it fails, the mission aborts and ``place`` does nothing."""
+        report = self.task.pick(self.graph)
+        if report.status is rec.ApplyStatus.APPLIED:
+            return self.log.append(RunLogEntry(at, rec.Provenance.ACTION, report, note="pick"))
+        self.task = None
+        return self.log.append(RunLogEntry(at, rec.Provenance.ACTION, report, note="pick failed"))
+
+    def place(self, at: float) -> list[RunLogEntry]:
+        """The mission's place, at its ``place_pose``, unless the pick failed."""
+        if self.task is None:
+            return []
+        report = self.task.place(self.graph, self.scenario.mission.place_pose, at)
+        return self.log.append(RunLogEntry(at, rec.Provenance.ACTION, report, note="place"))
+
+    def frame(self, pose: Pose, detections: list[Observation], at: float) -> list[RunLogEntry]:
+        """One camera frame at ``pose``: associate ``detections`` with the objects
+        the estimate expects in view, confirm, touch what stayed and apply what
+        changed, then keep the frame's staleness report in ``log.stale_reports``."""
+        s, graph, index = self.scenario, self.graph, self.frames
+        expected = expected_visible(graph, pose, s.camera)
+        result = associate(expected, detections, graph, s.epsilon)
+        outcome = confirm(self.store, graph, result, index, at, k=s.k, epsilon=s.epsilon)
+        entries = []
+        if outcome.touched:
+            for call in outcome.touched:
+                rec.execute(graph, call)
+            report = rec.ApplyReport(rec.ApplyStatus.APPLIED, executed=outcome.touched)
+            entries.append(RunLogEntry(at, rec.Provenance.PERCEPTION, report, index, "observed static"))
+        for record in outcome.records:
+            report = rec.apply(graph, record, self.decay_table)
+            entries.append(RunLogEntry(at, rec.Provenance.PERCEPTION, report, index))
+        self.log.stale_reports.append(stale_targets(graph, at, s.stale_threshold))
+        self.frames += 1
+        return self.log.append(*entries)
+
+
 @dataclass
 class ScenarioResult:
     scenario: Scenario
@@ -538,12 +603,12 @@ def run_scenario(
 ) -> ScenarioResult:
     """Execute one deterministic pass over a scenario.
 
-    Events are processed in timestamp order (ties: world changes, then
-    statements, then mission steps, then camera frames). Each camera frame
-    runs detect → associate → confirm → apply and then keeps the frame's
-    staleness report in ``RunLog.stale_reports``. The report comes from the
-    estimate's staleness index, which the first frame builds and later frames
-    bring up to date from the nodes the primitives wrote since.
+    Events run in timestamp order (ties: statements, then the mission's pick
+    and place, then camera frames). Before each one the simulated world steps
+    to its time. Each event then goes to an :class:`Updater` on a copy of the
+    scenario's initial estimate; a frame takes the world's synthetic
+    detections. The mission also runs on the truth, as the robot's real
+    manipulation. The log is scored at the end.
     """
     scenario = (
         scenario_or_path
@@ -556,97 +621,29 @@ def run_scenario(
     world = World(
         scenario.house.copy(), scenario.virtual_actions, decay_table=scenario.decay_table
     )
-    graph = scenario.initial.copy()
-    log = RunLog()
-    store = ConfirmationStore()
+    robot = Updater(scenario.initial.copy(), scenario.decay_table, scenario)
+    mission = scenario.mission
+    events = [(at, 1, i, "statement", parse) for i, (at, parse) in enumerate(scenario.human_statements)]
+    if mission:
+        truth_task = PickPlaceTask(spec=mission.spec)
+        events += [(mission.pick_time, 2, 0, "pick", None), (mission.place_time, 3, 0, "place", None)]
+    events += [(at, 4, i, "frame", pose) for i, (at, pose) in enumerate(scenario.trajectory)]
+    events.sort(key=lambda e: e[:3])
 
-    # The mission runs on the estimate and, as the robot's real manipulation, on the truth.
-    task: Optional[PickPlaceTask] = None
-    truth_task: Optional[PickPlaceTask] = None
-    if scenario.mission:
-        spec = scenario.mission.spec
-        task, truth_task = PickPlaceTask(spec=spec), PickPlaceTask(spec=spec)
-
-    events: list[tuple[float, int, int, str, object]] = []
-    for i, (at, parse) in enumerate(scenario.human_statements):
-        events.append((at, 1, i, "statement", parse))
-    if scenario.mission:
-        events.append((scenario.mission.pick_time, 2, 0, "pick", None))
-        events.append((scenario.mission.place_time, 3, 0, "place", None))
-    for i, (at, pose) in enumerate(scenario.trajectory):
-        events.append((at, 4, i, "frame", pose))
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-
-    frame_idx = 0
     for at, _prio, _seq, kind, payload in events:
         world.step(at)
-
         if kind == "statement":
-            parse: StatementParse = payload
-            if parse.confidence is Confidence.FAILED:
-                log.parse_failures.append({"at": at, "text": parse.text})
-                continue
-            record = to_record(parse, now=at)
-            report = rec.apply(graph, record, scenario.decay_table)
-            log.append(RunLogEntry(at=at, provenance=rec.Provenance.HUMAN, report=report))
-
+            robot.statement(payload, at)
         elif kind == "pick":
-            report = task.pick(graph)
-            if report.status is not rec.ApplyStatus.APPLIED:  # mission aborts, run continues
-                log.append(RunLogEntry(at, rec.Provenance.ACTION, report, note="pick failed"))
-                task = None
-                continue
-            truth = truth_task.pick(world.graph)
-            if truth.status is not rec.ApplyStatus.APPLIED:
-                raise InconsistentAction(f"t={at}: {truth.reason}")
-            log.append(RunLogEntry(at, rec.Provenance.ACTION, report, note="pick"))
-
+            if robot.pick(at)[0].report.status is rec.ApplyStatus.APPLIED:
+                truth = truth_task.pick(world.graph)
+                if truth.status is not rec.ApplyStatus.APPLIED:
+                    raise InconsistentAction(f"t={at}: {truth.reason}")
         elif kind == "place":
-            if task is None:
-                continue
-            report = task.place(graph, scenario.mission.place_pose, at)
-            truth_task.place(world.graph, scenario.mission.place_pose, at)
-            log.append(RunLogEntry(at, rec.Provenance.ACTION, report, note="place"))
+            if robot.place(at):
+                truth_task.place(world.graph, mission.place_pose, at)
+        else:
+            robot.frame(payload, world.synthetic_detect(payload, scenario.camera, scenario.failures), at)
 
-        elif kind == "frame":
-            pose: Pose = payload
-            detections = world.synthetic_detect(pose, scenario.camera, scenario.failures)
-            expected = expected_visible(graph, pose, scenario.camera)
-            result = associate(expected, detections, graph, scenario.epsilon)
-            outcome = confirm(
-                store, graph, result, frame_idx, at, k=scenario.k, epsilon=scenario.epsilon
-            )
-            if outcome.touched:
-                for call in outcome.touched:
-                    rec.execute(graph, call)
-                log.append(
-                    RunLogEntry(
-                        at=at,
-                        frame=frame_idx,
-                        provenance=rec.Provenance.PERCEPTION,
-                        report=rec.ApplyReport(
-                            status=rec.ApplyStatus.APPLIED, executed=outcome.touched
-                        ),
-                        note="observed static",
-                    )
-                )
-            for record in outcome.records:
-                report = rec.apply(graph, record, scenario.decay_table)
-                log.append(
-                    RunLogEntry(
-                        at=at, frame=frame_idx, provenance=rec.Provenance.PERCEPTION, report=report
-                    )
-                )
-            log.stale_reports.append(stale_targets(graph, at, scenario.stale_threshold))
-            frame_idx += 1
-
-    ground_truth = derive_ground_truth(scenario)
-    metrics = score(log, ground_truth)
-    return ScenarioResult(
-        scenario=scenario,
-        log=log,
-        graph=graph,
-        world=world,
-        ground_truth=ground_truth,
-        metrics=metrics,
-    )
+    changes = derive_ground_truth(scenario)
+    return ScenarioResult(scenario, robot.log, robot.graph, world, changes, score(robot.log, changes))

@@ -11,7 +11,11 @@ from importlib import resources
 import sgupdate
 from sgupdate import cli
 from sgupdate.cli import main
+from sgupdate.decay import DecayTable
 from sgupdate.graph import deserialize, serialize
+from sgupdate.harness import Updater, replay_runlog
+from sgupdate.human import GrammarExtractor
+from sgupdate.records import ApplyStatus
 from sgupdate.simworld import load_house
 
 from conftest import stale_sweep
@@ -383,6 +387,35 @@ def test_repl_dates_its_edits_after_the_graphs_observations(tmp_path, capsys, mo
     saved = tmp_path / "after.json"
     assert main(["repl", str(out / "final_graph.json"), "--save", str(saved)]) == 0
     assert deserialize(saved.read_bytes()).objects["cup-1"].last_seen == latest + 1.0
+
+
+def test_repl_edits_the_graph_as_an_updater_given_the_same_statements(
+    house_file, tmp_path, capsys, monkeypatch
+):
+    texts = [
+        "put it somewhere nice",  # not understood
+        "the cup was moved from the kitchen to the bedroom",  # applied
+        "the cup was moved from the kitchen to the bedroom",  # rejected: no cup is left there
+    ]
+    lines = iter([*texts, ""])
+    monkeypatch.setattr("builtins.input", lambda *a: next(lines))
+    saved = tmp_path / "after.json"
+    assert main(["repl", house_file, "--save", str(saved)]) == 0
+    out = capsys.readouterr().out
+    assert "could not understand" in out and "applied" in out and "rejected" in out
+
+    loaded = deserialize(Path(house_file).read_bytes())
+    clock = max([loaded.epoch, *(node.last_seen for node in loaded.objects.values())])
+    robot, extract = Updater(loaded.copy(), DecayTable.default()), GrammarExtractor()
+    # The unparsed line takes no time: the edit after it is dated clock + 1.
+    logged = [robot.statement(extract(text), clock + n) for n, text in zip((1.0, 1.0, 2.0), texts)]
+    assert [[e.report.status for e in entries] for entries in logged] == [
+        [], [ApplyStatus.APPLIED], [ApplyStatus.REJECTED]
+    ]
+    assert robot.log.parse_failures == [{"at": clock + 1.0, "text": texts[0]}]
+    assert robot.graph.objects["cup-1"].last_seen == clock + 1.0
+    assert saved.read_bytes() == serialize(robot.graph)
+    assert serialize(replay_runlog(loaded, robot.log)) == saved.read_bytes()
 
 
 def test_repl_save_into_a_missing_directory_exits_2(house_file, tmp_path, capsys, monkeypatch):

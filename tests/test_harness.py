@@ -1,4 +1,5 @@
 """Scenario runner end-to-end, scoring rules, artifact determinism."""
+import hashlib
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import pytest
 from importlib import resources
 
 from sgupdate import harness
+from sgupdate.cli import main
 from sgupdate.decay import stale_targets
 from sgupdate.graph import graphs_equal, serialize
 from sgupdate.harness import (
@@ -440,6 +442,33 @@ def test_runs_are_deterministic():
     assert serialize(a.graph) == serialize(b.graph)
     assert a.log.to_jsonl() == b.log.to_jsonl()
     assert a.metrics.to_dict() == b.metrics.to_dict()
+
+
+# sha256 of the packaged episode's artifacts as `sgupdate run --out` writes them:
+# the run log, the final graph and the metrics. A refactor of the event loop
+# leaves every one of these bytes as it is.
+GOLDEN = {
+    "ideal": (
+        "fcf18b235e4d86eca41505e009d1d0fc8b3198641127a096fa3229641531c661",
+        "6090ff2a29917bf384c17960d437577bc45c0178730e83dcbc31e15094e80598",
+        "f8e591c6a5ce60bc76fb66d1c3e10efa393911d3468d6a8a68df8556baafc2d3",
+    ),
+    "degraded": (
+        "8da8c3ec731603b921451ae5f23bb2d20acce9433792ab59f2a0e0494fcb4798",
+        "5aa58f78a1c391a20ca5d3c31928cd1f96bbf09393a12e32daadac99e88f412c",
+        "a74ac562876c8e6f66ca8b249c3e41dd3b685c24d621895e8e801ec319d72997",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [("ideal", []), ("degraded", ["--set", "failures.min_detectable_extent=0.16"])],
+)
+def test_run_artifacts_keep_their_recorded_digests(name, flags, tmp_path, capsys):
+    assert main(["run", str(SCENARIO), "--out", str(tmp_path), *flags]) == 0
+    files = ("runlog.jsonl", "final_graph.json", "metrics.json")
+    assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files) == GOLDEN[name]
 
 
 def test_runlog_jsonl_is_parseable(ideal):

@@ -87,9 +87,9 @@ COLLECTOR_OWNER = ("graph.py", "_CollectorPaused")
 COLLECTOR_CALLS = {"disable", "enable", "collect"}
 
 
-def collector_calls(source: str) -> list[tuple[tuple[str, ...], int]]:
-    """``(scope, line)`` of each ``gc.disable``, ``gc.enable`` or ``gc.collect``
-    call in ``source``, and of each ``from gc import``."""
+def scoped_nodes(source: str, flagged) -> list[tuple[tuple[str, ...], int]]:
+    """``(scope, line)`` of each node of ``source`` for which ``flagged`` holds,
+    where ``scope`` names the classes and functions enclosing it."""
     found = []
 
     def visit(node, scope):
@@ -97,18 +97,28 @@ def collector_calls(source: str) -> list[tuple[tuple[str, ...], int]]:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, scope + (child.name,))
                 continue
-            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in COLLECTOR_CALLS
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "gc"
-            ) or (isinstance(child, ast.ImportFrom) and child.module == "gc"):
+            if flagged(child):
                 found.append((scope, child.lineno))
             visit(child, scope)
 
     visit(ast.parse(source), ())
     return found
+
+
+def collector_calls(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """``(scope, line)`` of each ``gc.disable``, ``gc.enable`` or ``gc.collect``
+    call in ``source``, and of each ``from gc import``."""
+
+    def flagged(node) -> bool:
+        func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr in COLLECTOR_CALLS
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "gc"
+        ) or (isinstance(node, ast.ImportFrom) and node.module == "gc")
+
+    return scoped_nodes(source, flagged)
 
 
 def test_only_the_graph_loader_switches_the_collector():
@@ -132,3 +142,53 @@ def test_collector_call_scan_flags_every_switch():
         "other.collect()\n"
     )
     assert collector_calls(snippet) == [((), 2), (("A", "f"), 5), (("A", "f"), 6), ((), 7)]
+
+
+# Only the robot's updater and the simulated truth apply update records, so
+# every statement and frame of the robot takes one path into the graph.
+APPLY_CALLERS = {("harness.py", "Updater"), ("simworld.py", "World")}
+
+
+def record_apply_calls(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """``(scope, line)`` of each call in ``source`` to ``records.apply``, made
+    through the records module or through a name imported from it."""
+    modules, functions = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name.endswith(".records") and a.asname}
+        elif isinstance(node, ast.ImportFrom):
+            modules |= {a.asname or a.name for a in node.names if a.name == "records"}
+            if (node.module or "").endswith("records"):
+                functions |= {a.asname or a.name for a in node.names if a.name == "apply"}
+
+    def flagged(node) -> bool:
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Attribute):
+            return func.attr == "apply" and isinstance(func.value, ast.Name) and func.value.id in modules
+        return isinstance(func, ast.Name) and func.id in functions
+
+    return scoped_nodes(source, flagged)
+
+
+def test_only_the_updater_and_the_truth_apply_records():
+    callers = {
+        (path.name, *scope[:1])
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, _ in record_apply_calls(path.read_text("utf-8"))
+    }
+    assert callers == APPLY_CALLERS
+
+
+def test_record_apply_scan_flags_every_call_into_the_records_module():
+    snippet = (
+        "from . import records as rec\n"
+        "from .records import apply as apply_record\n"
+        "import sgupdate.records as r2\n"
+        "rec.apply(g, x, t)\n"
+        "def f():\n"
+        "    apply_record(g, x, t)\n"
+        "    r2.apply(g, x, t)\n"
+        "other.apply(g)\n"
+        "rec.execute(g, call)\n"
+    )
+    assert record_apply_calls(snippet) == [((), 4), (("f",), 6), (("f",), 7)]
