@@ -149,7 +149,7 @@ def _cmd_query(args) -> int:
     for oid in ids:
         node = graph.objects[oid]
         room_id = graph.belongs_to.get(oid)
-        room = graph.rooms[room_id].label if room_id else "(detached)"
+        room = graph.rooms[room_id].label if room_id is not None else "(detached)"
         x, y, z = node.pose.t
         print(f"{oid}  label={node.label!r}  room={room}  t=({x:.3f}, {y:.3f}, {z:.3f})")
     print(f"{len(ids)} object(s)")
@@ -166,7 +166,7 @@ def _cmd_stale(args) -> int:
     for entry in report.entries:
         node = graph.objects[entry.object_id]
         room_id = graph.belongs_to.get(entry.object_id)
-        room = graph.rooms[room_id].label if room_id else "(detached)"
+        room = graph.rooms[room_id].label if room_id is not None else "(detached)"
         print(
             f"{entry.object_id}  label={node.label!r}  room={room}"
             f"  persistence={entry.probability:.4f}"

@@ -62,15 +62,6 @@ class Pose:
         object.__setattr__(self, "t", t)
 
     @classmethod
-    def _unchecked(cls, q: tuple[float, ...], t: tuple[float, ...]) -> "Pose":
-        """The pose of tuples of floats the caller has checked (``is_unit(q)``
-        included); skips ``__post_init__``."""
-        pose = object.__new__(cls)
-        object.__setattr__(pose, "q", q)
-        object.__setattr__(pose, "t", t)
-        return pose
-
-    @classmethod
     def identity(cls, t: Sequence[float] = (0.0, 0.0, 0.0)) -> "Pose":
         return cls((1.0, 0.0, 0.0, 0.0), tuple(t))  # type: ignore[arg-type]
 
@@ -98,14 +89,6 @@ class BBox3:
         if not is_positive(ext):
             raise InvalidGeometry(f"extents must be strictly positive, got {ext}")
         object.__setattr__(self, "extents", ext)
-
-    @classmethod
-    def _unchecked(cls, extents: tuple[float, ...]) -> "BBox3":
-        """The box of a tuple of floats the caller has checked (``is_positive``
-        included); skips ``__post_init__``."""
-        box = object.__new__(cls)
-        object.__setattr__(box, "extents", extents)
-        return box
 
     @property
     def max_extent(self) -> float:

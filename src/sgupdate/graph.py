@@ -33,12 +33,16 @@ and only the primitives may write an object's fields, since anything else would
 leave the indexes stale or edit a node other graphs share;
 :func:`check_invariants` verifies the room indexes.
 
-The loader builds each object entry of exactly the shape :func:`serialize`
-writes from one combined test (:func:`~sgupdate.values.node_entry`) and the
-node classes' own rules, skipping the per-value readers; every other entry,
-and every entry a rule refuses, goes through those readers, which read it or
-raise the error that names the bad value. A load normalizes each distinct
-object label once, and the nodes that carry it share the string.
+The loader reads each section of a document in one loop. An object entry of
+exactly the shape :func:`serialize` writes passes one combined test
+(:func:`~sgupdate.values.node_entry`) and the node classes' rules, written
+out in the loop, and becomes a node with no further call; every other entry,
+and every entry a rule refuses, goes through the per-value readers, which
+read it or raise the error that names the bad value. A load normalizes each
+distinct object label once, and the nodes that carry it share the string.
+The belongs-to loop checks each edge in document order and files it; each
+room's member box is then set once, from its members' translations in that
+order, which gives the box that growing it edge by edge would.
 
 :func:`serialize` and :func:`deserialize` run with the cyclic garbage
 collector paused. A graph document and the graph built from it hold no
@@ -50,11 +54,11 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, sqrt
 from typing import Iterator, Optional, Sequence
 
-from .geometry import BBox3, InvalidGeometry, Pose, is_positive, is_unit, poses_close
-from .values import array, entries, flag, node_entry, number, obj, text, texts
+from .geometry import QUAT_NORM_TOL, BBox3, InvalidGeometry, Pose, poses_close
+from .values import array, entries, flag, node_entry, number, obj, text, texts, within
 
 __all__ = [
     "SceneGraphError",
@@ -182,28 +186,71 @@ class ObjectNode:
         return dup
 
     @staticmethod
-    def _of(fields: tuple, labels: dict[str, str]) -> Optional["ObjectNode"]:
-        """The node of ``fields``, an entry :func:`~sgupdate.values.node_entry`
-        read, or None when the unit-quaternion, positive-extent or decay-rate
-        rule refuses it; a blank label raises the node classes' ValueError.
-        ``labels`` maps each label as written to its node label, so that one
-        load normalizes a label once and its nodes share the string."""
-        oid, label, q, t, extents, decay_rate, last_seen, attached, provisional = fields
-        if not (is_unit(q) and is_positive(extents) and decay_rate >= 0.0):
-            return None
-        norm = labels.get(label)
-        if norm is None:
-            norm = labels[label] = _node_label(label)
-        node = object.__new__(ObjectNode)
-        node.id = oid
-        node.label = norm
-        node.pose = Pose._unchecked(q, t)
-        node.bbox = BBox3._unchecked(extents)
-        node.decay_rate = decay_rate
-        node.last_seen = last_seen
-        node.attached = attached
-        node.pose_provisional = provisional
-        return node
+    def _load(entries: list, objects: dict[str, "ObjectNode"]) -> int:
+        """File in ``objects`` the node of each entry of the object array
+        ``entries`` and return how many are attached; errors name
+        ``objects[i]``. An entry that ``node_entry`` takes and the rules of
+        ``Pose``, ``BBox3`` and this class accept is built here; any other
+        takes the per-value readers (see the module docstring)."""
+        labels: dict[str, str] = {}  # each label as written -> its node label
+        new = object.__new__
+        # The slots' own setters, which object.__setattr__ would look up by name
+        # on every call; Pose and BBox3 are frozen, so a plain store raises.
+        set_q, set_t, set_extents = Pose.q.__set__, Pose.t.__set__, BBox3.extents.__set__
+        attached = 0
+        for i, entry in enumerate(entries):
+            fields = node_entry(entry)
+            node = None
+            if fields is not None:
+                oid, label, q, t, extents, decay_rate, last_seen, is_attached, provisional = fields
+                w, x, y, z = q
+                norm = labels.get(label)
+                if norm is None:
+                    norm = labels[label] = _norm_label(label)
+                # geometry.is_unit and is_positive, written out; a blank
+                # label is left to the readers, which raise its error.
+                if (
+                    abs(sqrt(sum((w * w, x * x, y * y, z * z))) - 1.0) <= QUAT_NORM_TOL
+                    and extents[0] > 0.0 and extents[1] > 0.0 and extents[2] > 0.0
+                    and decay_rate >= 0.0
+                    and norm
+                ):
+                    pose = new(Pose)
+                    set_q(pose, q)
+                    set_t(pose, t)
+                    bbox = new(BBox3)
+                    set_extents(bbox, extents)
+                    node = new(ObjectNode)
+                    node.id = oid
+                    node.label = norm
+                    node.pose = pose
+                    node.bbox = bbox
+                    node.decay_rate = decay_rate
+                    node.last_seen = last_seen
+                    node.attached = is_attached
+                    node.pose_provisional = provisional
+            if node is None:
+                where = f"objects[{i}]"
+                node = within(where, _read_object, obj(entry, where))
+            if node.id in objects:
+                raise ValueError(f"objects[{i}]: duplicate object id {node.id!r}")
+            objects[node.id] = node
+            attached += node.attached
+        return attached
+
+
+def _read_object(entry: dict) -> ObjectNode:
+    """The node of an object entry, read value by value."""
+    return ObjectNode(
+        id=text(entry["id"], "id"),
+        label=text(entry["label"], "label"),
+        pose=Pose.from_dict(entry["pose"]),
+        bbox=BBox3(entry["bbox"]),
+        decay_rate=entry["decay_rate"],
+        last_seen=entry["last_seen"],
+        attached=flag(entry.get("attached", True), "attached"),
+        pose_provisional=flag(entry.get("pose_provisional", False), "pose_provisional"),
+    )
 
 
 class SceneGraph:
@@ -697,9 +744,9 @@ def serialize(graph: SceneGraph) -> bytes:
 
 
 def graph_from_payload(data: dict) -> SceneGraph:
-    """The graph a document describes, read in one pass through the checks and
-    index upkeep the primitives use; errors are :class:`ParseError` naming the
-    bad key or entry."""
+    """The graph a document describes, read with the checks the primitives
+    make into the indexes they keep; errors are :class:`ParseError` naming
+    the bad key or entry."""
     try:
         return _read_graph(obj(data, "a graph document"))
     except (ValueError, SceneGraphError) as exc:
@@ -709,7 +756,6 @@ def graph_from_payload(data: dict) -> SceneGraph:
 def _read_graph(data: dict) -> SceneGraph:
     """:func:`graph_from_payload`, raising the errors it turns into ParseError."""
     graph = SceneGraph(epoch=number(data.get("epoch", 0.0), "epoch"))
-    labels: dict[str, str] = {}  # ObjectNode._of's label memo, for this load only
 
     def read_room(entry: dict) -> None:
         room = RoomNode(
@@ -723,45 +769,39 @@ def _read_graph(data: dict) -> SceneGraph:
         except DuplicateRoomLabel as exc:  # re-raised so that ``entries`` names the entry
             raise ValueError(str(exc)) from exc
 
-    def read_object(entry: dict) -> ObjectNode:
-        # The common case, the shape serialize writes, in one test; anything
-        # else, and whatever a rule refuses, takes the per-value readers.
-        fields = node_entry(entry)
-        node = None if fields is None else ObjectNode._of(fields, labels)
-        if node is None:
-            node = ObjectNode(
-                id=text(entry["id"], "id"),
-                label=text(entry["label"], "label"),
-                pose=Pose.from_dict(entry["pose"]),
-                bbox=BBox3(entry["bbox"]),
-                decay_rate=entry["decay_rate"],
-                last_seen=entry["last_seen"],
-                attached=flag(entry.get("attached", True), "attached"),
-                pose_provisional=flag(entry.get("pose_provisional", False), "pose_provisional"),
-            )
-        if node.id in graph.objects:
-            raise ValueError(f"duplicate object id {node.id!r}")
-        graph.objects[node.id] = node
-        return node
-
     entries(data.get("rooms"), "rooms", read_room)
-    attached = sum(n.attached for n in entries(data.get("objects"), "objects", read_object))
+    objects, rooms, belongs_to, members = graph.objects, graph.rooms, graph.belongs_to, graph._members
+    attached = ObjectNode._load(array(data.get("objects"), "objects"), objects)
     belongs = obj(data.get("belongs_to"), "belongs_to")
+    # What _link does per edge, with each room's member box set once below.
+    spots: dict[str, list] = {}  # room id -> its members' translations, in belongs_to order
     for oid, rid in belongs.items():
-        node = graph.objects.get(oid)
+        node = objects.get(oid)
         if node is None:
             raise ValueError(f"belongs_to[{oid!r}]: unknown object id")
-        if rid.__hash__ is None or rid not in graph.rooms:  # an array or object is unhashable
+        if rid.__hash__ is None or rid not in rooms:  # an array or object is unhashable
             raise ValueError(f"belongs_to[{oid!r}]: unknown room id {rid!r}")
         if node.attached:
-            graph._link(oid, rid, node.pose.t)
+            belongs_to[oid] = rid
+            members[rid].add(oid)
+            ts = spots.get(rid)
+            if ts is None:
+                spots[rid] = [node.pose.t]
+            else:
+                ts.append(node.pose.t)
     # Keys are unique: every key was linked, so names an attached object, and
     # there are as many as attached objects, so every attached object has one.
-    if not len(graph.belongs_to) == len(belongs) == attached:
+    if not len(belongs_to) == len(belongs) == attached:
         raise ValueError(
             "document violates graph invariants: "
             "belongs_to keys do not exactly match attached object ids"
         )
+    # min and max keep the first of equal values, as _link does, so that a
+    # box holds the same signed zeros as one grown edge by edge.
+    boxes = graph._boxes
+    for rid, ts in spots.items():
+        xs, ys, zs = zip(*ts)
+        boxes[rid] = (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
     for i, pair in enumerate(array(data.get("access"), "access")):
         try:
             graph.add_access(*texts(pair, f"access[{i}]", 2))

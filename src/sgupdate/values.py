@@ -107,9 +107,15 @@ def node_entry(entry: dict) -> tuple | None:
         and type(q) is type(t) is type(extents) is list
         and (len(q), len(t), len(extents)) == (4, 3, 3)
     ):
-        numbers = (*q, *t, *extents, rate, seen)
-        if _FLOAT.issuperset(map(type, numbers)) and math.isfinite(sum(numbers)):
-            return (oid, label, tuple(q), tuple(t), tuple(extents), rate, seen, attached, provisional)
+        w, x, y, z = q
+        tx, ty, tz = t
+        ew, eh, ed = extents
+        if (
+            type(w) is type(x) is type(y) is type(z) is type(tx) is type(ty) is type(tz)
+            is type(ew) is type(eh) is type(ed) is type(rate) is type(seen) is float
+            and math.isfinite(w + x + y + z + tx + ty + tz + ew + eh + ed + rate + seen)
+        ):
+            return (oid, label, (w, x, y, z), (tx, ty, tz), (ew, eh, ed), rate, seen, attached, provisional)
     return None
 
 

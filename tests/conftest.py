@@ -1,10 +1,11 @@
+import json
 import math
 
 import pytest
 
 from sgupdate.decay import StaleEntry, StaleReport, persistence_probability
 from sgupdate.geometry import BBox3, Pose, pose_distance, quat_conj, quat_mul
-from sgupdate.graph import RoomNode, SceneGraph
+from sgupdate.graph import RoomNode, SceneGraph, deserialize
 from sgupdate.perception import AssociationResult, semantic_match
 
 
@@ -23,6 +24,22 @@ def two_room_graph():
 
 def put(g, room, label, t, extents=(0.2, 0.2, 0.2), rate=0.05, now=0.0, **kw):
     return g.add_object(room, label, Pose.identity(t), BBox3(extents), rate, now, **kw)
+
+
+def linked_load(text):
+    """The graph the document ``text`` describes, with its room indexes built
+    the way the primitives build them: one ``SceneGraph._link`` per
+    ``belongs_to`` edge, in document order, growing each room's member box
+    edge by edge. The reference the loader's indexes must match."""
+    loaded = deserialize(text)
+    graph = SceneGraph(epoch=loaded.epoch)
+    for room in loaded.rooms.values():
+        graph.add_room(room)
+    graph.objects = dict(loaded.objects)
+    for oid, rid in json.loads(text)["belongs_to"].items():
+        if graph.objects[oid].attached:
+            graph._link(oid, rid, graph.objects[oid].pose.t)
+    return graph
 
 
 def yaw_pose(t, yaw):

@@ -12,13 +12,13 @@ import sgupdate
 from sgupdate import cli
 from sgupdate.cli import main
 from sgupdate.decay import DecayTable
-from sgupdate.graph import deserialize, serialize
+from sgupdate.graph import SceneGraph, deserialize, serialize
 from sgupdate.harness import Updater, replay_runlog
 from sgupdate.human import GrammarExtractor
 from sgupdate.records import ApplyStatus
 from sgupdate.simworld import load_house
 
-from conftest import stale_sweep
+from conftest import make_room, put, stale_sweep
 
 SCENARIO = str(resources.files("sgupdate.data").joinpath("scenario_house.json"))
 
@@ -317,6 +317,23 @@ def test_stale_prints_the_sweeps_report_byte_for_byte(now, house_file, capsys, m
     monkeypatch.setattr(cli, "stale_targets", stale_sweep)  # the eager report
     assert main(["stale", house_file, "--now", now, "--threshold", "0.5"]) == 0
     assert capsys.readouterr().out == grouped
+
+
+def test_query_and_stale_name_a_room_whose_id_is_empty(tmp_path, capsys):
+    g = SceneGraph()
+    g.add_room(make_room("", (2.0, 2.0, 1.5), label="kitchen"))
+    g.detach(put(g, "kitchen", "book", (1, 1, 1)))
+    put(g, "kitchen", "cup", (1, 1, 1))
+    path = tmp_path / "graph.json"
+    path.write_bytes(serialize(g))
+    assert main(["query", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "book-1  label='book'  room=(detached)  t=(1.000, 1.000, 1.000)",
+        "cup-1  label='cup'  room=kitchen  t=(1.000, 1.000, 1.000)",
+        "2 object(s)",
+    ]
+    assert main(["stale", str(path), "--now", "100000"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith("cup-1  label='cup'  room=kitchen  ")
 
 
 def test_stale_rejects_bad_threshold(house_file, capsys):

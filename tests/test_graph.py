@@ -1,6 +1,7 @@
 """Scene-graph container: topology rules, primitives, serialization."""
 import ast
 import gc
+import itertools
 import json
 import math
 import random
@@ -38,7 +39,15 @@ from sgupdate.graph import (
 from sgupdate.perception import CameraModel, expected_visible
 from sgupdate.simworld import load_house
 
-from conftest import make_room, put, stale_sweep, two_room_graph, visible_oracle, yaw_pose
+from conftest import (
+    linked_load,
+    make_room,
+    put,
+    stale_sweep,
+    two_room_graph,
+    visible_oracle,
+    yaw_pose,
+)
 
 
 def test_room_labels_are_normalized_and_unique():
@@ -433,15 +442,17 @@ def test_deserialize_reports_location_of_wrong_shape(path, value, where):
 
 
 def payload_with(path, value) -> str:
-    """A two-room graph with one cup, as JSON, with ``value`` put at ``path``."""
+    """A two-room graph with one cup, as JSON, with ``value`` put at ``path``;
+    given lists of paths and values, each value at its path, in order."""
     g = two_room_graph()
     put(g, "kitchen", "cup", (1, 1, 1))
     payload = json.loads(serialize(g))
-    *parents, last = path
-    target = payload
-    for key in parents:
-        target = target[key]
-    target[last] = value
+    edits = zip(path, value) if isinstance(path, list) else [(path, value)]
+    for (*parents, last), new in edits:
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[last] = new
     return json.dumps(payload)
 
 
@@ -508,6 +519,21 @@ def test_deserialize_refuses_an_integer_too_long_for_python():
             r"^access\[0\]: access edge \('kitchen', 'kitchen'\) must connect two distinct rooms$",
             id="access-loop",
         ),
+        # With two faults, the one the load meets first: objects before
+        # edges, edges in document order, and every edge before the count
+        # of attached objects.
+        pytest.param(
+            [("objects", 0, "label"), ("belongs_to", "cup-1")], ["   ", "attic"],
+            r"^objects\[0\]: label must not be blank, got '   '$", id="object-before-edge",
+        ),
+        pytest.param(
+            [("belongs_to", "cup-1"), ("belongs_to", "a-ghost")], ["attic", "kitchen"],
+            r"^belongs_to\['cup-1'\]: unknown room id 'attic'$", id="edges-in-document-order",
+        ),
+        pytest.param(
+            [("objects", 0, "attached"), ("belongs_to", "ghost")], [False, "kitchen"],
+            r"^belongs_to\['ghost'\]: unknown object id$", id="edge-before-count",
+        ),
     ],
 )
 def test_deserialize_names_the_entry_a_graph_rule_refuses(path, value, message):
@@ -561,6 +587,13 @@ def test_serialize_writes_the_sorted_key_dump(graph):
     assert unsorted_dicts(graph_to_payload(g)) == []
 
 
+def reversed_keys(value):
+    """``value`` with the keys of each dict in it in reverse order."""
+    if isinstance(value, dict):
+        return {key: reversed_keys(v) for key, v in reversed(value.items())}
+    return value
+
+
 def per_value_reads(blob) -> int:
     """How many object nodes loading ``blob`` built through the per-value readers
     (``ObjectNode.__post_init__``) rather than the loader's common case."""
@@ -577,6 +610,12 @@ def test_loading_what_serialize_writes_takes_the_common_case_for_every_object(gr
     g = graph()
     blob = serialize(g)
     assert per_value_reads(blob) == 0
+    # the same document indented, as bench/generate.py writes houses, and
+    # with every object's keys in reverse order: layout is not shape
+    payload = json.loads(blob)
+    assert per_value_reads(json.dumps(payload, indent=1)) == 0
+    payload["objects"] = [reversed_keys(entry) for entry in payload["objects"]]
+    assert per_value_reads(json.dumps(payload)) == 0
     # the same document as tuples, which only the per-value readers take
     assert serialize(graph_from_payload(graph_to_payload(g))) == blob
     assert per_value_reads(payload_with(("objects", 0, "decay_rate"), 0)) == 1  # the count sees one
@@ -587,6 +626,56 @@ def test_a_load_files_one_string_per_label():
     labels = {}
     for node in back.objects.values():
         assert labels.setdefault(node.label, node.label) is node.label
+
+
+def detached_and_empty_graph() -> SceneGraph:
+    """Two rooms with members, some objects detached, and a room with none."""
+    g = two_room_graph()
+    g.add_room(make_room("attic", (2.0, 2.0, 5.0)))
+    for i in range(12):
+        room, label = ("kitchen", "living room")[i % 2], ("cup", "book")[i % 3 == 0]
+        oid = put(g, room, label, (1.0 + i / 4, 1.0, 1.0))
+        if i % 4 == 1:
+            g.detach(oid)
+    return g
+
+
+def signed_zero_graph() -> SceneGraph:
+    """Four rooms whose members all stand at the origin, one member per way of
+    signing its three zeros: each room's member box is then the point of
+    whichever member its box was started from."""
+    g = SceneGraph()
+    for k, room in enumerate(["kitchen", "hall", "porch", "attic"]):
+        g.add_room(make_room(room, (2.0 + 5 * k, 2.0, 1.5)))
+        for x, y, z in itertools.product((0.0, -0.0), repeat=3):
+            put(g, room, "cup", (x, y, z))
+    return g
+
+
+def room_indexes(graph: SceneGraph) -> tuple:
+    """The indexes a load builds, in their key orders; boxes by ``repr``,
+    which tells -0.0 from 0.0."""
+    return (
+        list(graph.belongs_to.items()),
+        list(graph._members.items()),
+        [(rid, repr(box)) for rid, box in graph._boxes.items()],
+        graph._room_boxes,
+    )
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [load_house, generated_graph, detached_and_empty_graph, signed_zero_graph],
+    ids=["packaged", "generated", "detached-and-empty", "signed-zeros"],
+)
+def test_a_load_builds_the_indexes_that_one_link_per_edge_builds(graph):
+    text = serialize(graph()).decode("utf-8")
+    loaded = deserialize(text)
+    assert room_indexes(loaded) == room_indexes(linked_load(text))
+    assert check_invariants(loaded) == []
+    shared = {}
+    for node in loaded.objects.values():
+        assert shared.setdefault(node.label, node.label) is node.label
 
 
 def test_unsorted_dict_scan_finds_nested_dicts():
