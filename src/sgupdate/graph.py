@@ -13,9 +13,13 @@ is not safe for concurrent mutation; hand a copy to other workers instead.
 Object nodes are values shared between copies: :meth:`SceneGraph.copy`
 copies the containers and never a node, and a primitive that changes a
 node's fields first files a fresh copy of the node in its own graph's
-``objects``, then edits that copy. A node reachable from a graph is
-therefore never edited in place, and a copy and its original cannot change
-each other.
+``objects``, then edits that copy. Each room's member set is shared the same
+way: a copy shares them all, and a primitive that files or unfiles an object
+in a room first copies that room's set unless its graph alone holds it (the
+graph's ``_own``), so a copy pays only for the rooms it writes. A node or
+member set reachable from a graph is therefore never edited in place while
+another graph holds it, and a copy and its original cannot change each
+other.
 
 The room layer doubles as a spatial index. The graph keeps a room-label map,
 each room's set of attached objects and, per room, a box around its members'
@@ -266,6 +270,9 @@ class SceneGraph:
         self._room_ids: dict[str, str] = {}  # room label -> room id
         self._room_boxes: list[tuple] = []  # _room_box(room) of each room, in insertion order
         self._members: dict[str, set[str]] = {}  # room id -> attached object ids
+        # Room ids whose member set no other graph holds: a copy shares every
+        # set, and _room_members copies a shared one before its first write.
+        self._own: set[str] = set()
         # room id -> (min x, min y, min z, max x, max y, max z) over the members'
         # translations, or a larger box: it does not shrink when members leave.
         self._boxes: dict[str, tuple[float, ...]] = {}
@@ -288,6 +295,7 @@ class SceneGraph:
         self._room_ids[room.label] = room.id
         self._room_boxes.append(_room_box(room))
         self._members[room.id] = set()
+        self._own.add(room.id)
         return room.id
 
     def add_access(self, room_a: str, room_b: str) -> None:
@@ -335,9 +343,10 @@ class SceneGraph:
         return sorted(self._members.get(room_id, ()))
 
     def objects_near(self, point: Sequence[float], radius: float) -> Iterator[tuple[tuple, set[str]]]:
-        """The member box ``(x0, y0, z0, x1, y1, z1)`` and the graph's own member
-        set (do not edit the graph while iterating) of each room whose member
-        box comes closer than ``radius``. Every attached object whose translation
+        """The member box ``(x0, y0, z0, x1, y1, z1)`` and the member set of each
+        room whose member box comes closer than ``radius``. The set is the
+        graph's index, which its copies may share: only read it, and do not edit
+        the graph while iterating. Every attached object whose translation
         lies closer than ``radius`` to ``point`` is in a yielded set, even one
         whose pose lies outside its room's ``bbox``: member boxes are built from
         the members' translations, not from the room geometry. Objects farther
@@ -378,10 +387,18 @@ class SceneGraph:
     # ------------------------------------------------------------------
     # index upkeep
 
+    def _room_members(self, room_id: str) -> set[str]:
+        """The member set of a room, made this graph's own before it is written."""
+        members = self._members[room_id]
+        if room_id not in self._own:
+            members = self._members[room_id] = set(members)
+            self._own.add(room_id)
+        return members
+
     def _link(self, oid: str, room_id: str, t: Sequence[float]) -> None:
         """Set the belongs-to edge and file the object under its room."""
         self.belongs_to[oid] = room_id
-        self._members[room_id].add(oid)
+        self._room_members(room_id).add(oid)
         x, y, z = t
         x0, y0, z0, x1, y1, z1 = self._boxes.get(room_id, (x, y, z, x, y, z))
         self._boxes[room_id] = (
@@ -391,7 +408,7 @@ class SceneGraph:
 
     def _unlink(self, oid: str) -> None:
         """Drop the belongs-to edge; the room's box keeps its size."""
-        self._members[self.belongs_to.pop(oid)].discard(oid)
+        self._room_members(self.belongs_to.pop(oid)).discard(oid)
 
     # ------------------------------------------------------------------
     # primitives
@@ -514,11 +531,14 @@ class SceneGraph:
     # ------------------------------------------------------------------
 
     def copy(self) -> "SceneGraph":
-        """Independent graph that shares every room and object node.
+        """Independent graph that shares every room and object node and every
+        room's member set.
 
-        Only the containers are copied. Rooms are frozen; object nodes are
+        The other containers are copied. Rooms are frozen; object nodes are
         never edited in place (the primitives replace a node before writing
-        it), so neither graph can change the other.
+        it), and a member set is copied by whichever graph first writes it
+        (after a copy neither graph owns any), so neither graph can change
+        the other.
         """
         dup = SceneGraph(epoch=self.epoch)
         dup.rooms = dict(self.rooms)
@@ -527,7 +547,8 @@ class SceneGraph:
         dup.access = set(self.access)
         dup._room_ids = dict(self._room_ids)
         dup._room_boxes = list(self._room_boxes)
-        dup._members = {rid: set(ids) for rid, ids in self._members.items()}
+        dup._members = dict(self._members)
+        self._own.clear()
         dup._boxes = dict(self._boxes)
         return dup
 
@@ -779,7 +800,11 @@ def _read_graph(data: dict) -> SceneGraph:
         node = objects.get(oid)
         if node is None:
             raise ValueError(f"belongs_to[{oid!r}]: unknown object id")
-        if rid.__hash__ is None or rid not in rooms:  # an array or object is unhashable
+        try:
+            known = rid in rooms
+        except TypeError:  # an array or object is unhashable
+            known = False
+        if not known:
             raise ValueError(f"belongs_to[{oid!r}]: unknown room id {rid!r}")
         if node.attached:
             belongs_to[oid] = rid

@@ -73,6 +73,17 @@ class Observation:
         if label != self.label:
             object.__setattr__(self, "label", label)
 
+    @staticmethod
+    def _of(label: str, pose: Pose, bbox: BBox3) -> "Observation":
+        # ``label`` is already normalized; skip __post_init__ (the synthetic
+        # detector builds one observation per object in view, every frame).
+        obs = object.__new__(Observation)
+        set_field = object.__setattr__
+        set_field(obs, "label", label)
+        set_field(obs, "pose", pose)
+        set_field(obs, "bbox", bbox)
+        return obs
+
 
 def _frustum_test(robot_pose: Pose, cam: CameraModel) -> Callable[[float, float, float], bool]:
     """:func:`point_in_frustum` for one camera pose, as a test of ``(x, y, z)``: the

@@ -137,12 +137,17 @@ class World:
         follows sorted ground-truth ids, so frames are deterministic.
         """
         out = []
+        objects, noise = self.graph.objects, failures.label_noise
+        extent, dropout = failures.min_detectable_extent, failures.dropout_ids
         for oid in expected_visible(self.graph, robot_pose, cam):
-            node = self.graph.objects[oid]
-            if node.bbox.max_extent < failures.min_detectable_extent:
+            node = objects[oid]
+            # Box extents are positive: a minimum of zero or less suppresses nothing.
+            if extent > 0.0 and node.bbox.max_extent < extent:
                 continue
-            if oid in failures.dropout_ids:
+            if oid in dropout:
                 continue
-            label = failures.label_noise.get(node.label, node.label)
-            out.append(Observation(label=label, pose=node.pose, bbox=node.bbox))
+            label = node.label  # normalized when the node was built
+            if label in noise:  # a reported label is normalized as Observation does
+                label = _norm_label(noise[label])
+            out.append(Observation._of(label, node.pose, node.bbox))
         return out

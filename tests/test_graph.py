@@ -10,6 +10,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sgupdate
 from sgupdate.decay import stale_targets
@@ -290,6 +291,76 @@ def test_copy_shares_every_node_and_a_primitive_replaces_only_its_own(house2):
             assert clone.objects[other] is shared[other], (oid, other)
     assert clone.objects["cup-1"].last_seen == 5.0 and shared["cup-1"].last_seen == 0.0
     assert clone.objects["plate-1"].attached and not shared["plate-1"].attached
+
+
+def test_a_copy_shares_the_member_set_of_every_room_until_a_primitive_writes_it():
+    """One edit in a room gives the edited graph its own set of that room;
+    the other rooms' sets stay one object, held by both graphs."""
+    for edited_side in ("copy", "original"):
+        original = load_house()
+        clone = original.copy()
+        edited, kept = (clone, original) if edited_side == "copy" else (original, clone)
+        before = {rid: set(ids) for rid, ids in original._members.items()}
+        kitchen = edited.room_by_label("kitchen").id
+        put(edited, "kitchen", "cup", (2.0, 2.0, 1.0))
+        own = edited._members[kitchen]
+        assert own is not kept._members[kitchen], edited_side
+        assert kept._members == before and own == before[kitchen] | {"cup-2"}, edited_side
+        for rid in edited.rooms.keys() - {kitchen}:
+            assert edited._members[rid] is kept._members[rid], (edited_side, rid)
+        edited.touch("cup-2", 1.0)  # writes no member set
+        edited.remove_object("kitchen", "cup-2")  # writes the set it already owns
+        assert edited._members[kitchen] is own and own == before[kitchen], edited_side
+
+
+ROOMS = ("kitchen", "living room", "attic")
+SPOTS = {"kitchen": (1.0, 1.0, 1.0), "living room": (7.0, 1.0, 1.0), "attic": (2.0, 2.0, 5.0)}
+COPY_STEP = st.tuples(
+    st.sampled_from(["add", "remove", "move", "touch", "detach", "reattach", "copy", "copy"]),
+    st.integers(0, 2**16),  # picks the graph
+    st.integers(0, 2**16),  # picks the object and the room
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.lists(COPY_STEP, min_size=10, max_size=40))
+def test_a_family_of_copies_never_sees_each_others_edits(steps):
+    """Up to four graphs, each a copy of any member of the family (copies of
+    copies, sources edited after they were copied), and random primitives on
+    any member: after every step every graph keeps its invariants and holds
+    the member sets that linking its own bytes edge by edge files."""
+    base = two_room_graph()
+    base.add_room(make_room("attic", (2.0, 2.0, 5.0)))
+    for i, room in enumerate(ROOMS * 2):
+        put(base, room, ("cup", "book")[i % 2], SPOTS[room])
+    family = [base]
+    for op, which, pick in steps:
+        g = family[which % len(family)]
+        attached = sorted(oid for oid, n in g.objects.items() if n.attached)
+        detached = sorted(oid for oid, n in g.objects.items() if not n.attached)
+        room, pick = ROOMS[pick % 3], pick // 3
+        if op == "copy":
+            if len(family) < 4:
+                family.append(g.copy())
+            else:
+                family[pick % 4] = g.copy()
+        elif op == "add":
+            put(g, room, ("cup", "book", "vase")[pick % 3], SPOTS[room])
+        elif op == "remove" and attached:
+            oid = attached[pick % len(attached)]
+            g.remove_object(g.rooms[g.belongs_to[oid]].label, oid)
+        elif op == "move" and attached:
+            oid = attached[pick % len(attached)]
+            g.move_object(g.rooms[g.belongs_to[oid]].label, room, oid, Pose.identity(SPOTS[room]), 1.0)
+        elif op == "touch" and g.objects:
+            g.touch(sorted(g.objects)[pick % len(g.objects)], 2.0)
+        elif op == "detach" and attached:
+            g.detach(attached[pick % len(attached)])
+        elif op == "reattach" and detached:
+            g.reattach(detached[pick % len(detached)], room, Pose.identity(SPOTS[room]), 3.0)
+        for member in family:
+            assert check_invariants(member) == []
+            assert member._members == linked_load(serialize(member).decode("utf-8"))._members
 
 
 def test_assign_room_matches_point_in_aabb_brute_force():

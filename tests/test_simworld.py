@@ -7,7 +7,7 @@ import pytest
 from sgupdate.geometry import BBox3, Pose, point_in_aabb
 from sgupdate.graph import graphs_equal, serialize
 from sgupdate.harness import derive_ground_truth, load_scenario, run_scenario
-from sgupdate.perception import CameraModel, expected_visible
+from sgupdate.perception import CameraModel, Observation, expected_visible
 from sgupdate.records import UpdateAction, UpdateRecord
 from sgupdate.simworld import (
     DetectorFailureConfig,
@@ -254,6 +254,51 @@ def test_detector_failure_knobs():
         "cup",
         "plantain",
     }
+
+
+def detections_built_one_by_one(world, pose, cam, failures):
+    """``World.synthetic_detect`` written plainly: every box's largest extent
+    tested against the minimum, and each observation built by
+    ``Observation(...)``, which normalizes its label."""
+    out = []
+    for oid in expected_visible(world.graph, pose, cam):
+        node = world.graph.objects[oid]
+        if node.bbox.max_extent < failures.min_detectable_extent or oid in failures.dropout_ids:
+            continue
+        label = failures.label_noise.get(node.label, node.label)
+        out.append(Observation(label=label, pose=node.pose, bbox=node.bbox))
+    return out
+
+
+@pytest.mark.parametrize(
+    "failures, seen, unseen",
+    [
+        (DetectorFailureConfig(), {"mug", "tv remote", "vase", "book"}, {"urn"}),
+        # Built directly, so the reported labels are not normalized yet.
+        (
+            DetectorFailureConfig(label_noise={"mug": " Cup ", "tv remote": "TV  Remote", "vase": "urn"}),
+            {"cup", "tv remote", "urn"},
+            {"mug", "vase"},
+        ),
+        (
+            DetectorFailureConfig(min_detectable_extent=0.16, dropout_ids=frozenset({"book-1"})),
+            {"mug", "vase"},
+            {"tv remote", "book"},
+        ),
+    ],
+    ids=["ideal", "noisy", "minimum-extent"],
+)
+def test_detections_equal_the_observations_built_one_by_one(failures, seen, unseen):
+    sc = load_scenario(SCENARIO)
+    w = World(sc.house.copy(), sc.virtual_actions)
+    labels = set()
+    for at, pose in sc.trajectory:
+        w.step(at)
+        out = w.synthetic_detect(pose, sc.camera, failures)
+        assert out == detections_built_one_by_one(w, pose, sc.camera, failures), at
+        assert all(type(o) is Observation for o in out)
+        labels.update(o.label for o in out)
+    assert seen <= labels and not unseen & labels
 
 
 def test_failure_config_from_dict_roundtrip():
