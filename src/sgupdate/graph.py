@@ -27,14 +27,11 @@ translations that only grows until the graph is next loaded. Scoped ``find``
 and ``objects_in_room`` read them instead of scanning every object,
 ``objects_near`` yields each in-range room's box and member set (perception
 culls the boxes against the view's planes), and ``assign_room`` reads a flat
-list of the rooms' boxes. One more index belongs to :mod:`sgupdate.decay`:
-``stale_index``, ``None`` on a new, copied or loaded graph and built by the
-first staleness query; each of the six primitives that write an object
-(``add_object``, ``remove_object``, ``move_object``, ``detach``, ``reattach``
-and ``touch``) reports to it the id it writes. Only ``add_room``, the
-primitives and the loader may write ``rooms``, ``objects`` or ``belongs_to``,
-and only the primitives may write an object's fields, since anything else would
-leave the indexes stale or edit a node other graphs share;
+list of the rooms' boxes. Staleness keeps no index here:
+:func:`sgupdate.decay.stale_targets` sweeps ``objects``. Only ``add_room``,
+the primitives and the loader may write ``rooms``, ``objects`` or
+``belongs_to``, and only the primitives may write an object's fields, since
+anything else would leave the indexes stale or edit a node other graphs share;
 :func:`check_invariants` verifies the room indexes.
 
 The loader reads each section of a document in one loop. An object entry of
@@ -278,10 +275,6 @@ class SceneGraph:
         self._boxes: dict[str, tuple[float, ...]] = {}
         # slug -> n such that every f"{slug}-{m}" with m < n is an object id.
         self._id_floor: dict[str, int] = {}
-        # decay's staleness index over this graph; None until the first
-        # stale_targets query, and on every new, copied or loaded graph. Each
-        # primitive adds the id it writes to ``stale_index.written``.
-        self.stale_index = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -438,8 +431,6 @@ class SceneGraph:
         )
         self.objects[oid] = node
         self._link(oid, room.id, pose.t)
-        if self.stale_index is not None:  # tell it ``oid`` names a new node
-            self.stale_index.written.add(oid)
         return oid
 
     def _attached_in_room(self, source_room: str, target: str) -> tuple[ObjectNode, RoomNode]:
@@ -457,8 +448,6 @@ class SceneGraph:
         del self.objects[target]
         self._id_floor.pop(target.rsplit("-", 1)[0], None)
         self._unlink(target)
-        if self.stale_index is not None:
-            self.stale_index.written.add(target)
         return node
 
     def move_object(
@@ -481,8 +470,6 @@ class SceneGraph:
         node.pose_provisional = bool(pose_provisional)
         self._unlink(target)
         self._link(target, new_room.id, new_pose.t)
-        if self.stale_index is not None:
-            self.stale_index.written.add(target)
 
     def detach(self, target: str) -> None:
         """Drop the belongs-to edge but keep the node (object picked up)."""
@@ -494,8 +481,6 @@ class SceneGraph:
         node = self.objects[target] = node._clone()
         node.attached = False
         self._unlink(target)
-        if self.stale_index is not None:
-            self.stale_index.written.add(target)
 
     def reattach(self, target: str, room_label: str, pose: Pose, now: float) -> None:
         """Put a detached object back into a room at a concrete pose."""
@@ -513,8 +498,6 @@ class SceneGraph:
         node.last_seen = float(now)
         node.pose_provisional = False
         self._link(target, room.id, pose.t)
-        if self.stale_index is not None:
-            self.stale_index.written.add(target)
 
     def touch(self, target: str, now: float) -> None:
         """Record a fresh observation of an object (resets its decay clock)."""
@@ -525,8 +508,6 @@ class SceneGraph:
             raise ValueError(f"last_seen must be finite, got {now!r}")
         node = self.objects[target] = node._clone()
         node.last_seen = float(now)
-        if self.stale_index is not None:
-            self.stale_index.written.add(target)
 
     # ------------------------------------------------------------------
 

@@ -7,6 +7,9 @@ steps the simulated truth through it and drives an :class:`Updater`, the
 robot's side of the run, which keeps an append-only :class:`RunLog` whose
 applied records (and raw primitive calls) fully determine the final graph —
 replaying the log against the initial graph reproduces it byte for byte.
+Right after the last frame the run takes one staleness report of the
+estimate, at that frame's time and the scenario's ``stale_threshold``, and
+keeps it as :attr:`ScenarioResult.stale`.
 
 Scoring compares applied records against the scripted ground-truth changes.
 Per update type, the denominator counts every true change of that type plus
@@ -28,7 +31,7 @@ from . import records as rec
 from .action import PickPlaceTask, TaskSpec, parse_task
 from .decay import DecayTable, StaleReport, stale_targets
 from .geometry import BBox3, Pose
-from .graph import NoContainingRoom, ParseError, SceneGraph, deserialize
+from .graph import NoContainingRoom, ParseError, SceneGraph, _norm_label, deserialize
 from .human import Confidence, GrammarExtractor, Lexicon, StatementParse, to_record
 from .perception import (
     CameraModel,
@@ -147,7 +150,8 @@ def _scripted_record(house: SceneGraph, rooms: set[str], entry: dict) -> rec.Upd
     the room holding its ``to_pose``: rooms never change after load. The record
     passes ``records.validate``, the check ``apply`` makes first.
     """
-    at, kind, label = number(entry["at"], "at"), entry["action"], text(entry["label"], "label")
+    at, kind = number(entry["at"], "at"), entry["action"]
+    label = _norm_label(text(entry["label"], "label"))
 
     def room(key: str) -> str:
         name = text(entry[key], key)
@@ -198,7 +202,8 @@ def _mission(house: SceneGraph, rooms: set[str], m: dict) -> Mission:
 
 def _trajectory(data: dict, initial: SceneGraph, initial_key: str) -> list[tuple[float, Pose]]:
     """The camera waypoints, in time order and none before an attached movable object's
-    ``last_seen`` in ``initial``, which each frame's staleness report subtracts from the frame."""
+    ``last_seen`` in ``initial``, which the run's staleness report, taken at the last
+    waypoint, subtracts from that waypoint's time."""
     seen = (n.last_seen for n in initial.objects.values() if n.attached and n.decay_rate > 0.0)
     last_seen = max(seen, default=-math.inf)
     floor = (last_seen, f"the last_seen {last_seen} of an object in {initial_key}")
@@ -320,7 +325,6 @@ class RunLog:
 
     entries: list[RunLogEntry] = field(default_factory=list)
     parse_failures: list[dict] = field(default_factory=list)
-    stale_reports: list[StaleReport] = field(default_factory=list)  # one per frame
 
     def append(self, *entries: RunLogEntry) -> list[RunLogEntry]:
         """Append ``entries`` in order and return them as a list."""
@@ -531,7 +535,7 @@ class Updater:
     It owns the estimate ``graph``, the confirmation store, the run ``log``,
     the decay table and the frame counter. Each input method returns the log
     entries it appended. ``scenario`` gives what frames and the mission need:
-    the camera, ``epsilon``, ``k``, the staleness threshold and the mission.
+    the camera, ``epsilon``, ``k`` and the mission.
     Without one, the updater takes statements only.
     """
 
@@ -568,7 +572,7 @@ class Updater:
     def frame(self, pose: Pose, detections: list[Observation], at: float) -> list[RunLogEntry]:
         """One camera frame at ``pose``: associate ``detections`` with the objects
         the estimate expects in view, confirm, touch what stayed and apply what
-        changed, then keep the frame's staleness report in ``log.stale_reports``."""
+        changed."""
         s, graph, index = self.scenario, self.graph, self.frames
         expected = expected_visible(graph, pose, s.camera)
         result = associate(expected, detections, graph, s.epsilon)
@@ -582,7 +586,6 @@ class Updater:
         for record in outcome.records:
             report = rec.apply(graph, record, self.decay_table)
             entries.append(RunLogEntry(at, rec.Provenance.PERCEPTION, report, index))
-        self.log.stale_reports.append(stale_targets(graph, at, s.stale_threshold))
         self.frames += 1
         return self.log.append(*entries)
 
@@ -595,6 +598,7 @@ class ScenarioResult:
     world: World  # ground truth after the run
     ground_truth: list[GroundTruthChange]
     metrics: Metrics
+    stale: Optional[StaleReport]  # taken right after the last frame; None without frames
 
 
 def run_scenario(
@@ -608,7 +612,8 @@ def run_scenario(
     to its time. Each event then goes to an :class:`Updater` on a copy of the
     scenario's initial estimate; a frame takes the world's synthetic
     detections. The mission also runs on the truth, as the robot's real
-    manipulation. The log is scored at the end.
+    manipulation. Right after the last frame, the estimate's staleness report
+    is taken at that frame's time. The log is scored at the end.
     """
     scenario = (
         scenario_or_path
@@ -630,7 +635,8 @@ def run_scenario(
     events += [(at, 4, i, "frame", pose) for i, (at, pose) in enumerate(scenario.trajectory)]
     events.sort(key=lambda e: e[:3])
 
-    for at, _prio, _seq, kind, payload in events:
+    last_frame, stale = len(scenario.trajectory) - 1, None
+    for at, _prio, seq, kind, payload in events:
         world.step(at)
         if kind == "statement":
             robot.statement(payload, at)
@@ -644,6 +650,9 @@ def run_scenario(
                 truth_task.place(world.graph, mission.place_pose, at)
         else:
             robot.frame(payload, world.synthetic_detect(payload, scenario.camera, scenario.failures), at)
+            if seq == last_frame:
+                stale = stale_targets(robot.graph, at, scenario.stale_threshold)
 
     changes = derive_ground_truth(scenario)
-    return ScenarioResult(scenario, robot.log, robot.graph, world, changes, score(robot.log, changes))
+    metrics = score(robot.log, changes)
+    return ScenarioResult(scenario, robot.log, robot.graph, world, changes, metrics, stale)

@@ -48,8 +48,9 @@ def yaw_pose(t, yaw):
 
 
 def stale_sweep(graph, now, threshold):
-    """``decay.stale_targets`` as a full sweep over every object: the oracle
-    the incremental index must match exactly, errors included."""
+    """``decay.stale_targets`` as a plain sweep, one probability per object:
+    the oracle the sweep that reuses its previous key's probability must
+    match exactly, errors included."""
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold}")
     if not math.isfinite(now):

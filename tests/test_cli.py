@@ -305,7 +305,6 @@ STALE_LINES = {
 
 @pytest.mark.parametrize("now", sorted(STALE_LINES, key=float))
 def test_stale_prints_the_pinned_report(now, house_file, capsys):
-    # One load, one query: the index is built and read in the same call.
     assert main(["stale", house_file, "--now", now, "--threshold", "0.5"]) == 0
     assert capsys.readouterr().out.splitlines() == STALE_LINES[now]
 

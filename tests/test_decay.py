@@ -5,6 +5,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sgupdate import decay
 from sgupdate.decay import (
     ClockSkew,
     DecayTable,
@@ -187,7 +188,7 @@ def test_stale_report_serializes(house2):
     assert d["entries"][0]["object_id"] == "cup-1"
 
 
-# -- the staleness index against the sweep -----------------------------------
+# -- stale_targets against the oracle sweep ----------------------------------
 
 
 def outcome(query, graph, now, threshold):
@@ -268,7 +269,7 @@ def test_stale_targets_matches_the_sweep_after_every_step(steps):
             assert_matches_sweep(g, max(clock - dt - 1.0, 0.0), threshold)
         elif op == "copy":
             copies.append((g.copy(), clock))
-            if pick % 2:  # carry on with the copy, whose index starts empty
+            if pick % 2:  # carry on with the copy
                 g = copies[-1][0]
         elif op == "reload":
             g = deserialize(serialize(g))
@@ -382,29 +383,42 @@ def test_stale_targets_raises_the_sweeps_clock_skew_for_a_later_write():
     assert [e.object_id for e in stale_targets(g, 12.0, 0.5).entries] == ["plate-1", "cup-1"]
 
 
-def test_stale_targets_keeps_an_index_on_the_graph_and_none_on_a_copy_or_load(house2):
-    put(house2, "kitchen", "cup", (1, 1, 1), rate=1.0)
-    assert house2.stale_index is None
-    stale_targets(house2, 5.0, 0.5)
-    assert house2.stale_index is not None
-    assert house2.copy().stale_index is None
-    assert deserialize(serialize(house2)).stale_index is None
+def test_the_sweep_computes_a_probability_only_when_the_key_changes(house2, monkeypatch):
+    """Keys A, B, A, then two objects of key C with an immovable object and a
+    detached one of key C between them: a probability for each change of key
+    among the attached dynamic objects, and none for the detached or the
+    immovable one, which a query also skips when they are seen after it."""
+    a, b, c = (1.0, 0.0), (2.0, 6.0), (0.5, 0.0)
+    for label, (rate, seen) in (("apple", a), ("bowl", b), ("cup", a)):
+        put(house2, "kitchen", label, (1, 1, 1), rate=rate, now=seen)
+    put(house2, "kitchen", "easel", (2, 1, 1), rate=0.0)
+    house2.detach(put(house2, "kitchen", "dish", (1, 1, 1), rate=c[0], now=c[1]))
+    for label in ("fork", "glass"):
+        put(house2, "living room", label, (7, 1, 1), rate=c[0], now=c[1])
+    keys = []
 
+    def counted(rate, now, last_seen):
+        keys.append((rate, last_seen))
+        return persistence_probability(rate, now, last_seen)
 
-def test_stale_index_drops_replaced_nodes_that_pile_up_before_their_crossing(house2):
-    cup = put(house2, "kitchen", "cup", (1, 1, 1), rate=0.001)  # crosses 0.5 after 1099 s
-    put(house2, "kitchen", "plate", (2, 1, 1), rate=1.0)
-    for step in range(1, 400):
-        house2.touch(cup, float(step))  # a new group each time; the last one's node is replaced
-        assert_matches_sweep(house2, float(step), 0.5)
-        held = sum(map(len, house2.stale_index.groups.values()))
-        assert held <= 2 * len(house2.objects) + 64 + 1
-    assert len(house2.stale_index.groups) < 399
+    monkeypatch.setattr(decay, "persistence_probability", counted)
+    want = assert_matches_sweep(house2, 10.0, 0.99)
+    assert keys == [a, b, a, c]
+    assert [e.object_id for e in want.entries] == ["apple-1", "cup-1", "bowl-1", "fork-1", "glass-1"]
+    house2.touch("dish-1", 13.0)
+    house2.touch("easel-1", 14.0)
+    house2.touch("glass-1", 12.0)
+    house2.touch("bowl-1", 11.0)
+    keys.clear()
+    assert outcome(stale_targets, house2, 10.0, 0.5) == (ClockSkew, "now=10.0 precedes last_seen=11.0")
+    assert keys == [a, (2.0, 11.0)]
+    house2.touch("bowl-1", 6.0)
+    assert assert_matches_sweep(house2, 10.0, 0.5) == (ClockSkew, "now=10.0 precedes last_seen=12.0")
 
 
 def test_one_stale_index_serves_every_threshold_and_an_earlier_now():
-    """Queries at three thresholds, with time going forward and back, all
-    come from the index the first one built."""
+    """Queries at three thresholds, with time going forward and back, on the
+    packaged run's final graph all give the sweep's answer."""
     scenario = resources.files("sgupdate.data").joinpath("scenario_house.json")
     graph = run_scenario(str(scenario)).graph
     assert len({(n.decay_rate, n.last_seen) for n in graph.objects.values() if n.decay_rate}) > 5
@@ -413,11 +427,8 @@ def test_one_stale_index_serves_every_threshold_and_an_earlier_now():
         (19795.0, 0.5), (53020.0, 0.1), (30.0, 0.5), (4.0e6, 0.5), (212030.0, 0.1),
         (3642.0, 0.9), (1.1e7, 0.1), (79130.0, 0.5),
     ]
-    index = graph.stale_index  # built by the run's first frame, at the run's threshold 0.5
-    assert index is not None
     sizes = set()
     for now, threshold in queries:
         want = assert_matches_sweep(graph, now, threshold)
-        assert graph.stale_index is index
         sizes.add(len(want.entries) if isinstance(want, StaleReport) else want[0])
     assert ClockSkew in sizes and len(sizes) > 5  # an error, and reports of many sizes

@@ -204,11 +204,10 @@ def test_touch_only_refreshes_last_seen(house2):
 @pytest.mark.parametrize("primitive", ["touch", "move_object", "reattach"])
 def test_a_primitive_refuses_a_non_finite_time_before_any_write(house2, primitive, now):
     """The time ``add_object`` refuses is refused by the other writers of
-    ``last_seen`` too, before a node is cloned or the stale index is told."""
+    ``last_seen`` too, before a node is cloned."""
     cup = put(house2, "kitchen", "cup", (1, 1, 1))
     plate = put(house2, "kitchen", "plate", (2, 2, 1))
     house2.detach(plate)
-    stale_targets(house2, 1.0, 0.5)  # builds the index, so a write would reach it
     before, nodes = serialize(house2), dict(house2.objects)
     calls = {
         "touch": lambda: house2.touch(cup, now),
@@ -222,7 +221,6 @@ def test_a_primitive_refuses_a_non_finite_time_before_any_write(house2, primitiv
     assert str(refused.value) == str(added.value) == f"last_seen must be finite, got {now!r}"
     assert serialize(house2) == before
     assert all(house2.objects[oid] is node for oid, node in nodes.items())
-    assert house2.stale_index.written == set()
 
 
 def test_copy_is_deep(house2):

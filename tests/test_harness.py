@@ -23,7 +23,7 @@ from sgupdate.harness import (
     run_scenario,
     score,
 )
-from sgupdate.perception import associate
+from sgupdate.perception import associate, confirm
 from sgupdate.records import (
     ApplyReport,
     ApplyStatus,
@@ -359,6 +359,18 @@ def test_derive_ground_truth_leaves_the_house_unchanged():
     assert serialize(sc.house) == before
 
 
+def test_a_title_cased_script_scores_like_the_original(ideal):
+    """A scripted change's label is read as normalized, like every other label,
+    so "Banana" and "Tv Remote" name the objects the records name."""
+    script = json.loads(SCENARIO.read_text("utf-8"))["virtual_actions"]
+    titled = [{**action, "label": action["label"].title()} for action in script]
+    assert [a["label"] for a in titled[:2]] == ["Banana", "Tv Remote"]
+    result = run_scenario(SCENARIO, {"virtual_actions": titled})
+    assert result.ground_truth == ideal.ground_truth
+    assert result.metrics.to_dict() == ideal.metrics.to_dict()
+    assert serialize(result.graph) == serialize(ideal.graph)
+
+
 # -- the ideal episode ---------------------------------------------------------
 
 
@@ -381,7 +393,11 @@ def test_ideal_run_log_is_clean(ideal):
     assert ideal.log.deferred == []
     statuses = {e.report.status for e in ideal.log.entries}
     assert statuses == {ApplyStatus.APPLIED}
-    assert len(ideal.log.stale_reports) == 8  # one staleness report per frame
+    # The one staleness report, taken after the last frame: no event comes later.
+    last_frame = ideal.scenario.trajectory[-1][0]
+    assert all(e.at <= last_frame for e in ideal.log.entries)
+    want = stale_sweep(ideal.graph, last_frame, ideal.scenario.stale_threshold)
+    assert ideal.stale == want and repr(ideal.stale) == repr(want)
 
 
 @pytest.mark.parametrize(
@@ -390,19 +406,34 @@ def test_ideal_run_log_is_clean(ideal):
     ids=["ideal", "degraded", "ideal-0.9999", "degraded-0.9999"],
 )
 def test_every_frames_stale_report_is_the_sweeps(overrides, monkeypatch):
-    # At the default threshold no frame of the packaged episode reports an
-    # object; at 0.9999 up to six do, and touches take some off again.
-    pairs = []
+    """A run takes one staleness report, right after its last frame, and it is
+    the sweep's. At the default threshold it names no object; at 0.9999 it
+    names the objects no frame touched since the house was mapped."""
+    confirmed, calls = [], []
+
+    def counted(*args, **kwargs):
+        confirmed.append(args[3])  # the frame index
+        return confirm(*args, **kwargs)
 
     def checked(graph, now, threshold):
         report = stale_targets(graph, now, threshold)
-        pairs.append((report, stale_sweep(graph, now, threshold)))
+        calls.append((list(confirmed), now, threshold, report, stale_sweep(graph, now, threshold)))
         return report
 
+    monkeypatch.setattr(harness, "confirm", counted)
     monkeypatch.setattr(harness, "stale_targets", checked)
     result = run_scenario(SCENARIO, overrides)
-    assert [got for got, _ in pairs] == result.log.stale_reports and len(pairs) == 8
-    assert [got for got, _ in pairs] == [want for _, want in pairs]
+    [(frames, now, threshold, got, want)] = calls
+    assert frames == list(range(8)) and now == result.scenario.trajectory[-1][0] == 35.0
+    assert threshold == result.scenario.stale_threshold
+    assert got is result.stale and got == want and repr(got) == repr(want)
+    assert (len(got.entries) > 0) == (threshold == 0.9999)
+
+
+def test_a_run_without_frames_takes_no_staleness_report(monkeypatch):
+    monkeypatch.setattr(harness, "stale_targets", None)  # a call would raise
+    result = run_scenario(SCENARIO, {"trajectory": []})
+    assert result.stale is None and result.log.entries
 
 
 @pytest.mark.parametrize("overrides", [None, DEGRADED], ids=["ideal", "degraded"])

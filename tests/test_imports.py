@@ -192,3 +192,71 @@ def test_record_apply_scan_flags_every_call_into_the_records_module():
         "rec.execute(g, call)\n"
     )
     assert record_apply_calls(snippet) == [((), 4), (("f",), 6), (("f",), 7)]
+
+
+# Staleness is one sweep, taken once per run after its last frame and by the
+# ``stale`` command, and the graph keeps nothing for it.
+STALE_CALLERS = {("harness.py", "run_scenario"), ("cli.py", "_cmd_stale")}
+
+
+def stale_target_calls(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """``(scope, line)`` of each call in ``source`` to ``stale_targets``, by its
+    own name, by a name it was imported as, or as an attribute."""
+    names = {"stale_targets"}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names |= {a.asname for a in node.names if a.name == "stale_targets" and a.asname}
+
+    def flagged(node) -> bool:
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Attribute):
+            return func.attr == "stale_targets"
+        return isinstance(func, ast.Name) and func.id in names
+
+    return scoped_nodes(source, flagged)
+
+
+def staleness_names(source: str) -> list[str]:
+    """The attributes, names, arguments and definitions in ``source`` that
+    mention staleness, sorted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        name = (
+            getattr(node, "attr", None)
+            or getattr(node, "id", None)
+            or getattr(node, "arg", None)
+            or (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None)
+        )
+        if isinstance(name, str) and "stale" in name.lower():
+            found.add(name)
+    return sorted(found)
+
+
+def test_only_the_run_and_the_stale_command_query_staleness():
+    callers = {
+        (path.name, *scope[:1])
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, _ in stale_target_calls(path.read_text("utf-8"))
+    }
+    assert callers == STALE_CALLERS
+
+
+def test_the_graph_keeps_nothing_for_staleness():
+    assert staleness_names((SRC / "graph.py").read_text("utf-8")) == []
+
+
+def test_staleness_scans_flag_every_call_and_name():
+    snippet = (
+        "from .decay import stale_targets as query\n"
+        "from . import decay\n"
+        "stale_targets(g, 1.0, 0.5)\n"
+        "class Updater:\n"
+        "    def frame(self, stale_at):\n"
+        "        query(self.graph, 1.0, 0.5)\n"
+        "        decay.stale_targets(self.graph, 1.0, 0.5)\n"
+        "        self.stale_index = None\n"
+        "        self.graph.stale_index.written.add(oid)\n"
+        "stale_sweep(g)\n"
+    )
+    assert stale_target_calls(snippet) == [((), 3), (("Updater", "frame"), 6), (("Updater", "frame"), 7)]
+    assert staleness_names(snippet) == ["stale_at", "stale_index", "stale_sweep", "stale_targets"]
