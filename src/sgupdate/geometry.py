@@ -105,14 +105,6 @@ class BBox3:
         return (w / 2.0, d / 2.0, h / 2.0)
 
 
-def normalize_quat(q: Sequence[float]) -> tuple[float, float, float, float]:
-    """Return ``q`` scaled to unit norm (helper for building poses)."""
-    norm = math.sqrt(sum(float(v) * float(v) for v in q))
-    if norm == 0.0 or not math.isfinite(norm):
-        raise InvalidGeometry("cannot normalize a zero/non-finite quaternion")
-    return tuple(float(v) / norm for v in q)  # type: ignore[return-value]
-
-
 def quat_mul(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float, float]:
     aw, ax, ay, az = a
     bw, bx, by, bz = b

@@ -21,18 +21,17 @@ member set reachable from a graph is therefore never edited in place while
 another graph holds it, and a copy and its original cannot change each
 other.
 
-The room layer doubles as a spatial index. The graph keeps a room-label map,
-each room's set of attached objects and, per room, a box around its members'
-translations that only grows until the graph is next loaded. Scoped ``find``
-and ``objects_in_room`` read them instead of scanning every object,
-``objects_near`` yields each in-range room's box and member set (perception
-culls the boxes against the view's planes), and ``assign_room`` reads a flat
-list of the rooms' boxes. Staleness keeps no index here:
-:func:`sgupdate.decay.stale_targets` sweeps ``objects``. Only ``add_room``,
-the primitives and the loader may write ``rooms``, ``objects`` or
-``belongs_to``, and only the primitives may write an object's fields, since
-anything else would leave the indexes stale or edit a node other graphs share;
-:func:`check_invariants` verifies the room indexes.
+The room layer doubles as the index. The graph keeps a room-label map, a
+flat list of the rooms' boxes, which ``assign_room`` reads, and each room's
+set of attached objects. Scoped ``find``, ``objects_in_room`` and
+perception's visibility rule, which sees only the members of the room the
+camera stands in, read one room's set instead of scanning every object.
+Staleness keeps no index here: :func:`sgupdate.decay.stale_targets` sweeps
+``objects``. Only ``add_room``, the primitives and the loader may write
+``rooms``, ``objects`` or ``belongs_to``, and only the primitives may write
+an object's fields, since anything else would leave the indexes stale or
+edit a node other graphs share; :func:`check_invariants` verifies the room
+indexes.
 
 The loader reads each section of a document in one loop. An object entry of
 exactly the shape :func:`serialize` writes passes one combined test
@@ -41,9 +40,7 @@ out in the loop, and becomes a node with no further call; every other entry,
 and every entry a rule refuses, goes through the per-value readers, which
 read it or raise the error that names the bad value. A load normalizes each
 distinct object label once, and the nodes that carry it share the string.
-The belongs-to loop checks each edge in document order and files it; each
-room's member box is then set once, from its members' translations in that
-order, which gives the box that growing it edge by edge would.
+The belongs-to loop checks each edge in document order and files it.
 
 :func:`serialize` and :func:`deserialize` run with the cyclic garbage
 collector paused. A graph document and the graph built from it hold no
@@ -56,7 +53,7 @@ import gc
 import json
 from dataclasses import dataclass
 from math import isfinite, sqrt
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 from .geometry import QUAT_NORM_TOL, BBox3, InvalidGeometry, Pose, poses_close
 from .values import array, entries, flag, node_entry, number, obj, text, texts, within
@@ -132,7 +129,7 @@ def _node_label(label: str) -> str:
     return norm
 
 
-def _room_box(room: "RoomNode") -> tuple:
+def _room_bound(room: "RoomNode") -> tuple:
     """``(cx, cy, cz, hx, hy, hz, volume, id)``: what ``assign_room`` tests."""
     return (*room.pose.t, *room.bbox.half_sizes_xyz(), room.bbox.volume, room.id)
 
@@ -265,14 +262,11 @@ class SceneGraph:
         self.access: set[tuple[str, str]] = set()  # canonical (min, max) room-id pairs
         # Indexes over the fields above (see the module docstring).
         self._room_ids: dict[str, str] = {}  # room label -> room id
-        self._room_boxes: list[tuple] = []  # _room_box(room) of each room, in insertion order
+        self._room_bounds: list[tuple] = []  # _room_bound(room) of each room, in insertion order
         self._members: dict[str, set[str]] = {}  # room id -> attached object ids
         # Room ids whose member set no other graph holds: a copy shares every
         # set, and _room_members copies a shared one before its first write.
         self._own: set[str] = set()
-        # room id -> (min x, min y, min z, max x, max y, max z) over the members'
-        # translations, or a larger box: it does not shrink when members leave.
-        self._boxes: dict[str, tuple[float, ...]] = {}
         # slug -> n such that every f"{slug}-{m}" with m < n is an object id.
         self._id_floor: dict[str, int] = {}
 
@@ -286,7 +280,7 @@ class SceneGraph:
             raise DuplicateRoomLabel(f"room label {room.label!r} already present")
         self.rooms[room.id] = room
         self._room_ids[room.label] = room.id
-        self._room_boxes.append(_room_box(room))
+        self._room_bounds.append(_room_bound(room))
         self._members[room.id] = set()
         self._own.add(room.id)
         return room.id
@@ -335,31 +329,6 @@ class SceneGraph:
         """Ids of the objects attached in the room with this id, sorted."""
         return sorted(self._members.get(room_id, ()))
 
-    def objects_near(self, point: Sequence[float], radius: float) -> Iterator[tuple[tuple, set[str]]]:
-        """The member box ``(x0, y0, z0, x1, y1, z1)`` and the member set of each
-        room whose member box comes closer than ``radius``. The set is the
-        graph's index, which its copies may share: only read it, and do not edit
-        the graph while iterating. Every attached object whose translation
-        lies closer than ``radius`` to ``point`` is in a yielded set, even one
-        whose pose lies outside its room's ``bbox``: member boxes are built from
-        the members' translations, not from the room geometry. Objects farther
-        away may be in one too. The order is unspecified.
-
-        The squared box distance is computed term by term like a member's
-        squared distance ``dx * dx + dy * dy + dz * dz`` with ``dx = x - px``,
-        and each term is no larger, so a member with squared distance below
-        ``radius * radius`` is never dropped by rounding.
-        """
-        px, py, pz = point
-        r2 = radius * radius
-        for rid, box in self._boxes.items():
-            x0, y0, z0, x1, y1, z1 = box
-            dx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
-            dy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
-            dz = z0 - pz if pz < z0 else (pz - z1 if pz > z1 else 0.0)
-            if dx * dx + dy * dy + dz * dz < r2:
-                yield box, self._members[rid]
-
     def assign_room(self, pose: Pose) -> str:
         """Room id whose axis-aligned box contains the pose translation.
 
@@ -370,7 +339,7 @@ class SceneGraph:
         x, y, z = pose.t
         hits = [
             (volume, rid)
-            for cx, cy, cz, hx, hy, hz, volume, rid in self._room_boxes
+            for cx, cy, cz, hx, hy, hz, volume, rid in self._room_bounds
             if abs(x - cx) <= hx and abs(y - cy) <= hy and abs(z - cz) <= hz
         ]
         if not hits:
@@ -388,19 +357,13 @@ class SceneGraph:
             self._own.add(room_id)
         return members
 
-    def _link(self, oid: str, room_id: str, t: Sequence[float]) -> None:
+    def _link(self, oid: str, room_id: str) -> None:
         """Set the belongs-to edge and file the object under its room."""
         self.belongs_to[oid] = room_id
         self._room_members(room_id).add(oid)
-        x, y, z = t
-        x0, y0, z0, x1, y1, z1 = self._boxes.get(room_id, (x, y, z, x, y, z))
-        self._boxes[room_id] = (
-            x if x < x0 else x0, y if y < y0 else y0, z if z < z0 else z0,
-            x if x > x1 else x1, y if y > y1 else y1, z if z > z1 else z1,
-        )
 
     def _unlink(self, oid: str) -> None:
-        """Drop the belongs-to edge; the room's box keeps its size."""
+        """Drop the belongs-to edge and unfile the object."""
         self._room_members(self.belongs_to.pop(oid)).discard(oid)
 
     # ------------------------------------------------------------------
@@ -430,7 +393,7 @@ class SceneGraph:
             pose_provisional=bool(pose_provisional),
         )
         self.objects[oid] = node
-        self._link(oid, room.id, pose.t)
+        self._link(oid, room.id)
         return oid
 
     def _attached_in_room(self, source_room: str, target: str) -> tuple[ObjectNode, RoomNode]:
@@ -469,7 +432,7 @@ class SceneGraph:
         node.last_seen = float(now)
         node.pose_provisional = bool(pose_provisional)
         self._unlink(target)
-        self._link(target, new_room.id, new_pose.t)
+        self._link(target, new_room.id)
 
     def detach(self, target: str) -> None:
         """Drop the belongs-to edge but keep the node (object picked up)."""
@@ -497,7 +460,7 @@ class SceneGraph:
         node.pose = pose
         node.last_seen = float(now)
         node.pose_provisional = False
-        self._link(target, room.id, pose.t)
+        self._link(target, room.id)
 
     def touch(self, target: str, now: float) -> None:
         """Record a fresh observation of an object (resets its decay clock)."""
@@ -527,10 +490,9 @@ class SceneGraph:
         dup.belongs_to = dict(self.belongs_to)
         dup.access = set(self.access)
         dup._room_ids = dict(self._room_ids)
-        dup._room_boxes = list(self._room_boxes)
+        dup._room_bounds = list(self._room_bounds)
         dup._members = dict(self._members)
         self._own.clear()
-        dup._boxes = dict(self._boxes)
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -568,9 +530,9 @@ def check_invariants(graph: SceneGraph) -> list[str]:
             problems.append(f"object {oid!r} has negative decay_rate")
     if graph._room_ids != {room.label: rid for rid, room in graph.rooms.items()}:
         problems.append("room label index does not match the rooms")
-    if graph._room_boxes != [_room_box(room) for room in graph.rooms.values()]:
+    if graph._room_bounds != [_room_bound(room) for room in graph.rooms.values()]:
         problems.append("room box index does not match the rooms")
-    members, boxes = graph._members, graph._boxes
+    members = graph._members
     # Sets hold no duplicates, so equal totals plus every edge being filed
     # (checked below) means the member sets are belongs_to grouped by room.
     total = sum(map(len, members.values()))
@@ -579,12 +541,6 @@ def check_invariants(graph: SceneGraph) -> list[str]:
     for oid, rid in graph.belongs_to.items():
         if oid not in members.get(rid, ()):
             problems.append(f"room member index does not file {oid!r} under {rid!r}")
-        node, box = graph.objects.get(oid), boxes.get(rid)
-        if node is None:
-            continue  # a belongs_to/attached mismatch, reported above
-        x, y, z = node.pose.t
-        if box is None or not (box[0] <= x <= box[3] and box[1] <= y <= box[4] and box[2] <= z <= box[5]):
-            problems.append(f"member box of room {rid!r} does not contain object {oid!r}")
     for slug, floor in graph._id_floor.items():
         if not all(f"{slug}-{n}" in graph.objects for n in range(1, floor)):
             problems.append(f"id floor {floor} of {slug!r} skips a free id")
@@ -775,8 +731,7 @@ def _read_graph(data: dict) -> SceneGraph:
     objects, rooms, belongs_to, members = graph.objects, graph.rooms, graph.belongs_to, graph._members
     attached = ObjectNode._load(array(data.get("objects"), "objects"), objects)
     belongs = obj(data.get("belongs_to"), "belongs_to")
-    # What _link does per edge, with each room's member box set once below.
-    spots: dict[str, list] = {}  # room id -> its members' translations, in belongs_to order
+    # What _link does per edge, written out.
     for oid, rid in belongs.items():
         node = objects.get(oid)
         if node is None:
@@ -790,11 +745,6 @@ def _read_graph(data: dict) -> SceneGraph:
         if node.attached:
             belongs_to[oid] = rid
             members[rid].add(oid)
-            ts = spots.get(rid)
-            if ts is None:
-                spots[rid] = [node.pose.t]
-            else:
-                ts.append(node.pose.t)
     # Keys are unique: every key was linked, so names an attached object, and
     # there are as many as attached objects, so every attached object has one.
     if not len(belongs_to) == len(belongs) == attached:
@@ -802,12 +752,6 @@ def _read_graph(data: dict) -> SceneGraph:
             "document violates graph invariants: "
             "belongs_to keys do not exactly match attached object ids"
         )
-    # min and max keep the first of equal values, as _link does, so that a
-    # box holds the same signed zeros as one grown edge by edge.
-    boxes = graph._boxes
-    for rid, ts in spots.items():
-        xs, ys, zs = zip(*ts)
-        boxes[rid] = (min(xs), min(ys), min(zs), max(xs), max(ys), max(zs))
     for i, pair in enumerate(array(data.get("access"), "access")):
         try:
             graph.add_access(*texts(pair, f"access[{i}]", 2))

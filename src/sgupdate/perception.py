@@ -1,20 +1,18 @@
 """Change detection from detector frames.
 
 Each frame compares two sets: the objects the graph says should be visible
-from the robot's pose (attached, movable, centroid strictly inside the view
-frustum and range band) against what the detector reported. Labels pair the
-sets semantically, pose displacement decides whether a paired object sat
-still or moved, and the leftovers become removal/addition candidates that
-must survive ``k`` consecutive frames before a record is emitted. Moves are
-reported immediately — the evidence (both old and new pose) is already in
-hand.
+from the robot's pose (attached, movable, filed under the room the camera
+stands in, centroid strictly inside the view frustum and range band) against
+what the detector reported. Labels pair the sets semantically, pose
+displacement decides whether a paired object sat still or moved, and the
+leftovers become removal/addition candidates that must survive ``k``
+consecutive frames before a record is emitted. Moves are reported
+immediately — the evidence (both old and new pose) is already in hand.
 
-Visibility visits the members of rooms whose member box comes within range
-(``SceneGraph.objects_near``) and is not wholly outside the frustum's back
-plane or a side plane (Assarsson and Möller's box-plane test), then drops
-offsets beyond ``max_range`` unrotated. Each cull keeps a relative margin of
-1e-6, far above its own rounding, the exact test's (about 1e-15 of an offset)
-and the ``|q|**2`` (1 within 2e-9) by which that test's rotation scales lengths.
+Rooms occlude: the room layer holds the walls, so the camera sees only the
+members of the room it stands in (``SceneGraph.assign_room``), and from
+outside every room it sees nothing. An object is seen from the room it
+belongs to, wherever its pose lies. Seeing through doorways is out of scope.
 """
 from __future__ import annotations
 
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Sequence
 
-from .geometry import BBox3, Pose, pose_distance, quat_conj, quat_rotate
+from .geometry import BBox3, Pose, pose_distance, quat_conj
 from .graph import NoContainingRoom, SceneGraph, _norm_label
 from .records import Provenance, UpdateAction, UpdateRecord, PrimitiveCall
 
@@ -122,34 +120,6 @@ def point_in_frustum(robot_pose: Pose, cam: CameraModel, point: Sequence[float])
     return _frustum_test(robot_pose, cam)(*point)
 
 
-def _box_cull(robot_pose: Pose, cam: CameraModel, reach: float) -> Callable[[tuple], bool]:
-    """Whether a member box ``(x0, y0, z0, x1, y1, z1)`` within ``reach`` lies
-    wholly outside the frustum's back plane or a side plane: for a plane's unit
-    inward normal ``n``, rotated from the camera frame, whether ``n . c +
-    sum(|n_i| * h_i)`` (centre ``c`` and half extents ``h`` of the box's offsets
-    from the camera) is below ``-1e-6 * (reach + h_x + h_y + h_z)``.
-    """
-    sh, ch = math.sin(cam.fov_h / 2.0), math.cos(cam.fov_h / 2.0)
-    sv, cv = math.sin(cam.fov_v / 2.0), math.cos(cam.fov_v / 2.0)
-    planes = []
-    for normal in ((1.0, 0.0, 0.0), (sh, -ch, 0.0), (sh, ch, 0.0), (sv, 0.0, -cv), (sv, 0.0, cv)):
-        a, b, c = quat_rotate(robot_pose.q, normal)
-        planes.append((a, b, c, abs(a), abs(b), abs(c)))
-    tx, ty, tz = robot_pose.t
-
-    def outside(box: tuple) -> bool:
-        x0, y0, z0, x1, y1, z1 = box
-        hx, hy, hz = (x1 - x0) * 0.5, (y1 - y0) * 0.5, (z1 - z0) * 0.5
-        cx, cy, cz = x0 - tx + hx, y0 - ty + hy, z0 - tz + hz
-        slack = -1e-6 * (reach + hx + hy + hz)
-        for a, b, c, abs_a, abs_b, abs_c in planes:
-            if a * cx + b * cy + c * cz + abs_a * hx + abs_b * hy + abs_c * hz < slack:
-                return True
-        return False
-
-    return outside
-
-
 def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> list[str]:
     """Ids of attached, movable objects the camera should currently see.
 
@@ -158,34 +128,34 @@ def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> l
     Detached (held) objects are excluded as well. Output is sorted by id.
 
     This is the one visibility rule: the simulator's detector renders the
-    truth through it too. It visits the members of the rooms whose member
-    box comes within range (:meth:`SceneGraph.objects_near`) and, in a room
-    of 8 or more, is not culled by the frustum's planes (:func:`_box_cull`),
-    and drops those at or beyond ``max_range`` (margin 1e-6, see the module
-    docstring) on the unrotated offset before the exact frustum test.
+    truth through it too. It visits only the members of the room the camera
+    stands in (overlapping rooms resolve as in
+    :meth:`SceneGraph.assign_room`; a camera outside every room sees
+    nothing), drops those at or beyond ``max_range`` on the unrotated offset,
+    and runs the exact frustum test on the rest.
     """
+    try:
+        members = graph._members[graph.assign_room(robot_pose)]
+    except NoContainingRoom:
+        return []
     tx, ty, tz = robot_pose.t
-    cull = cam.max_range * (1.0 + 1e-6)
-    cull_sq = cull * cull
+    # The exact test's rotation scales lengths by |q|**2 (1 within 2e-9), so
+    # the unrotated range test keeps a margin of a millionth.
+    reach = cam.max_range * (1.0 + 1e-6)
+    reach_sq = reach * reach
     inside = _frustum_test(robot_pose, cam)
-    outside = None
     objects = graph.objects
     out = []
-    for box, members in graph.objects_near(robot_pose.t, cull):
-        if len(members) >= 8:  # a smaller room costs less to visit than to test
-            outside = outside or _box_cull(robot_pose, cam, cull)
-            if outside(box):
-                continue
-        for oid in members:
-            node = objects[oid]
-            if node.decay_rate <= 0.0:
-                continue
-            px, py, pz = node.pose.t
-            dx, dy, dz = px - tx, py - ty, pz - tz
-            if dx * dx + dy * dy + dz * dz >= cull_sq:
-                continue
-            if inside(px, py, pz):
-                out.append(oid)
+    for oid in members:
+        node = objects[oid]
+        if node.decay_rate <= 0.0:
+            continue
+        px, py, pz = node.pose.t
+        dx, dy, dz = px - tx, py - ty, pz - tz
+        if dx * dx + dy * dy + dz * dz >= reach_sq:
+            continue
+        if inside(px, py, pz):
+            out.append(oid)
     out.sort()
     return out
 

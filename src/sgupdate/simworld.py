@@ -53,9 +53,10 @@ class DetectorFailureConfig:
         A knob must name what the truth can hold: each ``label_noise`` key the label of a
         house object or of a scripted add, no label twice, each ``label_noise`` value a
         label that is not blank, and each ``dropout_ids`` entry a house object id or
-        ``<slug>-<n>`` for a scripted add."""
+        ``<slug>-<n>`` for a scripted add. ``script`` is the scenario's records as
+        ``harness.load_scenario`` reads them, labels normalized."""
         extent = number(data.get("min_detectable_extent", 0.0), "failures.min_detectable_extent")
-        added = {_norm_label(r.target_object) for r in script if r.action is rec.UpdateAction.ADDED}
+        added = {r.target_object for r in script if r.action is rec.UpdateAction.ADDED}
         nothing = "names no {} of the house or of a scripted add"
         noise = obj(data.get("label_noise", {}), "failures.label_noise")
         # Only label noise needs the house's labels: most scenarios set none.
@@ -131,8 +132,10 @@ class World:
         """Observations of the true world from a robot pose.
 
         The visible set is ``expected_visible`` on the true graph (attached,
-        movable, centroid strictly inside frustum and range); the failure
-        knobs then apply: size suppression, dropout, label corruption.
+        movable, a member of the room the camera stands in, centroid strictly
+        inside frustum and range): rooms occlude the truth as they do the
+        estimate. The failure knobs then apply: size suppression, dropout,
+        label corruption.
         Detached and removed objects are never reported. Output order
         follows sorted ground-truth ids, so frames are deterministic.
         """

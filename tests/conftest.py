@@ -5,7 +5,7 @@ import pytest
 
 from sgupdate.decay import StaleEntry, StaleReport, persistence_probability
 from sgupdate.geometry import BBox3, Pose, pose_distance, quat_conj, quat_mul
-from sgupdate.graph import RoomNode, SceneGraph, deserialize
+from sgupdate.graph import NoContainingRoom, RoomNode, SceneGraph, deserialize
 from sgupdate.perception import AssociationResult, semantic_match
 
 
@@ -29,8 +29,8 @@ def put(g, room, label, t, extents=(0.2, 0.2, 0.2), rate=0.05, now=0.0, **kw):
 def linked_load(text):
     """The graph the document ``text`` describes, with its room indexes built
     the way the primitives build them: one ``SceneGraph._link`` per
-    ``belongs_to`` edge, in document order, growing each room's member box
-    edge by edge. The reference the loader's indexes must match."""
+    ``belongs_to`` edge, in document order. The reference the loader's
+    indexes must match."""
     loaded = deserialize(text)
     graph = SceneGraph(epoch=loaded.epoch)
     for room in loaded.rooms.values():
@@ -38,7 +38,7 @@ def linked_load(text):
     graph.objects = dict(loaded.objects)
     for oid, rid in json.loads(text)["belongs_to"].items():
         if graph.objects[oid].attached:
-            graph._link(oid, rid, graph.objects[oid].pose.t)
+            graph._link(oid, rid)
     return graph
 
 
@@ -87,11 +87,20 @@ def frustum_oracle(robot_pose, cam, point):
 
 
 def visible_oracle(graph, robot_pose, cam):
-    """``perception.expected_visible`` as a test of every object, unculled."""
+    """``perception.expected_visible`` as a test of every object: the attached,
+    movable objects that belong to the camera's room and lie in its frustum,
+    and none from outside every room."""
+    try:
+        room = graph.assign_room(robot_pose)
+    except NoContainingRoom:
+        return []
     return sorted(
         oid
         for oid, node in graph.objects.items()
-        if node.attached and node.decay_rate > 0.0 and frustum_oracle(robot_pose, cam, node.pose.t)
+        if node.attached
+        and graph.belongs_to[oid] == room
+        and node.decay_rate > 0.0
+        and frustum_oracle(robot_pose, cam, node.pose.t)
     )
 
 

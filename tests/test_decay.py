@@ -307,9 +307,9 @@ def test_stale_groups_of_equal_probability_merge_by_id_and_keep_each_last_seen(h
     assert_matches_sweep(house2, 12.0, 0.5)
 
 
-def test_a_stale_report_is_a_snapshot_of_its_query(house2):
-    """A report's entries, built only when read, are those of the graph it was
-    taken on, whatever the primitives write afterwards."""
+def test_a_stale_report_keeps_what_the_graph_held_when_it_was_taken(house2):
+    """A report's entries are those of the graph it was taken on, whatever
+    the primitives write afterwards."""
     for label in ("cup", "plate", "vase", "book"):
         put(house2, "kitchen", label, (1, 1, 1), rate=1.0)
     put(house2, "living room", "fork", (7, 1, 1), rate=3.0)
@@ -318,7 +318,7 @@ def test_a_stale_report_is_a_snapshot_of_its_query(house2):
     house2.remove_object("kitchen", "cup-1")
     house2.touch("plate-1", 10.0)
     house2.detach("fork-1")
-    second = stale_targets(house2, 10.0, 0.5)  # regroups what the first report holds
+    second = stale_targets(house2, 10.0, 0.5)
     house2.detach("vase-1")
     house2.remove_object("kitchen", "book-1")
     third = stale_targets(house2, 10.5, 0.5)
@@ -327,14 +327,15 @@ def test_a_stale_report_is_a_snapshot_of_its_query(house2):
     assert third.entries == ()
 
 
-def test_a_write_dated_into_a_stale_group_joins_its_run(house2):
-    """A primitive may date a node into a group whose run a query already
-    built; the run takes the node in, and lets it go when it is next written."""
+def test_a_write_that_dates_an_object_stale_enters_the_next_report(house2):
+    """A primitive may date an object back to where earlier reports found
+    others stale; the next report takes it in, and lets it go when it is
+    next written."""
     put(house2, "kitchen", "cup", (1, 1, 1), rate=1.0)
     put(house2, "kitchen", "plate", (1, 1, 1), rate=1.0)
     bowl = put(house2, "living room", "bowl", (7, 1, 1), rate=1.0, now=9.5)
     assert len(assert_matches_sweep(house2, 10.0, 0.5).entries) == 2
-    house2.touch(bowl, 0.0)  # into the stale group of cup and plate
+    house2.touch(bowl, 0.0)  # as stale as cup and plate
     assert len(assert_matches_sweep(house2, 10.0, 0.5).entries) == 3
     house2.touch(bowl, 10.0)
     house2.move_object("kitchen", "living room", "plate-1", Pose.identity((7, 1, 1)), 0.0)
@@ -347,28 +348,28 @@ def test_a_write_dated_into_a_stale_group_joins_its_run(house2):
     ]
 
 
-def test_a_grouped_report_is_the_eager_report_it_stands_for(house2):
+def test_a_report_equals_the_sweeps_report_it_stands_for(house2):
     """``stale_targets``' report and ``StaleReport(threshold, now, entries)``
     agree both ways on ==, hash, repr and to_dict."""
     put(house2, "kitchen", "cup", (1, 1, 1), rate=1.0, now=-0.0)
     put(house2, "kitchen", "plate", (1, 1, 1), rate=1.0, now=2.0)
     put(house2, "living room", "fork", (7, 1, 1), rate=2.0, now=6.0)
     put(house2, "living room", "sofa", (7, 1, 1), rate=0.0)
-    eager = stale_sweep(house2, 10.0, 0.5)
-    assert type(eager) is StaleReport and len(eager.entries) == 3
+    swept = stale_sweep(house2, 10.0, 0.5)
+    assert type(swept) is StaleReport and len(swept.entries) == 3
 
-    def grouped():
-        return stale_targets(house2, 10.0, 0.5)  # a new, unread report each call
+    def queried():
+        return stale_targets(house2, 10.0, 0.5)  # a new report each call
 
-    assert grouped() == eager and eager == grouped() and not grouped() != eager
-    assert hash(grouped()) == hash(eager) and hash(eager) == hash(grouped())
-    assert repr(grouped()) == repr(eager)
-    assert repr(eager).startswith("StaleReport(threshold=0.5, now=10.0, entries=(StaleEntry(")
-    assert grouped().to_dict() == eager.to_dict()
-    assert {grouped(): 1}[eager] == 1
-    assert grouped() != stale_sweep(house2, 11.0, 0.5) and grouped() != eager.to_dict()
+    assert queried() == swept and swept == queried() and not queried() != swept
+    assert hash(queried()) == hash(swept) and hash(swept) == hash(queried())
+    assert repr(queried()) == repr(swept)
+    assert repr(swept).startswith("StaleReport(threshold=0.5, now=10.0, entries=(StaleEntry(")
+    assert queried().to_dict() == swept.to_dict()
+    assert {queried(): 1}[swept] == 1
+    assert queried() != stale_sweep(house2, 11.0, 0.5) and queried() != swept.to_dict()
     with pytest.raises(FrozenInstanceError):
-        grouped().now = 11.0
+        queried().now = 11.0
 
 
 def test_stale_targets_raises_the_sweeps_clock_skew_for_a_later_write():
@@ -416,7 +417,7 @@ def test_the_sweep_computes_a_probability_only_when_the_key_changes(house2, monk
     assert assert_matches_sweep(house2, 10.0, 0.5) == (ClockSkew, "now=10.0 precedes last_seen=12.0")
 
 
-def test_one_stale_index_serves_every_threshold_and_an_earlier_now():
+def test_queries_at_every_threshold_and_an_earlier_now_match_the_sweep():
     """Queries at three thresholds, with time going forward and back, on the
     packaged run's final graph all give the sweep's answer."""
     scenario = resources.files("sgupdate.data").joinpath("scenario_house.json")

@@ -7,7 +7,6 @@ from sgupdate.geometry import (
     BBox3,
     InvalidGeometry,
     Pose,
-    normalize_quat,
     point_in_aabb,
     pose_distance,
     poses_close,
@@ -17,6 +16,14 @@ from sgupdate.geometry import (
 )
 
 SQ2 = math.sqrt(0.5)
+
+
+def normalize_quat(q):
+    """``q`` scaled to unit norm."""
+    norm = math.sqrt(sum(float(v) * float(v) for v in q))
+    if norm == 0.0 or not math.isfinite(norm):
+        raise InvalidGeometry("cannot normalize a zero/non-finite quaternion")
+    return tuple(float(v) / norm for v in q)
 
 
 def unit_quats():

@@ -303,8 +303,9 @@ def test_detections_equal_the_observations_built_one_by_one(failures, seen, unse
 
 def test_failure_config_from_dict_roundtrip():
     # One reader: keys are normalized labels of the house or of a scripted add,
-    # ids name a house object or what an add will be filed as.
-    book = UpdateRecord(UpdateAction.ADDED, " Book", target_room="bedroom")
+    # ids name a house object or what an add will be filed as. The add is a
+    # record as load_scenario reads it, its label normalized.
+    book = UpdateRecord(UpdateAction.ADDED, "book", target_room="bedroom")
     data = {
         "min_detectable_extent": 0.16,
         "label_noise": {" Mug": "cup", "book": "mug"},
