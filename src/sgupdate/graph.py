@@ -33,14 +33,13 @@ an object's fields, since anything else would leave the indexes stale or
 edit a node other graphs share; :func:`check_invariants` verifies the room
 indexes.
 
-The loader reads each section of a document in one loop. An object entry of
-exactly the shape :func:`serialize` writes passes one combined test
-(:func:`~sgupdate.values.node_entry`) and the node classes' rules, written
-out in the loop, and becomes a node with no further call; every other entry,
-and every entry a rule refuses, goes through the per-value readers, which
-read it or raise the error that names the bad value. A load normalizes each
-distinct object label once, and the nodes that carry it share the string.
-The belongs-to loop checks each edge in document order and files it.
+The loader reads each section of a document in one loop. Every object entry
+goes through one reader, :func:`~sgupdate.values.object_entry`, which checks
+each value's shape; the loop then checks the node classes' rules, written
+out, and builds the node with no further call. An entry a rule refuses
+raises that rule's own error. A load normalizes each distinct object label
+once, and the nodes that carry it share the string. The belongs-to loop
+checks each edge in document order and files it.
 
 :func:`serialize` and :func:`deserialize` run with the cyclic garbage
 collector paused. A graph document and the graph built from it hold no
@@ -56,7 +55,7 @@ from math import isfinite, sqrt
 from typing import Optional
 
 from .geometry import QUAT_NORM_TOL, BBox3, InvalidGeometry, Pose, poses_close
-from .values import array, entries, flag, node_entry, number, obj, text, texts, within
+from .values import array, entries, number, obj, object_entry, text, texts
 
 __all__ = [
     "SceneGraphError",
@@ -184,71 +183,53 @@ class ObjectNode:
         return dup
 
     @staticmethod
-    def _load(entries: list, objects: dict[str, "ObjectNode"]) -> int:
+    def _load(value, objects: dict[str, "ObjectNode"]) -> int:
         """File in ``objects`` the node of each entry of the object array
-        ``entries`` and return how many are attached; errors name
-        ``objects[i]``. An entry that ``node_entry`` takes and the rules of
-        ``Pose``, ``BBox3`` and this class accept is built here; any other
-        takes the per-value readers (see the module docstring)."""
+        ``value`` and return how many are attached; errors name ``objects[i]``."""
         labels: dict[str, str] = {}  # each label as written -> its node label
         new = object.__new__
         # The slots' own setters, which object.__setattr__ would look up by name
         # on every call; Pose and BBox3 are frozen, so a plain store raises.
         set_q, set_t, set_extents = Pose.q.__set__, Pose.t.__set__, BBox3.extents.__set__
-        attached = 0
-        for i, entry in enumerate(entries):
-            fields = node_entry(entry)
-            node = None
-            if fields is not None:
-                oid, label, q, t, extents, decay_rate, last_seen, is_attached, provisional = fields
-                w, x, y, z = q
-                norm = labels.get(label)
-                if norm is None:
-                    norm = labels[label] = _norm_label(label)
-                # geometry.is_unit and is_positive, written out; a blank
-                # label is left to the readers, which raise its error.
-                if (
-                    abs(sqrt(sum((w * w, x * x, y * y, z * z))) - 1.0) <= QUAT_NORM_TOL
-                    and extents[0] > 0.0 and extents[1] > 0.0 and extents[2] > 0.0
-                    and decay_rate >= 0.0
-                    and norm
-                ):
-                    pose = new(Pose)
-                    set_q(pose, q)
-                    set_t(pose, t)
-                    bbox = new(BBox3)
-                    set_extents(bbox, extents)
-                    node = new(ObjectNode)
-                    node.id = oid
-                    node.label = norm
-                    node.pose = pose
-                    node.bbox = bbox
-                    node.decay_rate = decay_rate
-                    node.last_seen = last_seen
-                    node.attached = is_attached
-                    node.pose_provisional = provisional
-            if node is None:
-                where = f"objects[{i}]"
-                node = within(where, _read_object, obj(entry, where))
-            if node.id in objects:
-                raise ValueError(f"objects[{i}]: duplicate object id {node.id!r}")
-            objects[node.id] = node
-            attached += node.attached
-        return attached
 
+        def read(entry: dict) -> bool:
+            oid, label, q, t, extents, decay_rate, last_seen, attached, provisional = object_entry(entry)
+            w, x, y, z = q
+            norm = labels.get(label)
+            if norm is None:
+                norm = labels[label] = _norm_label(label)
+            # The rules of Pose, BBox3 and ObjectNode, written out: geometry.is_unit
+            # and is_positive, a label that is not blank and a decay rate >= 0.
+            if not (
+                abs(sqrt(sum((w * w, x * x, y * y, z * z))) - 1.0) <= QUAT_NORM_TOL
+                and extents[0] > 0.0 and extents[1] > 0.0 and extents[2] > 0.0
+                and norm
+                and decay_rate >= 0.0
+            ):
+                # The first rule the entry breaks raises its own error.
+                Pose(q, t)
+                BBox3(extents)
+                _node_label(label)
+                raise InvalidGeometry(f"decay_rate must be >= 0, got {decay_rate}")
+            if oid in objects:
+                raise ValueError(f"duplicate object id {oid!r}")
+            pose = new(Pose)
+            set_q(pose, q)
+            set_t(pose, t)
+            bbox = new(BBox3)
+            set_extents(bbox, extents)
+            node = objects[oid] = new(ObjectNode)
+            node.id = oid
+            node.label = norm
+            node.pose = pose
+            node.bbox = bbox
+            node.decay_rate = decay_rate
+            node.last_seen = last_seen
+            node.attached = attached
+            node.pose_provisional = provisional
+            return attached
 
-def _read_object(entry: dict) -> ObjectNode:
-    """The node of an object entry, read value by value."""
-    return ObjectNode(
-        id=text(entry["id"], "id"),
-        label=text(entry["label"], "label"),
-        pose=Pose.from_dict(entry["pose"]),
-        bbox=BBox3(entry["bbox"]),
-        decay_rate=entry["decay_rate"],
-        last_seen=entry["last_seen"],
-        attached=flag(entry.get("attached", True), "attached"),
-        pose_provisional=flag(entry.get("pose_provisional", False), "pose_provisional"),
-    )
+        return sum(entries(value, "objects", read))
 
 
 class SceneGraph:
@@ -729,7 +710,7 @@ def _read_graph(data: dict) -> SceneGraph:
 
     entries(data.get("rooms"), "rooms", read_room)
     objects, rooms, belongs_to, members = graph.objects, graph.rooms, graph.belongs_to, graph._members
-    attached = ObjectNode._load(array(data.get("objects"), "objects"), objects)
+    attached = ObjectNode._load(data.get("objects"), objects)
     belongs = obj(data.get("belongs_to"), "belongs_to")
     # What _link does per edge, written out.
     for oid, rid in belongs.items():

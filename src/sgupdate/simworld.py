@@ -1,15 +1,15 @@
 """Ground-truth world simulation for driving and scoring the pipeline.
 
-The world owns the true scene graph, a clock, and a queue of scripted
-changes (objects vanishing, moving, appearing). Each change is an update
-record applied with ``records.apply``, and the harness runs the robot's
-mission on the truth with the same ``PickPlaceTask`` steps it runs on the
-estimate, so the truth changes through the same code as the estimate. A
-synthetic detector renders
-the truth into observations through ``perception.expected_visible``, the
-visibility rule perception applies to the estimated graph, with configurable
-failure injection (small objects below a detectable size, label corruption,
-per-object dropout) so detector pathologies are reproducible.
+The world owns the true scene graph and a queue of scripted changes
+(objects vanishing, moving, appearing). Each change is an update record
+applied with ``records.apply``, and the harness runs the robot's mission on
+the truth with the same ``PickPlaceTask`` steps it runs on the estimate, so
+the truth changes through the same code as the estimate. A synthetic
+detector renders the truth into observations through
+``perception.expected_visible``, the visibility rule perception applies to
+the estimated graph, with configurable failure injection (small objects
+below a detectable size, label corruption, per-object dropout) so detector
+pathologies are reproducible.
 """
 from __future__ import annotations
 
@@ -87,7 +87,7 @@ def load_house() -> SceneGraph:
 
 
 class World:
-    """Ground-truth graph plus a clock and a queue of scripted update records."""
+    """Ground-truth graph plus a queue of scripted update records."""
 
     def __init__(
         self,
@@ -96,14 +96,13 @@ class World:
         decay_table: Optional[DecayTable] = None,
     ) -> None:
         self.graph = graph
-        self.clock = graph.epoch
         # Time order; sorted() is stable, so file order breaks ties.
         self._queue = sorted(records, key=lambda r: r.issued_at)
         self._cursor = 0
         self.decay_table = decay_table if decay_table is not None else DecayTable.default()
 
     def step(self, until: float) -> list[rec.UpdateRecord]:
-        """Advance the clock, applying every queued record with ``issued_at <= until``.
+        """Apply every queued record with ``issued_at <= until``.
 
         Records apply in time order (file order on equal stamps); an
         inconsistent record aborts the step with the truth left at the state
@@ -116,9 +115,7 @@ class World:
             if report.status is not rec.ApplyStatus.APPLIED:
                 raise InconsistentAction(f"t={record.issued_at}: {report.reason}")
             self._cursor += 1
-            self.clock = max(self.clock, record.issued_at)
             applied.append(record)
-        self.clock = max(self.clock, until)
         return applied
 
     # ------------------------------------------------------------------

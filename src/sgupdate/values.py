@@ -13,10 +13,11 @@ A number is a finite int or float, never a boolean or a numeric string, and
 reads as a float. A list may also be a tuple, since code builds poses from
 tuples. This module imports nothing from the package.
 
-:func:`node_entry` is the graph loader's common case: one combined test of
-an object entry of exactly the shape ``serialize`` writes. It raises
-nothing; an entry it does not take goes to the per-value readers, which
-either read it or raise the error that names the bad value.
+:func:`object_entry` reads a graph document's object entry: every value's
+shape, in the order the keys are named, with one combined test for the
+common case of finite floats. The node rules (a unit quaternion, positive
+extents, a non-blank label and a decay rate of at least 0) are the graph
+loader's.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import math
 from typing import Callable
 
 _FLOAT = frozenset((float,))
+_ARRAY = (list, tuple)
 
 
 def number(value, where: str) -> float:
@@ -79,44 +81,59 @@ def floats(value, where: str, n: int) -> tuple[float, ...]:
     return tuple([number(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 
-def node_entry(entry: dict) -> tuple | None:
+def object_entry(entry: dict) -> tuple:
     """``(id, label, q, t, extents, decay_rate, last_seen, attached,
-    pose_provisional)`` of an object entry of exactly the shape ``serialize``
-    writes, with ``q``, ``t`` and ``extents`` as tuples; otherwise ``None``.
+    pose_provisional)`` of a graph document's object entry, with ``q``, ``t``
+    and ``extents`` as tuples of floats; raises the ``KeyError`` or
+    ``ValueError`` of the first missing key or bad value.
 
-    That shape is the eight keys, an id and label that are strings, two
-    booleans, two floats and a ``pose`` of exactly ``q`` and ``t``, which
-    with ``bbox`` are lists of 4, 3 and 3 floats, every number finite (a
-    sum of floats is finite only when every term is). Ints, tuples, extra
-    keys and every error take the per-value readers.
+    Keys are read in the order ``id``, ``label``, ``pose`` (its ``q``, then
+    ``t``), ``bbox``, ``decay_rate``, ``last_seen``, ``attached`` and
+    ``pose_provisional``; the last two default to true and false, and other
+    keys are ignored. Finite floats in lists or tuples pass one combined test
+    (a sum of floats is finite only when every term is); ints, overflowing
+    sums and every error take :func:`floats` and :func:`number`.
     """
-    if type(entry) is not dict:
-        return None
-    try:
-        pose = entry["pose"]
-        if len(entry) != 8 or type(pose) is not dict or len(pose) != 2:
-            return None
-        q, t, extents = pose["q"], pose["t"], entry["bbox"]
-        oid, label, rate, seen = entry["id"], entry["label"], entry["decay_rate"], entry["last_seen"]
-        attached, provisional = entry["attached"], entry["pose_provisional"]
-    except KeyError:
-        return None
+    oid = entry["id"]
+    if type(oid) is not str:
+        oid = text(oid, "id")
+    label = entry["label"]
+    if type(label) is not str:
+        label = text(label, "label")
+    pose = entry["pose"]
+    if type(pose) is not dict:
+        pose = obj(pose, "pose")
+    q, t = pose["q"], pose["t"]
+    extents, rate, seen = entry.get("bbox"), entry.get("decay_rate"), entry.get("last_seen")
+    floats_ok = False
     if (
-        type(oid) is type(label) is str
-        and type(attached) is type(provisional) is bool
-        and type(q) is type(t) is type(extents) is list
-        and (len(q), len(t), len(extents)) == (4, 3, 3)
+        type(q) in _ARRAY and type(t) in _ARRAY and type(extents) in _ARRAY
+        and len(q) == 4 and len(t) == 3 and len(extents) == 3
     ):
         w, x, y, z = q
         tx, ty, tz = t
         ew, eh, ed = extents
-        if (
+        floats_ok = (
             type(w) is type(x) is type(y) is type(z) is type(tx) is type(ty) is type(tz)
             is type(ew) is type(eh) is type(ed) is type(rate) is type(seen) is float
             and math.isfinite(w + x + y + z + tx + ty + tz + ew + eh + ed + rate + seen)
-        ):
-            return (oid, label, (w, x, y, z), (tx, ty, tz), (ew, eh, ed), rate, seen, attached, provisional)
-    return None
+        )
+    if floats_ok:
+        q, t, extents = (w, x, y, z), (tx, ty, tz), (ew, eh, ed)
+    else:
+        q = floats(q, "quaternion", 4)
+        t = floats(t, "translation", 3)
+        extents = floats(entry["bbox"], "bbox", 3)
+        rate, seen = entry["decay_rate"], entry["last_seen"]
+    attached = entry.get("attached", True)
+    if type(attached) is not bool:
+        flag(attached, "attached")
+    provisional = entry.get("pose_provisional", False)
+    if type(provisional) is not bool:
+        flag(provisional, "pose_provisional")
+    if not floats_ok:
+        rate, seen = number(rate, "decay_rate"), number(seen, "last_seen")
+    return (oid, label, q, t, extents, rate, seen, attached, provisional)
 
 
 def texts(value, where: str, n: int | None = None) -> list[str]:

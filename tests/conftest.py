@@ -5,8 +5,9 @@ import pytest
 
 from sgupdate.decay import StaleEntry, StaleReport, persistence_probability
 from sgupdate.geometry import BBox3, Pose, pose_distance, quat_conj, quat_mul
-from sgupdate.graph import NoContainingRoom, RoomNode, SceneGraph, deserialize
+from sgupdate.graph import NoContainingRoom, ObjectNode, ParseError, RoomNode, SceneGraph, deserialize
 from sgupdate.perception import AssociationResult, semantic_match
+from sgupdate.values import flag, obj, text, within
 
 
 def make_room(rid, center, extents=(4.0, 3.0, 4.0), label=None):
@@ -40,6 +41,33 @@ def linked_load(text):
         if graph.objects[oid].attached:
             graph._link(oid, rid)
     return graph
+
+
+def read_object(entry: dict) -> ObjectNode:
+    """The node of a graph document's object entry, read value by value by
+    ``Pose.from_dict``, ``BBox3`` and ``ObjectNode``'s own checks."""
+    return ObjectNode(
+        id=text(entry["id"], "id"),
+        label=text(entry["label"], "label"),
+        pose=Pose.from_dict(entry["pose"]),
+        bbox=BBox3(entry["bbox"]),
+        decay_rate=entry["decay_rate"],
+        last_seen=entry["last_seen"],
+        attached=flag(entry.get("attached", True), "attached"),
+        pose_provisional=flag(entry.get("pose_provisional", False), "pose_provisional"),
+    )
+
+
+def reference_object(entry, i: int = 0) -> ObjectNode:
+    """``read_object`` of the entry at ``objects[i]``, its error raised as the
+    ``ParseError`` the loader raises, named ``objects[i]``: the reference the
+    loader's one reader of an object entry and its rules must match, node
+    for node and message for message."""
+    where = f"objects[{i}]"
+    try:
+        return within(where, read_object, obj(entry, where))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def yaw_pose(t, yaw):

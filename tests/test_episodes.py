@@ -3,10 +3,13 @@
 Hypothesis draws a small grid house with labels repeated in every room, the
 benchmark's generator (``bench/generate.py``) writes its episode, and the
 trajectory gains frames whose camera stands at a wall two rooms share,
-facing across it. During the run every ``records.apply`` call, the robot's
-and the simulated truth's, must leave the graph's invariants intact, and a
-report that is not applied must leave the graph's bytes as they were. At the
-end, replaying the run log must give the final graph byte for byte.
+facing across it. The scenario also gains false statements, which name a
+label a room never holds, and a detector that drops some objects and
+reports some labels as others. During the run every ``records.apply`` call,
+the robot's and the simulated truth's, must leave the graph's invariants
+intact, and a report that is not applied, such as a false statement's
+rejection, must leave the graph's bytes as they were. At the end, replaying
+the run log must give the final graph byte for byte.
 """
 import json
 import math
@@ -89,11 +92,53 @@ def episode(draw) -> tuple:
     )
 
 
-def add_to_scenario(path: Path, frames: list, extent: float) -> None:
+def false_statements(data, house: dict, scenario: dict, lexicon: dict) -> list:
+    """0 to 2 statements "I removed the X from the Y." during the episode,
+    each naming a lexicon label X that room Y does not hold at load, that no
+    scripted change adds there and that the mission does not carry."""
+    room_label = {room["id"]: room["label"] for room in house["rooms"]}
+    held = {(obj["label"], room_label[house["belongs_to"][obj["id"]]]) for obj in house["objects"]}
+    held |= {(a["label"], a["room"]) for a in scenario["virtual_actions"] if a["action"] == "add"}
+    mission = scenario.get("mission", {}).get("mission", "")
+    pairs = [
+        (label, room)
+        for label in lexicon["objects"]
+        for room in sorted(room_label.values())
+        if (label, room) not in held and f" {label} " not in mission
+    ]
+    end = max(f["at"] for f in scenario["trajectory"])
+    return [
+        {"at": data.draw(st.floats(START_TIME, end)), "text": f"I removed the {label} from the {room}."}
+        for label, room in data.draw(st.lists(st.sampled_from(pairs), max_size=2) if pairs else st.just([]))
+    ]
+
+
+def detector_failures(data, house: dict, lexicon: dict, extent: float) -> dict:
+    """``failures`` with the drawn smallest detectable extent, 0 to 3 house
+    objects the detector never reports, and 0 to 2 house labels it reports
+    as another lexicon label."""
+    ids = sorted(obj["id"] for obj in house["objects"])
+    labels = sorted({obj["label"] for obj in house["objects"]})
+    noisy = data.draw(st.lists(st.sampled_from(labels), max_size=2, unique=True))
+    return {
+        "min_detectable_extent": extent,
+        "dropout_ids": data.draw(st.lists(st.sampled_from(ids), max_size=3, unique=True)),
+        "label_noise": {
+            label: data.draw(st.sampled_from([other for other in lexicon["objects"] if other != label]))
+            for label in noisy
+        },
+    }
+
+
+def add_to_scenario(data, path: Path, frames: list, extent: float) -> None:
     scenario = json.loads(path.read_text("utf-8"))
-    # A stable sort keeps a generated frame before a wall frame at its time.
+    house = json.loads((path.parent / scenario["house"]).read_text("utf-8"))
+    lexicon = json.loads((path.parent / scenario["lexicon"]).read_text("utf-8"))
+    # Stable sorts keep a generated frame or statement before a drawn one at its time.
     scenario["trajectory"] = sorted(scenario["trajectory"] + frames, key=lambda f: f["at"])
-    scenario["failures"] = {"min_detectable_extent": extent}
+    statements = scenario["human_statements"] + false_statements(data, house, scenario, lexicon)
+    scenario["human_statements"] = sorted(statements, key=lambda s: s["at"])
+    scenario["failures"] = detector_failures(data, house, lexicon, extent)
     path.write_text(json.dumps(scenario), "utf-8")
 
 
@@ -113,12 +158,12 @@ def checked_apply(apply):
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(episode())
-def test_a_generated_episode_keeps_invariants_edits_nothing_it_does_not_apply_and_replays(case):
+@given(episode(), st.data())
+def test_a_generated_episode_keeps_invariants_edits_nothing_it_does_not_apply_and_replays(case, data):
     spec, seed, frames, extent = case
     with tempfile.TemporaryDirectory() as tmp:
         path = generate_spec(spec, seed, Path(tmp) / "episode")
-        add_to_scenario(path, frames, extent)
+        add_to_scenario(data, path, frames, extent)
         scenario = load_scenario(path)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(records, "apply", checked_apply(records.apply))

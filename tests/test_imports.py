@@ -260,3 +260,44 @@ def test_staleness_scans_flag_every_call_and_name():
     )
     assert stale_target_calls(snippet) == [((), 3), (("Updater", "frame"), 6), (("Updater", "frame"), 7)]
     assert staleness_names(snippet) == ["stale_at", "stale_index", "stale_sweep", "stale_targets"]
+
+
+# An object node is built by ``ObjectNode(...)`` only in ``add_object``: the
+# loader reads every object entry through ``values.object_entry`` and builds
+# its node without ``__post_init__``, so a graph file has one way in.
+NODE_BUILDERS = {("graph.py", "SceneGraph", "add_object")}
+
+
+def object_node_calls(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """``(scope, line)`` of each ``ObjectNode(...)`` call in ``source``, by the
+    class's name or as an attribute."""
+
+    def flagged(node) -> bool:
+        func = node.func if isinstance(node, ast.Call) else None
+        return getattr(func, "id", None) == "ObjectNode" or getattr(func, "attr", None) == "ObjectNode"
+
+    return scoped_nodes(source, flagged)
+
+
+def test_only_add_object_builds_an_object_node_by_its_constructor():
+    callers = {
+        (path.name, *scope[:2])
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, _ in object_node_calls(path.read_text("utf-8"))
+    }
+    assert callers == NODE_BUILDERS
+
+
+def test_object_node_call_scan_flags_every_constructor_call():
+    snippet = (
+        "from . import graph\n"
+        "def _read_object(entry):\n"
+        "    return ObjectNode(id=entry['id'])\n"
+        "class SceneGraph:\n"
+        "    def add_object(self, label):\n"
+        "        node = ObjectNode(id=label)\n"
+        "graph.ObjectNode('x')\n"
+        "ObjectNode._load([], {})\n"
+        "object.__new__(ObjectNode)\n"
+    )
+    assert object_node_calls(snippet) == [(("_read_object",), 3), (("SceneGraph", "add_object"), 6), ((), 7)]

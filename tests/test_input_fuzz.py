@@ -18,6 +18,9 @@ repeated label and a detached object. One hostile value at one path, or one
 of the document's own ids, labels or flags at the path of another, must
 either raise ``ParseError`` or load as a graph whose invariants hold, whose
 bytes round-trip, and which serializes back to the document's own values.
+Each such document, and each drawn object entry, must load as it loads when
+``conftest.read_object``, which reads an entry value by value, reads its
+object entries, or raise the same error.
 """
 import contextlib
 import copy
@@ -34,9 +37,9 @@ from hypothesis import given, settings, strategies as st
 import sgupdate.graph
 from sgupdate.cli import main
 from sgupdate.geometry import QUAT_NORM_TOL, is_unit
-from sgupdate.graph import ParseError, check_invariants, deserialize, serialize
+from sgupdate.graph import ParseError, check_invariants, deserialize, graph_from_payload, serialize
 
-from conftest import put, two_room_graph
+from conftest import put, read_object, reference_object, two_room_graph
 
 DATA = resources.files("sgupdate.data")
 # Packaged file of each input, and the name each is written under. The
@@ -53,10 +56,11 @@ HOSTILE = [None, "", "x", math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400,
 
 
 def paths(doc, prefix=(), into_lists=True):
-    """Every path below the root of a JSON document, containers included."""
+    """Every path below the root of a JSON document, containers included;
+    tuples count as lists."""
     if isinstance(doc, dict):
         items = doc.items()
-    elif isinstance(doc, list) and into_lists:
+    elif isinstance(doc, (list, tuple)) and into_lists:
         items = enumerate(doc)
     else:
         return
@@ -150,17 +154,31 @@ def as_written(doc):
     return doc
 
 
-def loaded(text, common_case=True):
+def loaded(text):
     """``serialize`` of the graph ``text`` loads as, or the text of the
-    ``ParseError`` it raises. Without the common case every object entry
-    takes the loader's per-value readers."""
+    ``ParseError`` it raises."""
+    try:
+        return serialize(deserialize(text))
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def reference_fields(entry: dict) -> tuple:
+    """What ``values.object_entry`` returns for ``entry``, taken from the node
+    ``conftest.read_object`` builds of it, or the error that reader raises."""
+    node = read_object(entry)
+    return (
+        node.id, node.label, node.pose.q, node.pose.t, node.bbox.extents,
+        node.decay_rate, node.last_seen, node.attached, node.pose_provisional,
+    )
+
+
+def reference_loaded(text):
+    """``loaded(text)`` with every object entry read by the reference reader
+    in place of the loader's own."""
     with pytest.MonkeyPatch.context() as mp:
-        if not common_case:
-            mp.setattr(sgupdate.graph, "node_entry", lambda entry: None)
-        try:
-            return serialize(deserialize(text))
-        except ParseError as exc:
-            return f"ParseError: {exc}"
+        mp.setattr(sgupdate.graph, "object_entry", reference_fields)
+        return loaded(text)
 
 
 def value_at(doc, path):
@@ -191,7 +209,7 @@ def test_one_bad_value_in_a_graph_document_loads_a_sound_graph_or_raises_parse_e
     path = data.draw(st.sampled_from(where), label="path")
     value = data.draw(st.sampled_from(values), label="value")
     doc = with_value(GRAPH_DOC, path, value)
-    assert loaded(json.dumps(doc)) == loaded(json.dumps(doc), common_case=False)
+    assert loaded(json.dumps(doc)) == reference_loaded(json.dumps(doc))
     try:
         graph = deserialize(json.dumps(doc))
     except ParseError:
@@ -251,7 +269,89 @@ REFUSED = {"negative-zero-extent", "norm-just-outside", "blank-label", "duplicat
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_DOCS))
 def test_the_common_case_and_the_per_value_readers_agree_at_its_edges(name):
+    """At the edges of ``values.object_entry``'s combined test of finite
+    floats (ints, signed zeros, the quaternion norm's tolerance, labels to
+    normalize, missing and misplaced values), the loader gives the reference
+    reader's outcome."""
     text = json.dumps(BOUNDARY_DOCS[name])
     outcome = loaded(text)
-    assert outcome == loaded(text, common_case=False)
+    assert outcome == reference_loaded(text)
     assert isinstance(outcome, str) is (name in REFUSED), outcome
+
+
+# Unit quaternions an entry may hold.
+UNIT_QUATERNIONS = [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.6, 0.0, 0.8), (0.8, 0.0, 0.0, -0.6)]
+MISSING = object()  # in place of a value: the key is deleted
+ENTRY_HOSTILE = [*HOSTILE, "123", " \t ", -0.0, 2, MISSING]
+
+
+def replaced(value, path, new):
+    """``value`` with the item at ``path`` replaced by ``new`` (deleted if ``new``
+    is ``MISSING``), each container on the way rebuilt as its own type."""
+    key, rest = path[0], path[1:]
+    item = replaced(value[key], rest, new) if rest else new
+    items = dict(value) if isinstance(value, dict) else list(value)
+    if item is MISSING:
+        del items[key]
+    else:
+        items[key] = item
+    return items if isinstance(value, dict) else type(value)(items)
+
+
+@st.composite
+def object_entries(draw):
+    """An object entry: every number a float, or each an int or a float;
+    arrays as lists or tuples; ``attached`` and ``pose_provisional`` present
+    or not; an extra key or not; and one hostile value at one path, or a
+    deleted key, or neither."""
+    all_floats = draw(st.booleans())
+
+    def number(lo, hi):
+        floats, ints = st.floats(lo, hi), st.integers(math.ceil(lo), math.floor(hi))
+        return draw(floats if all_floats or math.ceil(lo) > math.floor(hi) else st.one_of(ints, floats))
+
+    def array(values):
+        return draw(st.sampled_from([list, tuple]))(values)
+
+    entry = {
+        "id": draw(st.sampled_from(["cup-1", "tv-remote-12"])),
+        "label": draw(st.sampled_from(["cup", "  TV  Remote", "alarm clock"])),
+        "pose": {
+            "q": array([number(w, w) for w in draw(st.sampled_from(UNIT_QUATERNIONS))]),
+            "t": array([number(-50.0, 50.0) for _ in range(3)]),
+        },
+        "bbox": array([number(0.01, 3.0) for _ in range(3)]),
+        "decay_rate": number(0.0, 1.0),
+        "last_seen": number(-1e6, 1e6),
+    }
+    for key in ("attached", "pose_provisional"):
+        if draw(st.booleans()):
+            entry[key] = draw(st.booleans())
+    if draw(st.booleans()):
+        entry["note"] = draw(st.sampled_from([None, "x", [1, 2], {"q": 5}]))
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(paths(entry))), label="path")
+        entry = replaced(entry, path, draw(st.sampled_from(ENTRY_HOSTILE), label="value"))
+    return entry
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+@given(entry=object_entries())
+def test_an_object_entry_loads_as_the_reference_reader_reads_it(entry):
+    oid = entry.get("id")
+    linked = type(oid) is str and entry.get("attached", True) is True
+    doc = {
+        "epoch": 0.0,
+        "rooms": [{"id": "kitchen", "label": "kitchen", "pose": {"q": [1, 0, 0, 0], "t": [2, 2, 1.5]}, "bbox": [4, 3, 4]}],
+        "objects": [entry],
+        "belongs_to": {oid: "kitchen"} if linked else {},
+        "access": [],
+    }
+    try:
+        expected = reference_object(entry)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            graph_from_payload(doc)
+        assert str(raised.value) == str(exc)
+    else:
+        assert repr(graph_from_payload(doc).objects[expected.id]) == repr(expected)
