@@ -443,15 +443,24 @@ class SceneGraph:
         node.pose_provisional = False
         self._link(target, room.id)
 
-    def touch(self, target: str, now: float) -> None:
-        """Record a fresh observation of an object (resets its decay clock)."""
-        node = self.objects.get(target)
-        if node is None:
-            raise UnknownObject(f"no object with id {target!r}")
+    def touch(self, targets: list[str], now: float) -> None:
+        """Record a fresh observation of every object in ``targets`` at ``now``
+        (resets their decay clocks).
+
+        Every id must name an object and ``now`` must be finite before any
+        node is written; then each node is cloned and refreshed in list
+        order. An empty list changes nothing.
+        """
+        objects = self.objects
+        for target in targets:
+            if target not in objects:
+                raise UnknownObject(f"no object with id {target!r}")
         if not isfinite(now):  # the error ObjectNode raises
             raise ValueError(f"last_seen must be finite, got {now!r}")
-        node = self.objects[target] = node._clone()
-        node.last_seen = float(now)
+        now = float(now)
+        for target in targets:
+            node = objects[target] = objects[target]._clone()
+            node.last_seen = now
 
     # ------------------------------------------------------------------
 

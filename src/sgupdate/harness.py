@@ -579,9 +579,9 @@ class Updater:
         outcome = confirm(self.store, graph, result, index, at, k=s.k, epsilon=s.epsilon)
         entries = []
         if outcome.touched:
-            for call in outcome.touched:
-                rec.execute(graph, call)
-            report = rec.ApplyReport(rec.ApplyStatus.APPLIED, executed=outcome.touched)
+            call = rec.PrimitiveCall(op="touch", args={"targets": outcome.touched, "now": float(at)})
+            rec.execute(graph, call)
+            report = rec.ApplyReport(rec.ApplyStatus.APPLIED, executed=[call])
             entries.append(RunLogEntry(at, rec.Provenance.PERCEPTION, report, index, "observed static"))
         for record in outcome.records:
             report = rec.apply(graph, record, self.decay_table)

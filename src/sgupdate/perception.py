@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from .geometry import BBox3, Pose, pose_distance, quat_conj
 from .graph import NoContainingRoom, SceneGraph, _norm_label
-from .records import Provenance, UpdateAction, UpdateRecord, PrimitiveCall
+from .records import Provenance, UpdateAction, UpdateRecord
 
 __all__ = [
     "CameraModel",
@@ -323,7 +323,7 @@ class ConfirmationStore:
 @dataclass
 class ConfirmOutcome:
     records: list[UpdateRecord]
-    touched: list[PrimitiveCall]  # last-seen refreshes, for the caller to execute
+    touched: list[str]  # sorted ids of the static pairs, for the caller to touch
     skipped: list[str] = field(default_factory=list)  # audit notes
 
 
@@ -339,10 +339,10 @@ def confirm(
     """Gate one frame's association result into update records.
 
     Only ``store`` changes; the graph is read, never edited. The outcome
-    carries the records to apply and the ``touch`` calls to execute.
+    carries the records to apply and the ids to ``touch``.
 
-    * static pairs yield a ``touch`` (a ``last_seen`` refresh) and clear
-      removal counters,
+    * static pairs yield their ids, sorted, for one ``touch`` (a
+      ``last_seen`` refresh) and clear removal counters,
     * moved pairs emit a moved record immediately (flagged as geometry
       refinement when the stored pose was provisional and the room did not
       change),
@@ -354,7 +354,6 @@ def confirm(
     if k < 1:
         raise ValueError("k must be >= 1")
     records: list[UpdateRecord] = []
-    touched: list[PrimitiveCall] = []
     skipped: list[str] = []
 
     for oid, obs in sorted(result.moved_pairs, key=lambda p: p[0]):
@@ -380,8 +379,8 @@ def confirm(
         )
         store.removal.pop(oid, None)
 
-    for oid, _obs in sorted(result.static_pairs, key=lambda p: p[0]):
-        touched.append(PrimitiveCall(op="touch", args={"target": oid, "now": float(now)}))
+    touched = sorted(oid for oid, _obs in result.static_pairs)
+    for oid in touched:
         store.removal.pop(oid, None)
 
     for oid in result.remove_candidates:

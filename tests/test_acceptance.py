@@ -116,7 +116,7 @@ def test_acceptance_graph_primitives_randomized():
                     g.rooms[g.belongs_to[oid]].label, room, oid, random_pose(room), float(step)
                 )
             elif op == "touch":
-                g.touch(rng.choice(attached), float(step))
+                g.touch([rng.choice(attached)], float(step))
             elif op == "detach":
                 oid = rng.choice(attached)
                 g.detach(oid)

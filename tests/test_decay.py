@@ -248,7 +248,7 @@ def test_stale_targets_matches_the_sweep_after_every_step(steps):
                 g.rooms[g.belongs_to[oid]].label, room, oid, Pose.identity(spots[room]), written_at
             )
         elif op == "touch" and g.objects:
-            g.touch(sorted(g.objects)[pick % len(g.objects)], written_at)
+            g.touch([sorted(g.objects)[pick % len(g.objects)]], written_at)
         elif op == "detach" and attached:
             g.detach(attached[pick % len(attached)])
         elif op == "reattach" and detached:
@@ -297,12 +297,12 @@ def test_stale_groups_of_equal_probability_merge_by_id_and_keep_each_last_seen(h
 
     house2.remove_object("kitchen", "cup-1")
     house2.detach("dish-1")
-    house2.touch("fork-1", 10.0)
+    house2.touch(["fork-1"], 10.0)
     house2.move_object("kitchen", "living room", "lid-1", Pose.identity((7, 1, 1)), 10.0)
     want = assert_matches_sweep(house2, 10.0, 0.5)
     assert [e.object_id for e in want.entries] == "apple-1 bowl-1 jar-1 mug-1 pan-1 pot-1".split()
     assert math.copysign(1.0, stale_targets(house2, 10.0, 0.5).entries[0].last_seen) == -1.0
-    house2.touch("apple-1", 11.0)
+    house2.touch(["apple-1"], 11.0)
     house2.remove_object("kitchen", "pot-1")
     assert_matches_sweep(house2, 12.0, 0.5)
 
@@ -316,7 +316,7 @@ def test_a_stale_report_keeps_what_the_graph_held_when_it_was_taken(house2):
     first = stale_targets(house2, 10.0, 0.5)
     want = stale_sweep(house2, 10.0, 0.5)
     house2.remove_object("kitchen", "cup-1")
-    house2.touch("plate-1", 10.0)
+    house2.touch(["plate-1"], 10.0)
     house2.detach("fork-1")
     second = stale_targets(house2, 10.0, 0.5)
     house2.detach("vase-1")
@@ -335,13 +335,13 @@ def test_a_write_that_dates_an_object_stale_enters_the_next_report(house2):
     put(house2, "kitchen", "plate", (1, 1, 1), rate=1.0)
     bowl = put(house2, "living room", "bowl", (7, 1, 1), rate=1.0, now=9.5)
     assert len(assert_matches_sweep(house2, 10.0, 0.5).entries) == 2
-    house2.touch(bowl, 0.0)  # as stale as cup and plate
+    house2.touch([bowl], 0.0)  # as stale as cup and plate
     assert len(assert_matches_sweep(house2, 10.0, 0.5).entries) == 3
-    house2.touch(bowl, 10.0)
+    house2.touch([bowl], 10.0)
     house2.move_object("kitchen", "living room", "plate-1", Pose.identity((7, 1, 1)), 0.0)
     want = assert_matches_sweep(house2, 10.0, 0.5)
     assert [e.object_id for e in want.entries] == ["cup-1", "plate-1"]
-    house2.touch(bowl, 0.0)
+    house2.touch([bowl], 0.0)
     house2.detach("cup-1")
     assert [e.object_id for e in assert_matches_sweep(house2, 10.0, 0.5).entries] == [
         "bowl-1", "plate-1"
@@ -377,8 +377,8 @@ def test_stale_targets_raises_the_sweeps_clock_skew_for_a_later_write():
     cup = put(g, "kitchen", "cup", (1, 1, 1), rate=1.0)
     put(g, "kitchen", "plate", (2, 1, 1), rate=1.0)
     assert [e.object_id for e in stale_targets(g, 5.0, 0.5).entries] == ["cup-1", "plate-1"]
-    g.touch(cup, 9.0)
-    g.touch("plate-1", 8.0)
+    g.touch([cup], 9.0)
+    g.touch(["plate-1"], 8.0)
     want = assert_matches_sweep(g, 6.0, 0.5)
     assert want == (ClockSkew, "now=6.0 precedes last_seen=9.0")  # the first in the graph's order
     assert [e.object_id for e in stale_targets(g, 12.0, 0.5).entries] == ["plate-1", "cup-1"]
@@ -406,14 +406,14 @@ def test_the_sweep_computes_a_probability_only_when_the_key_changes(house2, monk
     want = assert_matches_sweep(house2, 10.0, 0.99)
     assert keys == [a, b, a, c]
     assert [e.object_id for e in want.entries] == ["apple-1", "cup-1", "bowl-1", "fork-1", "glass-1"]
-    house2.touch("dish-1", 13.0)
-    house2.touch("easel-1", 14.0)
-    house2.touch("glass-1", 12.0)
-    house2.touch("bowl-1", 11.0)
+    house2.touch(["dish-1"], 13.0)
+    house2.touch(["easel-1"], 14.0)
+    house2.touch(["glass-1"], 12.0)
+    house2.touch(["bowl-1"], 11.0)
     keys.clear()
     assert outcome(stale_targets, house2, 10.0, 0.5) == (ClockSkew, "now=10.0 precedes last_seen=11.0")
     assert keys == [a, (2.0, 11.0)]
-    house2.touch("bowl-1", 6.0)
+    house2.touch(["bowl-1"], 6.0)
     assert assert_matches_sweep(house2, 10.0, 0.5) == (ClockSkew, "now=10.0 precedes last_seen=12.0")
 
 

@@ -5,11 +5,13 @@ benchmark's generator (``bench/generate.py``) writes its episode, and the
 trajectory gains frames whose camera stands at a wall two rooms share,
 facing across it. The scenario also gains false statements, which name a
 label a room never holds, and a detector that drops some objects and
-reports some labels as others. During the run every ``records.apply`` call,
-the robot's and the simulated truth's, must leave the graph's invariants
-intact, and a report that is not applied, such as a false statement's
-rejection, must leave the graph's bytes as they were. At the end, replaying
-the run log must give the final graph byte for byte.
+reports some labels as others. During the run every ``records.apply`` call
+and every primitive call ``records.execute`` runs (a frame's touch batch, a
+mission step, an applied record's edit), the robot's and the simulated
+truth's, must leave the graph's invariants intact, and a report that is not
+applied, such as a false statement's rejection, must leave the graph's bytes
+as they were. At the end, replaying the run log must give the final graph
+byte for byte.
 """
 import json
 import math
@@ -25,7 +27,7 @@ from generate import (  # noqa: E402
     CLUTTER, HOUSEHOLD, ROOM_HEIGHT, ROOM_PERIOD, ROOM_SIZE, START_TIME, GridSpec, generate_spec,
 )
 
-from sgupdate import records  # noqa: E402
+from sgupdate import action, records  # noqa: E402
 from sgupdate.graph import check_invariants, serialize  # noqa: E402
 from sgupdate.harness import load_scenario, replay_runlog, run_scenario  # noqa: E402
 
@@ -157,6 +159,19 @@ def checked_apply(apply):
     return wrapper
 
 
+def checked_execute(execute, ops: list):
+    """``execute`` that appends each call's op to ``ops`` and asserts, after
+    the call, the invariants of the graph it was given."""
+
+    def wrapper(graph, call):
+        ops.append(call.op)
+        result = execute(graph, call)
+        assert check_invariants(graph) == [], call
+        return result
+
+    return wrapper
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(episode(), st.data())
 def test_a_generated_episode_keeps_invariants_edits_nothing_it_does_not_apply_and_replays(case, data):
@@ -165,8 +180,13 @@ def test_a_generated_episode_keeps_invariants_edits_nothing_it_does_not_apply_an
         path = generate_spec(spec, seed, Path(tmp) / "episode")
         add_to_scenario(data, path, frames, extent)
         scenario = load_scenario(path)
+        ops = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(records, "apply", checked_apply(records.apply))
+            # ``action`` imported ``execute`` by name, so its steps need their own wrapper.
+            for module in (records, action):
+                mp.setattr(module, "execute", checked_execute(module.execute, ops))
             result = run_scenario(scenario)
+    assert "touch" in ops  # the wrappers ran
     assert check_invariants(result.graph) == [] and check_invariants(result.world.graph) == []
     assert serialize(replay_runlog(scenario.initial, result.log)) == serialize(result.graph)

@@ -192,11 +192,28 @@ def test_reattach_clears_provisional_pose(house2):
 
 def test_touch_only_refreshes_last_seen(house2):
     oid = put(house2, "kitchen", "cup", (1, 1, 1))
-    before = serialize(house2)
-    house2.touch(oid, 77.0)
-    assert house2.objects[oid].last_seen == 77.0
-    house2.touch(oid, 0.0)  # touch is not monotonic by itself
+    plate = put(house2, "kitchen", "plate", (2, 2, 1))
+    book = put(house2, "kitchen", "book", (3, 1, 1))
+    house2.detach(plate)  # a held object is refreshed too
+    before, nodes = serialize(house2), dict(house2.objects)
+    house2.touch([], 5.0)  # no ids: no node is written
     assert serialize(house2) == before
+    assert all(house2.objects[i] is node for i, node in nodes.items())
+    house2.touch([plate, oid], 77.0)
+    assert [house2.objects[i].last_seen for i in (oid, plate, book)] == [77.0, 77.0, 0.0]
+    house2.touch([oid, plate], 0.0)  # touch is not monotonic by itself
+    assert serialize(house2) == before
+
+
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+def test_touch_refuses_an_unknown_id_anywhere_before_any_write(house2, where):
+    ids = [put(house2, "kitchen", "cup", (1, 1, 1)), put(house2, "kitchen", "plate", (2, 2, 1))]
+    ids.insert(where, "vase-9")
+    before, nodes = serialize(house2), dict(house2.objects)
+    with pytest.raises(UnknownObject, match="vase-9"):
+        house2.touch(ids, 5.0)
+    assert serialize(house2) == before
+    assert all(house2.objects[oid] is node for oid, node in nodes.items())
 
 
 @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -209,7 +226,7 @@ def test_a_primitive_refuses_a_non_finite_time_before_any_write(house2, primitiv
     house2.detach(plate)
     before, nodes = serialize(house2), dict(house2.objects)
     calls = {
-        "touch": lambda: house2.touch(cup, now),
+        "touch": lambda: house2.touch([cup, plate], now),
         "move_object": lambda: house2.move_object("kitchen", "living room", cup, Pose.identity((8, 1, 1)), now),
         "reattach": lambda: house2.reattach(plate, "kitchen", Pose.identity((2, 3, 1)), now),
     }
@@ -247,7 +264,7 @@ def test_mutating_a_copy_leaves_the_original_bytes_unchanged(house2):
         original = deserialize(before)
         clone = original.copy()
         edited, kept = (clone, original) if edited_side == "copy" else (original, clone)
-        edited.touch("cup-1", 50.0)
+        edited.touch(["cup-1"], 50.0)
         edited.move_object("kitchen", "living room", "cup-1", Pose.identity((8, 1, 1)), 60.0)
         edited.detach("vase-1")
         edited.reattach("plate-1", "living room", Pose.identity((6, 3, 1)), 70.0)
@@ -274,7 +291,7 @@ def test_copy_shares_every_node_and_a_primitive_replaces_only_its_own(house2):
     assert all(clone.objects[oid] is node for oid, node in house2.objects.items())
     shared = dict(house2.objects)
     edits = [
-        ("cup-1", lambda g: g.touch("cup-1", 5.0)),
+        ("cup-1", lambda g: g.touch(["cup-1"], 5.0)),
         ("book-1", lambda g: g.move_object("kitchen", "living room", "book-1", Pose.identity((9, 1, 1)), 6.0)),
         ("vase-1", lambda g: g.detach("vase-1")),
         ("plate-1", lambda g: g.reattach("plate-1", "kitchen", Pose.identity((2, 3, 1)), 7.0)),
@@ -305,7 +322,7 @@ def test_a_copy_shares_the_member_set_of_every_room_until_a_primitive_writes_it(
         assert kept._members == before and own == before[kitchen] | {"cup-2"}, edited_side
         for rid in edited.rooms.keys() - {kitchen}:
             assert edited._members[rid] is kept._members[rid], (edited_side, rid)
-        edited.touch("cup-2", 1.0)  # writes no member set
+        edited.touch(["cup-2"], 1.0)  # writes no member set
         edited.remove_object("kitchen", "cup-2")  # writes the set it already owns
         assert edited._members[kitchen] is own and own == before[kitchen], edited_side
 
@@ -350,7 +367,7 @@ def test_a_family_of_copies_never_sees_each_others_edits(steps):
             oid = attached[pick % len(attached)]
             g.move_object(g.rooms[g.belongs_to[oid]].label, room, oid, Pose.identity(SPOTS[room]), 1.0)
         elif op == "touch" and g.objects:
-            g.touch(sorted(g.objects)[pick % len(g.objects)], 2.0)
+            g.touch([sorted(g.objects)[pick % len(g.objects)]], 2.0)
         elif op == "detach" and attached:
             g.detach(attached[pick % len(attached)])
         elif op == "reattach" and detached:
@@ -781,7 +798,7 @@ def test_loading_the_packaged_house_runs_no_collection():
 
 def test_nodes_and_geometry_carry_no_instance_dict(house2):
     oid = put(house2, "kitchen", "cup", (1, 1, 1))
-    house2.touch(oid, 1.0)  # a primitive's clone
+    house2.touch([oid], 1.0)  # a primitive's clone
     node = house2.objects[oid]
     for value in (node, node.pose, node.bbox, house2.room_by_label("kitchen")):
         assert not hasattr(value, "__dict__"), type(value).__name__
@@ -790,7 +807,7 @@ def test_nodes_and_geometry_carry_no_instance_dict(house2):
 def test_graphs_equal_ignore_last_seen_mode(house2):
     oid = put(house2, "kitchen", "cup", (1, 1, 1))
     other = house2.copy()
-    other.touch(oid, 123.0)
+    other.touch([oid], 123.0)
     other.epoch = 99.0
     assert not graphs_equal(house2, other)
     assert graphs_equal(house2, other, ignore_last_seen=True)
@@ -865,7 +882,7 @@ def test_long_random_primitive_sequence_keeps_invariants():
                 now=float(step),
             )
         elif op == "touch":
-            g.touch(rng.choice(attached), float(step))
+            g.touch([rng.choice(attached)], float(step))
         elif op == "detach":
             oid = rng.choice(attached)
             g.detach(oid)
@@ -969,9 +986,10 @@ def test_only_the_primitives_write_object_node_fields():
 def test_node_field_write_check_flags_writes_outside_the_primitives():
     source = """
 class SceneGraph:
-    def touch(self, target, now):
-        node = self.objects[target] = self.objects[target]._clone()
-        node.last_seen = now
+    def touch(self, targets, now):
+        for target in targets:
+            node = self.objects[target] = self.objects[target]._clone()
+            node.last_seen = now
     def copy(self):
         self.objects["x"].pose = None
 class RoomNode:
@@ -987,11 +1005,11 @@ def refresh(graph, oid, now):
     node.note = "not a node field"
 """
     assert node_field_writes(source) == [
-        (("SceneGraph", "copy"), 7, "pose"),
-        (("RoomNode", "__post_init__"), 11, "label"),
-        (("refresh",), 13, "last_seen"),
-        (("refresh",), 15, "attached"),
-        (("refresh",), 15, "bbox"),
-        (("refresh",), 16, "decay_rate"),
-        (("refresh",), 17, "pose_provisional"),
+        (("SceneGraph", "copy"), 8, "pose"),
+        (("RoomNode", "__post_init__"), 12, "label"),
+        (("refresh",), 14, "last_seen"),
+        (("refresh",), 16, "attached"),
+        (("refresh",), 16, "bbox"),
+        (("refresh",), 17, "decay_rate"),
+        (("refresh",), 18, "pose_provisional"),
     ]

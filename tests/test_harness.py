@@ -480,12 +480,12 @@ def test_runs_are_deterministic():
 # leaves every one of these bytes as it is.
 GOLDEN = {
     "ideal": (
-        "fcf18b235e4d86eca41505e009d1d0fc8b3198641127a096fa3229641531c661",
+        "3458a29d29bf38ce5e38a6a19223380dcc8bbcddecf53752618a7ff03c075684",
         "6090ff2a29917bf384c17960d437577bc45c0178730e83dcbc31e15094e80598",
         "f8e591c6a5ce60bc76fb66d1c3e10efa393911d3468d6a8a68df8556baafc2d3",
     ),
     "degraded": (
-        "8da8c3ec731603b921451ae5f23bb2d20acce9433792ab59f2a0e0494fcb4798",
+        "7ae8cae596b5170276d65235036bd2be51e219ff623714fe59916ff45d19f092",
         "5aa58f78a1c391a20ca5d3c31928cd1f96bbf09393a12e32daadac99e88f412c",
         "a74ac562876c8e6f66ca8b249c3e41dd3b685c24d621895e8e801ec319d72997",
     ),
@@ -500,6 +500,26 @@ def test_run_artifacts_keep_their_recorded_digests(name, flags, tmp_path, capsys
     assert main(["run", str(SCENARIO), "--out", str(tmp_path), *flags]) == 0
     files = ("runlog.jsonl", "final_graph.json", "metrics.json")
     assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("overrides", [{}, DEGRADED], ids=["ideal", "degraded"])
+def test_each_observed_static_entry_is_one_touch_of_its_frames_static_pairs(overrides, monkeypatch):
+    static = []  # per frame, the ids association found where the graph has them
+
+    def recording(*args, **kwargs):
+        result = associate(*args, **kwargs)
+        static.append(sorted(oid for oid, _ in result.static_pairs))
+        return result
+
+    monkeypatch.setattr(harness, "associate", recording)
+    result = run_scenario(SCENARIO, overrides=dict(overrides))
+    entries = [e for e in result.log.entries if e.note == "observed static"]
+    assert [e.frame for e in entries] == [frame for frame, ids in enumerate(static) if ids]
+    for entry in entries:
+        [call] = entry.report.executed
+        targets = call.args["targets"]
+        assert call.op == "touch" and call.args["now"] == entry.at
+        assert targets == sorted(set(targets)) == static[entry.frame]
 
 
 def test_runlog_jsonl_is_parseable(ideal):

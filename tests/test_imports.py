@@ -301,3 +301,46 @@ def test_object_node_call_scan_flags_every_constructor_call():
         "object.__new__(ObjectNode)\n"
     )
     assert object_node_calls(snippet) == [(("_read_object",), 3), (("SceneGraph", "add_object"), 6), ((), 7)]
+
+
+# Every graph edit is a logged primitive call that ``records.execute`` runs,
+# so no module calls a mutating primitive as a method.
+GRAPH_PRIMITIVES = {"add_object", "remove_object", "move_object", "detach", "reattach", "touch"}
+
+
+def graph_primitive_calls(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """``(scope, line)`` of each call in ``source`` to an attribute named
+    after a mutating graph primitive."""
+
+    def flagged(node) -> bool:
+        func = node.func if isinstance(node, ast.Call) else None
+        return isinstance(func, ast.Attribute) and func.attr in GRAPH_PRIMITIVES
+
+    return scoped_nodes(source, flagged)
+
+
+def test_only_records_execute_runs_a_graph_primitive():
+    calls = [
+        (path.name, *scope, line)
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, line in graph_primitive_calls(path.read_text("utf-8"))
+    ]
+    assert calls == []
+
+
+def test_graph_primitive_call_scan_flags_every_method_call():
+    snippet = (
+        "graph.touch(['cup-1'], 1.0)\n"
+        "class PickPlaceTask:\n"
+        "    def pick(self, g):\n"
+        "        g.detach(oid)\n"
+        "        self.graph.add_object('kitchen', 'cup', pose, box, 0.0, 1.0)\n"
+        "execute(graph, call)\n"
+        "primitive(graph, **call.args)\n"
+        "_PRIMITIVES = {'touch': SceneGraph.touch}\n"
+        "members.remove(oid)\n"
+        "SceneGraph.reattach(graph, oid, 'kitchen', pose, 2.0)\n"
+    )
+    assert graph_primitive_calls(snippet) == [
+        ((), 1), (("PickPlaceTask", "pick"), 4), (("PickPlaceTask", "pick"), 5), ((), 10),
+    ]

@@ -21,7 +21,7 @@ from sgupdate.perception import (
     default_synonyms,
     semantic_match,
 )
-from sgupdate.records import PrimitiveCall, UpdateAction
+from sgupdate.records import UpdateAction
 from sgupdate.simworld import World
 
 from conftest import (
@@ -577,7 +577,7 @@ def test_contrary_evidence_clears_removal_counter(house2):
     seen = AssociationResult(static_pairs=[(oid, obs("cup", (1.02, 1.0, 1.0)))])
     out = confirm(store, house2, seen, frame=1, now=1.0, k=2)
     assert out.records == []
-    assert out.touched == [PrimitiveCall(op="touch", args={"target": oid, "now": 1.0})]
+    assert out.touched == [oid]
     assert house2.objects[oid].last_seen == 0.0  # the caller executes the touch
     out = confirm(store, house2, removal_result(oid), frame=2, now=2.0, k=2)
     assert out.records == []  # count restarted at 1
@@ -587,9 +587,10 @@ def test_confirm_leaves_the_graph_unchanged(house2):
     still = put(house2, "kitchen", "cup", (1.0, 1.0, 1.0))
     moved = put(house2, "kitchen", "plate", (2.0, 1.0, 1.0))
     gone = put(house2, "kitchen", "bowl", (3.0, 1.0, 1.0))
+    lamp = put(house2, "kitchen", "lamp", (1.0, 3.0, 1.0))
     before = serialize(house2)
     result = AssociationResult(
-        static_pairs=[(still, obs("cup", (1.0, 1.0, 1.0)))],
+        static_pairs=[(lamp, obs("lamp", (1.0, 3.0, 1.0))), (still, obs("cup", (1.0, 1.0, 1.0)))],
         moved_pairs=[(moved, obs("plate", (8.0, 2.0, 1.0)))],
         remove_candidates=[gone],
         add_candidates=[obs("book", (2.0, 3.0, 1.0))],
@@ -598,7 +599,7 @@ def test_confirm_leaves_the_graph_unchanged(house2):
     assert [r.action for r in out.records] == [
         UpdateAction.MOVED, UpdateAction.REMOVED, UpdateAction.ADDED,
     ]
-    assert [c.args["target"] for c in out.touched] == [still]
+    assert out.touched == [still, lamp]  # sorted, for one touch
     assert serialize(house2) == before
 
 

@@ -306,7 +306,7 @@ def test_every_logged_call_is_json_with_poses_and_boxes_encoded(house2):
     reports += [task.pick(house2), task.place(house2, Pose.identity((8, 1, 1)), 5.0)]
     reports.append(apply(house2, record(UpdateAction.REMOVED, source_room="living room"), TABLE))
     calls = {call.op: call for report in reports for call in report.executed}
-    calls["touch"] = PrimitiveCall(op="touch", args={"target": "cup-1", "now": 6.0})
+    calls["touch"] = PrimitiveCall(op="touch", args={"targets": ["cup-1", "plate-1"], "now": 6.0})
     assert sorted(calls) == sorted(["find", "add_object", "move_object", "detach", "reattach",
                                     "remove_object", "touch"])
     assert calls["add_object"].args["pose"] is at  # a value, not its JSON
@@ -316,4 +316,4 @@ def test_every_logged_call_is_json_with_poses_and_boxes_encoded(house2):
     assert encoded["add_object"]["args"]["bbox"] == [0.1, 0.2, 0.3]
     assert encoded["move_object"]["args"]["new_pose"]["t"] == [2.0, 1.0, 1.0]
     assert encoded["reattach"]["args"]["pose"]["t"] == [8.0, 1.0, 1.0]
-    assert encoded["touch"] == {"op": "touch", "args": {"target": "cup-1", "now": 6.0}}
+    assert encoded["touch"] == {"op": "touch", "args": {"targets": ["cup-1", "plate-1"], "now": 6.0}}
