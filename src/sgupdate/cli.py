@@ -148,8 +148,7 @@ def _cmd_query(args) -> int:
         ids = [oid for oid in ids if graph.objects[oid].label == wanted]
     for oid in ids:
         node = graph.objects[oid]
-        room_id = graph.belongs_to.get(oid)
-        room = graph.rooms[room_id].label if room_id is not None else "(detached)"
+        room = graph.rooms[node.room].label if node.room is not None else "(detached)"
         x, y, z = node.pose.t
         print(f"{oid}  label={node.label!r}  room={room}  t=({x:.3f}, {y:.3f}, {z:.3f})")
     print(f"{len(ids)} object(s)")
@@ -165,10 +164,8 @@ def _cmd_stale(args) -> int:
         return 2
     for entry in report.entries:
         node = graph.objects[entry.object_id]
-        room_id = graph.belongs_to.get(entry.object_id)
-        room = graph.rooms[room_id].label if room_id is not None else "(detached)"
-        print(
-            f"{entry.object_id}  label={node.label!r}  room={room}"
+        print(  # a stale object is attached
+            f"{entry.object_id}  label={node.label!r}  room={graph.rooms[node.room].label}"
             f"  persistence={entry.probability:.4f}"
         )
     print(f"{len(report.entries)} candidate(s) below {args.threshold}")

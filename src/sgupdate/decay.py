@@ -170,7 +170,7 @@ def stale_targets(graph: SceneGraph, now: float, threshold: float) -> StaleRepor
     rate_before = seen_before = p = None
     for oid, node in graph.objects.items():
         rate = node.decay_rate
-        if rate > 0.0 and node.attached:
+        if rate > 0.0 and node.room is not None:
             seen = node.last_seen
             # Neighbours in id order often share a label's rate and last_seen.
             if seen != seen_before or rate != rate_before:

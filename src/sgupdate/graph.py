@@ -1,8 +1,10 @@
 """Two-layer 3D scene graph: rooms, objects, and the edges between them.
 
 The graph keeps a room layer and an object layer. Every attached object has
-exactly one belongs-to edge into a room; rooms are connected by symmetric
-access edges. There are no object-to-object edges, by construction.
+exactly one belongs-to edge into a room, held on its node as ``room`` (the
+room's id, ``None`` while the object is detached); rooms are connected by
+symmetric access edges. There are no object-to-object edges, by
+construction.
 
 Mutations go through the primitive operations defined here (``find``,
 ``add_object``, ``remove_object``, ``move_object``, ``detach``, ``reattach``,
@@ -28,18 +30,19 @@ perception's visibility rule, which sees only the members of the room the
 camera stands in, read one room's set instead of scanning every object.
 Staleness keeps no index here: :func:`sgupdate.decay.stale_targets` sweeps
 ``objects``. Only ``add_room``, the primitives and the loader may write
-``rooms``, ``objects`` or ``belongs_to``, and only the primitives may write
-an object's fields, since anything else would leave the indexes stale or
-edit a node other graphs share; :func:`check_invariants` verifies the room
-indexes.
+``rooms`` or ``objects``, and only the primitives and the loader may write
+an object's fields, its room included, since anything else would leave the
+indexes stale or edit a node other graphs share; :func:`check_invariants`
+verifies the room indexes.
 
 The loader reads each section of a document in one loop. Every object entry
 goes through one reader, :func:`~sgupdate.values.object_entry`, which checks
 each value's shape; the loop then checks the node classes' rules, written
 out, and builds the node with no further call. An entry a rule refuses
 raises that rule's own error. A load normalizes each distinct object label
-once, and the nodes that carry it share the string. The belongs-to loop
-checks each edge in document order and files it.
+once, and the nodes that carry it share the string. The document's
+``belongs_to`` map is read after the objects: its loop checks each edge in
+document order, records it as its object's ``room`` and files it.
 
 :func:`serialize` and :func:`deserialize` run with the cyclic garbage
 collector paused. A graph document and the graph built from it hold no
@@ -128,6 +131,11 @@ def _node_label(label: str) -> str:
     return norm
 
 
+# The room of an attached node the loader has built but whose belongs_to edge
+# it has not read yet; a document it is left on fails the edge count check.
+_UNFILED = ""
+
+
 def _room_bound(room: "RoomNode") -> tuple:
     """``(cx, cy, cz, hx, hy, hz, volume, id)``: what ``assign_room`` tests."""
     return (*room.pose.t, *room.bbox.half_sizes_xyz(), room.bbox.volume, room.id)
@@ -158,7 +166,7 @@ class ObjectNode:
     bbox: BBox3
     decay_rate: float  # 1/seconds; 0 marks an immovable object
     last_seen: float  # seconds since the graph epoch
-    attached: bool = True
+    room: Optional[str]  # id of the room the object belongs to; None while detached
     pose_provisional: bool = False  # True until a sensed pose replaces a guessed one
 
     def __post_init__(self) -> None:
@@ -167,6 +175,10 @@ class ObjectNode:
         self.last_seen = number(self.last_seen, "last_seen")
         if self.decay_rate < 0.0:
             raise InvalidGeometry(f"decay_rate must be >= 0, got {self.decay_rate}")
+
+    @property
+    def attached(self) -> bool:
+        return self.room is not None
 
     def _clone(self) -> "ObjectNode":
         # Fields were validated when this node was built; skip __post_init__
@@ -178,14 +190,17 @@ class ObjectNode:
         dup.bbox = self.bbox
         dup.decay_rate = self.decay_rate
         dup.last_seen = self.last_seen
-        dup.attached = self.attached
+        dup.room = self.room
         dup.pose_provisional = self.pose_provisional
         return dup
 
     @staticmethod
-    def _load(value, objects: dict[str, "ObjectNode"]) -> int:
-        """File in ``objects`` the node of each entry of the object array
-        ``value`` and return how many are attached; errors name ``objects[i]``."""
+    def _load(graph: "SceneGraph", value, belongs_value) -> None:
+        """File in ``graph`` the node of each entry of the object array
+        ``value``, then record each edge of the ``belongs_to`` map
+        ``belongs_value`` as its object's ``room`` and file the object in that
+        room's member set; errors name ``objects[i]`` or ``belongs_to[id]``."""
+        objects, rooms, members = graph.objects, graph.rooms, graph._members
         labels: dict[str, str] = {}  # each label as written -> its node label
         new = object.__new__
         # The slots' own setters, which object.__setattr__ would look up by name
@@ -225,11 +240,36 @@ class ObjectNode:
             node.bbox = bbox
             node.decay_rate = decay_rate
             node.last_seen = last_seen
-            node.attached = attached
+            node.room = _UNFILED if attached else None
             node.pose_provisional = provisional
             return attached
 
-        return sum(entries(value, "objects", read))
+        attached = sum(entries(value, "objects", read))
+        belongs = obj(belongs_value, "belongs_to")
+        stray = False  # an edge names a detached object
+        # What _link does per edge, written out.
+        for oid, rid in belongs.items():
+            node = objects.get(oid)
+            if node is None:
+                raise ValueError(f"belongs_to[{oid!r}]: unknown object id")
+            try:
+                known = rid in rooms
+            except TypeError:  # an array or object is unhashable
+                known = False
+            if not known:
+                raise ValueError(f"belongs_to[{oid!r}]: unknown room id {rid!r}")
+            if node.room is None:
+                stray = True
+            else:
+                node.room = rid
+                members[rid].add(oid)
+        # Keys are unique: with no stray edge every key names an attached object,
+        # so as many keys as attached objects means every attached object has one.
+        if stray or len(belongs) != attached:
+            raise ValueError(
+                "document violates graph invariants: "
+                "belongs_to keys do not exactly match attached object ids"
+            )
 
 
 class SceneGraph:
@@ -239,7 +279,6 @@ class SceneGraph:
         self.epoch = float(epoch)
         self.rooms: dict[str, RoomNode] = {}
         self.objects: dict[str, ObjectNode] = {}
-        self.belongs_to: dict[str, str] = {}  # object id -> room id
         self.access: set[tuple[str, str]] = set()  # canonical (min, max) room-id pairs
         # Indexes over the fields above (see the module docstring).
         self._room_ids: dict[str, str] = {}  # room label -> room id
@@ -301,7 +340,9 @@ class SceneGraph:
         objects = self.objects
         if room_scope is None:
             return sorted(
-                oid for oid, node in objects.items() if node.attached and node.label == wanted
+                oid
+                for oid, node in objects.items()
+                if node.room is not None and node.label == wanted
             )
         members = self._members[self.room_by_label(room_scope).id]
         return sorted(oid for oid in members if objects[oid].label == wanted)
@@ -339,13 +380,12 @@ class SceneGraph:
         return members
 
     def _link(self, oid: str, room_id: str) -> None:
-        """Set the belongs-to edge and file the object under its room."""
-        self.belongs_to[oid] = room_id
+        """File the object under the room its node now names."""
         self._room_members(room_id).add(oid)
 
-    def _unlink(self, oid: str) -> None:
-        """Drop the belongs-to edge and unfile the object."""
-        self._room_members(self.belongs_to.pop(oid)).discard(oid)
+    def _unlink(self, oid: str, room_id: str) -> None:
+        """Unfile the object from the room its node named."""
+        self._room_members(room_id).discard(oid)
 
     # ------------------------------------------------------------------
     # primitives
@@ -370,7 +410,7 @@ class SceneGraph:
             bbox=bbox,
             decay_rate=decay_rate,
             last_seen=float(now),
-            attached=True,
+            room=room.id,
             pose_provisional=bool(pose_provisional),
         )
         self.objects[oid] = node
@@ -382,16 +422,16 @@ class SceneGraph:
         node = self.objects.get(target)
         if node is None:
             raise UnknownObject(f"no object with id {target!r}")
-        if not node.attached or self.belongs_to.get(target) != room.id:
+        if node.room != room.id:
             raise WrongRoom(f"object {target!r} is not attached in room {source_room!r}")
         return node, room
 
     def remove_object(self, source_room: str, target: str) -> ObjectNode:
         """Delete the object (it must be attached in ``source_room``)."""
-        node, _ = self._attached_in_room(source_room, target)
+        node, room = self._attached_in_room(source_room, target)
         del self.objects[target]
         self._id_floor.pop(target.rsplit("-", 1)[0], None)
-        self._unlink(target)
+        self._unlink(target, room.id)
         return node
 
     def move_object(
@@ -404,7 +444,7 @@ class SceneGraph:
         pose_provisional: bool = False,
     ) -> None:
         """Relocate an object; equivalent to remove+add but keeps the id."""
-        node, _ = self._attached_in_room(source_room, target)
+        node, room = self._attached_in_room(source_room, target)
         new_room = self.room_by_label(target_room)
         if not isfinite(now):  # the error ObjectNode raises
             raise ValueError(f"last_seen must be finite, got {now!r}")
@@ -412,7 +452,8 @@ class SceneGraph:
         node.pose = new_pose
         node.last_seen = float(now)
         node.pose_provisional = bool(pose_provisional)
-        self._unlink(target)
+        node.room = new_room.id
+        self._unlink(target, room.id)
         self._link(target, new_room.id)
 
     def detach(self, target: str) -> None:
@@ -420,11 +461,12 @@ class SceneGraph:
         node = self.objects.get(target)
         if node is None:
             raise UnknownObject(f"no object with id {target!r}")
-        if not node.attached:
+        room_id = node.room
+        if room_id is None:
             raise AlreadyDetached(f"object {target!r} is already detached")
         node = self.objects[target] = node._clone()
-        node.attached = False
-        self._unlink(target)
+        node.room = None
+        self._unlink(target, room_id)
 
     def reattach(self, target: str, room_label: str, pose: Pose, now: float) -> None:
         """Put a detached object back into a room at a concrete pose."""
@@ -432,12 +474,12 @@ class SceneGraph:
         if node is None:
             raise UnknownObject(f"no object with id {target!r}")
         room = self.room_by_label(room_label)
-        if node.attached:
+        if node.room is not None:
             raise AlreadyAttached(f"object {target!r} is already attached")
         if not isfinite(now):  # the error ObjectNode raises
             raise ValueError(f"last_seen must be finite, got {now!r}")
         node = self.objects[target] = node._clone()
-        node.attached = True
+        node.room = room.id
         node.pose = pose
         node.last_seen = float(now)
         node.pose_provisional = False
@@ -477,11 +519,11 @@ class SceneGraph:
         dup = SceneGraph(epoch=self.epoch)
         dup.rooms = dict(self.rooms)
         dup.objects = dict(self.objects)
-        dup.belongs_to = dict(self.belongs_to)
         dup.access = set(self.access)
         dup._room_ids = dict(self._room_ids)
         dup._room_bounds = list(self._room_bounds)
         dup._members = dict(self._members)
+        dup._id_floor = dict(self._id_floor)
         self._own.clear()
         return dup
 
@@ -502,12 +544,14 @@ def check_invariants(graph: SceneGraph) -> list[str]:
     labels = [r.label for r in graph.rooms.values()]
     if len(labels) != len(set(labels)):
         problems.append("room labels are not unique")
-    attached = {oid for oid, node in graph.objects.items() if node.attached}
-    if set(graph.belongs_to) != attached:
-        problems.append("belongs_to keys do not exactly match attached object ids")
-    for oid, rid in graph.belongs_to.items():
-        if rid not in graph.rooms:
-            problems.append(f"belongs_to[{oid!r}] references unknown room {rid!r}")
+    filed: dict[str, set[str]] = {rid: set() for rid in graph.rooms}
+    for oid, node in graph.objects.items():
+        if node.room is None:
+            continue
+        if node.room in filed:
+            filed[node.room].add(oid)
+        else:
+            problems.append(f"object {oid!r} belongs to unknown room {node.room!r}")
     for a, b in graph.access:
         if a not in graph.rooms or b not in graph.rooms:
             problems.append(f"access edge ({a!r}, {b!r}) references an unknown room")
@@ -523,14 +567,11 @@ def check_invariants(graph: SceneGraph) -> list[str]:
     if graph._room_bounds != [_room_bound(room) for room in graph.rooms.values()]:
         problems.append("room box index does not match the rooms")
     members = graph._members
-    # Sets hold no duplicates, so equal totals plus every edge being filed
-    # (checked below) means the member sets are belongs_to grouped by room.
-    total = sum(map(len, members.values()))
-    if members.keys() != graph.rooms.keys() or total != len(graph.belongs_to):
-        problems.append("room member index does not match belongs_to")
-    for oid, rid in graph.belongs_to.items():
-        if oid not in members.get(rid, ()):
-            problems.append(f"room member index does not file {oid!r} under {rid!r}")
+    if members.keys() != filed.keys():
+        problems.append("room member index does not hold one set per room")
+    for rid, ids in filed.items():
+        if members.get(rid, ids) != ids:
+            problems.append(f"member set of room {rid!r} is not the objects whose room it is")
     for slug, floor in graph._id_floor.items():
         if not all(f"{slug}-{n}" in graph.objects for n in range(1, floor)):
             problems.append(f"id floor {floor} of {slug!r} skips a free id")
@@ -538,7 +579,7 @@ def check_invariants(graph: SceneGraph) -> list[str]:
 
 
 def _objects_match(a: ObjectNode, b: ObjectNode, tol: float, ignore_last_seen: bool) -> bool:
-    if a.label != b.label or a.attached != b.attached:
+    if a.label != b.label or a.room != b.room:
         return False
     if not poses_close(a.pose, b.pose, tol):
         return False
@@ -566,7 +607,7 @@ def graphs_equal(
     """
     if set(a.rooms) != set(b.rooms) or set(a.objects) != set(b.objects):
         return False
-    if a.belongs_to != b.belongs_to or a.access != b.access:
+    if a.access != b.access:
         return False
     if not ignore_last_seen and abs(a.epoch - b.epoch) > tol:
         return False
@@ -587,7 +628,8 @@ def graphs_equivalent(a: SceneGraph, b: SceneGraph, tol: float = 1e-9) -> bool:
 
     Object ids are generator bookkeeping; two graphs describe the same world
     when their rooms match and their objects pair up one-to-one on content
-    (label, pose, box, decay, last_seen, attachment and room label).
+    (label, pose, box, decay, last_seen and room; the rooms' ids and labels
+    match, so a room id names the same room in both).
     """
     if set(a.rooms) != set(b.rooms) or a.access != b.access:
         return False
@@ -596,18 +638,11 @@ def graphs_equivalent(a: SceneGraph, b: SceneGraph, tol: float = 1e-9) -> bool:
         if ra.label != rb.label or not poses_close(ra.pose, rb.pose, tol):
             return False
 
-    def room_label_of(graph: SceneGraph, oid: str) -> Optional[str]:
-        rid = graph.belongs_to.get(oid)
-        return graph.rooms[rid].label if rid is not None else None
-
     remaining = list(b.objects)
-    for oid_a, node_a in a.objects.items():
+    for node_a in a.objects.values():
         match = None
         for oid_b in remaining:
-            node_b = b.objects[oid_b]
-            if _objects_match(node_a, node_b, tol, ignore_last_seen=False) and room_label_of(
-                a, oid_a
-            ) == room_label_of(b, oid_b):
+            if _objects_match(node_a, b.objects[oid_b], tol, ignore_last_seen=False):
                 match = oid_b
                 break
         if match is None:
@@ -651,15 +686,17 @@ def graph_to_payload(graph: SceneGraph) -> dict:
     """JSON-ready document; poses and boxes appear as tuples (JSON arrays).
 
     Every dict is built with its keys in sorted order, the order
-    :func:`serialize` writes them in.
+    :func:`serialize` writes them in; ``belongs_to`` holds each attached
+    node's ``room``.
     """
+    nodes = [node for _, node in sorted(graph.objects.items())]
     return {
         "access": sorted(list(pair) for pair in graph.access),
-        "belongs_to": dict(sorted(graph.belongs_to.items())),
+        "belongs_to": {node.id: node.room for node in nodes if node.room is not None},
         "epoch": graph.epoch,
         "objects": [
             {
-                "attached": node.attached,
+                "attached": node.room is not None,
                 "bbox": node.bbox.extents,
                 "decay_rate": node.decay_rate,
                 "id": node.id,
@@ -668,7 +705,7 @@ def graph_to_payload(graph: SceneGraph) -> dict:
                 "pose": {"q": node.pose.q, "t": node.pose.t},
                 "pose_provisional": node.pose_provisional,
             }
-            for _, node in sorted(graph.objects.items())
+            for node in nodes
         ],
         "rooms": [
             {
@@ -718,30 +755,7 @@ def _read_graph(data: dict) -> SceneGraph:
             raise ValueError(str(exc)) from exc
 
     entries(data.get("rooms"), "rooms", read_room)
-    objects, rooms, belongs_to, members = graph.objects, graph.rooms, graph.belongs_to, graph._members
-    attached = ObjectNode._load(data.get("objects"), objects)
-    belongs = obj(data.get("belongs_to"), "belongs_to")
-    # What _link does per edge, written out.
-    for oid, rid in belongs.items():
-        node = objects.get(oid)
-        if node is None:
-            raise ValueError(f"belongs_to[{oid!r}]: unknown object id")
-        try:
-            known = rid in rooms
-        except TypeError:  # an array or object is unhashable
-            known = False
-        if not known:
-            raise ValueError(f"belongs_to[{oid!r}]: unknown room id {rid!r}")
-        if node.attached:
-            belongs_to[oid] = rid
-            members[rid].add(oid)
-    # Keys are unique: every key was linked, so names an attached object, and
-    # there are as many as attached objects, so every attached object has one.
-    if not len(belongs_to) == len(belongs) == attached:
-        raise ValueError(
-            "document violates graph invariants: "
-            "belongs_to keys do not exactly match attached object ids"
-        )
+    ObjectNode._load(graph, data.get("objects"), data.get("belongs_to"))
     for i, pair in enumerate(array(data.get("access"), "access")):
         try:
             graph.add_access(*texts(pair, f"access[{i}]", 2))

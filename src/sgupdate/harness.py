@@ -204,7 +204,9 @@ def _trajectory(data: dict, initial: SceneGraph, initial_key: str) -> list[tuple
     """The camera waypoints, in time order and none before an attached movable object's
     ``last_seen`` in ``initial``, which the run's staleness report, taken at the last
     waypoint, subtracts from that waypoint's time."""
-    seen = (n.last_seen for n in initial.objects.values() if n.attached and n.decay_rate > 0.0)
+    seen = (
+        n.last_seen for n in initial.objects.values() if n.room is not None and n.decay_rate > 0.0
+    )
     last_seen = max(seen, default=-math.inf)
     floor = (last_seen, f"the last_seen {last_seen} of an object in {initial_key}")
 

@@ -358,7 +358,7 @@ def confirm(
 
     for oid, obs in sorted(result.moved_pairs, key=lambda p: p[0]):
         node = graph.objects[oid]
-        source_label = graph.rooms[graph.belongs_to[oid]].label
+        source_label = graph.rooms[node.room].label
         try:
             target_label = graph.rooms[graph.assign_room(obs.pose)].label
         except NoContainingRoom:
@@ -393,7 +393,7 @@ def confirm(
                 UpdateRecord(
                     action=UpdateAction.REMOVED,
                     target_object=node.label,
-                    source_room=graph.rooms[graph.belongs_to[oid]].label,
+                    source_room=graph.rooms[node.room].label,
                     provenance=Provenance.PERCEPTION,
                     issued_at=float(now),
                 )

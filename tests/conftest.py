@@ -28,24 +28,30 @@ def put(g, room, label, t, extents=(0.2, 0.2, 0.2), rate=0.05, now=0.0, **kw):
 
 
 def linked_load(text):
-    """The graph the document ``text`` describes, with its room indexes built
-    the way the primitives build them: one ``SceneGraph._link`` per
-    ``belongs_to`` edge, in document order. The reference the loader's
-    indexes must match."""
+    """The graph the document ``text`` describes, with each object entry read
+    by ``read_object``, its room the one the document's ``belongs_to`` names,
+    and its room indexes built the way the primitives build them: one
+    ``SceneGraph._link`` per ``belongs_to`` edge, in document order. The
+    reference the loader's nodes and indexes must match."""
     loaded = deserialize(text)
+    doc = json.loads(text)
+    belongs = doc["belongs_to"]
     graph = SceneGraph(epoch=loaded.epoch)
     for room in loaded.rooms.values():
         graph.add_room(room)
-    graph.objects = dict(loaded.objects)
-    for oid, rid in json.loads(text)["belongs_to"].items():
-        if graph.objects[oid].attached:
+    for entry in doc["objects"]:
+        graph.objects[entry["id"]] = read_object(entry, belongs.get(entry["id"]))
+    for oid, rid in belongs.items():
+        if graph.objects[oid].room is not None:
             graph._link(oid, rid)
     return graph
 
 
-def read_object(entry: dict) -> ObjectNode:
+def read_object(entry: dict, room: str | None) -> ObjectNode:
     """The node of a graph document's object entry, read value by value by
-    ``Pose.from_dict``, ``BBox3`` and ``ObjectNode``'s own checks."""
+    ``Pose.from_dict``, ``BBox3`` and ``ObjectNode``'s own checks; ``room``,
+    the room the document's ``belongs_to`` names for it, is kept only if the
+    entry is attached."""
     return ObjectNode(
         id=text(entry["id"], "id"),
         label=text(entry["label"], "label"),
@@ -53,19 +59,19 @@ def read_object(entry: dict) -> ObjectNode:
         bbox=BBox3(entry["bbox"]),
         decay_rate=entry["decay_rate"],
         last_seen=entry["last_seen"],
-        attached=flag(entry.get("attached", True), "attached"),
+        room=room if flag(entry.get("attached", True), "attached") else None,
         pose_provisional=flag(entry.get("pose_provisional", False), "pose_provisional"),
     )
 
 
-def reference_object(entry, i: int = 0) -> ObjectNode:
+def reference_object(entry, room: str | None, i: int = 0) -> ObjectNode:
     """``read_object`` of the entry at ``objects[i]``, its error raised as the
     ``ParseError`` the loader raises, named ``objects[i]``: the reference the
     loader's one reader of an object entry and its rules must match, node
     for node and message for message."""
     where = f"objects[{i}]"
     try:
-        return within(where, read_object, obj(entry, where))
+        return within(where, read_object, obj(entry, where), room)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -125,8 +131,7 @@ def visible_oracle(graph, robot_pose, cam):
     return sorted(
         oid
         for oid, node in graph.objects.items()
-        if node.attached
-        and graph.belongs_to[oid] == room
+        if node.room == room
         and node.decay_rate > 0.0
         and frustum_oracle(robot_pose, cam, node.pose.t)
     )

@@ -108,12 +108,12 @@ def test_acceptance_graph_primitives_randomized():
                 )
             elif op == "remove":
                 oid = rng.choice(attached)
-                g.remove_object(g.rooms[g.belongs_to[oid]].label, oid)
+                g.remove_object(g.rooms[g.objects[oid].room].label, oid)
             elif op == "move":
                 oid = rng.choice(attached)
                 room = rng.choice(rooms)
                 g.move_object(
-                    g.rooms[g.belongs_to[oid]].label, room, oid, random_pose(room), float(step)
+                    g.rooms[g.objects[oid].room].label, room, oid, random_pose(room), float(step)
                 )
             elif op == "touch":
                 g.touch([rng.choice(attached)], float(step))
@@ -139,9 +139,9 @@ def test_acceptance_graph_primitives_randomized():
                 pose = random_pose(room)
                 via_move, via_pair = g.copy(), g.copy()
                 via_move.move_object(
-                    via_move.rooms[via_move.belongs_to[oid]].label, room, oid, pose, 1e6
+                    via_move.rooms[via_move.objects[oid].room].label, room, oid, pose, 1e6
                 )
-                node = via_pair.remove_object(via_pair.rooms[via_pair.belongs_to[oid]].label, oid)
+                node = via_pair.remove_object(via_pair.rooms[via_pair.objects[oid].room].label, oid)
                 via_pair.add_object(room, node.label, pose, node.bbox, node.decay_rate, 1e6)
                 assert graphs_equivalent(via_move, via_pair)
 

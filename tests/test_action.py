@@ -108,7 +108,7 @@ def test_place_reattaches_and_emits_action_record(house2):
     assert [c.op for c in report.executed] == ["reattach"]
     assert task.phase is Phase.DONE
     node = house2.objects[oid]
-    assert node.attached and house2.belongs_to[oid] == "living room"
+    assert node.room == "living room"
     assert node.pose == pose and node.last_seen == 9.0
     record = report.record
     assert record.action is UpdateAction.MOVED

@@ -241,11 +241,11 @@ def test_stale_targets_matches_the_sweep_after_every_step(steps):
             put(g, room, "cup" if pick % 3 else "plate", spots[room], rate=rate, now=written_at)
         elif op == "remove" and attached:
             oid = attached[pick % len(attached)]
-            g.remove_object(g.rooms[g.belongs_to[oid]].label, oid)
+            g.remove_object(g.rooms[g.objects[oid].room].label, oid)
         elif op == "move" and attached:
             oid = attached[pick % len(attached)]
             g.move_object(
-                g.rooms[g.belongs_to[oid]].label, room, oid, Pose.identity(spots[room]), written_at
+                g.rooms[g.objects[oid].room].label, room, oid, Pose.identity(spots[room]), written_at
             )
         elif op == "touch" and g.objects:
             g.touch([sorted(g.objects)[pick % len(g.objects)]], written_at)

@@ -68,7 +68,7 @@ def test_dynamic_objects_are_visible_from_their_rooms_waypoint():
         node = g.objects[oid]
         if node.decay_rate <= 0.0:
             continue
-        room = g.rooms[g.belongs_to[oid]].label
+        room = g.rooms[node.room].label
         assert point_in_frustum(cams[room], sc.camera, node.pose.t), (
             f"{oid} must be visible from the {room} waypoint"
         )
@@ -83,7 +83,7 @@ def test_no_waypoint_sees_into_another_room():
             node = g.objects[oid]
             if node.decay_rate <= 0.0:
                 continue
-            room = g.rooms[g.belongs_to[oid]].label
+            room = g.rooms[node.room].label
             if room != cam_room:
                 assert not point_in_frustum(cam_pose, sc.camera, node.pose.t), (
                     f"{cam_room} waypoint must not see {oid} in {room}"

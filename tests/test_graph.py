@@ -96,7 +96,7 @@ def test_a_freed_middle_id_is_reused_on_the_graph_and_on_a_copy(house2):
 
 def test_every_attached_object_belongs_to_exactly_one_room(house2):
     oid = put(house2, "kitchen", "cup", (1, 1, 1))
-    assert house2.belongs_to[oid] == "kitchen"
+    assert house2.objects[oid].room == "kitchen"
     assert check_invariants(house2) == []
 
 
@@ -136,7 +136,7 @@ def test_remove_object_enforces_room(house2):
         house2.remove_object("living room", oid)
     node = house2.remove_object("kitchen", oid)
     assert node.label == "cup"
-    assert oid not in house2.objects and oid not in house2.belongs_to
+    assert oid not in house2.objects and house2.objects_in_room("kitchen") == []
     with pytest.raises(UnknownObject):
         house2.remove_object("kitchen", oid)
 
@@ -146,7 +146,7 @@ def test_move_object_keeps_id_and_updates_room_and_last_seen(house2):
     new_pose = Pose.identity((8.0, 2.0, 1.0))
     house2.move_object("kitchen", "living room", oid, new_pose, now=42.0)
     node = house2.objects[oid]
-    assert house2.belongs_to[oid] == "living room"
+    assert node.room == "living room" and house2.objects_in_room("living room") == [oid]
     assert node.pose == new_pose
     assert node.last_seen == 42.0
     assert check_invariants(house2) == []
@@ -170,13 +170,13 @@ def test_move_object_is_equivalent_to_remove_then_add(house2):
 def test_detach_reattach_cycle(house2):
     oid = put(house2, "kitchen", "cup", (1, 1, 1))
     house2.detach(oid)
-    assert not house2.objects[oid].attached
-    assert oid not in house2.belongs_to
+    assert not house2.objects[oid].attached and house2.objects[oid].room is None
+    assert house2.objects_in_room("kitchen") == []
     assert check_invariants(house2) == []
     with pytest.raises(AlreadyDetached):
         house2.detach(oid)
     house2.reattach(oid, "living room", Pose.identity((7.0, 1.0, 1.0)), now=9.0)
-    assert house2.belongs_to[oid] == "living room"
+    assert house2.objects[oid].room == "living room"
     assert house2.objects[oid].last_seen == 9.0
     with pytest.raises(AlreadyAttached):
         house2.reattach(oid, "living room", Pose.identity((7.0, 1.0, 1.0)), now=9.5)
@@ -247,6 +247,34 @@ def test_copy_is_deep(house2):
     assert graphs_equal(house2, house2.copy())
 
 
+def test_a_copy_keeps_the_id_floors_its_source_learned(house2):
+    for i in range(3):
+        put(house2, "kitchen", "coffee mug", (1 + 0.1 * i, 1, 1))
+    clone = house2.copy()
+    assert clone._id_floor == house2._id_floor == {"coffee-mug": 3}
+    assert check_invariants(clone) == []
+    assert put(clone, "kitchen", "coffee mug", (2, 1, 1)) == "coffee-mug-4"
+    assert house2._id_floor == {"coffee-mug": 3}
+
+
+@pytest.mark.parametrize(
+    "room, problems",
+    [
+        ("attic", ["object 'cup-1' belongs to unknown room 'attic'",
+                   "member set of room 'kitchen' is not the objects whose room it is"]),
+        ("living room", ["member set of room 'kitchen' is not the objects whose room it is",
+                         "member set of room 'living room' is not the objects whose room it is"]),
+        (None, ["member set of room 'kitchen' is not the objects whose room it is"]),
+    ],
+    ids=["unknown-room", "wrong-room-set", "detached-but-filed"],
+)
+def test_check_invariants_reports_a_node_whose_room_its_member_sets_disagree_with(house2, room, problems):
+    put(house2, "kitchen", "cup", (1, 1, 1))
+    put(house2, "living room", "book", (7, 1, 1))
+    object.__setattr__(house2.objects["cup-1"], "room", room)
+    assert check_invariants(house2) == problems
+
+
 def three_objects(g):
     """A cup, a provisional vase, a detached plate and a book."""
     put(g, "kitchen", "cup", (1, 1, 1))
@@ -260,6 +288,8 @@ def test_mutating_a_copy_leaves_the_original_bytes_unchanged(house2):
     three_objects(house2)
     before = serialize(house2)
     kitchen = {label: house2.find(label, room_scope="kitchen") for label in ("cup", "book", "plate")}
+    rooms = {oid: node.room for oid, node in house2.objects.items()}
+    members = {rid: house2.objects_in_room(rid) for rid in house2.rooms}
     for edited_side in ("copy", "original"):
         original = deserialize(before)
         clone = original.copy()
@@ -275,6 +305,8 @@ def test_mutating_a_copy_leaves_the_original_bytes_unchanged(house2):
         assert check_invariants(kept) == [], edited_side
         for label, ids in kitchen.items():
             assert kept.find(label, room_scope="kitchen") == ids, (edited_side, label)
+        assert {oid: node.room for oid, node in kept.objects.items()} == rooms, edited_side
+        assert {rid: kept.objects_in_room(rid) for rid in kept.rooms} == members, edited_side
         assert kept.find("vase", room_scope="living room") == ["vase-1"], edited_side
 
 
@@ -362,10 +394,10 @@ def test_a_family_of_copies_never_sees_each_others_edits(steps):
             put(g, room, ("cup", "book", "vase")[pick % 3], SPOTS[room])
         elif op == "remove" and attached:
             oid = attached[pick % len(attached)]
-            g.remove_object(g.rooms[g.belongs_to[oid]].label, oid)
+            g.remove_object(g.rooms[g.objects[oid].room].label, oid)
         elif op == "move" and attached:
             oid = attached[pick % len(attached)]
-            g.move_object(g.rooms[g.belongs_to[oid]].label, room, oid, Pose.identity(SPOTS[room]), 1.0)
+            g.move_object(g.rooms[g.objects[oid].room].label, room, oid, Pose.identity(SPOTS[room]), 1.0)
         elif op == "touch" and g.objects:
             g.touch([sorted(g.objects)[pick % len(g.objects)]], 2.0)
         elif op == "detach" and attached:
@@ -715,7 +747,7 @@ def detached_and_empty_graph() -> SceneGraph:
 def room_indexes(graph: SceneGraph) -> tuple:
     """The indexes a load builds, in their key orders."""
     return (
-        list(graph.belongs_to.items()),
+        [(oid, node.room) for oid, node in graph.objects.items()],
         list(graph._members.items()),
         graph._room_bounds,
     )
@@ -870,12 +902,12 @@ def test_long_random_primitive_sequence_keeps_invariants():
             put(g, room, rng.choice(labels), spot_for(room), rate=rng.choice([0.0, 0.05, 0.05]))
         elif op == "remove":
             oid = rng.choice(attached)
-            g.remove_object(g.rooms[g.belongs_to[oid]].label, oid)
+            g.remove_object(g.rooms[g.objects[oid].room].label, oid)
         elif op == "move":
             oid = rng.choice(attached)
             room = rng.choice(rooms)
             g.move_object(
-                g.rooms[g.belongs_to[oid]].label,
+                g.rooms[g.objects[oid].room].label,
                 room,
                 oid,
                 Pose.identity(spot_for(room)),
@@ -903,7 +935,7 @@ def test_long_random_primitive_sequence_keeps_invariants():
 
         for room in rooms:
             rid = g.room_by_label(room).id
-            in_room = sorted(oid for oid, r in g.belongs_to.items() if r == rid)
+            in_room = sorted(oid for oid, node in g.objects.items() if node.room == rid)
             assert g.objects_in_room(rid) == in_room, f"objects_in_room at step {step}"
             for label in labels:
                 want = [oid for oid in in_room if g.objects[oid].label == label]
@@ -999,7 +1031,7 @@ class RoomNode:
 def refresh(graph, oid, now):
     graph.objects[oid].last_seen = now
     node = graph.objects[oid]
-    node.attached, node.bbox = False, None
+    node.room, node.bbox = None, None
     node.decay_rate += 1.0
     setattr(node, "pose_provisional", True)
     node.note = "not a node field"
@@ -1008,7 +1040,7 @@ def refresh(graph, oid, now):
         (("SceneGraph", "copy"), 8, "pose"),
         (("RoomNode", "__post_init__"), 12, "label"),
         (("refresh",), 14, "last_seen"),
-        (("refresh",), 16, "attached"),
+        (("refresh",), 16, "room"),
         (("refresh",), 16, "bbox"),
         (("refresh",), 17, "decay_rate"),
         (("refresh",), 18, "pose_provisional"),

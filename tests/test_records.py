@@ -156,7 +156,7 @@ def test_apply_moved_without_pose_is_provisional_at_centroid(house2):
     assert report.status is ApplyStatus.APPLIED
     assert report.resolved_id == oid
     node = house2.objects[oid]
-    assert house2.belongs_to[oid] == "living room"
+    assert node.room == "living room"
     assert node.pose.t == (7.0, 2.0, 1.5)
     assert node.pose_provisional and node.last_seen == 8.0
 

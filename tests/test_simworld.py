@@ -56,7 +56,7 @@ def test_step_applies_actions_in_time_order():
     applied = w.step(until=8.0)
     assert [r.action for r in applied] == [REMOVED, MOVED]
     assert w.graph.find("banana") == []
-    assert w.graph.belongs_to[w.graph.find("cup")[0]] == "living room"
+    assert w.graph.objects[w.graph.find("cup")[0]].room == "living room"
     assert w.graph.find("book") == []  # not yet
     w.step(until=20.0)
     assert w.graph.find("book")
