@@ -35,14 +35,21 @@ an object's fields, its room included, since anything else would leave the
 indexes stale or edit a node other graphs share; :func:`check_invariants`
 verifies the room indexes.
 
-The loader reads each section of a document in one loop. Every object entry
-goes through one reader, :func:`~sgupdate.values.object_entry`, which checks
-each value's shape; the loop then checks the node classes' rules, written
-out, and builds the node with no further call. An entry a rule refuses
-raises that rule's own error. A load normalizes each distinct object label
-once, and the nodes that carry it share the string. The document's
-``belongs_to`` map is read after the objects: its loop checks each edge in
-document order, records it as its object's ``room`` and files it.
+A graph document stores its object layer by column: :func:`serialize`
+writes one list per field, in object-id order, with each object's room id
+(or null) in a ``room`` column. The loader reads each section of a document
+in one loop. Each object column gets one type-and-length test, and only a
+column that fails it is read value by value, for the per-value reader's
+error; one loop then checks the node classes' rules, written out, and
+builds and files each node with no further call. A refusal names the
+column, the object's index and its id. A load normalizes each distinct
+object label once, and the nodes that carry it share the string.
+
+A document with a ``belongs_to`` map is a row document, the layout graph
+files had before: one entry per object, read by
+:func:`~sgupdate.values.object_entry`, then the map's edges in document
+order. It is read, never written, since the benchmark's generated houses
+and older files are rows.
 
 :func:`serialize` and :func:`deserialize` run with the cyclic garbage
 collector paused. A graph document and the graph built from it hold no
@@ -54,11 +61,24 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
+from itertools import chain
 from math import isfinite, sqrt
 from typing import Optional
 
 from .geometry import QUAT_NORM_TOL, BBox3, InvalidGeometry, Pose, poses_close
-from .values import array, entries, number, obj, object_entry, text, texts
+from .values import (
+    array,
+    checked,
+    column,
+    entries,
+    flag,
+    float_column,
+    number,
+    obj,
+    object_entry,
+    text,
+    texts,
+)
 
 __all__ = [
     "SceneGraphError",
@@ -131,9 +151,19 @@ def _node_label(label: str) -> str:
     return norm
 
 
-# The room of an attached node the loader has built but whose belongs_to edge
-# it has not read yet; a document it is left on fails the edge count check.
+# The room of an attached node the row loader has built but whose belongs_to
+# edge it has not read yet; a document it is left on fails the edge count check.
 _UNFILED = ""
+
+# The types each column of a column document may hold, checked once per column.
+_STR = frozenset((str,))
+_BOOL = frozenset((bool,))
+_ROOM_ID = frozenset((str, type(None)))
+
+
+def _room_id(value) -> None:
+    """Refuse ``value`` as an entry of the ``room`` column, which holds a room id or null."""
+    raise ValueError(f"room must be a room id or null, got {value!r}")
 
 
 def _room_bound(room: "RoomNode") -> tuple:
@@ -196,8 +226,8 @@ class ObjectNode:
 
     @staticmethod
     def _load(graph: "SceneGraph", value, belongs_value) -> None:
-        """File in ``graph`` the node of each entry of the object array
-        ``value``, then record each edge of the ``belongs_to`` map
+        """File in ``graph`` the node of each entry of a row document's object
+        array ``value``, then record each edge of the ``belongs_to`` map
         ``belongs_value`` as its object's ``room`` and file the object in that
         room's member set; errors name ``objects[i]`` or ``belongs_to[id]``."""
         objects, rooms, members = graph.objects, graph.rooms, graph._members
@@ -270,6 +300,79 @@ class ObjectNode:
                 "document violates graph invariants: "
                 "belongs_to keys do not exactly match attached object ids"
             )
+
+    @staticmethod
+    def _load_columns(graph: "SceneGraph", value) -> None:
+        """File in ``graph`` the node of each object of the column object
+        ``value``, with its room recorded and filed; errors name
+        ``objects.<column>[i]`` and, once the ids are read, the object's id."""
+        cols = obj(value, "objects")
+        ids = checked(column(cols, "id"), _STR, lambda v: text(v, "id"), lambda i: f"objects.id[{i}]")
+        n = len(ids)
+
+        def at(key: str):
+            return lambda i: f"objects.{key}[{i}] (object {ids[i]!r})"
+
+        labels = checked(column(cols, "label", n), _STR, lambda v: text(v, "label"), at("label"))
+        quats = float_column(column(cols, "q", n, 4), "quaternion", 4, at("q"))
+        trans = float_column(column(cols, "t", n, 3), "translation", 3, at("t"))
+        boxes = float_column(column(cols, "bbox", n, 3), "bbox", 3, at("bbox"))
+        rates = float_column(column(cols, "decay_rate", n), "decay_rate", 1, at("decay_rate"))
+        seens = float_column(column(cols, "last_seen", n), "last_seen", 1, at("last_seen"))
+        homes = checked(column(cols, "room", n), _ROOM_ID, _room_id, at("room"))
+        provs = checked(
+            column(cols, "pose_provisional", n), _BOOL, lambda v: flag(v, "pose_provisional"),
+            at("pose_provisional"),
+        )
+        objects, rooms, members = graph.objects, graph.rooms, graph._members
+        labels_read: dict[str, str] = {}  # each label as written -> its node label
+        new = object.__new__
+        set_q, set_t, set_extents = Pose.q.__set__, Pose.t.__set__, BBox3.extents.__set__
+        for oid, label, q, t, extents, decay_rate, last_seen, rid, provisional in zip(
+            ids, labels, quats, trans, boxes, rates, seens, homes, provs
+        ):
+            w, x, y, z = q
+            norm = labels_read.get(label)
+            if norm is None:
+                norm = labels_read[label] = _norm_label(label)
+            # The node rules, written out as in _load.
+            if not (
+                abs(sqrt(sum((w * w, x * x, y * y, z * z))) - 1.0) <= QUAT_NORM_TOL
+                and extents[0] > 0.0 and extents[1] > 0.0 and extents[2] > 0.0
+                and norm
+                and decay_rate >= 0.0
+            ):
+                # The first rule the object breaks raises its own error, named by
+                # its column; every object before this one is built, so its index
+                # is len(objects).
+                i = len(objects)
+                rules = (("q", Pose, (q, t)), ("bbox", BBox3, (extents,)), ("label", _node_label, (label,)))
+                for key, rule, args in rules:
+                    try:
+                        rule(*args)
+                    except ValueError as exc:
+                        raise ValueError(f"{at(key)(i)}: {exc}") from None
+                raise ValueError(f"{at('decay_rate')(i)}: decay_rate must be >= 0, got {decay_rate}")
+            if oid in objects:
+                raise ValueError(f"{at('id')(len(objects))}: duplicate object id {oid!r}")
+            if rid is not None:
+                if rid not in rooms:
+                    raise ValueError(f"{at('room')(len(objects))}: unknown room id {rid!r}")
+                members[rid].add(oid)
+            pose = new(Pose)
+            set_q(pose, q)
+            set_t(pose, t)
+            bbox = new(BBox3)
+            set_extents(bbox, extents)
+            node = objects[oid] = new(ObjectNode)
+            node.id = oid
+            node.label = norm
+            node.pose = pose
+            node.bbox = bbox
+            node.decay_rate = decay_rate
+            node.last_seen = last_seen
+            node.room = rid
+            node.pose_provisional = provisional
 
 
 class SceneGraph:
@@ -683,30 +786,34 @@ class _CollectorPaused:
 
 
 def graph_to_payload(graph: SceneGraph) -> dict:
-    """JSON-ready document; poses and boxes appear as tuples (JSON arrays).
+    """JSON-ready column document; poses and boxes of rooms appear as tuples
+    (JSON arrays).
 
-    Every dict is built with its keys in sorted order, the order
-    :func:`serialize` writes them in; ``belongs_to`` holds each attached
-    node's ``room``.
+    ``objects`` holds one list per field, each in object-id order: ``id``,
+    ``label``, ``room`` (the node's ``room``, ``None`` while detached),
+    ``pose_provisional``, ``decay_rate`` and ``last_seen``, and the flat
+    lists ``q``, ``t`` and ``bbox`` of 4, 3 and 3 numbers per object. Every
+    dict is built with its keys in sorted order, the order :func:`serialize`
+    writes them in.
     """
-    nodes = [node for _, node in sorted(graph.objects.items())]
+    ids = sorted(graph.objects)
+    nodes = list(map(graph.objects.__getitem__, ids))
+    poses = [node.pose for node in nodes]
+    flat = chain.from_iterable
     return {
         "access": sorted(list(pair) for pair in graph.access),
-        "belongs_to": {node.id: node.room for node in nodes if node.room is not None},
         "epoch": graph.epoch,
-        "objects": [
-            {
-                "attached": node.room is not None,
-                "bbox": node.bbox.extents,
-                "decay_rate": node.decay_rate,
-                "id": node.id,
-                "label": node.label,
-                "last_seen": node.last_seen,
-                "pose": {"q": node.pose.q, "t": node.pose.t},
-                "pose_provisional": node.pose_provisional,
-            }
-            for node in nodes
-        ],
+        "objects": {
+            "bbox": list(flat([node.bbox.extents for node in nodes])),
+            "decay_rate": [node.decay_rate for node in nodes],
+            "id": ids,
+            "label": [node.label for node in nodes],
+            "last_seen": [node.last_seen for node in nodes],
+            "pose_provisional": [node.pose_provisional for node in nodes],
+            "q": list(flat([pose.q for pose in poses])),
+            "room": [node.room for node in nodes],
+            "t": list(flat([pose.t for pose in poses])),
+        },
         "rooms": [
             {
                 "bbox": room.bbox.extents,
@@ -731,7 +838,13 @@ def serialize(graph: SceneGraph) -> bytes:
 def graph_from_payload(data: dict) -> SceneGraph:
     """The graph a document describes, read with the checks the primitives
     make into the indexes they keep; errors are :class:`ParseError` naming
-    the bad key or entry."""
+    the bad key, column value or entry.
+
+    A document with a ``belongs_to`` map is read as a row document (each
+    object an entry of the ``objects`` list), any other as the column
+    document :func:`graph_to_payload` builds, so a column document that
+    also carries ``belongs_to`` is refused: its ``objects`` is not a list.
+    """
     try:
         return _read_graph(obj(data, "a graph document"))
     except (ValueError, SceneGraphError) as exc:
@@ -755,7 +868,10 @@ def _read_graph(data: dict) -> SceneGraph:
             raise ValueError(str(exc)) from exc
 
     entries(data.get("rooms"), "rooms", read_room)
-    ObjectNode._load(graph, data.get("objects"), data.get("belongs_to"))
+    if "belongs_to" in data:  # a row document
+        ObjectNode._load(graph, data.get("objects"), data["belongs_to"])
+    else:
+        ObjectNode._load_columns(graph, data.get("objects"))
     for i, pair in enumerate(array(data.get("access"), "access")):
         try:
             graph.add_access(*texts(pair, f"access[{i}]", 2))

@@ -13,16 +13,21 @@ A number is a finite int or float, never a boolean or a numeric string, and
 reads as a float. A list may also be a tuple, since code builds poses from
 tuples. This module imports nothing from the package.
 
-:func:`object_entry` reads a graph document's object entry: every value's
-shape, in the order the keys are named, with one combined test for the
-common case of finite floats. The node rules (a unit quaternion, positive
-extents, a non-blank label and a decay rate of at least 0) are the graph
-loader's.
+:func:`object_entry` reads a row graph document's object entry: every
+value's shape, in the order the keys are named, with one combined test for
+the common case of finite floats. The node rules (a unit quaternion,
+positive extents, a non-blank label and a decay rate of at least 0) are the
+graph loader's.
+
+:func:`column`, :func:`checked` and :func:`float_column` read a column
+document's object columns: one type-and-length test per column, and the
+per-value readers above only when that test fails, so a refusal gets the
+wording a row entry's would.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 _FLOAT = frozenset((float,))
 _ARRAY = (list, tuple)
@@ -83,8 +88,8 @@ def floats(value, where: str, n: int) -> tuple[float, ...]:
 
 def object_entry(entry: dict) -> tuple:
     """``(id, label, q, t, extents, decay_rate, last_seen, attached,
-    pose_provisional)`` of a graph document's object entry, with ``q``, ``t``
-    and ``extents`` as tuples of floats; raises the ``KeyError`` or
+    pose_provisional)`` of a row graph document's object entry, with ``q``,
+    ``t`` and ``extents`` as tuples of floats; raises the ``KeyError`` or
     ``ValueError`` of the first missing key or bad value.
 
     Keys are read in the order ``id``, ``label``, ``pose`` (its ``q``, then
@@ -134,6 +139,57 @@ def object_entry(entry: dict) -> tuple:
     if not floats_ok:
         rate, seen = number(rate, "decay_rate"), number(seen, "last_seen")
     return (oid, label, q, t, extents, rate, seen, attached, provisional)
+
+
+def column(columns: dict, key: str, n: int | None = None, width: int = 1) -> list:
+    """``columns[key]``, an object column of a graph document, when it is a
+    list of ``width`` values for each of ``n`` objects, or of any length when
+    ``n`` is None; errors name ``objects.<key>``."""
+    if key not in columns:
+        raise ValueError(f"objects: missing key {key!r}")
+    value = columns[key]
+    if not isinstance(value, _ARRAY):
+        raise ValueError(f"objects.{key} must be a list, got {value!r}")
+    if n is not None and len(value) != n * width:
+        each = "one value" if width == 1 else f"{width} values"
+        raise ValueError(f"objects.{key} must hold {each} for each of the {n} objects, got {len(value)}")
+    return value
+
+
+def checked(values: list, kinds: frozenset, read: Callable, where: Callable[[int], str]) -> list:
+    """``values`` when the type of each is in ``kinds``; otherwise the error
+    ``read`` raises for the first value that is not, named ``where(i)``."""
+    if not kinds.issuperset(map(type, values)):
+        for i, value in enumerate(values):
+            if type(value) not in kinds:
+                try:
+                    read(value)
+                except ValueError as exc:
+                    raise ValueError(f"{where(i)}: {exc}") from None
+    return values
+
+
+def float_column(values: list, name: str, width: int, where: Callable[[int], str]) -> Iterable:
+    """The numbers of a column of ``width`` values per object, as floats:
+    ``values`` itself when ``width`` is 1, else one tuple per object. Finite
+    floats pass one combined test; ints, overflowing sums and every error
+    take :func:`number` or :func:`floats` (as ``name``), one object at a
+    time, and an error is named ``where(i)`` for object ``i``."""
+    if _FLOAT.issuperset(map(type, values)) and math.isfinite(sum(values)):
+        if width == 1:
+            return values
+        items = iter(values)
+        return zip(*[items] * width)
+    out = []
+    for i in range(len(values) // width):
+        try:
+            if width == 1:
+                out.append(number(values[i], name))
+            else:
+                out.append(floats(values[i * width:(i + 1) * width], name, width))
+        except ValueError as exc:
+            raise ValueError(f"{where(i)}: {exc}") from None
+    return out
 
 
 def texts(value, where: str, n: int | None = None) -> list[str]:

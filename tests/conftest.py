@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -27,10 +28,134 @@ def put(g, room, label, t, extents=(0.2, 0.2, 0.2), rate=0.05, now=0.0, **kw):
     return g.add_object(room, label, Pose.identity(t), BBox3(extents), rate, now, **kw)
 
 
+def row_payload(graph) -> dict:
+    """The row document of ``graph``: one entry per object, with its
+    ``attached`` flag, and each attached object's room in the ``belongs_to``
+    map, every dict's keys in sorted order. Graph files were written so
+    before the column layout, and the row reader still reads them: the
+    reference the column writer is compared against, and the row document
+    the tests that edit one entry edit."""
+    nodes = [node for _, node in sorted(graph.objects.items())]
+    return {
+        "access": sorted(list(pair) for pair in graph.access),
+        "belongs_to": {node.id: node.room for node in nodes if node.room is not None},
+        "epoch": graph.epoch,
+        "objects": [
+            {
+                "attached": node.room is not None,
+                "bbox": node.bbox.extents,
+                "decay_rate": node.decay_rate,
+                "id": node.id,
+                "label": node.label,
+                "last_seen": node.last_seen,
+                "pose": {"q": node.pose.q, "t": node.pose.t},
+                "pose_provisional": node.pose_provisional,
+            }
+            for node in nodes
+        ],
+        "rooms": [
+            {
+                "bbox": room.bbox.extents,
+                "id": room.id,
+                "label": room.label,
+                "pose": {"q": room.pose.q, "t": room.pose.t},
+            }
+            for _, room in sorted(graph.rooms.items())
+        ],
+    }
+
+
+def row_document(graph) -> str:
+    """``row_payload(graph)`` as JSON text, in the bytes ``serialize`` wrote
+    before the column layout."""
+    return json.dumps(row_payload(graph), separators=(",", ":"))
+
+
+def packaged_house_rows() -> dict:
+    """The packaged house as a decoded row document, its arrays lists."""
+    house = deserialize(resources.files("sgupdate.data").joinpath("house.json").read_bytes())
+    return json.loads(row_document(house))
+
+
+# A column document's object columns: (key, values per object).
+COLUMNS = (
+    ("bbox", 3), ("decay_rate", 1), ("id", 1), ("label", 1), ("last_seen", 1),
+    ("pose_provisional", 1), ("q", 4), ("room", 1), ("t", 3),
+)
+
+
+def rows_of(doc: dict) -> dict:
+    """The row document that holds the values of the column document
+    ``doc``, each where the row layout puts it (an object with a ``room``
+    that is not null is attached, and its edge names that value); raises
+    when ``doc``'s object columns are not lists of the lengths its ids set,
+    or an id cannot key ``belongs_to``."""
+    cols = doc["objects"]
+    n = len(cols["id"])
+    for key, width in COLUMNS:
+        if not isinstance(cols[key], (list, tuple)) or len(cols[key]) != n * width:
+            raise ValueError(f"objects.{key} cannot be split into {n} entries")
+
+    def part(key, i):
+        width = dict(COLUMNS)[key]
+        return cols[key][i] if width == 1 else list(cols[key][i * width:(i + 1) * width])
+
+    entries = [
+        {
+            "attached": part("room", i) is not None,
+            "bbox": part("bbox", i),
+            "decay_rate": part("decay_rate", i),
+            "id": part("id", i),
+            "label": part("label", i),
+            "last_seen": part("last_seen", i),
+            "pose": {"q": part("q", i), "t": part("t", i)},
+            "pose_provisional": part("pose_provisional", i),
+        }
+        for i in range(n)
+    ]
+    rows = {key: value for key, value in doc.items() if key != "objects"}
+    rows["objects"] = entries
+    rows["belongs_to"] = {e["id"]: part("room", i) for i, e in enumerate(entries) if e["attached"]}
+    return rows
+
+
+def columns_of(doc: dict) -> dict:
+    """The column document that holds the values of the row document
+    ``doc``, each where the column layout puts it; raises when an entry
+    has no place in columns: a missing key, a pose, ``q``, ``t`` or
+    ``bbox`` of another shape, an ``attached`` that is not a boolean, or an
+    edge that does not match its ``attached``."""
+    belongs = doc["belongs_to"]
+    cols = {key: [] for key, _ in COLUMNS}
+    for entry in doc["objects"]:
+        attached = entry.get("attached", True)
+        if type(attached) is not bool or attached is not (entry["id"] in belongs):
+            raise ValueError(f"entry {entry['id']!r} has no room column value")
+        values = {
+            **{key: entry[key] for key in ("bbox", "decay_rate", "id", "label", "last_seen")},
+            "pose_provisional": entry.get("pose_provisional", False),
+            "q": entry["pose"]["q"],
+            "t": entry["pose"]["t"],
+            "room": belongs[entry["id"]] if attached else None,
+        }
+        for key, width in COLUMNS:
+            if width == 1:
+                cols[key].append(values[key])
+            elif isinstance(values[key], (list, tuple)) and len(values[key]) == width:
+                cols[key].extend(values[key])
+            else:
+                raise ValueError(f"entry {entry['id']!r} has no {key} column values")
+    if not set(belongs) <= {entry["id"] for entry in doc["objects"] if entry.get("attached", True)}:
+        raise ValueError("an edge names no attached entry")
+    columns = {key: value for key, value in doc.items() if key != "belongs_to"}
+    columns["objects"] = cols
+    return columns
+
+
 def linked_load(text):
-    """The graph the document ``text`` describes, with each object entry read
-    by ``read_object``, its room the one the document's ``belongs_to`` names,
-    and its room indexes built the way the primitives build them: one
+    """The graph the row document ``text`` describes, with each object entry
+    read by ``read_object``, its room the one the document's ``belongs_to``
+    names, and its room indexes built the way the primitives build them: one
     ``SceneGraph._link`` per ``belongs_to`` edge, in document order. The
     reference the loader's nodes and indexes must match."""
     loaded = deserialize(text)

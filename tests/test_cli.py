@@ -18,7 +18,7 @@ from sgupdate.human import GrammarExtractor
 from sgupdate.records import ApplyStatus
 from sgupdate.simworld import load_house
 
-from conftest import make_room, put, stale_sweep
+from conftest import make_room, packaged_house_rows, put, stale_sweep
 
 SCENARIO = str(resources.files("sgupdate.data").joinpath("scenario_house.json"))
 
@@ -92,11 +92,15 @@ def test_run_rejects_a_400_digit_setting(capsys):
         (("epoch",), "epoch must be finite, got 1000"),
         (("objects", 0, "pose", "t", 0), "objects[0]: "),
         (("objects", 0, "decay_rate"), "objects[0]: "),
+        (("objects", "t", 0), "objects.t[0] (object 'alarm-clock-1'): translation[0] must be finite"),
+        (("objects", "decay_rate", 1), "objects.decay_rate[1] (object 'banana-1'): decay_rate must be finite"),
     ],
-    ids=["epoch", "pose", "decay-rate"],
+    ids=["epoch", "pose", "decay-rate", "column-t", "column-decay-rate"],
 )
 def test_a_400_digit_graph_number_exits_2(path, where, tmp_path, capsys):
-    payload = json.loads(serialize(load_house()))
+    # A path through an entry index edits the row document, any other the column document.
+    rows = len(path) > 1 and isinstance(path[1], int)
+    payload = packaged_house_rows() if rows else json.loads(serialize(load_house()))
     *parents, last = path
     target = payload
     for key in parents:
@@ -180,7 +184,7 @@ def bedroom_moved_away(house: dict) -> None:
 def test_an_initial_graph_with_other_rooms_than_the_house_exits_2(edit, tmp_path, capsys):
     """Every room check at load is made against the house, so the estimate needs its rooms."""
     data = resources.files("sgupdate.data")
-    house = json.loads(data.joinpath("house.json").read_text("utf-8"))
+    house = packaged_house_rows()
     edit(house)
     initial = tmp_path / "initial.json"
     initial.write_text(json.dumps(house), "utf-8")
@@ -352,7 +356,7 @@ def test_missing_graph_file_exits_2(tmp_path):
 
 
 def test_non_numeric_graph_field_exits_2(tmp_path, capsys):
-    payload = json.loads(serialize(load_house()))
+    payload = packaged_house_rows()
     payload["objects"][0]["bbox"] = [0.2, "wide", 0.2]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload), "utf-8")
@@ -364,7 +368,7 @@ def test_non_numeric_graph_field_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["objects", "rooms"])
 def test_a_blank_graph_label_exits_2(tmp_path, capsys, key):
-    payload = json.loads(serialize(load_house()))
+    payload = packaged_house_rows()
     payload[key][0]["label"] = "   "
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload), "utf-8")
@@ -372,6 +376,27 @@ def test_a_blank_graph_label_exits_2(tmp_path, capsys, key):
         main(["query", str(bad)])
     assert err.value.code == 2
     assert f"{key}[0]: label must not be blank, got '   '" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "column, i, value, message",
+    [
+        ("bbox", 4, "wide", "objects.bbox[1] (object 'banana-1'): bbox[1] must be a number, got 'wide'"),
+        ("label", 1, "   ", "objects.label[1] (object 'banana-1'): label must not be blank, got '   '"),
+        ("room", 1, "attic", "objects.room[1] (object 'banana-1'): unknown room id 'attic'"),
+        ("id", 1, "alarm-clock-1", "objects.id[1] (object 'alarm-clock-1'): duplicate object id"),
+    ],
+    ids=["bbox", "label", "room", "id"],
+)
+def test_a_bad_graph_column_value_exits_2(column, i, value, message, tmp_path, capsys):
+    payload = json.loads(serialize(load_house()))
+    payload["objects"][column][i] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), "utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["query", str(bad)])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_graph_file_of_wrong_shape_exits_2(tmp_path, capsys):

@@ -43,6 +43,8 @@ from conftest import (
     linked_load,
     make_room,
     put,
+    row_document,
+    row_payload,
     stale_sweep,
     two_room_graph,
     visible_oracle,
@@ -406,7 +408,7 @@ def test_a_family_of_copies_never_sees_each_others_edits(steps):
             g.reattach(detached[pick % len(detached)], room, Pose.identity(SPOTS[room]), 3.0)
         for member in family:
             assert check_invariants(member) == []
-            assert member._members == linked_load(serialize(member).decode("utf-8"))._members
+            assert member._members == linked_load(row_document(member))._members
 
 
 def test_assign_room_matches_point_in_aabb_brute_force():
@@ -466,7 +468,7 @@ def test_serialize_roundtrip_and_byte_determinism(house2):
 def test_deserialize_reports_location_of_bad_object():
     g = two_room_graph()
     put(g, "kitchen", "cup", (1, 1, 1))
-    payload = json.loads(serialize(g))
+    payload = row_payload(g)
     del payload["objects"][0]["pose"]
     with pytest.raises(ParseError, match=r"^objects\[0\]: missing key 'pose'$"):
         deserialize(json.dumps(payload))
@@ -558,19 +560,30 @@ def test_deserialize_reports_location_of_wrong_shape(path, value, where):
         deserialize(payload_with(path, value))
 
 
-def payload_with(path, value) -> str:
-    """A two-room graph with one cup, as JSON, with ``value`` put at ``path``;
-    given lists of paths and values, each value at its path, in order."""
-    g = two_room_graph()
-    put(g, "kitchen", "cup", (1, 1, 1))
-    payload = json.loads(serialize(g))
+MISSING = object()  # in place of a value: the key is deleted
+
+
+def edited(payload, path, value) -> str:
+    """``payload`` as JSON text, with ``value`` put at ``path``; given lists
+    of paths and values, each value at its path, in order."""
     edits = zip(path, value) if isinstance(path, list) else [(path, value)]
     for (*parents, last), new in edits:
         target = payload
         for key in parents:
             target = target[key]
-        target[last] = new
+        if new is MISSING:
+            del target[last]
+        else:
+            target[last] = new
     return json.dumps(payload)
+
+
+def payload_with(path, value) -> str:
+    """A two-room graph with one cup, as row document text, edited by
+    ``edited``."""
+    g = two_room_graph()
+    put(g, "kitchen", "cup", (1, 1, 1))
+    return edited(json.loads(row_document(g)), path, value)
 
 
 def test_deserialize_rejects_malformed_json():
@@ -583,7 +596,7 @@ def test_deserialize_rejects_malformed_json():
 def test_deserialize_rejects_unknown_room_reference():
     g = two_room_graph()
     put(g, "kitchen", "cup", (1, 1, 1))
-    payload = json.loads(serialize(g))
+    payload = row_payload(g)
     payload["belongs_to"]["cup-1"] = "attic"
     with pytest.raises(ParseError, match="unknown room id"):
         deserialize(json.dumps(payload))
@@ -592,7 +605,7 @@ def test_deserialize_rejects_unknown_room_reference():
 def test_deserialize_rejects_invariant_violations():
     g = two_room_graph()
     put(g, "kitchen", "cup", (1, 1, 1))
-    payload = json.loads(serialize(g))
+    payload = row_payload(g)
     del payload["belongs_to"]["cup-1"]  # attached object with no home room
     with pytest.raises(ParseError, match="invariants"):
         deserialize(json.dumps(payload))
@@ -601,7 +614,7 @@ def test_deserialize_rejects_invariant_violations():
 def test_deserialize_rejects_an_edge_to_a_detached_object():
     g = two_room_graph()
     g.detach(put(g, "kitchen", "cup", (1, 1, 1)))
-    payload = json.loads(serialize(g))
+    payload = row_payload(g)
     payload["belongs_to"]["cup-1"] = "kitchen"
     with pytest.raises(ParseError, match="^document violates graph invariants: belongs_to keys"):
         deserialize(json.dumps(payload))
@@ -656,6 +669,170 @@ def test_deserialize_refuses_an_integer_too_long_for_python():
 def test_deserialize_names_the_entry_a_graph_rule_refuses(path, value, message):
     with pytest.raises(ParseError, match=message):
         deserialize(payload_with(path, value))
+
+
+def columns_with(path, value) -> str:
+    """A two-room graph with a detached book (object 0) and a cup in the
+    kitchen (object 1), as column document text, edited by ``edited``."""
+    g = two_room_graph()
+    g.detach(put(g, "living room", "book", (7, 2, 1)))
+    put(g, "kitchen", "cup", (1, 1, 1))
+    return edited(json.loads(serialize(g)), path, value)
+
+
+CUP = r"\(object 'cup-1'\)"
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # a column of the wrong type or length, or none
+        pytest.param(("objects",), 5, r"^objects must be an object, got 5$", id="objects"),
+        pytest.param(("objects", "q"), 5, r"^objects\.q must be a list, got 5$", id="column-type"),
+        pytest.param(
+            ("objects", "t"), [7.0, 2.0, 1.0],
+            r"^objects\.t must hold 3 values for each of the 2 objects, got 3$", id="flat-column-length",
+        ),
+        pytest.param(
+            ("objects", "label"), ["cup"],
+            r"^objects\.label must hold one value for each of the 2 objects, got 1$", id="column-length",
+        ),
+        pytest.param(("objects", "room"), MISSING, r"^objects: missing key 'room'$", id="missing-column"),
+        # NaN or Infinity
+        pytest.param(
+            ("objects", "decay_rate", 1), math.nan,
+            rf"^objects\.decay_rate\[1\] {CUP}: decay_rate must be finite, got nan$", id="rate-nan",
+        ),
+        pytest.param(
+            ("objects", "t", 4), math.inf,
+            rf"^objects\.t\[1\] {CUP}: translation\[1\] must be finite, got inf$", id="t-inf",
+        ),
+        pytest.param(
+            ("objects", "last_seen", 1), -math.inf,
+            rf"^objects\.last_seen\[1\] {CUP}: last_seen must be finite, got -inf$", id="seen-minus-inf",
+        ),
+        pytest.param(
+            ("objects", "q", 7), 10**400,
+            rf"^objects\.q\[1\] {CUP}: quaternion\[3\] must be finite, got 1000+$", id="q-int-beyond-float",
+        ),
+        # a boolean or a numeral where a number belongs
+        pytest.param(
+            ("objects", "bbox", 5), True, rf"^objects\.bbox\[1\] {CUP}: bbox\[2\] must be a number, got True$",
+            id="bbox-bool",
+        ),
+        pytest.param(
+            ("objects", "last_seen", 1), False,
+            rf"^objects\.last_seen\[1\] {CUP}: last_seen must be a number, got False$", id="seen-bool",
+        ),
+        pytest.param(
+            ("objects", "q", 4), "1", rf"^objects\.q\[1\] {CUP}: quaternion\[0\] must be a number, got '1'$",
+            id="q-numeral",
+        ),
+        # ids, labels, rooms and flags
+        pytest.param(("objects", "id", 1), 5, r"^objects\.id\[1\]: id must be a string, got 5$", id="number-id"),
+        pytest.param(
+            ("objects", "label", 1), None, rf"^objects\.label\[1\] {CUP}: label must be a string, got None$",
+            id="null-label",
+        ),
+        pytest.param(
+            ("objects", "label", 1), "   ", rf"^objects\.label\[1\] {CUP}: label must not be blank, got '   '$",
+            id="blank-label",
+        ),
+        pytest.param(
+            ("objects", "room", 1), "attic", rf"^objects\.room\[1\] {CUP}: unknown room id 'attic'$",
+            id="unknown-room",
+        ),
+        pytest.param(
+            ("objects", "room", 1), ["kitchen"],
+            rf"^objects\.room\[1\] {CUP}: room must be a room id or null, got \['kitchen'\]$", id="list-room",
+        ),
+        pytest.param(
+            ("objects", "id", 1), "book-1",
+            r"^objects\.id\[1\] \(object 'book-1'\): duplicate object id 'book-1'$", id="duplicate-id",
+        ),
+        pytest.param(
+            ("objects", "pose_provisional", 1), 0,
+            rf"^objects\.pose_provisional\[1\] {CUP}: pose_provisional must be true or false, got 0$",
+            id="number-flag",
+        ),
+        # the node rules
+        pytest.param(
+            ("objects", "q", 4), 2.0,
+            rf"^objects\.q\[1\] {CUP}: quaternion norm 2\.0 deviates from 1 beyond 1e-09$", id="non-unit-q",
+        ),
+        pytest.param(
+            ("objects", "bbox", 4), 0.0,
+            rf"^objects\.bbox\[1\] {CUP}: extents must be strictly positive, got \(0\.2, 0\.0, 0\.2\)$",
+            id="flat-extent",
+        ),
+        pytest.param(
+            ("objects", "decay_rate", 1), -1.0,
+            rf"^objects\.decay_rate\[1\] {CUP}: decay_rate must be >= 0, got -1\.0$", id="negative-rate",
+        ),
+        # a column document with a belongs_to map is read as rows, and refused
+        pytest.param(("belongs_to",), {"cup-1": "kitchen"}, r"^objects must be a list, got \{", id="belongs-to"),
+        # with two faults, the first column's, in the order the reader reads them
+        pytest.param(
+            [("objects", "bbox", 5), ("objects", "q", 4)], [True, "1"],
+            rf"^objects\.q\[1\] {CUP}: quaternion\[0\]", id="q-before-bbox",
+        ),
+        pytest.param(
+            [("objects", "room", 1), ("objects", "decay_rate", 0)], ["attic", -1.0],
+            r"^objects\.decay_rate\[0\] \(object 'book-1'\): decay_rate must be >= 0",
+            id="objects-in-order",
+        ),
+    ],
+)
+def test_deserialize_names_the_column_index_and_object_of_a_bad_value(path, value, message):
+    with pytest.raises(ParseError, match=message):
+        deserialize(columns_with(path, value))
+
+
+def test_a_column_document_refuses_an_integer_too_long_for_python():
+    """Python will not read it: the JSON decoder refuses it before any column is read."""
+    text = columns_with(("objects", "decay_rate", 1), "LONG").replace('"LONG"', "1" * 5000)
+    with pytest.raises(ParseError, match="4300 digits"):
+        deserialize(text)
+
+
+LABELS = ["cup", "  TV  Remote", "alarm clock", "Cup"]
+
+
+@st.composite
+def drawn_graphs(draw) -> SceneGraph:
+    """A graph of 1 to 3 rooms and up to 12 objects anywhere, with drawn
+    labels, poses, boxes, rates, times and flags, some of them detached."""
+    g = SceneGraph(epoch=draw(st.floats(-1e9, 1e9)))
+    rooms = ROOMS[: draw(st.integers(1, 3))]
+    for room in rooms:
+        g.add_room(make_room(room, SPOTS[room]))
+    unit = st.floats(-1.0, 1.0)
+    for _ in range(draw(st.integers(0, 12))):
+        q = [draw(unit) for _ in range(4)]
+        norm = math.sqrt(sum(v * v for v in q))
+        pose = Pose(tuple(v / norm for v in q) if norm > 0.1 else (1.0, 0.0, 0.0, 0.0),
+                    tuple(draw(st.floats(-1e6, 1e6)) for _ in range(3)))
+        oid = g.add_object(
+            draw(st.sampled_from(rooms)), draw(st.sampled_from(LABELS)), pose,
+            BBox3(tuple(draw(st.floats(1e-6, 100.0)) for _ in range(3))),
+            draw(st.floats(0.0, 10.0)), draw(st.floats(-1e9, 1e9)), draw(st.booleans()),
+        )
+        if draw(st.booleans()):
+            g.detach(oid)
+    return g
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(g=drawn_graphs())
+def test_a_graph_loads_back_from_its_columns_and_from_its_rows(g):
+    blob = serialize(g)
+    back = deserialize(blob)
+    assert graphs_equal(back, g, tol=0.0)
+    assert check_invariants(back) == []
+    assert serialize(back) == blob
+    from_rows = deserialize(row_document(g))
+    assert graphs_equal(from_rows, g, tol=0.0)
+    assert serialize(from_rows) == blob
 
 
 def test_a_node_label_must_not_be_blank(house2):
@@ -716,13 +893,18 @@ def test_what_serialize_writes_loads_to_its_own_bytes_in_any_layout(graph):
     g = graph()
     blob = serialize(g)
     assert serialize(deserialize(blob)) == blob
-    # the same document indented, as bench/generate.py writes houses, with
-    # every object's keys in reverse order, and as tuples: layout is not shape
+    # the same document indented, with the keys of the object columns and of
+    # every room in reverse order, and with tuples for lists: layout is not
+    # shape; and the graph's row document
     payload = json.loads(blob)
     assert serialize(deserialize(json.dumps(payload, indent=1))) == blob
-    payload["objects"] = [reversed_keys(entry) for entry in payload["objects"]]
+    payload["objects"] = reversed_keys(payload["objects"])
+    payload["rooms"] = [reversed_keys(entry) for entry in payload["rooms"]]
     assert serialize(deserialize(json.dumps(payload))) == blob
-    assert serialize(graph_from_payload(graph_to_payload(g))) == blob
+    columns = graph_to_payload(g)
+    columns["objects"] = {key: tuple(values) for key, values in columns["objects"].items()}
+    assert serialize(graph_from_payload(columns)) == blob
+    assert serialize(deserialize(row_document(g))) == blob
 
 
 def test_a_load_files_one_string_per_label():
@@ -759,13 +941,15 @@ def room_indexes(graph: SceneGraph) -> tuple:
     ids=["packaged", "generated", "detached-and-empty"],
 )
 def test_a_load_builds_the_indexes_that_one_link_per_edge_builds(graph):
-    text = serialize(graph()).decode("utf-8")
-    loaded = deserialize(text)
-    assert room_indexes(loaded) == room_indexes(linked_load(text))
-    assert check_invariants(loaded) == []
-    shared = {}
-    for node in loaded.objects.values():
-        assert shared.setdefault(node.label, node.label) is node.label
+    g = graph()
+    rows = row_document(g)
+    for text in (serialize(g).decode("utf-8"), rows):
+        loaded = deserialize(text)
+        assert room_indexes(loaded) == room_indexes(linked_load(rows))
+        assert check_invariants(loaded) == []
+        shared = {}
+        for node in loaded.objects.values():
+            assert shared.setdefault(node.label, node.label) is node.label
 
 
 def test_unsorted_dict_scan_finds_nested_dicts():
@@ -795,8 +979,9 @@ def test_load_and_save_leave_the_collector_as_they_found_it(enabled, house2):
     assert after_load is after_save is after_bad_json is after_bad_graph is enabled
 
 
-def test_a_large_load_leaves_no_collection_to_the_caller():
-    blob = serialize(generated_graph())
+@pytest.mark.parametrize("write", [serialize, row_document], ids=["columns", "rows"])
+def test_a_large_load_leaves_no_collection_to_the_caller(write):
+    blob = write(generated_graph())
     gc.collect()
     g = deserialize(blob)
     gc.disable()  # what the load left, before an allocation here can start a pass
@@ -811,8 +996,11 @@ def test_a_large_load_leaves_no_collection_to_the_caller():
     assert not any(id(node) in middle for node in g.objects.values())
 
 
-def test_loading_the_packaged_house_runs_no_collection():
+@pytest.mark.parametrize("layout", ["columns", "rows"])
+def test_loading_the_packaged_house_runs_no_collection(layout):
     text = resources.files("sgupdate.data").joinpath("house.json").read_text("utf-8")
+    if layout == "rows":
+        text = row_document(deserialize(text))
     passes = []
 
     def count(phase, info):

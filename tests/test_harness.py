@@ -32,7 +32,7 @@ from sgupdate.records import (
     UpdateRecord,
 )
 
-from conftest import all_pairs_associate, by_index, stale_sweep
+from conftest import all_pairs_associate, by_index, packaged_house_rows, stale_sweep
 
 SCENARIO = resources.files("sgupdate.data").joinpath("scenario_house.json")
 DEGRADED = {"failures.min_detectable_extent": 0.16}
@@ -211,7 +211,7 @@ def test_load_scenario_names_the_entry_of_a_bad_value(key, value, names):
 
 
 def test_a_frame_before_an_initial_graph_observation_names_that_graph(tmp_path):
-    house = json.loads(resources.files("sgupdate.data").joinpath("house.json").read_text("utf-8"))
+    house = packaged_house_rows()
     banana = next(o for o in house["objects"] if o["label"] == "banana")
     banana["last_seen"] = 15.5
     initial = tmp_path / "initial.json"
@@ -481,12 +481,12 @@ def test_runs_are_deterministic():
 GOLDEN = {
     "ideal": (
         "3458a29d29bf38ce5e38a6a19223380dcc8bbcddecf53752618a7ff03c075684",
-        "6090ff2a29917bf384c17960d437577bc45c0178730e83dcbc31e15094e80598",
+        "345a4aab917fac4463cfc8f432df156f9d3f1f46e9ccf4457e1e7bea59bf7a9e",
         "f8e591c6a5ce60bc76fb66d1c3e10efa393911d3468d6a8a68df8556baafc2d3",
     ),
     "degraded": (
         "7ae8cae596b5170276d65235036bd2be51e219ff623714fe59916ff45d19f092",
-        "5aa58f78a1c391a20ca5d3c31928cd1f96bbf09393a12e32daadac99e88f412c",
+        "3df0bd075c31891caff4b8478b971dfc32c12ae75faf6e4a56f8416fae2bcda3",
         "a74ac562876c8e6f66ca8b249c3e41dd3b685c24d621895e8e801ec319d72997",
     ),
 }

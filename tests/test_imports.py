@@ -263,8 +263,8 @@ def test_staleness_scans_flag_every_call_and_name():
 
 
 # An object node is built by ``ObjectNode(...)`` only in ``add_object``: the
-# loader reads every object entry through ``values.object_entry`` and builds
-# its node without ``__post_init__``, so a graph file has one way in.
+# column loader and the row loader check the node rules themselves and build
+# each node without ``__post_init__``.
 NODE_BUILDERS = {("graph.py", "SceneGraph", "add_object")}
 
 

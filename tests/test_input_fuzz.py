@@ -13,14 +13,20 @@ something else, because they are reported where a reference breaks:
 - a scripted change that does not fit the simulated world when its time
   comes names that time (``error: t=4.0: no attached 'x' in room ...``).
 
+The house is fuzzed both as the packaged column document and as its row
+document.
+
 The graph loader is also fuzzed on its own, on a small graph document with a
 repeated label and a detached object. One hostile value at one path, or one
 of the document's own ids, labels or flags at the path of another, must
 either raise ``ParseError`` or load as a graph whose invariants hold, whose
 bytes round-trip, and which serializes back to the document's own values.
-Each such document, and each drawn object entry, must load as it loads when
-``conftest.read_object``, which reads an entry value by value, reads its
-object entries, or raise the same error.
+Each such row document, and each drawn object entry, must load as it loads
+when ``conftest.read_object``, which reads an entry value by value, reads
+its object entries, or raise the same error. Each such column document, and
+each drawn entry that has a place in columns, must load as the row document
+holding the same values loads, or be refused as it is; a column document
+with no row document is refused.
 """
 import contextlib
 import copy
@@ -39,7 +45,16 @@ from sgupdate.cli import main
 from sgupdate.geometry import QUAT_NORM_TOL, is_unit
 from sgupdate.graph import ParseError, check_invariants, deserialize, graph_from_payload, serialize
 
-from conftest import put, read_object, reference_object, two_room_graph
+from conftest import (
+    columns_of,
+    packaged_house_rows,
+    put,
+    read_object,
+    reference_object,
+    row_document,
+    rows_of,
+    two_room_graph,
+)
 
 DATA = resources.files("sgupdate.data")
 # Packaged file of each input, and the name each is written under. The
@@ -52,6 +67,8 @@ PACKAGED = {
 }
 FILES = {**PACKAGED, "scenario": "scenario.json"}
 DOCS = {key: json.loads(DATA.joinpath(name).read_text("utf-8")) for key, name in PACKAGED.items()}
+# The packaged house as a row document: the house is fuzzed in both layouts.
+HOUSE_ROWS = packaged_house_rows()
 HOSTILE = [None, "", "x", math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, -1, 0, [], {}, [1, 2], True]
 
 
@@ -112,15 +129,16 @@ def check(code, err, names):
         assert any(name in err for name in names) or err.startswith("error: t="), err
 
 
-@pytest.mark.parametrize("doc_key", sorted(FILES))
+@pytest.mark.parametrize("doc_key", [*sorted(FILES), "house-rows"])
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_one_hostile_value_in_an_input_file_exits_0_or_2(doc_key, data):
-    path = data.draw(st.sampled_from(list(paths(DOCS[doc_key]))), label="path")
+    key, doc = ("house", HOUSE_ROWS) if doc_key == "house-rows" else (doc_key, DOCS[doc_key])
+    path = data.draw(st.sampled_from(list(paths(doc))), label="path")
     value = data.draw(st.sampled_from(HOSTILE), label="value")
-    code, err = run({**DOCS, doc_key: with_value(DOCS[doc_key], path, value)})
+    code, err = run({**DOCS, key: with_value(doc, path, value)})
     names = {"scenario": (path[0],), "house": ("house", *HOUSE_REFERENCES)}
-    check(code, err, names.get(doc_key, (doc_key,)))
+    check(code, err, names.get(key, (key,)))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -131,16 +149,17 @@ def test_one_hostile_set_string_exits_0_or_2(key, value):
 
 
 def small_graph_document() -> dict:
-    """Two rooms, two cups in the kitchen (a repeated label) and a detached book."""
+    """Two rooms, two cups in the kitchen (a repeated label) and a detached
+    book, as a row document."""
     g = two_room_graph()
     put(g, "kitchen", "cup", (1, 1, 1))
     put(g, "kitchen", "cup", (3, 3, 1), pose_provisional=True)
     g.detach(put(g, "living room", "book", (7, 2, 1)))
-    return json.loads(serialize(g))
+    return json.loads(row_document(g))
 
 
 def as_written(doc):
-    """A graph document as ``serialize`` writes it: ints as floats, nodes in id order."""
+    """A row document as ``conftest.row_document`` writes it: ints as floats, nodes in id order."""
     if type(doc) is int:
         return float(doc)
     if isinstance(doc, list):
@@ -217,7 +236,44 @@ def test_one_bad_value_in_a_graph_document_loads_a_sound_graph_or_raises_parse_e
     assert check_invariants(graph) == []
     blob = serialize(graph)
     assert serialize(deserialize(blob)) == blob
-    assert json.loads(blob) == as_written(doc)  # no value dropped, coerced or normalized
+    assert json.loads(row_document(graph)) == as_written(doc)  # no value dropped, coerced or normalized
+
+
+COLUMN_DOC = columns_of(GRAPH_DOC)
+COLUMN_PATHS = list(paths(COLUMN_DOC))
+COLUMN_NAME_PATHS = [p for p in COLUMN_PATHS if isinstance(value_at(COLUMN_DOC, p), (str, bool))]
+COLUMN_NAMES = sorted({value_at(COLUMN_DOC, p) for p in COLUMN_NAME_PATHS}, key=repr)
+# What a refusal may start with: the key, or the document, it names.
+PLACES = ("a graph document", "access", "epoch", "objects", "rooms")
+
+
+@pytest.mark.parametrize(
+    "where, values",
+    [(COLUMN_PATHS, [*HOSTILE, "123"]), (COLUMN_NAME_PATHS, COLUMN_NAMES)],
+    ids=["hostile-value", "misplaced-name"],
+)
+@settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+@given(data=st.data())
+def test_one_bad_value_in_a_column_document_loads_as_its_row_document(where, values, data):
+    path = data.draw(st.sampled_from(where), label="path")
+    value = data.draw(st.sampled_from(values), label="value")
+    doc = with_value(COLUMN_DOC, path, value)
+    outcome = loaded(json.dumps(doc))
+    refused = isinstance(outcome, str)
+    if refused:
+        assert outcome.removeprefix("ParseError: ").startswith(PLACES), outcome
+    try:
+        rows = rows_of(doc)
+    except (KeyError, TypeError, ValueError):  # object columns with no row document
+        assert refused, path
+        return
+    expected = loaded(json.dumps(rows))
+    assert refused is isinstance(expected, str), (outcome, expected)
+    if not refused:
+        assert outcome == expected
+        graph = deserialize(json.dumps(doc))
+        assert check_invariants(graph) == []
+        assert json.loads(row_document(graph)) == as_written(rows)  # no value dropped, coerced or normalized
 
 
 def unit_w(outside: bool) -> float:
@@ -279,6 +335,36 @@ def test_the_common_case_and_the_per_value_readers_agree_at_its_edges(name):
     assert isinstance(outcome, str) is (name in REFUSED), outcome
 
 
+def in_columns(doc):
+    """``columns_of(doc)``, or None when the row document ``doc`` has an
+    entry with no place in columns."""
+    try:
+        return columns_of(doc)
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+COLUMN_BOUNDARY_DOCS = {name: in_columns(doc) for name, doc in BOUNDARY_DOCS.items() if in_columns(doc)}
+
+
+def test_every_boundary_document_but_three_has_a_column_document():
+    # A pose with no q or as a list has no place in columns, and the
+    # duplicate id leaves the edge of the id it replaced naming no entry.
+    assert sorted(BOUNDARY_DOCS.keys() - COLUMN_BOUNDARY_DOCS.keys()) == ["duplicate-id", "missing-q", "pose-list"]
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_BOUNDARY_DOCS))
+def test_a_column_document_loads_as_its_row_document_at_the_edges_of_the_combined_test(name):
+    """The column reader's combined test of finite floats meets the same
+    edges: each boundary document, in columns, loads to the graph its row
+    document loads to, or is refused as it is."""
+    outcome = loaded(json.dumps(COLUMN_BOUNDARY_DOCS[name]))
+    expected = loaded(json.dumps(BOUNDARY_DOCS[name]))
+    assert isinstance(outcome, str) is isinstance(expected, str) is (name in REFUSED), (outcome, expected)
+    if name not in REFUSED:
+        assert outcome == expected
+
+
 # Unit quaternions an entry may hold.
 UNIT_QUATERNIONS = [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.6, 0.0, 0.8), (0.8, 0.0, 0.0, -0.6)]
 MISSING = object()  # in place of a value: the key is deleted
@@ -335,9 +421,8 @@ def object_entries(draw):
     return entry
 
 
-@settings(derandomize=True, max_examples=1500, deadline=None, database=None)
-@given(entry=object_entries())
-def test_an_object_entry_loads_as_the_reference_reader_reads_it(entry):
+def entry_document(entry) -> tuple[dict, bool]:
+    """A one-room row document holding ``entry``, and whether it links the entry."""
     oid = entry.get("id")
     linked = type(oid) is str and entry.get("attached", True) is True
     doc = {
@@ -347,6 +432,13 @@ def test_an_object_entry_loads_as_the_reference_reader_reads_it(entry):
         "belongs_to": {oid: "kitchen"} if linked else {},
         "access": [],
     }
+    return doc, linked
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+@given(entry=object_entries())
+def test_an_object_entry_loads_as_the_reference_reader_reads_it(entry):
+    doc, linked = entry_document(entry)
     try:
         expected = reference_object(entry, "kitchen" if linked else None)
     except ParseError as exc:
@@ -355,3 +447,22 @@ def test_an_object_entry_loads_as_the_reference_reader_reads_it(entry):
         assert str(raised.value) == str(exc)
     else:
         assert repr(graph_from_payload(doc).objects[expected.id]) == repr(expected)
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+@given(entry=object_entries())
+def test_an_object_entry_in_columns_loads_as_the_reference_reader_reads_it(entry):
+    """Each drawn entry that has a place in columns, as a one-object column
+    document: the node the reference reader builds, or a refusal where it
+    refuses, naming the object's column."""
+    doc, linked = entry_document(entry)
+    columns = in_columns(doc)
+    if columns is None:
+        return
+    try:
+        expected = reference_object(entry, "kitchen" if linked else None)
+    except ParseError:
+        with pytest.raises(ParseError, match=r"^objects\.[a-z_]+\[0\]"):
+            graph_from_payload(columns)
+    else:
+        assert repr(graph_from_payload(columns).objects[expected.id]) == repr(expected)
