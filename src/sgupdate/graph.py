@@ -15,25 +15,33 @@ is not safe for concurrent mutation; hand a copy to other workers instead.
 Object nodes are values shared between copies: :meth:`SceneGraph.copy`
 copies the containers and never a node, and a primitive that changes a
 node's fields first files a fresh copy of the node in its own graph's
-``objects``, then edits that copy. Each room's member set is shared the same
+``objects``, then edits that copy. Each room's label map is shared the same
 way: a copy shares them all, and a primitive that files or unfiles an object
-in a room first copies that room's set unless its graph alone holds it (the
+in a room first copies that room's map unless its graph alone holds it (the
 graph's ``_own``), so a copy pays only for the rooms it writes. A node or
-member set reachable from a graph is therefore never edited in place while
+label map reachable from a graph is therefore never edited in place while
 another graph holds it, and a copy and its original cannot change each
-other.
+other; the id tuples a map holds are immutable, so copying a map is one
+shallow ``dict``.
 
 The room layer doubles as the index. The graph keeps a room-label map, a
-flat list of the rooms' boxes, which ``assign_room`` reads, and each room's
-set of attached objects. Scoped ``find``, ``objects_in_room`` and
-perception's visibility rule, which sees only the members of the room the
-camera stands in, read one room's set instead of scanning every object.
-Staleness keeps no index here: :func:`sgupdate.decay.stale_targets` sweeps
-``objects``. Only ``add_room``, the primitives and the loader may write
-``rooms`` or ``objects``, and only the primitives and the loader may write
-an object's fields, its room included, since anything else would leave the
+flat list of the rooms' boxes, which ``assign_room`` reads, and for each
+room a map from each normalized object label to the tuple of ids of the
+attached objects that carry it there (``_members``; a label no attached
+object carries has no entry). A scoped ``find`` reads one entry, so it costs
+the number of its matches, not of the room's members; an unscoped ``find``
+reads each room's entry for the label, ``objects_in_room`` one room's
+tuples, and perception's visibility rule, which sees only the members of
+the room the camera stands in, iterates that room's tuples. A primitive
+replaces the one tuple it changes, and a load builds each tuple once, from
+a list it freezes at the end. Staleness keeps no index here:
+:func:`sgupdate.decay.stale_targets` sweeps ``objects``. Only
+``add_room``, the primitives and the loader may write ``rooms`` or
+``objects``, and only the primitives and the loader may write an object's
+fields, its room and label included, since anything else would leave the
 indexes stale or edit a node other graphs share; :func:`check_invariants`
-verifies the room indexes.
+verifies the room indexes, each attached object filed once, in its room
+under its label.
 
 A graph document stores its object layer by column: :func:`serialize`
 writes one list per field, in object-id order, with each object's room id
@@ -73,9 +81,11 @@ from .values import (
     entries,
     flag,
     float_column,
+    json_int,
     number,
     obj,
     object_entry,
+    shown,
     text,
     texts,
 )
@@ -163,7 +173,7 @@ _ROOM_ID = frozenset((str, type(None)))
 
 def _room_id(value) -> None:
     """Refuse ``value`` as an entry of the ``room`` column, which holds a room id or null."""
-    raise ValueError(f"room must be a room id or null, got {value!r}")
+    raise ValueError(f"room must be a room id or null, got {shown(value)}")
 
 
 def _room_bound(room: "RoomNode") -> tuple:
@@ -228,8 +238,9 @@ class ObjectNode:
     def _load(graph: "SceneGraph", value, belongs_value) -> None:
         """File in ``graph`` the node of each entry of a row document's object
         array ``value``, then record each edge of the ``belongs_to`` map
-        ``belongs_value`` as its object's ``room`` and file the object in that
-        room's member set; errors name ``objects[i]`` or ``belongs_to[id]``."""
+        ``belongs_value`` as its object's ``room`` and file the object under
+        its label in that room; errors name ``objects[i]`` or
+        ``belongs_to[id]``."""
         objects, rooms, members = graph.objects, graph.rooms, graph._members
         labels: dict[str, str] = {}  # each label as written -> its node label
         new = object.__new__
@@ -287,12 +298,12 @@ class ObjectNode:
             except TypeError:  # an array or object is unhashable
                 known = False
             if not known:
-                raise ValueError(f"belongs_to[{oid!r}]: unknown room id {rid!r}")
+                raise ValueError(f"belongs_to[{oid!r}]: unknown room id {shown(rid)}")
             if node.room is None:
                 stray = True
             else:
                 node.room = rid
-                members[rid].add(oid)
+                members[rid].setdefault(node.label, []).append(oid)  # frozen by _freeze
         # Keys are unique: with no stray edge every key names an attached object,
         # so as many keys as attached objects means every attached object has one.
         if stray or len(belongs) != attached:
@@ -300,12 +311,14 @@ class ObjectNode:
                 "document violates graph invariants: "
                 "belongs_to keys do not exactly match attached object ids"
             )
+        _freeze(members)
 
     @staticmethod
     def _load_columns(graph: "SceneGraph", value) -> None:
         """File in ``graph`` the node of each object of the column object
-        ``value``, with its room recorded and filed; errors name
-        ``objects.<column>[i]`` and, once the ids are read, the object's id."""
+        ``value``, with its room recorded and filed under its label there;
+        errors name ``objects.<column>[i]`` and, once the ids are read, the
+        object's id."""
         cols = obj(value, "objects")
         ids = checked(column(cols, "id"), _STR, lambda v: text(v, "id"), lambda i: f"objects.id[{i}]")
         n = len(ids)
@@ -358,7 +371,7 @@ class ObjectNode:
             if rid is not None:
                 if rid not in rooms:
                     raise ValueError(f"{at('room')(len(objects))}: unknown room id {rid!r}")
-                members[rid].add(oid)
+                members[rid].setdefault(norm, []).append(oid)  # frozen by _freeze
             pose = new(Pose)
             set_q(pose, q)
             set_t(pose, t)
@@ -373,6 +386,15 @@ class ObjectNode:
             node.last_seen = last_seen
             node.room = rid
             node.pose_provisional = provisional
+        _freeze(members)
+
+
+def _freeze(members: dict) -> None:
+    """Turn each id list a loader filed under a label into the tuple the graph
+    keeps, so that a room holding one label N times loads in O(N)."""
+    for filed in members.values():
+        for label, ids in filed.items():
+            filed[label] = tuple(ids)
 
 
 class SceneGraph:
@@ -386,9 +408,10 @@ class SceneGraph:
         # Indexes over the fields above (see the module docstring).
         self._room_ids: dict[str, str] = {}  # room label -> room id
         self._room_bounds: list[tuple] = []  # _room_bound(room) of each room, in insertion order
-        self._members: dict[str, set[str]] = {}  # room id -> attached object ids
-        # Room ids whose member set no other graph holds: a copy shares every
-        # set, and _room_members copies a shared one before its first write.
+        # room id -> object label -> ids of the attached objects with that label there
+        self._members: dict[str, dict[str, tuple[str, ...]]] = {}
+        # Room ids whose label map no other graph holds: a copy shares every
+        # map, and _room_members copies a shared one before its first write.
         self._own: set[str] = set()
         # slug -> n such that every f"{slug}-{m}" with m < n is an object id.
         self._id_floor: dict[str, int] = {}
@@ -404,7 +427,7 @@ class SceneGraph:
         self.rooms[room.id] = room
         self._room_ids[room.label] = room.id
         self._room_bounds.append(_room_bound(room))
-        self._members[room.id] = set()
+        self._members[room.id] = {}
         self._own.add(room.id)
         return room.id
 
@@ -440,19 +463,13 @@ class SceneGraph:
         never returned.
         """
         wanted = _norm_label(label)
-        objects = self.objects
         if room_scope is None:
-            return sorted(
-                oid
-                for oid, node in objects.items()
-                if node.room is not None and node.label == wanted
-            )
-        members = self._members[self.room_by_label(room_scope).id]
-        return sorted(oid for oid in members if objects[oid].label == wanted)
+            return sorted(chain.from_iterable(filed.get(wanted, ()) for filed in self._members.values()))
+        return sorted(self._members[self.room_by_label(room_scope).id].get(wanted, ()))
 
     def objects_in_room(self, room_id: str) -> list[str]:
         """Ids of the objects attached in the room with this id, sorted."""
-        return sorted(self._members.get(room_id, ()))
+        return sorted(chain.from_iterable(self._members.get(room_id, {}).values()))
 
     def assign_room(self, pose: Pose) -> str:
         """Room id whose axis-aligned box contains the pose translation.
@@ -474,21 +491,29 @@ class SceneGraph:
     # ------------------------------------------------------------------
     # index upkeep
 
-    def _room_members(self, room_id: str) -> set[str]:
-        """The member set of a room, made this graph's own before it is written."""
-        members = self._members[room_id]
+    def _room_members(self, room_id: str) -> dict[str, tuple[str, ...]]:
+        """The label map of a room, made this graph's own before it is written."""
+        filed = self._members[room_id]
         if room_id not in self._own:
-            members = self._members[room_id] = set(members)
+            filed = self._members[room_id] = dict(filed)
             self._own.add(room_id)
-        return members
+        return filed
 
     def _link(self, oid: str, room_id: str) -> None:
-        """File the object under the room its node now names."""
-        self._room_members(room_id).add(oid)
+        """File the object under its label in the room its node now names."""
+        label = self.objects[oid].label
+        filed = self._room_members(room_id)
+        filed[label] = filed.get(label, ()) + (oid,)
 
     def _unlink(self, oid: str, room_id: str) -> None:
-        """Unfile the object from the room its node named."""
-        self._room_members(room_id).discard(oid)
+        """Unfile the object, still in ``objects``, from the room its node named."""
+        label = self.objects[oid].label
+        filed = self._room_members(room_id)
+        rest = tuple([other for other in filed[label] if other != oid])
+        if rest:
+            filed[label] = rest
+        else:
+            del filed[label]
 
     # ------------------------------------------------------------------
     # primitives
@@ -532,9 +557,9 @@ class SceneGraph:
     def remove_object(self, source_room: str, target: str) -> ObjectNode:
         """Delete the object (it must be attached in ``source_room``)."""
         node, room = self._attached_in_room(source_room, target)
+        self._unlink(target, room.id)
         del self.objects[target]
         self._id_floor.pop(target.rsplit("-", 1)[0], None)
-        self._unlink(target, room.id)
         return node
 
     def move_object(
@@ -611,11 +636,11 @@ class SceneGraph:
 
     def copy(self) -> "SceneGraph":
         """Independent graph that shares every room and object node and every
-        room's member set.
+        room's label map.
 
         The other containers are copied. Rooms are frozen; object nodes are
         never edited in place (the primitives replace a node before writing
-        it), and a member set is copied by whichever graph first writes it
+        it), and a label map is copied by whichever graph first writes it
         (after a copy neither graph owns any), so neither graph can change
         the other.
         """
@@ -647,13 +672,8 @@ def check_invariants(graph: SceneGraph) -> list[str]:
     labels = [r.label for r in graph.rooms.values()]
     if len(labels) != len(set(labels)):
         problems.append("room labels are not unique")
-    filed: dict[str, set[str]] = {rid: set() for rid in graph.rooms}
     for oid, node in graph.objects.items():
-        if node.room is None:
-            continue
-        if node.room in filed:
-            filed[node.room].add(oid)
-        else:
+        if node.room is not None and node.room not in graph.rooms:
             problems.append(f"object {oid!r} belongs to unknown room {node.room!r}")
     for a, b in graph.access:
         if a not in graph.rooms or b not in graph.rooms:
@@ -669,12 +689,31 @@ def check_invariants(graph: SceneGraph) -> list[str]:
         problems.append("room label index does not match the rooms")
     if graph._room_bounds != [_room_bound(room) for room in graph.rooms.values()]:
         problems.append("room box index does not match the rooms")
-    members = graph._members
-    if members.keys() != filed.keys():
-        problems.append("room member index does not hold one set per room")
-    for rid, ids in filed.items():
-        if members.get(rid, ids) != ids:
-            problems.append(f"member set of room {rid!r} is not the objects whose room it is")
+    # Each attached node is filed once, in its own room under its own label, and nothing else is.
+    members, objects = graph._members, graph.objects
+    if members.keys() != graph.rooms.keys():
+        problems.append("room member index does not hold one label map per room")
+    filings: dict[str, list[str]] = {}  # object id -> the rooms that file it
+    for rid, filed in members.items():
+        for label, ids in filed.items():
+            if not ids:
+                problems.append(f"room {rid!r} files an empty entry for label {label!r}")
+            for oid in ids:
+                filings.setdefault(oid, []).append(rid)
+                node = objects.get(oid)
+                if node is None:
+                    problems.append(f"room {rid!r} files unknown object {oid!r}")
+                elif node.room != rid or node.label != label:
+                    problems.append(
+                        f"room {rid!r} files {oid!r} under {label!r}, but its node is in room "
+                        f"{node.room!r} with label {node.label!r}"
+                    )
+    for oid, rids in filings.items():
+        if len(rids) > 1:
+            problems.append(f"object {oid!r} is filed {len(rids)} times")
+    for oid, node in objects.items():
+        if node.room in members and node.room not in filings.get(oid, ()):
+            problems.append(f"object {oid!r} is attached in room {node.room!r} but not filed there")
     for slug, floor in graph._id_floor.items():
         if not all(f"{slug}-{n}" in graph.objects for n in range(1, floor)):
             problems.append(f"id floor {floor} of {slug!r} skips a free id")
@@ -887,11 +926,16 @@ def deserialize(data: bytes | str) -> SceneGraph:
         return graph_from_payload(_decoded(data))
 
 
+# Decodes an integer literal too long for Python to read as a LongInt, which the
+# readers refuse by name, rather than refusing the whole document unnamed.
+_DECODER = json.JSONDecoder(parse_int=json_int)
+
+
 def _decoded(data: bytes | str):
     """The JSON value of ``data``; raises :class:`ParseError` with a location."""
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        return _DECODER.decode(data.decode("utf-8") if isinstance(data, bytes) else data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"offset {exc.pos}: {exc.msg}") from exc
-    except ValueError as exc:  # bytes that are not UTF-8, or an integer of over 4,300 digits
+    except ValueError as exc:  # bytes that are not UTF-8
         raise ParseError(str(exc)) from exc

@@ -21,6 +21,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from typing import Callable, Sequence
 
 from .geometry import BBox3, Pose, pose_distance, quat_conj
@@ -129,13 +130,13 @@ def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> l
 
     This is the one visibility rule: the simulator's detector renders the
     truth through it too. It visits only the members of the room the camera
-    stands in (overlapping rooms resolve as in
-    :meth:`SceneGraph.assign_room`; a camera outside every room sees
-    nothing), drops those at or beyond ``max_range`` on the unrotated offset,
-    and runs the exact frustum test on the rest.
+    stands in, the id tuples of that room's label map (overlapping rooms
+    resolve as in :meth:`SceneGraph.assign_room`; a camera outside every
+    room sees nothing), drops those at or beyond ``max_range`` on the
+    unrotated offset, and runs the exact frustum test on the rest.
     """
     try:
-        members = graph._members[graph.assign_room(robot_pose)]
+        filed = graph._members[graph.assign_room(robot_pose)]
     except NoContainingRoom:
         return []
     tx, ty, tz = robot_pose.t
@@ -146,7 +147,7 @@ def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> l
     inside = _frustum_test(robot_pose, cam)
     objects = graph.objects
     out = []
-    for oid in members:
+    for oid in chain.from_iterable(filed.values()):
         node = objects[oid]
         if node.decay_rate <= 0.0:
             continue

@@ -13,6 +13,13 @@ A number is a finite int or float, never a boolean or a numeric string, and
 reads as a float. A list may also be a tuple, since code builds poses from
 tuples. This module imports nothing from the package.
 
+A refusal shows the refused value's ``repr`` whole only when it is short
+(:func:`shown`): a longer one is cut, and its JSON type and length follow,
+so that a wrong value as large as a whole graph's objects still gives a
+one-line message. An integer literal too long for Python to read is decoded
+by :func:`json_int` as a :class:`LongInt`, which every reader refuses like
+any other bad value, naming its place.
+
 :func:`object_entry` reads a row graph document's object entry: every
 value's shape, in the order the keys are named, with one combined test for
 the common case of finite floats. The node rules (a unit quaternion,
@@ -31,53 +38,98 @@ from typing import Callable, Iterable
 
 _FLOAT = frozenset((float,))
 _ARRAY = (list, tuple)
+# The longest repr of a refused value that a message shows whole.
+_SHOWN = 80
+
+
+class LongInt:
+    """An integer literal of more digits than Python reads
+    (``sys.get_int_max_str_digits()``), kept as its text. No reader takes it:
+    a number reader refuses it as too large, like any integer too large for a
+    float, and every other reader as the wrong type."""
+
+    __slots__ = ("literal",)
+
+    def __init__(self, literal: str) -> None:
+        self.literal = literal
+
+    def __repr__(self) -> str:
+        return self.literal
+
+
+def json_int(literal: str):
+    """The value of a JSON integer literal: ``int(literal)``, or a
+    :class:`LongInt` when it is too long to read; ``parse_int`` for
+    ``json.JSONDecoder``."""
+    try:
+        return int(literal)
+    except ValueError:
+        return LongInt(literal)
+
+
+# The JSON type of each kind of decoded value whose repr can run long.
+_KINDS = {
+    dict: "an object", list: "a list", tuple: "a list", str: "a string", int: "a number", LongInt: "a number",
+}
+
+
+def shown(value) -> str:
+    """``repr(value)`` when it is at most ``_SHOWN`` characters; otherwise its
+    first ``_SHOWN``, then the value's JSON type and the repr's length."""
+    text = repr(value)
+    if len(text) <= _SHOWN:
+        return text
+    kind = _KINDS.get(type(value), type(value).__name__)
+    return f"{text[:_SHOWN]}... ({kind}, {len(text):,} characters)"
 
 
 def number(value, where: str) -> float:
     """``float(value)`` when ``value`` is a finite int or float."""
     if type(value) not in (int, float):  # neither a bool nor a numeric string is a number
-        raise ValueError(f"{where} must be a number, got {value!r}")
+        # An integer too long to read is too large for a float as well.
+        problem = "finite" if type(value) is LongInt else "a number"
+        raise ValueError(f"{where} must be {problem}, got {shown(value)}")
     try:
         result = float(value)
     except OverflowError:  # an integer too large for a float
         result = math.inf
     if not math.isfinite(result):
-        raise ValueError(f"{where} must be finite, got {value!r}")
+        raise ValueError(f"{where} must be finite, got {shown(value)}")
     return result
 
 
 def text(value, where: str) -> str:
     """``value`` when it is a string."""
     if not isinstance(value, str):
-        raise ValueError(f"{where} must be a string, got {value!r}")
+        raise ValueError(f"{where} must be a string, got {shown(value)}")
     return value
 
 
 def flag(value, where: str) -> bool:
     """``value`` when it is a boolean."""
     if not isinstance(value, bool):
-        raise ValueError(f"{where} must be true or false, got {value!r}")
+        raise ValueError(f"{where} must be true or false, got {shown(value)}")
     return value
 
 
 def obj(value, where: str) -> dict:
     """``value`` when it is a JSON object."""
     if not isinstance(value, dict):
-        raise ValueError(f"{where} must be an object, got {value!r}")
+        raise ValueError(f"{where} must be an object, got {shown(value)}")
     return value
 
 
 def array(value, where: str) -> list:
     """``value`` when it is a JSON array."""
     if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{where} must be a list, got {value!r}")
+        raise ValueError(f"{where} must be a list, got {shown(value)}")
     return value
 
 
 def floats(value, where: str, n: int) -> tuple[float, ...]:
     """``value`` as a tuple of floats when it is an array of ``n`` numbers."""
     if not isinstance(value, (list, tuple)) or len(value) != n:
-        raise ValueError(f"{where} must be a list of {n} numbers, got {value!r}")
+        raise ValueError(f"{where} must be a list of {n} numbers, got {shown(value)}")
     # The common case, finite floats, in one pass each: a sum of floats is
     # finite only when every term is. Ints, overflowing sums and every error
     # take the per-component reader.
@@ -149,7 +201,7 @@ def column(columns: dict, key: str, n: int | None = None, width: int = 1) -> lis
         raise ValueError(f"objects: missing key {key!r}")
     value = columns[key]
     if not isinstance(value, _ARRAY):
-        raise ValueError(f"objects.{key} must be a list, got {value!r}")
+        raise ValueError(f"objects.{key} must be a list, got {shown(value)}")
     if n is not None and len(value) != n * width:
         each = "one value" if width == 1 else f"{width} values"
         raise ValueError(f"objects.{key} must hold {each} for each of the {n} objects, got {len(value)}")
@@ -196,7 +248,7 @@ def texts(value, where: str, n: int | None = None) -> list[str]:
     """``value`` when it is an array of strings, of ``n`` strings if ``n`` is given."""
     if not isinstance(value, (list, tuple)) or n is not None and len(value) != n:
         count = "" if n is None else f"{n} "
-        raise ValueError(f"{where} must be a list of {count}strings, got {value!r}")
+        raise ValueError(f"{where} must be a list of {count}strings, got {shown(value)}")
     return [text(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 

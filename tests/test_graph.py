@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import random
+import re
 from dataclasses import FrozenInstanceError, fields
 from importlib import resources
 from pathlib import Path
@@ -259,21 +260,53 @@ def test_a_copy_keeps_the_id_floors_its_source_learned(house2):
     assert house2._id_floor == {"coffee-mug": 3}
 
 
+def set_cup(field, value):
+    """An edit that writes ``value`` to the cup's node ``field`` in place."""
+    return lambda g: object.__setattr__(g.objects["cup-1"], field, value)
+
+
+def file_in(rid, label, ids):
+    """An edit that sets the entry ``label`` of room ``rid``'s label map to ``ids``."""
+    return lambda g: g._members[rid].__setitem__(label, ids)
+
+
+FILED_ELSEWHERE = "room 'kitchen' files 'cup-1' under 'cup', but its node is in room {!r} with label {!r}"
+
+
 @pytest.mark.parametrize(
-    "room, problems",
+    "corrupt, problems",
     [
-        ("attic", ["object 'cup-1' belongs to unknown room 'attic'",
-                   "member set of room 'kitchen' is not the objects whose room it is"]),
-        ("living room", ["member set of room 'kitchen' is not the objects whose room it is",
-                         "member set of room 'living room' is not the objects whose room it is"]),
-        (None, ["member set of room 'kitchen' is not the objects whose room it is"]),
+        (set_cup("room", "attic"), ["object 'cup-1' belongs to unknown room 'attic'",
+                                    FILED_ELSEWHERE.format("attic", "cup")]),
+        (set_cup("room", "living room"), [
+            FILED_ELSEWHERE.format("living room", "cup"),
+            "object 'cup-1' is attached in room 'living room' but not filed there",
+        ]),
+        (set_cup("room", None), [FILED_ELSEWHERE.format(None, "cup")]),
+        (set_cup("label", "mug"), [FILED_ELSEWHERE.format("kitchen", "mug")]),
+        (file_in("kitchen", "vase", ()), ["room 'kitchen' files an empty entry for label 'vase'"]),
+        (file_in("kitchen", "cup", ("cup-1", "cup-1")), ["object 'cup-1' is filed 2 times"]),
+        (file_in("living room", "cup", ("cup-1",)), [
+            "room 'living room' files 'cup-1' under 'cup', but its node is in room 'kitchen' "
+            "with label 'cup'",
+            "object 'cup-1' is filed 2 times",
+        ]),
+        (file_in("kitchen", "cup", ("cup-1", "cup-9")), ["room 'kitchen' files unknown object 'cup-9'"]),
+        (lambda g: g._members["kitchen"].pop("cup"),
+         ["object 'cup-1' is attached in room 'kitchen' but not filed there"]),
+        (lambda g: g._members.pop("living room"), ["room member index does not hold one label map per room"]),
     ],
-    ids=["unknown-room", "wrong-room-set", "detached-but-filed"],
+    ids=[
+        "unknown-room", "wrong-room-set", "detached-but-filed", "relabeled-node", "empty-entry",
+        "filed-twice-in-one-room", "filed-in-two-rooms", "unknown-object-filed", "attached-but-unfiled",
+        "room-without-map",
+    ],
 )
-def test_check_invariants_reports_a_node_whose_room_its_member_sets_disagree_with(house2, room, problems):
+def test_check_invariants_reports_a_node_whose_room_its_member_sets_disagree_with(house2, corrupt, problems):
     put(house2, "kitchen", "cup", (1, 1, 1))
     put(house2, "living room", "book", (7, 1, 1))
-    object.__setattr__(house2.objects["cup-1"], "room", room)
+    assert check_invariants(house2) == []
+    corrupt(house2)
     assert check_invariants(house2) == problems
 
 
@@ -342,22 +375,23 @@ def test_copy_shares_every_node_and_a_primitive_replaces_only_its_own(house2):
 
 
 def test_a_copy_shares_the_member_set_of_every_room_until_a_primitive_writes_it():
-    """One edit in a room gives the edited graph its own set of that room;
-    the other rooms' sets stay one object, held by both graphs."""
+    """One edit in a room gives the edited graph its own label map of that
+    room; the other rooms' maps stay one object, held by both graphs."""
     for edited_side in ("copy", "original"):
         original = load_house()
         clone = original.copy()
         edited, kept = (clone, original) if edited_side == "copy" else (original, clone)
-        before = {rid: set(ids) for rid, ids in original._members.items()}
+        before = {rid: dict(filed) for rid, filed in original._members.items()}
         kitchen = edited.room_by_label("kitchen").id
         put(edited, "kitchen", "cup", (2.0, 2.0, 1.0))
         own = edited._members[kitchen]
         assert own is not kept._members[kitchen], edited_side
-        assert kept._members == before and own == before[kitchen] | {"cup-2"}, edited_side
+        cups = before[kitchen].get("cup", ()) + ("cup-2",)
+        assert kept._members == before and own == before[kitchen] | {"cup": cups}, edited_side
         for rid in edited.rooms.keys() - {kitchen}:
             assert edited._members[rid] is kept._members[rid], (edited_side, rid)
-        edited.touch(["cup-2"], 1.0)  # writes no member set
-        edited.remove_object("kitchen", "cup-2")  # writes the set it already owns
+        edited.touch(["cup-2"], 1.0)  # writes no label map
+        edited.remove_object("kitchen", "cup-2")  # writes the map it already owns
         assert edited._members[kitchen] is own and own == before[kitchen], edited_side
 
 
@@ -375,8 +409,10 @@ COPY_STEP = st.tuples(
 def test_a_family_of_copies_never_sees_each_others_edits(steps):
     """Up to four graphs, each a copy of any member of the family (copies of
     copies, sources edited after they were copied), and random primitives on
-    any member: after every step every graph keeps its invariants and holds
-    the member sets that linking its own bytes edge by edge files."""
+    any member: after every step every graph keeps its invariants, files
+    under each label of each room the ids that linking its own bytes edge by
+    edge files (in any order), and its scoped ``find`` answers what a scan of
+    its nodes does."""
     base = two_room_graph()
     base.add_room(make_room("attic", (2.0, 2.0, 5.0)))
     for i, room in enumerate(ROOMS * 2):
@@ -408,7 +444,44 @@ def test_a_family_of_copies_never_sees_each_others_edits(steps):
             g.reattach(detached[pick % len(detached)], room, Pose.identity(SPOTS[room]), 3.0)
         for member in family:
             assert check_invariants(member) == []
-            assert member._members == linked_load(row_document(member))._members
+            assert label_sets(member) == label_sets(linked_load(row_document(member)))
+            for room in ROOMS:
+                rid = member.room_by_label(room).id
+                for label in ("cup", "book", "vase"):
+                    want = [oid for oid, n in sorted(member.objects.items()) if n.room == rid and n.label == label]
+                    assert member.find(label, room_scope=room) == want, (room, label)
+
+
+def label_sets(graph: SceneGraph) -> dict:
+    """Each room's label map, with each label's ids as a set: the filing a
+    primitive's order of links does not change."""
+    return {rid: {label: set(ids) for label, ids in filed.items()} for rid, filed in graph._members.items()}
+
+
+class NoReads(dict):
+    """A mapping every read of which fails: put in place of a graph's
+    ``objects``, it shows that a query reads no node."""
+
+    def _fail(self, *args):
+        raise AssertionError("the query read an object node")
+
+    __getitem__ = __iter__ = __contains__ = __len__ = get = keys = values = items = _fail
+
+
+def test_a_scoped_find_on_a_room_holding_one_label_200_times_reads_no_node():
+    g = two_room_graph()
+    for i in range(200):
+        put(g, "kitchen", "cup", (0.5 + i / 100, 1.0, 1.0))
+        if i % 4 == 0:
+            put(g, "kitchen", "plate", (1.0, 2.0, 1.0))
+            put(g, "living room", "Cup", (7.0, 1.0, 1.0))
+    want = sorted(oid for oid, node in g.objects.items() if node.room == "kitchen" and node.label == "cup")
+    anywhere = sorted(oid for oid, node in g.objects.items() if node.label == "cup")
+    assert len(want) == 200 and len(anywhere) == 250
+    g.objects = NoReads()
+    assert g.find(" CUP ", room_scope="Kitchen") == want
+    assert g.find("cup") == anywhere
+    assert g.find("vase", room_scope="living room") == []
 
 
 def test_assign_room_matches_point_in_aabb_brute_force():
@@ -621,7 +694,8 @@ def test_deserialize_rejects_an_edge_to_a_detached_object():
 
 
 def test_deserialize_refuses_an_integer_too_long_for_python():
-    with pytest.raises(ParseError, match="4300 digits"):
+    shown = r"1{80}\.\.\. \(a number, 5,000 characters\)"
+    with pytest.raises(ParseError, match=rf"^epoch must be finite, got {shown}$"):
         deserialize('{"epoch": ' + "1" * 5000 + "}")
 
 
@@ -713,7 +787,9 @@ CUP = r"\(object 'cup-1'\)"
         ),
         pytest.param(
             ("objects", "q", 7), 10**400,
-            rf"^objects\.q\[1\] {CUP}: quaternion\[3\] must be finite, got 1000+$", id="q-int-beyond-float",
+            rf"^objects\.q\[1\] {CUP}: quaternion\[3\] must be finite, "
+            r"got 10{79}\.\.\. \(a number, 401 characters\)$",
+            id="q-int-beyond-float",
         ),
         # a boolean or a numeral where a number belongs
         pytest.param(
@@ -789,10 +865,33 @@ def test_deserialize_names_the_column_index_and_object_of_a_bad_value(path, valu
 
 
 def test_a_column_document_refuses_an_integer_too_long_for_python():
-    """Python will not read it: the JSON decoder refuses it before any column is read."""
-    text = columns_with(("objects", "decay_rate", 1), "LONG").replace('"LONG"', "1" * 5000)
-    with pytest.raises(ParseError, match="4300 digits"):
-        deserialize(text)
+    """Python will not read it, so the decoder keeps its text, and the
+    column's reader refuses it, naming the column, the index and the object,
+    as it would any other bad value."""
+    cases = [
+        ("decay_rate", 1, "decay_rate must be finite"),
+        ("label", 0, "label must be a string"),
+        ("room", 1, "room must be a room id or null"),
+    ]
+    for key, index, message in cases:
+        text = columns_with(("objects", key, index), "LONG").replace('"LONG"', "1" * 5000)
+        oid = ("book-1", "cup-1")[index]
+        where = rf"^objects\.{key}\[{index}\] \(object '{oid}'\): {message}, got 1{{80}}\.\.\. "
+        with pytest.raises(ParseError, match=where + r"\(a number, 5,000 characters\)$"):
+            deserialize(text)
+
+
+def test_a_column_document_that_also_carries_belongs_to_is_refused_in_one_short_line():
+    """Read as rows, its ``objects`` is no list; the message shows the
+    start of the value, its JSON type and its size, not the whole value."""
+    payload = json.loads(serialize(generated_graph()))
+    payload["belongs_to"] = {}
+    with pytest.raises(ParseError) as refused:
+        deserialize(json.dumps(payload))
+    message = str(refused.value)
+    shown = r"\{'bbox': \[.{70}\.\.\. \(an object, [\d,]+ characters\)"
+    assert re.fullmatch(rf"objects must be a list, got {shown}", message)
+    assert len(message) < 160
 
 
 LABELS = ["cup", "  TV  Remote", "alarm clock", "Cup"]
@@ -912,6 +1011,25 @@ def test_a_load_files_one_string_per_label():
     labels = {}
     for node in back.objects.values():
         assert labels.setdefault(node.label, node.label) is node.label
+
+
+@pytest.mark.parametrize("layout", ["columns", "rows"])
+def test_a_load_files_each_object_under_its_normalized_label(layout):
+    g = two_room_graph()
+    put(g, "kitchen", "cup", (1, 1, 1))
+    put(g, "kitchen", "tv remote", (2, 1, 1))
+    written = ["  Cup", "TV   Remote "]  # in id order: cup-1, tv-remote-1
+    if layout == "columns":
+        doc = json.loads(serialize(g))
+        doc["objects"]["label"] = written
+    else:
+        doc = json.loads(row_document(g))
+        for entry, label in zip(doc["objects"], written):
+            entry["label"] = label
+    back = deserialize(json.dumps(doc))
+    assert check_invariants(back) == []
+    assert back._members["kitchen"] == {"cup": ("cup-1",), "tv remote": ("tv-remote-1",)}
+    assert back.find("tv  REMOTE", room_scope="kitchen") == ["tv-remote-1"]
 
 
 def detached_and_empty_graph() -> SceneGraph:
@@ -1128,6 +1246,9 @@ def test_long_random_primitive_sequence_keeps_invariants():
             for label in labels:
                 want = [oid for oid in in_room if g.objects[oid].label == label]
                 assert g.find(label, room_scope=room) == want, f"find at step {step}"
+        for label in labels:
+            want = sorted(oid for oid, node in g.objects.items() if node.attached and node.label == label)
+            assert g.find(label) == want, f"unscoped find at step {step}"
         for pose in cameras:
             want = visible_oracle(g, pose, cam)
             assert expected_visible(g, pose, cam) == want, f"expected_visible at step {step}"

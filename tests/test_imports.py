@@ -344,3 +344,48 @@ def test_graph_primitive_call_scan_flags_every_method_call():
     assert graph_primitive_calls(snippet) == [
         ((), 1), (("PickPlaceTask", "pick"), 4), (("PickPlaceTask", "pick"), 5), ((), 10),
     ]
+
+
+# Each room's label map is the graph's own index: only the graph module and
+# the visibility rule, which walks the camera's room, read ``_members``.
+MEMBER_READERS = {("perception.py", "expected_visible")}
+
+
+def member_reads(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """``(scope, line)`` of each ``<expr>._members`` in ``source``, and of each
+    ``getattr`` call naming ``_members`` as a string literal."""
+
+    def flagged(node) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr == "_members"
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "getattr"
+            and any(isinstance(a, ast.Constant) and a.value == "_members" for a in node.args)
+        )
+
+    return scoped_nodes(source, flagged)
+
+
+def test_only_the_graph_and_the_visibility_rule_read_the_room_label_maps():
+    readers = {
+        (path.name, *scope[:1])
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "graph.py"
+        for scope, _ in member_reads(path.read_text("utf-8"))
+    }
+    assert readers == MEMBER_READERS
+
+
+def test_member_read_scan_flags_every_read():
+    snippet = (
+        "graph._members[rid]\n"
+        "def expected_visible(graph, pose):\n"
+        "    filed = graph._members.get(rid, {})\n"
+        "class Updater:\n"
+        "    def frame(self):\n"
+        "        getattr(self.graph, '_members')\n"
+        "        self.members = graph.members\n"
+        "getattr(graph, 'objects')\n"
+    )
+    assert member_reads(snippet) == [((), 1), (("expected_visible",), 3), (("Updater", "frame"), 6)]
