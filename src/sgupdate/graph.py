@@ -10,19 +10,31 @@ Mutations go through the primitive operations defined here (``find``,
 ``add_object``, ``remove_object``, ``move_object``, ``detach``, ``reattach``,
 ``touch``). Each primitive validates its inputs before touching any state, so
 a raised error leaves the graph unchanged. The structure is plain Python and
-is not safe for concurrent mutation; hand a copy to other workers instead.
+is not safe for concurrent use, and neither is a graph and its copies, which
+share nodes and id floors.
 
 Object nodes are values shared between copies: :meth:`SceneGraph.copy`
-copies the containers and never a node, and a primitive that changes a
-node's fields first files a fresh copy of the node in its own graph's
-``objects``, then edits that copy. Each room's label map is shared the same
-way: a copy shares them all, and a primitive that files or unfiles an object
-in a room first copies that room's map unless its graph alone holds it (the
-graph's ``_own``), so a copy pays only for the rooms it writes. A node or
-label map reachable from a graph is therefore never edited in place while
-another graph holds it, and a copy and its original cannot change each
-other; the id tuples a map holds are immutable, so copying a map is one
+copies the containers and never a node, and each copy-on-write cost is paid
+once per graph. A primitive that changes a node's fields first files a fresh
+copy of the node in its own graph's ``objects`` unless its graph alone holds
+the node (the graph's ``_own_nodes``: the nodes it built or cloned since its
+last copy), then edits it in place, so a node touched every frame is cloned
+once. Each room's label map is shared the same way: a copy shares them all,
+and a primitive that files or unfiles an object in a room first copies that
+room's map unless its graph alone holds it (the graph's ``_own``), so a copy
+pays only for the rooms it writes. ``copy()`` empties both sets of the
+graph it copies, and a copy starts with both empty. A node or label map
+reachable from a graph is therefore never edited in place while another
+graph holds it, and a copy and its original cannot change each other's
+value; the id tuples a map holds are immutable, so copying a map is one
 shallow ``dict``.
+
+A new object's id is its label's slug and the smallest free number. Each
+graph keeps, for each slug it has probed, a floor below which every number
+is taken. A copy with no floor for a slug starts from its source's while
+the source has added and removed nothing since the copy, and the source
+keeps the floor the copy finds. A load learns no floor, so a loaded graph's
+first add of a slug probes from 1, once for all the copies taken from it.
 
 The room layer doubles as the index. The graph keeps a room-label map, a
 flat list of the rooms' boxes, which ``assign_room`` reads, and for each
@@ -33,9 +45,10 @@ the number of its matches, not of the room's members; an unscoped ``find``
 reads each room's entry for the label, ``objects_in_room`` one room's
 tuples, and perception's visibility rule, which sees only the members of
 the room the camera stands in, iterates that room's tuples. A primitive
-replaces the one tuple it changes, and a load builds each tuple once, from
-a list it freezes at the end. Staleness keeps no index here:
-:func:`sgupdate.decay.stale_targets` sweeps ``objects``. Only
+replaces the one tuple it changes, and a load files a label's first id as
+a 1-tuple and joins the later ids of a repeated label once at the end.
+Staleness keeps no index here: :func:`sgupdate.decay.stale_targets` sweeps
+``objects``. Only
 ``add_room``, the primitives and the loader may write ``rooms`` or
 ``objects``, and only the primitives and the loader may write an object's
 fields, its room and label included, since anything else would leave the
@@ -68,6 +81,8 @@ from __future__ import annotations
 
 import gc
 import json
+import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from math import isfinite, sqrt
@@ -196,8 +211,8 @@ class RoomNode:
 class ObjectNode:
     """One object: a value that copies of a graph share.
 
-    Only the graph primitives write these fields, and only on a node they
-    have just cloned into their own graph (see the module docstring).
+    Only the graph primitives write these fields, and only on a node their
+    own graph alone holds (see the module docstring).
     """
 
     id: str
@@ -222,7 +237,7 @@ class ObjectNode:
 
     def _clone(self) -> "ObjectNode":
         # Fields were validated when this node was built; skip __post_init__
-        # (a primitive clones a node on every write, touches included).
+        # (a graph clones each shared node it writes, touches included).
         dup = object.__new__(ObjectNode)
         dup.id = self.id
         dup.label = self.label
@@ -288,6 +303,7 @@ class ObjectNode:
         attached = sum(entries(value, "objects", read))
         belongs = obj(belongs_value, "belongs_to")
         stray = False  # an edge names a detached object
+        more = defaultdict(list)  # (room id, label) -> the ids filed there after the first
         # What _link does per edge, written out.
         for oid, rid in belongs.items():
             node = objects.get(oid)
@@ -303,7 +319,11 @@ class ObjectNode:
                 stray = True
             else:
                 node.room = rid
-                members[rid].setdefault(node.label, []).append(oid)  # frozen by _freeze
+                filed = members[rid]
+                if node.label in filed:
+                    more[rid, node.label].append(oid)  # joined by _freeze
+                else:
+                    filed[node.label] = (oid,)
         # Keys are unique: with no stray edge every key names an attached object,
         # so as many keys as attached objects means every attached object has one.
         if stray or len(belongs) != attached:
@@ -311,7 +331,7 @@ class ObjectNode:
                 "document violates graph invariants: "
                 "belongs_to keys do not exactly match attached object ids"
             )
-        _freeze(members)
+        _freeze(members, more)
 
     @staticmethod
     def _load_columns(graph: "SceneGraph", value) -> None:
@@ -337,8 +357,9 @@ class ObjectNode:
             column(cols, "pose_provisional", n), _BOOL, lambda v: flag(v, "pose_provisional"),
             at("pose_provisional"),
         )
-        objects, rooms, members = graph.objects, graph.rooms, graph._members
+        objects, members = graph.objects, graph._members
         labels_read: dict[str, str] = {}  # each label as written -> its node label
+        more = defaultdict(list)  # (room id, label) -> the ids filed there after the first
         new = object.__new__
         set_q, set_t, set_extents = Pose.q.__set__, Pose.t.__set__, BBox3.extents.__set__
         for oid, label, q, t, extents, decay_rate, last_seen, rid, provisional in zip(
@@ -369,9 +390,13 @@ class ObjectNode:
             if oid in objects:
                 raise ValueError(f"{at('id')(len(objects))}: duplicate object id {oid!r}")
             if rid is not None:
-                if rid not in rooms:
+                filed = members.get(rid)  # a label map for each room read
+                if filed is None:
                     raise ValueError(f"{at('room')(len(objects))}: unknown room id {rid!r}")
-                members[rid].setdefault(norm, []).append(oid)  # frozen by _freeze
+                if norm in filed:
+                    more[rid, norm].append(oid)  # joined by _freeze
+                else:
+                    filed[norm] = (oid,)
             pose = new(Pose)
             set_q(pose, q)
             set_t(pose, t)
@@ -386,15 +411,15 @@ class ObjectNode:
             node.last_seen = last_seen
             node.room = rid
             node.pose_provisional = provisional
-        _freeze(members)
+        _freeze(members, more)
 
 
-def _freeze(members: dict) -> None:
-    """Turn each id list a loader filed under a label into the tuple the graph
-    keeps, so that a room holding one label N times loads in O(N)."""
-    for filed in members.values():
-        for label, ids in filed.items():
-            filed[label] = tuple(ids)
+def _freeze(members: dict, more: dict) -> None:
+    """Join to each label's first id, which a loader files as a 1-tuple, the
+    ids it gathered after it in ``more``, so that a room holding one label N
+    times loads in O(N) and a label held once costs no list."""
+    for (rid, label), ids in more.items():
+        members[rid][label] += tuple(ids)
 
 
 class SceneGraph:
@@ -413,8 +438,17 @@ class SceneGraph:
         # Room ids whose label map no other graph holds: a copy shares every
         # map, and _room_members copies a shared one before its first write.
         self._own: set[str] = set()
-        # slug -> n such that every f"{slug}-{m}" with m < n is an object id.
+        # Ids of the object nodes no other graph holds: the nodes this graph
+        # built or cloned since its last copy(), which _editable writes in place.
+        self._own_nodes: set[str] = set()
+        # slug -> n such that every f"{slug}-{m}" with 1 <= m < n is an object id.
         self._id_floor: dict[str, int] = {}
+        self._edits = 0  # adds and removals, which change the set of ids
+        # The graph this one is a copy of (weakly held), and its _edits at the
+        # copy: while they match, its id floors hold here for any slug this
+        # graph has neither added nor removed (see _floor).
+        self._source: Optional[weakref.ref] = None
+        self._source_edits = 0
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -446,11 +480,35 @@ class SceneGraph:
 
     def _next_id(self, label: str) -> str:
         slug = _norm_label(label).replace(" ", "-")
-        n = self._id_floor.get(slug, 1)
-        while f"{slug}-{n}" in self.objects:
+        return f"{slug}-{self._floor(slug)}"
+
+    def _floor(self, slug: str) -> int:
+        """The smallest n with no object ``f"{slug}-{n}"``, found from the
+        slug's floor and kept as its floor.
+
+        A graph with no floor for ``slug`` starts from its source's (and that
+        one from its own source's) while the source has made no add or
+        removal since the copy: the two then hold the same ids of the slug,
+        as this graph has added none (an add keeps the floor it finds) and
+        removed none (a removal resets the floor to 1). Every graph on that
+        chain keeps the floor found.
+        """
+        chain = [self]  # graphs holding the same ids of the slug as this one
+        n = self._id_floor.get(slug)
+        while n is None:
+            graph = chain[-1]
+            source = graph._source() if graph._source is not None else None
+            if source is None or source._edits != graph._source_edits:
+                n = 1
+            else:
+                chain.append(source)
+                n = source._id_floor.get(slug)
+        objects = self.objects
+        while f"{slug}-{n}" in objects:
             n += 1
-        self._id_floor[slug] = n
-        return f"{slug}-{n}"
+        for graph in chain:
+            graph._id_floor[slug] = n
+        return n
 
     # ------------------------------------------------------------------
     # queries
@@ -499,6 +557,16 @@ class SceneGraph:
             self._own.add(room_id)
         return filed
 
+    def _editable(self, oid: str) -> ObjectNode:
+        """The node of ``oid``, made this graph's own before a primitive writes
+        it: the node itself if no other graph holds it, else a clone filed in
+        its place."""
+        if oid in self._own_nodes:
+            return self.objects[oid]
+        node = self.objects[oid] = self.objects[oid]._clone()
+        self._own_nodes.add(oid)
+        return node
+
     def _link(self, oid: str, room_id: str) -> None:
         """File the object under its label in the room its node now names."""
         label = self.objects[oid].label
@@ -542,6 +610,8 @@ class SceneGraph:
             pose_provisional=bool(pose_provisional),
         )
         self.objects[oid] = node
+        self._own_nodes.add(oid)
+        self._edits += 1
         self._link(oid, room.id)
         return oid
 
@@ -559,7 +629,10 @@ class SceneGraph:
         node, room = self._attached_in_room(source_room, target)
         self._unlink(target, room.id)
         del self.objects[target]
-        self._id_floor.pop(target.rsplit("-", 1)[0], None)
+        self._own_nodes.discard(target)
+        self._edits += 1
+        # The slug's floor may now skip the freed id; 1 is a floor of every slug.
+        self._id_floor[target.rsplit("-", 1)[0]] = 1
         return node
 
     def move_object(
@@ -576,7 +649,7 @@ class SceneGraph:
         new_room = self.room_by_label(target_room)
         if not isfinite(now):  # the error ObjectNode raises
             raise ValueError(f"last_seen must be finite, got {now!r}")
-        node = self.objects[target] = node._clone()
+        node = self._editable(target)
         node.pose = new_pose
         node.last_seen = float(now)
         node.pose_provisional = bool(pose_provisional)
@@ -592,7 +665,7 @@ class SceneGraph:
         room_id = node.room
         if room_id is None:
             raise AlreadyDetached(f"object {target!r} is already detached")
-        node = self.objects[target] = node._clone()
+        node = self._editable(target)
         node.room = None
         self._unlink(target, room_id)
 
@@ -606,7 +679,7 @@ class SceneGraph:
             raise AlreadyAttached(f"object {target!r} is already attached")
         if not isfinite(now):  # the error ObjectNode raises
             raise ValueError(f"last_seen must be finite, got {now!r}")
-        node = self.objects[target] = node._clone()
+        node = self._editable(target)
         node.room = room.id
         node.pose = pose
         node.last_seen = float(now)
@@ -618,8 +691,10 @@ class SceneGraph:
         (resets their decay clocks).
 
         Every id must name an object and ``now`` must be finite before any
-        node is written; then each node is cloned and refreshed in list
-        order. An empty list changes nothing.
+        node is written; then each node is refreshed in list order, in place
+        if this graph already owns it (a frame's touch after an earlier one
+        clones nothing) and as a clone otherwise. An empty list changes
+        nothing.
         """
         objects = self.objects
         for target in targets:
@@ -628,21 +703,22 @@ class SceneGraph:
         if not isfinite(now):  # the error ObjectNode raises
             raise ValueError(f"last_seen must be finite, got {now!r}")
         now = float(now)
+        editable = self._editable
         for target in targets:
-            node = objects[target] = objects[target]._clone()
-            node.last_seen = now
+            editable(target).last_seen = now
 
     # ------------------------------------------------------------------
 
     def copy(self) -> "SceneGraph":
-        """Independent graph that shares every room and object node and every
-        room's label map.
+        """A graph equal in value to this one that shares every room and
+        object node and every room's label map.
 
-        The other containers are copied. Rooms are frozen; object nodes are
-        never edited in place (the primitives replace a node before writing
-        it), and a label map is copied by whichever graph first writes it
-        (after a copy neither graph owns any), so neither graph can change
-        the other.
+        The other containers are copied. Rooms are frozen, and an object node
+        or a label map is copied by whichever graph first writes it: after a
+        copy neither graph owns any, so neither graph can change the other's
+        value. The copy keeps this graph's id floors and learns more through
+        it (see ``_floor``), so the two are not independent for concurrent
+        use.
         """
         dup = SceneGraph(epoch=self.epoch)
         dup.rooms = dict(self.rooms)
@@ -652,7 +728,10 @@ class SceneGraph:
         dup._room_bounds = list(self._room_bounds)
         dup._members = dict(self._members)
         dup._id_floor = dict(self._id_floor)
+        dup._source = weakref.ref(self)
+        dup._source_edits = self._edits
         self._own.clear()
+        self._own_nodes.clear()
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -717,6 +796,8 @@ def check_invariants(graph: SceneGraph) -> list[str]:
     for slug, floor in graph._id_floor.items():
         if not all(f"{slug}-{n}" in graph.objects for n in range(1, floor)):
             problems.append(f"id floor {floor} of {slug!r} skips a free id")
+    for oid in sorted(graph._own_nodes - graph.objects.keys()):
+        problems.append(f"owned node id {oid!r} names no object")
     return problems
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import sys
 from dataclasses import FrozenInstanceError, fields
 from importlib import resources
 from pathlib import Path
@@ -260,6 +261,149 @@ def test_a_copy_keeps_the_id_floors_its_source_learned(house2):
     assert house2._id_floor == {"coffee-mug": 3}
 
 
+class Probes(dict):
+    """An ``objects`` map that records each id a membership test asks for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked: list[str] = []
+
+    def __contains__(self, oid):
+        self.asked.append(oid)
+        return super().__contains__(oid)
+
+
+def test_a_copy_learns_an_id_floor_through_its_source_and_the_source_keeps_it(house2):
+    for i in range(4):
+        put(house2, "kitchen", "cup", (1 + 0.1 * i, 1, 1))
+    loaded = deserialize(serialize(house2))
+    assert loaded._id_floor == {}  # a load learns no floor
+    second, first = loaded.copy(), loaded.copy()
+    assert put(first, "kitchen", "cup", (2, 1, 1)) == "cup-5"
+    assert loaded._id_floor == {"cup": 5}  # the copy's floor, which holds for the source's ids too
+    # A copy taken before the source learned the floor starts from it: its
+    # first add of a cup probes one id, not cup-1 to cup-5.
+    second.objects = Probes(second.objects)
+    assert put(second, "kitchen", "cup", (2, 2, 1)) == "cup-5"
+    assert second.objects.asked == ["cup-5"]
+    # An add or a removal in the source ends that: its later ids are not the copies'.
+    third = loaded.copy()
+    assert [put(loaded, "kitchen", "vase", (3, 1, 1)) for _ in range(2)] == ["vase-1", "vase-2"]
+    assert put(third, "kitchen", "vase", (3, 2, 1)) == "vase-1"
+    loaded.remove_object("kitchen", "cup-2")
+    assert put(loaded, "kitchen", "cup", (3, 3, 1)) == "cup-2"
+    assert put(third, "kitchen", "cup", (3, 3, 1)) == "cup-5"
+    for g in (loaded, first, second, third):
+        assert check_invariants(g) == []
+
+
+def test_a_copy_that_removed_an_id_never_starts_above_it():
+    g = two_room_graph()
+    for i in range(3):
+        put(g, "kitchen", "cup", (1 + 0.1 * i, 1, 1))
+    loaded = deserialize(serialize(g))
+    put(loaded.copy(), "kitchen", "cup", (2, 1, 1))  # the source learns floor 4
+    clone = loaded.copy()
+    clone.remove_object("kitchen", "cup-2")
+    assert clone._id_floor["cup"] == 1
+    assert put(clone, "kitchen", "cup", (2, 2, 1)) == "cup-2"
+    assert put(clone, "kitchen", "cup", (2, 2, 1)) == "cup-4"
+
+
+def test_a_long_chain_of_copies_learns_a_floor_without_recursing():
+    g = two_room_graph()
+    for i in range(3):
+        put(g, "kitchen", "cup", (1 + 0.1 * i, 1, 1))
+    chain = [deserialize(serialize(g))]
+    for _ in range(3 * sys.getrecursionlimit()):
+        chain.append(chain[-1].copy())
+    assert put(chain[-1], "kitchen", "cup", (2, 1, 1)) == "cup-4"
+    assert all(member._id_floor == {"cup": 4} for member in chain)
+    assert put(chain[0].copy(), "kitchen", "cup", (2, 1, 1)) == "cup-4"
+
+
+ID_STEP = st.tuples(
+    st.sampled_from(["add", "add", "add", "remove", "remove", "copy", "reload"]),
+    st.integers(0, 2**16),  # picks the graph
+    st.integers(0, 2**16),  # picks the label, the room and the object
+)
+ID_LABELS = ("cup", "Cup 3", "book", "cup-3")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(ID_LABELS), st.booleans()), max_size=12),
+       st.lists(ID_STEP, min_size=5, max_size=40))
+def test_an_id_chosen_through_copies_is_the_id_a_fresh_load_chooses(start, steps):
+    """Adds and removals on a loaded graph, on copies of it and of its
+    copies, and on sources after they were copied (or reloaded, so that a
+    copy's source is gone): every id ``add_object`` returns is the id the
+    same call returns on ``deserialize(serialize(...))`` of that graph, which
+    learns no floor, and every graph keeps its invariants."""
+    g = two_room_graph()
+    for label, keep in start:
+        oid = put(g, "kitchen", label, (1, 1, 1))
+        if not keep:
+            g.remove_object("kitchen", oid)
+    family = [deserialize(serialize(g))]
+    family.append(family[0].copy())  # so that most draws act on a copy or its source
+    for op, which, pick in steps:
+        g = family[which % len(family)]
+        attached = sorted(oid for oid, n in g.objects.items() if n.attached)
+        if op == "copy":
+            if len(family) < 4:
+                family.append(g.copy())
+            else:
+                family[pick % 4] = g.copy()
+        elif op == "reload":
+            family[which % len(family)] = deserialize(serialize(g))
+        elif op == "add":
+            room, label = ("kitchen", "living room")[pick % 2], ID_LABELS[pick // 2 % len(ID_LABELS)]
+            spot = (1, 1, 1) if room == "kitchen" else (7, 1, 1)
+            want = put(deserialize(serialize(g)), room, label, spot)
+            assert put(g, room, label, spot) == want
+        elif op == "remove" and attached:
+            oid = attached[pick % len(attached)]
+            g.remove_object(g.rooms[g.objects[oid].room].label, oid)
+        for member in family:
+            assert check_invariants(member) == []
+
+
+def test_a_graph_writes_in_place_the_nodes_it_alone_holds(house2):
+    put(house2, "kitchen", "cup", (1, 1, 1))
+    loaded = deserialize(serialize(house2))
+    shared = loaded.objects["cup-1"]
+    loaded.touch(["cup-1"], 1.0)  # a loaded node is cloned on its first write
+    node = loaded.objects["cup-1"]
+    assert node is not shared and shared.last_seen == 0.0
+    loaded.touch(["cup-1"], 2.0)
+    loaded.move_object("kitchen", "living room", "cup-1", Pose.identity((8, 1, 1)), 3.0)
+    loaded.detach("cup-1")
+    loaded.reattach("cup-1", "kitchen", Pose.identity((2, 1, 1)), 4.0)
+    assert loaded.objects["cup-1"] is node and node.last_seen == 4.0 and node.room == "kitchen"
+    built = loaded.objects[put(loaded, "kitchen", "plate", (2, 2, 1))]
+    loaded.touch(["plate-1"], 5.0)  # a node the graph built is its own
+    assert loaded.objects["plate-1"] is built and built.last_seen == 5.0
+    assert check_invariants(loaded) == []
+
+
+@pytest.mark.parametrize("edited_side", ["copy", "original"])
+def test_a_node_read_before_a_copy_is_unchanged_by_later_writes_in_either_graph(house2, edited_side):
+    put(house2, "kitchen", "cup", (1, 1, 1))
+    house2.touch(["cup-1"], 1.0)  # the graph's own node
+    read = house2.objects["cup-1"]
+    fields_before = {f: getattr(read, f) for f in NODE_FIELDS}
+    clone = house2.copy()
+    edited, kept = (clone, house2) if edited_side == "copy" else (house2, clone)
+    for g in (edited, kept, edited):
+        g.touch(["cup-1"], 7.0)
+        g.move_object("kitchen", "living room", "cup-1", Pose.identity((8, 1, 1)), 8.0, pose_provisional=True)
+        g.move_object("living room", "kitchen", "cup-1", Pose.identity((2, 1, 1)), 9.0)
+    assert {f: getattr(read, f) for f in NODE_FIELDS} == fields_before
+    assert len({id(read), id(edited.objects["cup-1"]), id(kept.objects["cup-1"])}) == 3
+    assert edited.objects["cup-1"].last_seen == kept.objects["cup-1"].last_seen == 9.0
+    assert check_invariants(edited) == check_invariants(kept) == []
+
+
 def set_cup(field, value):
     """An edit that writes ``value`` to the cup's node ``field`` in place."""
     return lambda g: object.__setattr__(g.objects["cup-1"], field, value)
@@ -295,11 +439,12 @@ FILED_ELSEWHERE = "room 'kitchen' files 'cup-1' under 'cup', but its node is in 
         (lambda g: g._members["kitchen"].pop("cup"),
          ["object 'cup-1' is attached in room 'kitchen' but not filed there"]),
         (lambda g: g._members.pop("living room"), ["room member index does not hold one label map per room"]),
+        (lambda g: g._own_nodes.add("cup-9"), ["owned node id 'cup-9' names no object"]),
     ],
     ids=[
         "unknown-room", "wrong-room-set", "detached-but-filed", "relabeled-node", "empty-entry",
         "filed-twice-in-one-room", "filed-in-two-rooms", "unknown-object-filed", "attached-but-unfiled",
-        "room-without-map",
+        "room-without-map", "owned-id-of-no-object",
     ],
 )
 def test_check_invariants_reports_a_node_whose_room_its_member_sets_disagree_with(house2, corrupt, problems):
@@ -1263,8 +1408,7 @@ def test_long_random_primitive_sequence_keeps_invariants():
 # -- who may write a node ----------------------------------------------------
 
 # Copies share object nodes, so a field written anywhere but on a node a
-# primitive has just cloned into its own graph would change every graph
-# that holds the node.
+# primitive's graph alone holds would change every graph that holds the node.
 NODE_FIELDS = {f.name for f in fields(ObjectNode)}
 NODE_WRITERS = {("SceneGraph", name) for name in ("move_object", "detach", "reattach", "touch")}
 

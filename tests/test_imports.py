@@ -389,3 +389,53 @@ def test_member_read_scan_flags_every_read():
         "getattr(graph, 'objects')\n"
     )
     assert member_reads(snippet) == [((), 1), (("expected_visible",), 3), (("Updater", "frame"), 6)]
+
+
+# A node is cloned only by the graph's one write helper, which marks the clone
+# as the graph's own: a primitive that cloned a node itself would leave it
+# unmarked, and one that wrote a node without the helper could write a node
+# another graph holds.
+CLONERS = {("graph.py", "SceneGraph", "_editable")}
+
+
+def clone_uses(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """``(scope, line)`` of each ``<expr>._clone`` in ``source``, called or
+    not, and of each ``getattr`` call naming ``_clone`` as a string literal."""
+
+    def flagged(node) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr == "_clone"
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "getattr"
+            and any(isinstance(a, ast.Constant) and a.value == "_clone" for a in node.args)
+        )
+
+    return scoped_nodes(source, flagged)
+
+
+def test_only_the_graph_write_helper_clones_a_node():
+    cloners = {
+        (path.name, *scope[:2])
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, _ in clone_uses(path.read_text("utf-8"))
+    }
+    assert cloners == CLONERS
+
+
+def test_clone_scan_flags_every_use():
+    snippet = (
+        "class ObjectNode:\n"
+        "    def _clone(self):\n"
+        "        return self\n"
+        "class SceneGraph:\n"
+        "    def _editable(self, oid):\n"
+        "        return self.objects[oid]._clone()\n"
+        "    def touch(self, targets, now):\n"
+        "        copy = self.objects[targets[0]]._clone\n"
+        "        getattr(node, '_clone')()\n"
+        "node.clone()\n"
+    )
+    assert clone_uses(snippet) == [
+        (("SceneGraph", "_editable"), 6), (("SceneGraph", "touch"), 8), (("SceneGraph", "touch"), 9),
+    ]
