@@ -61,16 +61,18 @@ writes one list per field, in object-id order, with each object's room id
 (or null) in a ``room`` column. The loader reads each section of a document
 in one loop. Each object column gets one type-and-length test, and only a
 column that fails it is read value by value, for the per-value reader's
-error; one loop then checks the node classes' rules, written out, and
-builds and files each node with no further call. A refusal names the
+error; the columns, zipped, then feed the one loop that builds objects
+(``ObjectNode._build``), which checks the node classes' rules, written out,
+and builds and files each node with no further call. A refusal names the
 column, the object's index and its id. A load normalizes each distinct
 object label once, and the nodes that carry it share the string.
 
 A document with a ``belongs_to`` map is a row document, the layout graph
-files had before: one entry per object, read by
-:func:`~sgupdate.values.object_entry`, then the map's edges in document
-order. It is read, never written, since the benchmark's generated houses
-and older files are rows.
+files had before: one entry per object, each read by
+:func:`~sgupdate.values.object_entry` and fed to the same loop with no
+room, one at a time; then the map's edges, in document order, record and
+file each attached object's room. It is read, never written, since the
+benchmark's generated houses and older files are rows.
 
 :func:`serialize` and :func:`deserialize` run with the cyclic garbage
 collector paused. A graph document and the graph built from it hold no
@@ -100,6 +102,7 @@ from .values import (
     number,
     obj,
     object_entry,
+    object_rows,
     shown,
     text,
     texts,
@@ -175,10 +178,6 @@ def _node_label(label: str) -> str:
         raise ValueError(f"label must not be blank, got {label!r}")
     return norm
 
-
-# The room of an attached node the row loader has built but whose belongs_to
-# edge it has not read yet; a document it is left on fails the edge count check.
-_UNFILED = ""
 
 # The types each column of a column document may hold, checked once per column.
 _STR = frozenset((str,))
@@ -256,51 +255,10 @@ class ObjectNode:
         ``belongs_value`` as its object's ``room`` and file the object under
         its label in that room; errors name ``objects[i]`` or
         ``belongs_to[id]``."""
+        detached: set[str] = set()  # ids of the entries whose attached is false
+        # This module's object_entry, looked up at each load, since a test may replace it.
+        ObjectNode._build(graph, object_rows(value, object_entry, detached), lambda key, i: f"objects[{i}]")
         objects, rooms, members = graph.objects, graph.rooms, graph._members
-        labels: dict[str, str] = {}  # each label as written -> its node label
-        new = object.__new__
-        # The slots' own setters, which object.__setattr__ would look up by name
-        # on every call; Pose and BBox3 are frozen, so a plain store raises.
-        set_q, set_t, set_extents = Pose.q.__set__, Pose.t.__set__, BBox3.extents.__set__
-
-        def read(entry: dict) -> bool:
-            oid, label, q, t, extents, decay_rate, last_seen, attached, provisional = object_entry(entry)
-            w, x, y, z = q
-            norm = labels.get(label)
-            if norm is None:
-                norm = labels[label] = _norm_label(label)
-            # The rules of Pose, BBox3 and ObjectNode, written out: geometry.is_unit
-            # and is_positive, a label that is not blank and a decay rate >= 0.
-            if not (
-                abs(sqrt(sum((w * w, x * x, y * y, z * z))) - 1.0) <= QUAT_NORM_TOL
-                and extents[0] > 0.0 and extents[1] > 0.0 and extents[2] > 0.0
-                and norm
-                and decay_rate >= 0.0
-            ):
-                # The first rule the entry breaks raises its own error.
-                Pose(q, t)
-                BBox3(extents)
-                _node_label(label)
-                raise InvalidGeometry(f"decay_rate must be >= 0, got {decay_rate}")
-            if oid in objects:
-                raise ValueError(f"duplicate object id {oid!r}")
-            pose = new(Pose)
-            set_q(pose, q)
-            set_t(pose, t)
-            bbox = new(BBox3)
-            set_extents(bbox, extents)
-            node = objects[oid] = new(ObjectNode)
-            node.id = oid
-            node.label = norm
-            node.pose = pose
-            node.bbox = bbox
-            node.decay_rate = decay_rate
-            node.last_seen = last_seen
-            node.room = _UNFILED if attached else None
-            node.pose_provisional = provisional
-            return attached
-
-        attached = sum(entries(value, "objects", read))
         belongs = obj(belongs_value, "belongs_to")
         stray = False  # an edge names a detached object
         more = defaultdict(list)  # (room id, label) -> the ids filed there after the first
@@ -315,7 +273,7 @@ class ObjectNode:
                 known = False
             if not known:
                 raise ValueError(f"belongs_to[{oid!r}]: unknown room id {shown(rid)}")
-            if node.room is None:
+            if oid in detached:
                 stray = True
             else:
                 node.room = rid
@@ -326,7 +284,7 @@ class ObjectNode:
                     filed[node.label] = (oid,)
         # Keys are unique: with no stray edge every key names an attached object,
         # so as many keys as attached objects means every attached object has one.
-        if stray or len(belongs) != attached:
+        if stray or len(belongs) != len(objects) - len(detached):
             raise ValueError(
                 "document violates graph invariants: "
                 "belongs_to keys do not exactly match attached object ids"
@@ -343,8 +301,11 @@ class ObjectNode:
         ids = checked(column(cols, "id"), _STR, lambda v: text(v, "id"), lambda i: f"objects.id[{i}]")
         n = len(ids)
 
+        def where(key: str, i: int) -> str:
+            return f"objects.{key}[{i}] (object {ids[i]!r})"
+
         def at(key: str):
-            return lambda i: f"objects.{key}[{i}] (object {ids[i]!r})"
+            return lambda i: where(key, i)
 
         labels = checked(column(cols, "label", n), _STR, lambda v: text(v, "label"), at("label"))
         quats = float_column(column(cols, "q", n, 4), "quaternion", 4, at("q"))
@@ -357,19 +318,30 @@ class ObjectNode:
             column(cols, "pose_provisional", n), _BOOL, lambda v: flag(v, "pose_provisional"),
             at("pose_provisional"),
         )
+        ObjectNode._build(graph, zip(ids, labels, quats, trans, boxes, rates, seens, homes, provs), where)
+
+    @staticmethod
+    def _build(graph: "SceneGraph", rows, where) -> None:
+        """File in ``graph`` a node for each ``(id, label, q, t, extents,
+        decay_rate, last_seen, room, pose_provisional)`` of ``rows``, with
+        ``q``, ``t`` and ``extents`` tuples of floats, filed under its label
+        in ``room`` unless that is None; a node rule, duplicate id or unknown
+        room of object ``i`` is refused as ``ValueError`` named ``where(key,
+        i)``, ``key`` the field at fault."""
         objects, members = graph.objects, graph._members
-        labels_read: dict[str, str] = {}  # each label as written -> its node label
+        labels: dict[str, str] = {}  # each label as written -> its node label
         more = defaultdict(list)  # (room id, label) -> the ids filed there after the first
         new = object.__new__
+        # The slots' own setters, which object.__setattr__ would look up by name
+        # on every call; Pose and BBox3 are frozen, so a plain store raises.
         set_q, set_t, set_extents = Pose.q.__set__, Pose.t.__set__, BBox3.extents.__set__
-        for oid, label, q, t, extents, decay_rate, last_seen, rid, provisional in zip(
-            ids, labels, quats, trans, boxes, rates, seens, homes, provs
-        ):
+        for oid, label, q, t, extents, decay_rate, last_seen, rid, provisional in rows:
             w, x, y, z = q
-            norm = labels_read.get(label)
+            norm = labels.get(label)
             if norm is None:
-                norm = labels_read[label] = _norm_label(label)
-            # The node rules, written out as in _load.
+                norm = labels[label] = _norm_label(label)
+            # The rules of Pose, BBox3 and ObjectNode, written out: geometry.is_unit
+            # and is_positive, a label that is not blank and a decay rate >= 0.
             if not (
                 abs(sqrt(sum((w * w, x * x, y * y, z * z))) - 1.0) <= QUAT_NORM_TOL
                 and extents[0] > 0.0 and extents[1] > 0.0 and extents[2] > 0.0
@@ -377,7 +349,7 @@ class ObjectNode:
                 and decay_rate >= 0.0
             ):
                 # The first rule the object breaks raises its own error, named by
-                # its column; every object before this one is built, so its index
+                # its field; every object before this one is built, so its index
                 # is len(objects).
                 i = len(objects)
                 rules = (("q", Pose, (q, t)), ("bbox", BBox3, (extents,)), ("label", _node_label, (label,)))
@@ -385,14 +357,14 @@ class ObjectNode:
                     try:
                         rule(*args)
                     except ValueError as exc:
-                        raise ValueError(f"{at(key)(i)}: {exc}") from None
-                raise ValueError(f"{at('decay_rate')(i)}: decay_rate must be >= 0, got {decay_rate}")
+                        raise ValueError(f"{where(key, i)}: {exc}") from None
+                raise ValueError(f"{where('decay_rate', i)}: decay_rate must be >= 0, got {decay_rate}")
             if oid in objects:
-                raise ValueError(f"{at('id')(len(objects))}: duplicate object id {oid!r}")
+                raise ValueError(f"{where('id', len(objects))}: duplicate object id {oid!r}")
             if rid is not None:
                 filed = members.get(rid)  # a label map for each room read
                 if filed is None:
-                    raise ValueError(f"{at('room')(len(objects))}: unknown room id {rid!r}")
+                    raise ValueError(f"{where('room', len(objects))}: unknown room id {rid!r}")
                 if norm in filed:
                     more[rid, norm].append(oid)  # joined by _freeze
                 else:

@@ -24,7 +24,9 @@ any other bad value, naming its place.
 value's shape, in the order the keys are named, with one combined test for
 the common case of finite floats. The node rules (a unit quaternion,
 positive extents, a non-blank label and a decay rate of at least 0) are the
-graph loader's.
+graph loader's. :func:`object_rows` hands the loader a row document's
+entries, read that way, one at a time, each in the layout of a column
+document's object: its room in place of its ``attached`` flag.
 
 :func:`column`, :func:`checked` and :func:`float_column` read a column
 document's object columns: one type-and-length test per column, and the
@@ -34,7 +36,7 @@ wording a row entry's would.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 _FLOAT = frozenset((float,))
 _ARRAY = (list, tuple)
@@ -264,6 +266,24 @@ def within(where: str, read: Callable, *args):
         return read(*args)
     except (KeyError, ValueError) as exc:
         raise _named(where, exc) from exc
+
+
+def object_rows(value, read: Callable[[dict], tuple], detached: set) -> Iterator[tuple]:
+    """``read(entry)``, an :func:`object_entry` tuple, for each object in the
+    row array ``value``, with its ``attached`` flag replaced by a room of
+    None and the id of each detached entry added to ``detached``; errors
+    name ``objects[i]``. An entry is read only when the caller takes it, so
+    of two bad entries the loader names the earlier."""
+    for i, entry in enumerate(array(value, "objects")):
+        if not isinstance(entry, dict):
+            obj(entry, f"objects[{i}]")  # raises, naming the entry
+        try:
+            oid, label, q, t, extents, rate, seen, attached, provisional = read(entry)
+        except (KeyError, ValueError) as exc:
+            raise _named(f"objects[{i}]", exc) from exc
+        if not attached:
+            detached.add(oid)
+        yield oid, label, q, t, extents, rate, seen, None, provisional
 
 
 def entries(value, key: str, read: Callable[[dict], object]) -> list:

@@ -797,10 +797,11 @@ def edited(payload, path, value) -> str:
 
 
 def payload_with(path, value) -> str:
-    """A two-room graph with one cup, as row document text, edited by
-    ``edited``."""
+    """A two-room graph with a cup (object 0) and a mug (object 1) in the
+    kitchen, as row document text, edited by ``edited``."""
     g = two_room_graph()
     put(g, "kitchen", "cup", (1, 1, 1))
+    put(g, "kitchen", "mug", (3, 3, 1))
     return edited(json.loads(row_document(g)), path, value)
 
 
@@ -851,6 +852,22 @@ def test_deserialize_refuses_an_integer_too_long_for_python():
             ("objects", 0, "label"), "   ", r"^objects\[0\]: label must not be blank, got '   '$",
             id="object-label",
         ),
+        # the node rules and the duplicate id, each in the second entry
+        pytest.param(
+            ("objects", 1, "pose", "q"), [2, 0, 0, 0],
+            r"^objects\[1\]: quaternion norm 2\.0 deviates from 1 beyond 1e-09$", id="object-non-unit-q",
+        ),
+        pytest.param(
+            ("objects", 1, "bbox"), [0.2, 0.0, 0.2],
+            r"^objects\[1\]: extents must be strictly positive, got \(0\.2, 0\.0, 0\.2\)$", id="object-flat-extent",
+        ),
+        pytest.param(
+            ("objects", 1, "decay_rate"), -1, r"^objects\[1\]: decay_rate must be >= 0, got -1\.0$",
+            id="object-negative-rate",
+        ),
+        pytest.param(
+            ("objects", 1, "id"), "cup-1", r"^objects\[1\]: duplicate object id 'cup-1'$", id="object-duplicate-id",
+        ),
         pytest.param(("rooms", 1, "label"), "", r"^rooms\[1\]: label must not be blank, got ''$", id="room-label"),
         pytest.param(
             ("rooms", 1, "id"), "kitchen", r"^rooms\[1\]: room id 'kitchen' already present$", id="room-id"
@@ -882,6 +899,11 @@ def test_deserialize_refuses_an_integer_too_long_for_python():
         pytest.param(
             [("objects", 0, "attached"), ("belongs_to", "ghost")], [False, "kitchen"],
             r"^belongs_to\['ghost'\]: unknown object id$", id="edge-before-count",
+        ),
+        # objects in order: an entry's rule breach before a later entry's missing key
+        pytest.param(
+            [("objects", 0, "decay_rate"), ("objects", 1, "pose")], [-1, MISSING],
+            r"^objects\[0\]: decay_rate must be >= 0, got -1\.0$", id="entries-in-order",
         ),
     ],
 )

@@ -41,6 +41,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sgupdate.graph
+import sgupdate.values
 from sgupdate.cli import main
 from sgupdate.geometry import QUAT_NORM_TOL, is_unit
 from sgupdate.graph import ParseError, check_invariants, deserialize, graph_from_payload, serialize
@@ -237,6 +238,22 @@ def test_one_bad_value_in_a_graph_document_loads_a_sound_graph_or_raises_parse_e
     blob = serialize(graph)
     assert serialize(deserialize(blob)) == blob
     assert json.loads(row_document(graph)) == as_written(doc)  # no value dropped, coerced or normalized
+
+
+def test_the_row_loader_reads_each_entry_through_the_name_the_oracle_replaces():
+    """``reference_loaded`` replaces ``sgupdate.graph.object_entry``; were the
+    loader to stop reading entries through that name, the oracle would
+    compare the loader with itself and pass on any change."""
+    calls = []
+
+    def counted(entry):
+        calls.append(entry["id"])
+        return sgupdate.values.object_entry(entry)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sgupdate.graph, "object_entry", counted)
+        deserialize(json.dumps(GRAPH_DOC))
+    assert calls == [entry["id"] for entry in GRAPH_DOC["objects"]]
 
 
 COLUMN_DOC = columns_of(GRAPH_DOC)
