@@ -29,12 +29,16 @@ graph holds it, and a copy and its original cannot change each other's
 value; the id tuples a map holds are immutable, so copying a map is one
 shallow ``dict``.
 
-A new object's id is its label's slug and the smallest free number. Each
-graph keeps, for each slug it has probed, a floor below which every number
-is taken. A copy with no floor for a slug starts from its source's while
-the source has added and removed nothing since the copy, and the source
-keeps the floor the copy finds. A load learns no floor, so a loaded graph's
-first add of a slug probes from 1, once for all the copies taken from it.
+A new object's id is its label's slug and the smallest free number, probed
+from a floor below which every number is taken. A graph owns each slug it
+has added or removed, and a copy owns the slugs its source owned at the
+copy; their floors are the graph's own, and ``copy()`` copies them. A graph
+that does not own a slug holds its ids exactly as the load (or the new,
+empty graph) left them, so the floors of the slugs a graph does not own are
+kept in one map that a loaded or new graph creates and ``copy()`` passes
+on: a floor any of its copies finds serves them all. A load learns no
+floor, so a loaded graph's first add of a slug probes from 1, once for all
+the copies taken from it.
 
 The room layer doubles as the index. The graph keeps a room-label map, a
 flat list of the rooms' boxes, which ``assign_room`` reads, and for each
@@ -83,7 +87,6 @@ from __future__ import annotations
 
 import gc
 import json
-import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
@@ -413,14 +416,11 @@ class SceneGraph:
         # Ids of the object nodes no other graph holds: the nodes this graph
         # built or cloned since its last copy(), which _editable writes in place.
         self._own_nodes: set[str] = set()
-        # slug -> n such that every f"{slug}-{m}" with 1 <= m < n is an object id.
+        # slug -> n such that every f"{slug}-{m}" with 1 <= m < n is an object id,
+        # for each slug this graph owns (see the module docstring).
         self._id_floor: dict[str, int] = {}
-        self._edits = 0  # adds and removals, which change the set of ids
-        # The graph this one is a copy of (weakly held), and its _edits at the
-        # copy: while they match, its id floors hold here for any slug this
-        # graph has neither added nor removed (see _floor).
-        self._source: Optional[weakref.ref] = None
-        self._source_edits = 0
+        # The same for the slugs it does not own: one map shared with its copies.
+        self._shared_floor: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -451,36 +451,21 @@ class SceneGraph:
         return self.rooms[rid]
 
     def _next_id(self, label: str) -> str:
+        """The id ``f"{slug}-{n}"`` of the smallest free ``n``, probed from the
+        slug's owned floor, else its shared floor, else 1; the floor found is
+        kept in the map it was read from, and the slug becomes this graph's
+        own, as the caller is about to add the id."""
         slug = _norm_label(label).replace(" ", "-")
-        return f"{slug}-{self._floor(slug)}"
-
-    def _floor(self, slug: str) -> int:
-        """The smallest n with no object ``f"{slug}-{n}"``, found from the
-        slug's floor and kept as its floor.
-
-        A graph with no floor for ``slug`` starts from its source's (and that
-        one from its own source's) while the source has made no add or
-        removal since the copy: the two then hold the same ids of the slug,
-        as this graph has added none (an add keeps the floor it finds) and
-        removed none (a removal resets the floor to 1). Every graph on that
-        chain keeps the floor found.
-        """
-        chain = [self]  # graphs holding the same ids of the slug as this one
-        n = self._id_floor.get(slug)
-        while n is None:
-            graph = chain[-1]
-            source = graph._source() if graph._source is not None else None
-            if source is None or source._edits != graph._source_edits:
-                n = 1
-            else:
-                chain.append(source)
-                n = source._id_floor.get(slug)
+        floors = self._id_floor
+        n = floors.get(slug)
+        if n is None:
+            floors = self._shared_floor
+            n = floors.get(slug, 1)
         objects = self.objects
         while f"{slug}-{n}" in objects:
             n += 1
-        for graph in chain:
-            graph._id_floor[slug] = n
-        return n
+        floors[slug] = self._id_floor[slug] = n
+        return f"{slug}-{n}"
 
     # ------------------------------------------------------------------
     # queries
@@ -583,7 +568,6 @@ class SceneGraph:
         )
         self.objects[oid] = node
         self._own_nodes.add(oid)
-        self._edits += 1
         self._link(oid, room.id)
         return oid
 
@@ -602,8 +586,8 @@ class SceneGraph:
         self._unlink(target, room.id)
         del self.objects[target]
         self._own_nodes.discard(target)
-        self._edits += 1
-        # The slug's floor may now skip the freed id; 1 is a floor of every slug.
+        # The slug's floor may now skip the freed id; 1 is a floor of every
+        # slug, and the slug becomes this graph's own.
         self._id_floor[target.rsplit("-", 1)[0]] = 1
         return node
 
@@ -688,9 +672,9 @@ class SceneGraph:
         The other containers are copied. Rooms are frozen, and an object node
         or a label map is copied by whichever graph first writes it: after a
         copy neither graph owns any, so neither graph can change the other's
-        value. The copy keeps this graph's id floors and learns more through
-        it (see ``_floor``), so the two are not independent for concurrent
-        use.
+        value. The copy keeps this graph's own id floors and shares its map
+        of the floors of the slugs neither owns, so the two are not
+        independent for concurrent use.
         """
         dup = SceneGraph(epoch=self.epoch)
         dup.rooms = dict(self.rooms)
@@ -700,8 +684,7 @@ class SceneGraph:
         dup._room_bounds = list(self._room_bounds)
         dup._members = dict(self._members)
         dup._id_floor = dict(self._id_floor)
-        dup._source = weakref.ref(self)
-        dup._source_edits = self._edits
+        dup._shared_floor = self._shared_floor
         self._own.clear()
         self._own_nodes.clear()
         return dup
@@ -765,7 +748,8 @@ def check_invariants(graph: SceneGraph) -> list[str]:
     for oid, node in objects.items():
         if node.room in members and node.room not in filings.get(oid, ()):
             problems.append(f"object {oid!r} is attached in room {node.room!r} but not filed there")
-    for slug, floor in graph._id_floor.items():
+    # Each owned floor, and the shared floor of each slug the graph does not own.
+    for slug, floor in {**graph._shared_floor, **graph._id_floor}.items():
         if not all(f"{slug}-{n}" in graph.objects for n in range(1, floor)):
             problems.append(f"id floor {floor} of {slug!r} skips a free id")
     for oid in sorted(graph._own_nodes - graph.objects.keys()):

@@ -132,18 +132,13 @@ def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> l
     truth through it too. It visits only the members of the room the camera
     stands in, the id tuples of that room's label map (overlapping rooms
     resolve as in :meth:`SceneGraph.assign_room`; a camera outside every
-    room sees nothing), drops those at or beyond ``max_range`` on the
-    unrotated offset, and runs the exact frustum test on the rest.
+    room sees nothing), and runs the exact frustum test, range included, on
+    each movable one.
     """
     try:
         filed = graph._members[graph.assign_room(robot_pose)]
     except NoContainingRoom:
         return []
-    tx, ty, tz = robot_pose.t
-    # The exact test's rotation scales lengths by |q|**2 (1 within 2e-9), so
-    # the unrotated range test keeps a margin of a millionth.
-    reach = cam.max_range * (1.0 + 1e-6)
-    reach_sq = reach * reach
     inside = _frustum_test(robot_pose, cam)
     objects = graph.objects
     out = []
@@ -151,11 +146,7 @@ def expected_visible(graph: SceneGraph, robot_pose: Pose, cam: CameraModel) -> l
         node = objects[oid]
         if node.decay_rate <= 0.0:
             continue
-        px, py, pz = node.pose.t
-        dx, dy, dz = px - tx, py - ty, pz - tz
-        if dx * dx + dy * dy + dz * dz >= reach_sq:
-            continue
-        if inside(px, py, pz):
+        if inside(*node.pose.t):
             out.append(oid)
     out.sort()
     return out

@@ -251,14 +251,20 @@ def test_copy_is_deep(house2):
     assert graphs_equal(house2, house2.copy())
 
 
+def id_floors(graph: SceneGraph) -> dict[str, int]:
+    """The floor each slug's next id is probed from: the graph's own floor,
+    else the floor it shares with its copies."""
+    return {**graph._shared_floor, **graph._id_floor}
+
+
 def test_a_copy_keeps_the_id_floors_its_source_learned(house2):
     for i in range(3):
         put(house2, "kitchen", "coffee mug", (1 + 0.1 * i, 1, 1))
     clone = house2.copy()
-    assert clone._id_floor == house2._id_floor == {"coffee-mug": 3}
+    assert id_floors(clone) == id_floors(house2) == {"coffee-mug": 3}
     assert check_invariants(clone) == []
     assert put(clone, "kitchen", "coffee mug", (2, 1, 1)) == "coffee-mug-4"
-    assert house2._id_floor == {"coffee-mug": 3}
+    assert id_floors(house2) == {"coffee-mug": 3}
 
 
 class Probes(dict):
@@ -277,16 +283,17 @@ def test_a_copy_learns_an_id_floor_through_its_source_and_the_source_keeps_it(ho
     for i in range(4):
         put(house2, "kitchen", "cup", (1 + 0.1 * i, 1, 1))
     loaded = deserialize(serialize(house2))
-    assert loaded._id_floor == {}  # a load learns no floor
+    assert id_floors(loaded) == {}  # a load learns no floor
     second, first = loaded.copy(), loaded.copy()
     assert put(first, "kitchen", "cup", (2, 1, 1)) == "cup-5"
-    assert loaded._id_floor == {"cup": 5}  # the copy's floor, which holds for the source's ids too
+    assert id_floors(loaded) == {"cup": 5}  # the copy's floor, which holds for the source's ids too
     # A copy taken before the source learned the floor starts from it: its
     # first add of a cup probes one id, not cup-1 to cup-5.
     second.objects = Probes(second.objects)
     assert put(second, "kitchen", "cup", (2, 2, 1)) == "cup-5"
     assert second.objects.asked == ["cup-5"]
-    # An add or a removal in the source ends that: its later ids are not the copies'.
+    # An add or a removal in the source makes that slug its own: its later ids
+    # of the slug are not the copies'.
     third = loaded.copy()
     assert [put(loaded, "kitchen", "vase", (3, 1, 1)) for _ in range(2)] == ["vase-1", "vase-2"]
     assert put(third, "kitchen", "vase", (3, 2, 1)) == "vase-1"
@@ -297,6 +304,21 @@ def test_a_copy_learns_an_id_floor_through_its_source_and_the_source_keeps_it(ho
         assert check_invariants(g) == []
 
 
+def test_a_copy_keeps_learning_floors_after_its_source_adds_another_label(house2):
+    for i in range(4):
+        put(house2, "kitchen", "cup", (1 + 0.1 * i, 1, 1))
+    loaded = deserialize(serialize(house2))
+    early = loaded.copy()
+    assert put(loaded.copy(), "kitchen", "cup", (2, 1, 1)) == "cup-5"
+    assert put(loaded, "kitchen", "vase", (3, 1, 1)) == "vase-1"
+    # The source's vase leaves its cups as loaded, so the floor a second copy
+    # found still serves the early copy: its next cup probes one id.
+    early.objects = Probes(early.objects)
+    assert put(early, "kitchen", "cup", (2, 2, 1)) == "cup-5"
+    assert early.objects.asked == ["cup-5"]
+    assert check_invariants(early) == check_invariants(loaded) == []
+
+
 def test_a_copy_that_removed_an_id_never_starts_above_it():
     g = two_room_graph()
     for i in range(3):
@@ -305,9 +327,25 @@ def test_a_copy_that_removed_an_id_never_starts_above_it():
     put(loaded.copy(), "kitchen", "cup", (2, 1, 1))  # the source learns floor 4
     clone = loaded.copy()
     clone.remove_object("kitchen", "cup-2")
-    assert clone._id_floor["cup"] == 1
+    assert id_floors(clone)["cup"] == 1
     assert put(clone, "kitchen", "cup", (2, 2, 1)) == "cup-2"
     assert put(clone, "kitchen", "cup", (2, 2, 1)) == "cup-4"
+
+
+def test_check_invariants_reads_the_shared_floor_of_each_slug_the_graph_does_not_own():
+    g = two_room_graph()
+    for i in range(3):
+        put(g, "kitchen", "cup", (1 + 0.1 * i, 1, 1))
+    loaded = deserialize(serialize(g))
+    put(loaded.copy(), "kitchen", "cup", (2, 1, 1))  # the shared floor of cup is 4
+    clone = loaded.copy()
+    clone.remove_object("kitchen", "cup-2")
+    # The clone owns cup now, so the shared floor, which skips its free cup-2,
+    # is not the clone's.
+    assert check_invariants(clone) == check_invariants(loaded) == []
+    loaded._shared_floor["vase"] = 2
+    for member in (loaded, clone):
+        assert check_invariants(member) == ["id floor 2 of 'vase' skips a free id"]
 
 
 def test_a_long_chain_of_copies_learns_a_floor_without_recursing():
@@ -318,7 +356,7 @@ def test_a_long_chain_of_copies_learns_a_floor_without_recursing():
     for _ in range(3 * sys.getrecursionlimit()):
         chain.append(chain[-1].copy())
     assert put(chain[-1], "kitchen", "cup", (2, 1, 1)) == "cup-4"
-    assert all(member._id_floor == {"cup": 4} for member in chain)
+    assert all(id_floors(member) == {"cup": 4} for member in chain)
     assert put(chain[0].copy(), "kitchen", "cup", (2, 1, 1)) == "cup-4"
 
 

@@ -439,3 +439,61 @@ def test_clone_scan_flags_every_use():
     assert clone_uses(snippet) == [
         (("SceneGraph", "_editable"), 6), (("SceneGraph", "touch"), 8), (("SceneGraph", "touch"), 9),
     ]
+
+
+# An add or a removal always makes its slug the graph's own, so every graph
+# that does not own a slug holds its ids as loaded and may share its floor:
+# only these read or write a graph's id floors.
+FLOOR_USERS = {
+    ("graph.py", "SceneGraph", "__init__"),
+    ("graph.py", "SceneGraph", "_next_id"),
+    ("graph.py", "SceneGraph", "remove_object"),
+    ("graph.py", "SceneGraph", "copy"),
+    ("graph.py", "check_invariants"),
+}
+FLOOR_NAMES = {"_id_floor", "_shared_floor"}
+
+
+def floor_uses(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """``(scope, line)`` of each ``<expr>._id_floor`` or ``<expr>._shared_floor``
+    in ``source``, and of each ``getattr`` or ``setattr`` call naming either
+    as a string literal."""
+
+    def flagged(node) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr in FLOOR_NAMES
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("getattr", "setattr")
+            and any(isinstance(a, ast.Constant) and a.value in FLOOR_NAMES for a in node.args)
+        )
+
+    return scoped_nodes(source, flagged)
+
+
+def test_only_the_id_helpers_read_or_write_an_id_floor():
+    users = {
+        (path.name, *scope[:2])
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, _ in floor_uses(path.read_text("utf-8"))
+    }
+    assert users == FLOOR_USERS
+
+
+def test_floor_scan_flags_every_use():
+    snippet = (
+        "class SceneGraph:\n"
+        "    def __init__(self):\n"
+        "        self._id_floor = {}\n"
+        "    def move_object(self, oid):\n"
+        "        self._shared_floor.pop('cup', None)\n"
+        "        getattr(self, '_id_floor')\n"
+        "def check_invariants(graph):\n"
+        "    setattr(graph, '_shared_floor', {})\n"
+        "graph.id_floor\n"
+        "getattr(graph, 'objects')\n"
+    )
+    assert floor_uses(snippet) == [
+        (("SceneGraph", "__init__"), 3), (("SceneGraph", "move_object"), 5),
+        (("SceneGraph", "move_object"), 6), (("check_invariants",), 8),
+    ]

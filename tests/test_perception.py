@@ -118,7 +118,7 @@ def test_a_wall_hides_the_next_room_from_the_camera_and_the_detector(house2):
 
 
 # Multiples of a range boundary: on it, a few ulps and a few QUAT_NORM_TOL to
-# either side, and on and beyond the range test's 1e-6 margin.
+# either side, and a millionth and two millionths beyond it.
 BOUNDARY_SCALES = (1.0, 1.0 - 1e-15, 1.0 + 1e-15, 1.0 - 2e-9, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 1e-6, 1.0 + 2e-6)
 
 
