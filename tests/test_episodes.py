@@ -27,7 +27,7 @@ from generate import (  # noqa: E402
     CLUTTER, HOUSEHOLD, ROOM_HEIGHT, ROOM_PERIOD, ROOM_SIZE, START_TIME, GridSpec, generate_spec,
 )
 
-from sgupdate import action, records  # noqa: E402
+from sgupdate import action, perception, records  # noqa: E402
 from sgupdate.graph import check_invariants, serialize  # noqa: E402
 from sgupdate.harness import load_scenario, replay_runlog, run_scenario  # noqa: E402
 
@@ -190,3 +190,30 @@ def test_a_generated_episode_keeps_invariants_edits_nothing_it_does_not_apply_an
     assert "touch" in ops  # the wrappers ran
     assert check_invariants(result.graph) == [] and check_invariants(result.world.graph) == []
     assert serialize(replay_runlog(scenario.initial, result.log)) == serialize(result.graph)
+
+
+def written_episode(data, case: tuple, out: Path):
+    """The scenario of ``case`` (an ``episode()`` draw), written to ``out`` and loaded."""
+    spec, seed, frames, extent = case
+    path = generate_spec(spec, seed, out)
+    add_to_scenario(data, path, frames, extent)
+    return load_scenario(path)
+
+
+def run_bytes(scenario) -> tuple[str, bytes]:
+    result = run_scenario(scenario)
+    return result.log.to_jsonl(), serialize(result.graph)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(episode(), episode(), st.data())
+def test_an_episode_gives_the_same_bytes_cold_and_right_after_another_episode(case, other, data):
+    """Visibility memoizes frustum decisions across calls (one camera pose at
+    a time): what a run leaves there must not change the next run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = written_episode(data, case, Path(tmp) / "episode")
+        before = written_episode(data, other, Path(tmp) / "other")
+    perception._decisions.cache_clear()
+    cold = run_bytes(scenario)
+    run_scenario(before)
+    assert run_bytes(scenario) == cold

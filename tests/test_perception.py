@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +19,7 @@ from sgupdate.perception import (
     expected_visible,
     point_in_frustum,
     _class_keys,
+    _decisions,
     default_synonyms,
     semantic_match,
 )
@@ -248,6 +250,93 @@ def test_points_on_the_frustum_planes_get_the_oracles_decision(case):
     for node in g.objects.values():
         assert point_in_frustum(robot, cam, node.pose.t) == frustum_oracle(robot, cam, node.pose.t)
     assert expected_visible(g, robot, cam) == visible_oracle(g, robot, cam)
+
+
+# -- the memo of frustum decisions --------------------------------------------
+
+# Spots on KITCHEN_CAM's frustum: at the min range, at the max range (behind
+# the wall), on a side plane and exactly sideways.
+EDGE_SPOTS = ((1.0, 2.0, 1.0), (5.5, 2.0, 1.0), (2.5, 4.0, 1.0), (0.5, 3.0, 1.0))
+KITCHEN_CAM = Pose.identity((0.5, 2.0, 1.0))  # facing +x across the wall at x = 4
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_a_memo_shared_by_a_graph_and_its_copy_gives_the_oracles_answer(data):
+    """Between calls from one camera pose, the graph or its copy moves,
+    detaches or adds an object, often to a spot another object held; the
+    graph asked alternates, and a second pose sometimes takes the memo's one
+    slot. Every answer is the test of every object's."""
+    draw = data.draw
+    spot = st.one_of(
+        st.sampled_from(EDGE_SPOTS),
+        st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 4.0), st.floats(0.0, 3.0)),
+    )
+    spots = draw(st.lists(spot, min_size=1, max_size=6))
+    where = st.one_of(st.just(KITCHEN_CAM.t), st.tuples(st.floats(0.1, 9.9), st.just(2.0), st.just(1.0)))
+    other = yaw_pose(draw(where), draw(st.floats(-math.pi, math.pi)))
+    g = two_room_graph()
+    for t in spots:
+        put(g, "kitchen" if t[0] < 4.0 else "living room", "cup", t, rate=draw(st.sampled_from((0.0, 0.05))))
+    graphs = (g, g.copy())
+    for step in range(draw(st.integers(1, 12))):
+        edited = draw(st.sampled_from(graphs))
+        attached = sorted(oid for oid, node in edited.objects.items() if node.attached)
+        op = draw(st.sampled_from(("move", "detach", "add", "none")))
+        if op == "add" or op != "none" and not attached:
+            put(edited, draw(st.sampled_from(("kitchen", "living room"))), "cup", draw(st.sampled_from(spots)))
+        elif op == "move":
+            oid = draw(st.sampled_from(attached))
+            room = edited.rooms[edited.objects[oid].room].label
+            target = draw(st.sampled_from(("kitchen", "living room")))
+            edited.move_object(room, target, oid, Pose.identity(draw(st.sampled_from(spots))), now=float(step))
+        elif op == "detach":
+            edited.detach(draw(st.sampled_from(attached)))
+        if draw(st.integers(0, 3)) == 0:
+            expected_visible(edited, other, CAM)
+        asked = graphs[step % 2]
+        assert expected_visible(asked, KITCHEN_CAM, CAM) == visible_oracle(asked, KITCHEN_CAM, CAM), step
+
+
+def hall_at_origin():
+    """A camera at the origin facing +x, in a hall holding cups on the axes
+    and on the frustum's planes, signed zeros included."""
+    g = SceneGraph()
+    g.add_room(make_room("hall", (0.0, 0.0, 0.0), (12.0, 12.0, 12.0)))
+    spots = [
+        (1.0, 0.0, 0.0), (1.0, -0.0, -0.0), (2.0, 2.0, 0.0), (2.0, 0.0, -2.0), (0.0, 1.0, 0.0),
+        (-0.0, 1.0, 0.0), (0.5, 0.0, 0.0), (5.0, 0.0, 0.0), (4.999, 0.0, 0.0), (-1.0, 0.0, 0.0),
+    ]
+    for t in spots:
+        put(g, "hall", "cup", t)
+    return g
+
+
+@pytest.mark.parametrize(
+    "equal",
+    [
+        Pose((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        Pose((1.0, -0.0, -0.0, -0.0), (-0.0, -0.0, -0.0)),
+    ],
+    ids=["rebuilt", "signed zeros"],
+)
+def test_a_pose_equal_in_value_reads_the_warm_memo_and_gets_the_oracles_answer(equal):
+    first = Pose((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    g = hall_at_origin()
+    _decisions.cache_clear()
+    assert expected_visible(g, first, CAM) == visible_oracle(g, first, CAM)
+    hits = _decisions.cache_info().hits
+    got = expected_visible(g, equal, CAM)
+    assert _decisions.cache_info().hits == hits + 1  # the warm memo answered
+    assert got == visible_oracle(g, equal, CAM) == ["cup-1", "cup-2", "cup-9"]
+    for oid, node in g.objects.items():
+        assert point_in_frustum(equal, CAM, node.pose.t) == (oid in got), oid
+
+    expected_visible(g, yaw_pose((0.0, 0.0, 0.0), 1.0), CAM)
+    assert _decisions.cache_info().currsize == 1  # the second pose took the one slot
+    graph = weakref.ref(g)
+    del g
+    assert graph() is None  # the memo keeps no graph alive
 
 
 # -- label matching ----------------------------------------------------------
